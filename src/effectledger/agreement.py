@@ -12,6 +12,12 @@ A fully endorsed proposal becomes a ChainedTransaction carrying the client
 signature plus one signed agreement per required organization; execution later
 re-verifies the whole bundle and marks transactions with missing or invalid
 agreements failed.
+
+Each party parses a transaction's SQL once, into a ParsedTransaction: the
+client to find the required organizations (only when policies exist), each
+endorser to evaluate its predicates, and each executing organization in
+verify_chained_transaction, after every signature has checked out.  The
+executor's value then feeds the scheduler's analysis and the engine.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from decimal import Decimal
 from typing import Union
 
 from . import keys
-from .engine.parser import CreateTable, Delete, Insert, Select, Update, parse_script
+from .engine.parser import CreateTable, Delete, Insert, Select, Statement, Update, parse_script
 from .errors import ConfigError, ParseError
 
 
@@ -87,6 +93,76 @@ class Rejected:
     proposal: TransactionProposal
     dissenting: tuple[str, ...]
     reasons: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class ParsedTransaction:
+    """One transaction's SQL, parsed once by the party that reads it.
+
+    SQL that does not parse, or holds no statement, keeps no statements and
+    sets error instead.  Such a transaction touches no table, so it needs no
+    agreement, and execution marks it failed.  Each organization builds its
+    own value and keeps it no longer than the block it belongs to.
+    """
+
+    statements: tuple[Statement, ...] = ()
+    error: str | None = None
+
+    def __post_init__(self):
+        if not self.statements and self.error is None:
+            object.__setattr__(self, "error", "empty transaction")
+
+    @property
+    def tables(self) -> set[str]:
+        return {
+            stmt.schema.name if isinstance(stmt, CreateTable) else stmt.table
+            for stmt in self.statements
+        }
+
+    @property
+    def dml_tables(self) -> set[str]:
+        """Tables the transaction operates on with data statements.
+
+        Creating a table is the act that installs its policy, not an operation
+        against existing rows, so DDL never triggers predicate evaluation (the
+        predicates' transaction fields would be vacuously unresolvable anyway).
+        """
+        return {stmt.table for stmt in self.statements if not isinstance(stmt, CreateTable)}
+
+    def fields(self, catalog) -> dict[str, object]:
+        """Literal fields visible to predicates: inserted values, SET literals,
+        and WHERE equality literals.  Later statements win on name clashes."""
+        fields: dict[str, object] = {}
+        for stmt in self.statements:
+            if isinstance(stmt, Insert):
+                names = stmt.columns
+                if names is None:
+                    schema = catalog.get(stmt.table)
+                    if schema is None:
+                        continue
+                    names = tuple(c.name for c in schema.columns)
+                for row in stmt.rows:
+                    for name, value in zip(names, row):
+                        fields[name] = value
+            elif isinstance(stmt, Update):
+                for name, expr in stmt.assignments:
+                    if expr.is_literal:
+                        fields[name] = expr.terms[0][1]
+                for cond in stmt.where:
+                    if cond.op == "=":
+                        fields[cond.column] = cond.value
+            elif isinstance(stmt, (Delete, Select)):
+                for cond in stmt.where:
+                    if cond.op == "=":
+                        fields[cond.column] = cond.value
+        return fields
+
+
+def parse_transaction(sql: str) -> ParsedTransaction:
+    try:
+        return ParsedTransaction(tuple(parse_script(sql)))
+    except ParseError as exc:
+        return ParsedTransaction(error=str(exc))
 
 
 # ---- condition language ----
@@ -185,65 +261,6 @@ class AgreementPredicate:
         return cls(table, tuple(parse_condition(line) for line in lines))
 
 
-def transaction_fields(sql: str, catalog) -> dict[str, object]:
-    """Literal fields visible to predicates: inserted values, SET literals,
-    and WHERE equality literals.  Later statements win on name clashes."""
-    fields: dict[str, object] = {}
-    try:
-        statements = parse_script(sql)
-    except ParseError:
-        return fields
-    for stmt in statements:
-        if isinstance(stmt, Insert):
-            names = stmt.columns
-            if names is None:
-                schema = catalog.get(stmt.table)
-                if schema is None:
-                    continue
-                names = tuple(c.name for c in schema.columns)
-            for row in stmt.rows:
-                for name, value in zip(names, row):
-                    fields[name] = value
-        elif isinstance(stmt, Update):
-            for name, expr in stmt.assignments:
-                if expr.is_literal:
-                    fields[name] = expr.terms[0][1]
-            for cond in stmt.where:
-                if cond.op == "=":
-                    fields[cond.column] = cond.value
-        elif isinstance(stmt, (Delete, Select)):
-            for cond in stmt.where:
-                if cond.op == "=":
-                    fields[cond.column] = cond.value
-    return fields
-
-
-def touched_tables(sql: str) -> set[str]:
-    try:
-        statements = parse_script(sql)
-    except ParseError:
-        return set()
-    out = set()
-    for stmt in statements:
-        table = stmt.schema.name if hasattr(stmt, "schema") else stmt.table
-        out.add(table)
-    return out
-
-
-def dml_tables(sql: str) -> set[str]:
-    """Tables a transaction operates on with data statements.
-
-    Creating a table is the act that installs its policy, not an operation
-    against existing rows, so DDL never triggers predicate evaluation (the
-    predicates' transaction fields would be vacuously unresolvable anyway).
-    """
-    try:
-        statements = parse_script(sql)
-    except ParseError:
-        return set()
-    return {stmt.table for stmt in statements if not isinstance(stmt, CreateTable)}
-
-
 class _Unresolved(Exception):
     pass
 
@@ -294,9 +311,9 @@ def evaluate_predicate(predicate: AgreementPredicate, fields: dict, db) -> bool:
     return True
 
 
-def required_orgs(sql: str, policies: dict[str, "AgreementPolicy"]) -> tuple[str, ...]:
+def required_orgs(parsed: ParsedTransaction, policies: dict[str, "AgreementPolicy"]) -> tuple[str, ...]:
     orgs: set[str] = set()
-    for table in touched_tables(sql):
+    for table in parsed.tables:
         policy = policies.get(table)
         if policy is not None:
             orgs.update(policy.required_orgs)
@@ -317,9 +334,10 @@ def collect_agreements(
     """Gather signed agreements from every required organization.
 
     evaluators maps org id to a callable(proposal) -> Agreement | None; None
-    models an unreachable organization and refuses conservatively.
+    models an unreachable organization and refuses conservatively.  Without
+    policies no organization is required, and the SQL is not parsed.
     """
-    needed = required_orgs(proposal.sql, policies)
+    needed = required_orgs(parse_transaction(proposal.sql), policies) if policies else ()
     agreements = []
     dissenting = []
     reasons = []
@@ -343,24 +361,30 @@ def verify_chained_transaction(
     ct: ChainedTransaction,
     policies: dict[str, AgreementPolicy],
     registry: keys.KeyRegistry,
-) -> bool:
-    """Execution-time check: client signature plus every required agreement."""
+) -> ParsedTransaction | None:
+    """Execution-time check: client signature plus every required agreement.
+
+    Returns the transaction parsed, for the caller to analyze and execute, or
+    None when the check fails.  Every signature is checked before the SQL is
+    parsed, so a forged transaction costs no parse.
+    """
     proposal = ct.proposal
     if not registry.known(proposal.client):
-        return False
+        return None
     if not registry.verify_as(proposal.client, proposal.signature, proposal.signed_payload()):
-        return False
+        return None
     digest = proposal.digest()
     by_org = {}
     for agreement in ct.agreements:
         if agreement.txn_digest != digest or not agreement.verdict:
-            return False
+            return None
         if not registry.known(agreement.org):
-            return False
+            return None
         if not registry.verify_as(agreement.org, agreement.signature, agreement.signed_payload()):
-            return False
+            return None
         by_org[agreement.org] = agreement
-    for org in required_orgs(proposal.sql, policies):
+    parsed = parse_transaction(proposal.sql)
+    for org in required_orgs(parsed, policies):
         if org not in by_org:
-            return False
-    return True
+            return None
+    return parsed

@@ -23,8 +23,8 @@ import tempfile
 import time
 from dataclasses import dataclass
 
+from .consensus import ConsensusStatus
 from .network import Network, NetworkConfig, OrgConfig
-from .org import RoundStatus
 from .smallbank import SmallbankConfig, bootstrap_transactions, generate_workload
 
 DEFAULT_BLOCKSIZES = (256, 512, 1024, 2048, 4096)
@@ -93,7 +93,7 @@ def run_bench(
                 node.execute_action(action)
             for node in nodes:
                 outcome = node.complete_round(peer_ids[node.org_id], fetch_vote)
-                if outcome.status is not RoundStatus.COMMITTED:
+                if outcome.status is not ConsensusStatus.COMMITTED:
                     raise RuntimeError(
                         f"bench round {action.round_id} failed on {node.org_id}: "
                         f"{outcome.status}"

@@ -16,12 +16,11 @@ import argparse
 import os
 import random
 import sys
-from decimal import Decimal
 
 from . import bench as bench_mod
 from .engine.database import Database
-from .engine.types import ColumnType
-from .errors import EffectLedgerError
+from .engine.types import decode_literal, row_key
+from .errors import BindError, EffectLedgerError
 from .ledger import verify_ledger
 from .network import Network, NetworkConfig, load_fault_script
 from .scheduler import analyze_transaction, build_dependency_graph
@@ -95,35 +94,19 @@ def cmd_inject(args) -> int:
         db = Database.load_dump(fh.read())
     table = db.table(args.table)
     schema = table.schema
-    pk_raw = args.pk.split(",")
-    if len(pk_raw) != len(schema.primary_key):
-        raise SystemExit(f"table {schema.name} has a {len(schema.primary_key)}-column key")
-    from .engine.types import UNIT_SEP, canonical_value_bytes
-
-    parts = []
-    for name, raw in zip(schema.primary_key, pk_raw):
-        column = schema.column(name)
-        parts.append(canonical_value_bytes(column, _parse_value(column, raw)))
-    pk = UNIT_SEP.join(parts)
-    if pk not in table.rows:
-        raise SystemExit(f"no row with key {args.pk} in {args.table}")
+    try:
+        pk = row_key(schema, table.rows, args.pk.split(","))
+    except BindError as exc:
+        raise SystemExit(str(exc)) from None
     idx = schema.column_index(args.column)
     row = list(table.rows[pk])
-    row[idx] = _parse_value(schema.columns[idx], args.value)
+    row[idx] = decode_literal(schema.columns[idx], args.value)
     table.rows[pk] = tuple(row)
     out = args.out or args.state
     with open(out, "wb") as fh:
         fh.write(db.dump_all())
     print(f"corrupted {args.table}[{args.pk}].{args.column} -> {args.value} in {out}")
     return 0
-
-
-def _parse_value(column, raw: str):
-    if column.type is ColumnType.INT:
-        return int(raw)
-    if column.type is ColumnType.DECIMAL:
-        return Decimal(raw)
-    return raw
 
 
 def cmd_bench(args) -> int:

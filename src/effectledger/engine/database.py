@@ -140,18 +140,6 @@ class Database:
                 digest.record(*entry)
         return result
 
-    def execute_statement(self, statement, digest=None) -> TransactionResult:
-        """Single statement in its own transaction."""
-        if isinstance(statement, str):
-            try:
-                statement = parse_script(statement)
-            except ParseError as exc:
-                return TransactionResult(False, str(exc))
-            if len(statement) != 1:
-                return TransactionResult(False, "expected exactly one statement")
-            statement = statement[0]
-        return self.execute_transaction([statement], digest)
-
     def _execute(self, stmt: Statement, ctx: _TxnContext):
         if isinstance(stmt, CreateTable):
             return self._create_table(stmt, ctx)
@@ -354,7 +342,7 @@ class Database:
         column = schema.column(cond.column)
         value = row[schema.column_index(cond.column)]
         if cond.op == "=":
-            return _values_equal(value, cond.value)
+            return value == cond.value  # binary on TEXT, numeric on int/Decimal
         key = ordering_key(column, value, self.quirks)
         if cond.op == "between":
             low = _literal_key(column, cond.value, self.quirks)
@@ -370,15 +358,6 @@ class Database:
         return key >= lit
 
     # ---- snapshots and dumps ----
-
-    def snapshot_table(self, name: str) -> TableSnapshot:
-        return self.table(name).snapshot()
-
-    def restore_table(self, name: str, snapshot: TableSnapshot):
-        with self._catalog_lock:
-            if name not in self.tables:
-                self.tables[name] = Table(snapshot.schema)
-        self.table(name).restore(snapshot)
 
     def snapshot_all(self) -> dict[str, TableSnapshot]:
         return {name: t.snapshot() for name, t in self.tables.items()}
@@ -459,12 +438,6 @@ class Database:
 
 
 _NO_MATCH = object()
-
-
-def _values_equal(stored, literal) -> bool:
-    if isinstance(stored, str) or isinstance(literal, str):
-        return stored == literal  # equality on TEXT is always binary
-    return stored == literal  # int/Decimal compare numerically
 
 
 def _literal_key(column: Column, literal, quirks: QuirkConfig):

@@ -26,8 +26,9 @@ _TOKEN_RE = re.compile(
   | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=|>=|[=<>(),;*+\-])
+  | (?P<unexpected>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {
@@ -47,19 +48,20 @@ class Token:
 
 
 def tokenize(sql: str) -> list[Token]:
+    """One regex pass; every character belongs to some group, so matches are
+    contiguous and the first unexpected character raises at its offset."""
     tokens = []
-    pos = 0
-    while pos < len(sql):
-        m = _TOKEN_RE.match(sql, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {sql[pos]!r} at offset {pos}")
+    for m in _TOKEN_RE.finditer(sql):
         kind = m.lastgroup
+        if kind == "ws":
+            continue
         text = m.group()
+        pos = m.start()
+        if kind == "unexpected":
+            raise ParseError(f"unexpected character {text!r} at offset {pos}")
         if kind == "ident" and text.lower() in _KEYWORDS:
             kind, text = "keyword", text.lower()
-        if kind != "ws":
-            tokens.append(Token(kind, text, pos))
-        pos = m.end()
+        tokens.append(Token(kind, text, pos))
     return tokens
 
 

@@ -170,6 +170,33 @@ def canonical_value_bytes(column: Column, value) -> bytes:
     return format(value, "f").encode("ascii")
 
 
+def decode_literal(column: Column, raw):
+    """A column value given from outside as a JSON number or string, or as
+    command-line text.  DECIMAL goes through str, so 7, 7.5 and "-1" all work."""
+    if column.type is ColumnType.INT:
+        return int(raw)
+    if column.type is ColumnType.TEXT:
+        return str(raw)
+    return decimal.Decimal(str(raw))
+
+
+def row_key(schema: TableSchema, rows: dict, raw_pk) -> bytes:
+    """Key of the stored row whose primary key reads raw_pk, one value per
+    primary-key column decoded by decode_literal.  BindError when the arity
+    is wrong or no such row exists."""
+    if len(raw_pk) != len(schema.primary_key):
+        raise BindError(
+            f"table {schema.name} has a {len(schema.primary_key)}-column key"
+        )
+    key = UNIT_SEP.join(
+        canonical_value_bytes(column, decode_literal(column, raw))
+        for column, raw in zip(map(schema.column, schema.primary_key), raw_pk)
+    )
+    if key not in rows:
+        raise BindError(f"no row with key {tuple(raw_pk)} in {schema.name}")
+    return key
+
+
 def encode_row(schema: TableSchema, row: tuple) -> bytes:
     """Column count, then canonical values, all joined with the unit separator."""
     parts = [b"%d" % len(schema.columns)]

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 from . import agreement as agmt
 from . import keys
-from .consensus import ConsensusPolicy
-from .engine.types import ColumnType, QuirkConfig
-from .errors import ConfigError
-from .org import Action, OrgNode, RoundStatus
+from .consensus import ConsensusPolicy, ConsensusStatus
+from .engine.types import QuirkConfig, decode_literal, row_key
+from .errors import BindError, ConfigError
+from .org import Action, OrgNode
 from .recovery import CheckpointManager, RecoveryStrategy, recover
 
 # report event names
@@ -211,29 +210,6 @@ def load_fault_script(raw) -> list[FaultEvent]:
     if isinstance(raw, str):
         raw = json.loads(raw)
     return [e if isinstance(e, FaultEvent) else FaultEvent.from_dict(e) for e in raw]
-
-
-def _fault_value(column, raw):
-    if column.type is ColumnType.INT:
-        return int(raw)
-    if column.type is ColumnType.TEXT:
-        return str(raw)
-    return Decimal(str(raw))
-
-
-def _fault_pk_and_row(schema, rows: dict, pk_values: tuple):
-    from .engine.types import UNIT_SEP, canonical_value_bytes
-
-    if len(pk_values) != len(schema.primary_key):
-        raise ConfigError(f"fault pk arity mismatch for table {schema.name}")
-    parts = []
-    for name, raw in zip(schema.primary_key, pk_values):
-        column = schema.column(name)
-        parts.append(canonical_value_bytes(column, _fault_value(column, raw)))
-    pk = UNIT_SEP.join(parts)
-    if pk not in rows:
-        raise ConfigError(f"fault targets missing row {pk_values} in {schema.name}")
-    return pk
 
 
 # ---- orderer ----
@@ -430,10 +406,13 @@ class Network:
         elif event.kind == "corrupt_row":
             node = self.node(event.org)
             table = node.db.table(event.table)
-            pk = _fault_pk_and_row(table.schema, table.rows, event.pk)
+            try:
+                pk = row_key(table.schema, table.rows, event.pk)
+            except BindError as exc:
+                raise ConfigError(f"corrupt_row: {exc}") from None
             row = list(table.rows[pk])
             idx = table.schema.column_index(event.column)
-            row[idx] = _fault_value(table.schema.columns[idx], event.value)
+            row[idx] = decode_literal(table.schema.columns[idx], event.value)
             table.rows[pk] = tuple(row)
             self.report.emit(self.tick, event.org, CORRUPT)
         elif event.kind == "corrupt_snapshot":
@@ -443,10 +422,10 @@ class Network:
             checkpoint = manager.snapshots[-1]
             snap = checkpoint.tables[event.table]
             idx = snap.schema.column_index(event.column)
-            value = _fault_value(snap.schema.columns[idx], event.value)
+            value = decode_literal(snap.schema.columns[idx], event.value)
             pk_cols = snap.schema.pk_indices
             want = tuple(
-                _fault_value(snap.schema.columns[i], raw)
+                decode_literal(snap.schema.columns[i], raw)
                 for i, raw in zip(pk_cols, event.pk)
             )
             rows = list(snap.rows)
@@ -542,10 +521,10 @@ class Network:
         outcome = node.complete_round(
             self.peers_of(org_id), self.fetch_vote(org_id), max_retries=0
         )
-        if outcome.status is RoundStatus.COMMITTED:
+        if outcome.status is ConsensusStatus.COMMITTED:
             self.report.emit(self.tick, org_id, COMMIT, outcome.block_id)
             rt.phase = _IDLE
-        elif outcome.status is RoundStatus.NON_CONSENTING:
+        elif outcome.status is ConsensusStatus.NON_CONSENTING:
             self.report.emit(self.tick, org_id, NONCONSENT, outcome.block_id)
             self._run_recovery(rt, outcome.block_id)
         # NO_CONSENSUS: keep polling on later ticks

@@ -1,11 +1,12 @@
 """One organization: engine, ledger, votes, and the per-round pipeline.
 
 A round processes exactly one ordered action (a block of chained
-transactions): verify signatures, analyze, execute in conflict-free stages,
-assemble the ledger block, then seek consensus on its hash.  The block only
-enters the ledger when enough organizations report the same hash and it
-matches the local one; otherwise the round stays pending until consensus
-arrives late (peers catching up) or recovery rebuilds the state.
+transactions): verify signatures, parse each transaction once, analyze,
+execute in conflict-free stages, assemble the ledger block, then seek
+consensus on its hash.  The block only enters the ledger when enough
+organizations report the same hash and it matches the local one; otherwise
+the round stays pending until consensus arrives late (peers catching up) or
+recovery rebuilds the state.
 
 Execution mutates the engine before the commit decision on purpose: the model
 votes on effects, so the effects must exist first.  Recovery owns undoing
@@ -14,8 +15,7 @@ them when the vote goes against us.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 from . import agreement as agmt
 from . import consensus as cns
@@ -42,15 +42,9 @@ class Action:
     transactions: tuple[agmt.ChainedTransaction, ...]
 
 
-class RoundStatus(str, Enum):
-    COMMITTED = "consenting_committed"
-    NON_CONSENTING = "non_consenting_local"
-    NO_CONSENSUS = "no_global_consensus"
-
-
 @dataclass
 class RoundOutcome:
-    status: RoundStatus
+    status: cns.ConsensusStatus
     block_id: int
     local_hash: bytes
     consensus_hash: bytes | None
@@ -117,8 +111,9 @@ class OrgNode:
             proposal.client, proposal.signature, proposal.signed_payload()
         )
         if verdict:
-            fields = agmt.transaction_fields(proposal.sql, self.catalog())
-            for table in agmt.dml_tables(proposal.sql):
+            parsed = agmt.parse_transaction(proposal.sql)
+            fields = parsed.fields(self.catalog())
+            for table in parsed.dml_tables:
                 predicate = self.predicates.get(table)
                 if predicate is not None and not agmt.evaluate_predicate(
                     predicate, fields, self.db
@@ -144,6 +139,8 @@ class OrgNode:
     def execute_action(self, action: Action) -> bytes:
         """Apply one action to the engine and vote on the resulting block hash.
 
+        Each transaction is parsed once, by verify_chained_transaction after
+        its signatures check out; analysis and execution read that parse.
         Deterministic in (quirks, committed state, action).  Raises
         OutOfOrderAction/DuplicateRound when the action does not extend the
         committed chain, EngineFailure when the engine is gone.
@@ -163,12 +160,11 @@ class OrgNode:
         names_before = set(self.db.tables)
         access_sets: list[TxnAccessSet] = []
         for i, ct in enumerate(action.transactions):
-            if agmt.verify_chained_transaction(ct, self.agreement_policies, self.registry):
-                access_sets.append(analyze_transaction(i, ct.proposal.sql, catalog))
+            parsed = agmt.verify_chained_transaction(ct, self.agreement_policies, self.registry)
+            if parsed is None:
+                access_sets.append(TxnAccessSet(i, parse_error="agreement verification failed"))
             else:
-                access_sets.append(
-                    TxnAccessSet(i, ct.proposal.sql, parse_error="agreement verification failed")
-                )
+                access_sets.append(analyze_transaction(i, parsed, catalog))
         graph = build_dependency_graph(access_sets)
         digest = BlockDigest()
         bits = execute_staged(graph, access_sets, self.db, self.sessions, digest)
@@ -214,11 +210,11 @@ class OrgNode:
         self.last_transcript = transcript
         if decision.consenting:
             self.commit_pending(transcript)
-            status = RoundStatus.COMMITTED
+            status = cns.ConsensusStatus.COMMITTED
         elif decision.decided:
-            status = RoundStatus.NON_CONSENTING
+            status = cns.ConsensusStatus.NON_CONSENTING
         else:
-            status = RoundStatus.NO_CONSENSUS
+            status = cns.ConsensusStatus.NO_CONSENSUS
         return RoundOutcome(
             status,
             pending.block.block_id,
@@ -226,13 +222,6 @@ class OrgNode:
             decision.quorum_hash,
             transcript,
         )
-
-    def advance_round(self, action: Action, peers, fetch_vote, max_retries: int = 10,
-                      on_retry=None) -> RoundOutcome:
-        """Execute one action and immediately attempt consensus on it."""
-        self.receive_action(action)
-        self.execute_action(action)
-        return self.complete_round(peers, fetch_vote, max_retries, on_retry)
 
     def commit_pending(self, transcript: cns.ConsensusTranscript):
         pending = self.pending

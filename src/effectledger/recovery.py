@@ -28,7 +28,7 @@ from .consensus import ConsensusStatus
 from .engine.database import TableSnapshot
 from .errors import HistoryUnavailable
 from .ledger import LedgerBlock, block_hash
-from .org import OrgNode, RoundStatus
+from .org import OrgNode
 
 
 class RecoveryStrategy(str, Enum):
@@ -193,7 +193,7 @@ def _try_replay(
     node.abandon_pending()
     node.execute_action(failing)
     outcome = node.complete_round(peers, fetch_vote, max_retries, on_retry)
-    consented = outcome.status is RoundStatus.COMMITTED
+    consented = outcome.status is ConsensusStatus.COMMITTED
     report.iterations.append(
         RecoveryIteration(
             source,

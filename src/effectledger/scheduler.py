@@ -20,6 +20,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .agreement import ParsedTransaction
 from .engine.parser import (
     CreateTable,
     Delete,
@@ -128,9 +129,8 @@ class TxnAccessSet:
     """What one transaction reads and writes, plus its parsed statements."""
 
     index: int
-    sql: str
     intervals: tuple[AccessInterval, ...] = ()
-    statements: list[Statement] | None = None
+    statements: tuple[Statement, ...] | None = None
     parse_error: str | None = None
 
     @property
@@ -138,24 +138,29 @@ class TxnAccessSet:
         return self.parse_error is None
 
 
-def analyze_transaction(index: int, sql: str, catalog: dict[str, TableSchema]) -> TxnAccessSet:
-    """Parse one transaction and extract its access intervals.
+def analyze_transaction(
+    index: int, txn: ParsedTransaction | str, catalog: dict[str, TableSchema]
+) -> TxnAccessSet:
+    """Extract one transaction's access intervals from its parsed statements.
 
-    Unparseable SQL yields parse_error set and no intervals; the transaction
-    is pre-marked failed and never joins the graph.  Interval extraction never
-    consults quirk settings, so identically configured organizations build the
-    same graph from the same block.
+    An organization passes the ParsedTransaction it verified, so the SQL is
+    not parsed again.  SQL text, as replay reads it back from the ledger, is
+    parsed here once.  Unparseable SQL yields parse_error set and no
+    intervals; the transaction is pre-marked failed and never joins the
+    graph.  Interval extraction never consults quirk settings, so identically
+    configured organizations build the same graph from the same block.
     """
-    try:
-        statements = parse_script(sql)
-        if not statements:
-            raise ParseError("empty transaction")
-    except ParseError as exc:
-        return TxnAccessSet(index, sql, parse_error=str(exc))
+    if isinstance(txn, str):
+        try:
+            txn = ParsedTransaction(tuple(parse_script(txn)))
+        except ParseError as exc:
+            txn = ParsedTransaction(error=str(exc))
+    if txn.error is not None:
+        return TxnAccessSet(index, parse_error=txn.error)
     intervals: list[AccessInterval] = []
-    for stmt in statements:
+    for stmt in txn.statements:
         intervals.extend(_statement_intervals(stmt, catalog))
-    return TxnAccessSet(index, sql, tuple(intervals), statements)
+    return TxnAccessSet(index, tuple(intervals), txn.statements)
 
 
 def _statement_intervals(stmt: Statement, catalog) -> list[AccessInterval]:

@@ -14,14 +14,12 @@ from effectledger.agreement import (
     Rejected,
     TransactionProposal,
     collect_agreements,
-    dml_tables,
     evaluate_predicate,
     make_agreement,
     make_proposal,
     parse_condition,
+    parse_transaction,
     required_orgs,
-    touched_tables,
-    transaction_fields,
     verify_chained_transaction,
 )
 from effectledger.errors import ConfigError
@@ -96,36 +94,34 @@ def test_parse_rejects_garbage():
 
 def test_transaction_fields_from_insert(bank_db):
     catalog = {n: bank_db.table(n).schema for n in bank_db.table_names()}
-    fields = transaction_fields(
-        "INSERT INTO acct (id, owner, bal) VALUES (3, 'carol', 75.50);", catalog
-    )
+    fields = parse_transaction(
+        "INSERT INTO acct (id, owner, bal) VALUES (3, 'carol', 75.50);"
+    ).fields(catalog)
     assert fields == {"id": 3, "owner": "carol", "bal": Decimal("75.50")}
 
 
 def test_transaction_fields_without_column_list_uses_catalog(bank_db):
     catalog = {n: bank_db.table(n).schema for n in bank_db.table_names()}
-    fields = transaction_fields("INSERT INTO acct VALUES (4, 'dave', 1);", catalog)
+    fields = parse_transaction("INSERT INTO acct VALUES (4, 'dave', 1);").fields(catalog)
     assert fields["owner"] == "dave"
 
 
 def test_transaction_fields_from_update_and_where(bank_db):
-    fields = transaction_fields(
-        "UPDATE acct SET bal = 9.99 WHERE id = 2;", {}
-    )
+    fields = parse_transaction("UPDATE acct SET bal = 9.99 WHERE id = 2;").fields({})
     assert fields == {"bal": Decimal("9.99"), "id": 2}
 
 
 def test_touched_tables_spans_statements():
     sql = "UPDATE a SET x = 1 WHERE k = 1; DELETE FROM b WHERE k = 2;"
-    assert touched_tables(sql) == {"a", "b"}
-    assert touched_tables("not sql") == set()
+    assert parse_transaction(sql).tables == {"a", "b"}
+    assert parse_transaction("not sql").tables == set()
 
 
 def test_dml_tables_exclude_ddl():
     sql = "CREATE TABLE a (k INT, PRIMARY KEY (k)); INSERT INTO b (k) VALUES (1);"
-    assert touched_tables(sql) == {"a", "b"}
-    assert dml_tables(sql) == {"b"}
-    assert dml_tables("CREATE TABLE only (k INT, PRIMARY KEY (k));") == set()
+    assert parse_transaction(sql).tables == {"a", "b"}
+    assert parse_transaction(sql).dml_tables == {"b"}
+    assert parse_transaction("CREATE TABLE only (k INT, PRIMARY KEY (k));").dml_tables == set()
 
 
 def test_evaluate_literal_predicate(bank_db):
@@ -185,8 +181,9 @@ def evaluator_for(org, verdict=True):
 
 
 def test_required_orgs_by_table():
-    assert required_orgs("UPDATE acct SET bal = 1 WHERE id = 1;", POLICIES) == ("O1", "O2")
-    assert required_orgs("SELECT * FROM other;", POLICIES) == ()
+    update = parse_transaction("UPDATE acct SET bal = 1 WHERE id = 1;")
+    assert required_orgs(update, POLICIES) == ("O1", "O2")
+    assert required_orgs(parse_transaction("SELECT * FROM other;"), POLICIES) == ()
 
 
 def test_collect_agreements_chains(registry):

@@ -196,6 +196,45 @@ def test_inject_unknown_row_fails(dump_file):
         )
 
 
+@pytest.fixture
+def mixed_dump(tmp_path):
+    db = Database()
+    assert db.execute_transaction(
+        "CREATE TABLE mixed (k INT, s TEXT, d DECIMAL(10, 2), v INT, w TEXT, "
+        "x DECIMAL(10, 2), PRIMARY KEY (k, s, d));"
+    ).success
+    assert db.execute_transaction("INSERT INTO mixed VALUES (1, '5', 2.50, 0, 'z', 0);").success
+    path = tmp_path / "mixed.dump"
+    path.write_bytes(db.dump_all())
+    return path
+
+
+@pytest.mark.parametrize(
+    "column, raw, stored",
+    [("v", "7", 7), ("w", "y", "y"), ("w", "5", "5"), ("x", "-1", Decimal("-1")),
+     ("x", "3.25", Decimal("3.25"))],
+)
+def test_inject_decodes_int_text_and_decimal_keys_and_values(mixed_dump, column, raw, stored,
+                                                             capsys):
+    assert run_cli(
+        "inject", "--state", str(mixed_dump), "--table", "mixed",
+        "--pk", "1,5,2.50", "--column", column, "--value", raw,
+    ) == 0
+    capsys.readouterr()
+    table = Database.load_dump(mixed_dump.read_bytes()).table("mixed")
+    (row,) = table.rows.values()
+    assert row[table.schema.column_index(column)] == stored
+
+
+@pytest.mark.parametrize("pk", ["2,5,2.50", "1,6,2.50", "1,5,2.51", "1,5"])
+def test_inject_rejects_a_missing_row(mixed_dump, pk):
+    with pytest.raises(SystemExit):
+        run_cli(
+            "inject", "--state", str(mixed_dump), "--table", "mixed",
+            "--pk", pk, "--column", "v", "--value", "1",
+        )
+
+
 # ---- bench ----
 
 

@@ -14,9 +14,11 @@ from effectledger.engine.types import (
     UNIT_SEP,
     canonical_value_bytes,
     coerce_value,
+    decode_literal,
     encode_row,
     ordering_key,
     pk_bytes,
+    row_key,
 )
 from effectledger.errors import BindError, ConstraintViolation
 
@@ -106,3 +108,25 @@ def test_schema_requires_known_pk_columns():
 def test_decimal_scale_bounds():
     with pytest.raises(BindError):
         Column("m", ColumnType.DECIMAL, scale=-1)
+
+
+@pytest.mark.parametrize(
+    "column, raw, value",
+    [(INT_COL, 7, 7), (INT_COL, "-7", -7), (TEXT_COL, "x", "x"), (TEXT_COL, 5, "5"),
+     (MONEY, "-1", Decimal("-1")), (MONEY, 0.1, Decimal("0.1")),
+     (MONEY, Decimal("2.50"), Decimal("2.50"))],
+)
+def test_decode_literal_takes_json_numbers_and_text(column, raw, value):
+    decoded = decode_literal(column, raw)
+    assert decoded == value and type(decoded) is type(value)
+
+
+def test_row_key_finds_stored_rows_only():
+    schema = TableSchema("t", (INT_COL, TEXT_COL, MONEY), ("n", "t"))
+    row = (3, "a", Decimal("1.00"))
+    rows = {pk_bytes(schema, row): row}
+    assert row_key(schema, rows, ("3", "a")) == pk_bytes(schema, row)
+    assert row_key(schema, rows, [3, "a"]) == pk_bytes(schema, row)
+    for missing in ((4, "a"), (3, "b"), (3,), (3, "a", 1)):
+        with pytest.raises(BindError):
+            row_key(schema, rows, missing)

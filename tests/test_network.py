@@ -1,6 +1,7 @@
 """Deterministic multi-org simulation: ordering, faults, and the report."""
 
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -280,6 +281,40 @@ def test_fault_script_loads_json():
     events = load_fault_script(text)
     assert [e.kind for e in events] == ["corrupt_row", "kill_org"]
     assert events[0].pk == (1,)
+
+
+MIXED_DDL = (
+    "CREATE TABLE mixed (k INT, s TEXT, d DECIMAL(10, 2), v INT, w TEXT, x DECIMAL(10, 2), "
+    "PRIMARY KEY (k, s, d));"
+)
+MIXED_ROW = "INSERT INTO mixed VALUES (1, '5', 2.50, 0, 'z', 0);"
+
+
+@pytest.mark.parametrize("pk", [[1, "5", "2.50"], ["1", 5, "2.50"], [1, "5", Decimal("2.50")]])
+@pytest.mark.parametrize(
+    "column, raw, stored",
+    [("v", 7, 7), ("v", "7", 7), ("w", "y", "y"), ("w", 5, "5"),
+     ("x", "-1", Decimal("-1")), ("x", 0.1, Decimal("0.1"))],
+)
+def test_corrupt_row_decodes_json_numbers_and_strings(pk, column, raw, stored):
+    net = make_net()
+    net.run([(0, "alice", MIXED_DDL), (0, "alice", MIXED_ROW)])
+    fault = {"at_tick": 0, "kind": "corrupt_row", "org": "O1", "table": "mixed",
+             "pk": pk, "column": column, "value": raw}
+    net.apply_fault(load_fault_script([fault])[0])
+    table = net.node("O1").db.table("mixed")
+    (row,) = table.rows.values()
+    assert row[table.schema.column_index(column)] == stored
+
+
+@pytest.mark.parametrize("pk", [[2, "5", "2.50"], [1, "6", "2.50"], [1, "5", "2.51"], [1, "5"]])
+def test_corrupt_row_rejects_a_missing_row(pk):
+    net = make_net()
+    net.run([(0, "alice", MIXED_DDL), (0, "alice", MIXED_ROW)])
+    fault = FaultEvent(at_tick=0, kind="corrupt_row", org="O1", table="mixed",
+                       pk=tuple(pk), column="v", value=1)
+    with pytest.raises(ConfigError):
+        net.apply_fault(fault)
 
 
 # ---- agreement wiring ----

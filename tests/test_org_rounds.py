@@ -3,9 +3,10 @@
 import pytest
 
 from effectledger.agreement import ChainedTransaction, TransactionProposal, make_proposal
+from effectledger.consensus import ConsensusStatus
 from effectledger.engine.types import QuirkConfig
 from effectledger.errors import DuplicateRound, EngineFailure, OutOfOrderAction
-from effectledger.org import Action, RoundStatus
+from effectledger.org import Action
 
 from conftest import CLIENT, Cluster
 
@@ -15,7 +16,7 @@ SEED_ROWS = "INSERT INTO acct (id, bal) VALUES (1, 100), (2, 200);"
 
 def test_clean_round_commits_everywhere(cluster):
     outcomes = cluster.round(1, DDL, SEED_ROWS)
-    assert all(o.status is RoundStatus.COMMITTED for o in outcomes.values())
+    assert all(o.status is ConsensusStatus.COMMITTED for o in outcomes.values())
     heads = {node.ledger.head_hash() for node in cluster.nodes.values()}
     assert len(heads) == 1
     assert all(node.height == 1 for node in cluster.nodes.values())
@@ -82,14 +83,14 @@ def test_no_consensus_then_late_commit(cluster):
     early = cluster["O1"]
     early.execute_action(action)
     outcome = early.complete_round(cluster.peers_of("O1"), cluster.fetch_vote, max_retries=0)
-    assert outcome.status is RoundStatus.NO_CONSENSUS
+    assert outcome.status is ConsensusStatus.NO_CONSENSUS
     assert early.pending is not None
     assert early.height == 0
 
     for org in ("O2", "O3"):
         cluster[org].execute_action(action)
     late = early.complete_round(cluster.peers_of("O1"), cluster.fetch_vote)
-    assert late.status is RoundStatus.COMMITTED
+    assert late.status is ConsensusStatus.COMMITTED
     assert early.height == 1 and early.pending is None
 
 
@@ -104,9 +105,9 @@ def test_quirk_divergence_is_non_consenting():
     cluster.round(1, DDL, SEED_ROWS)
     # third fractional digit 6: ties-to-even and truncation disagree
     outcomes = cluster.round(2, "UPDATE acct SET bal = bal + 0.016 WHERE id = 1;")
-    assert outcomes["O1"].status is RoundStatus.NON_CONSENTING
-    assert outcomes["O2"].status is RoundStatus.COMMITTED
-    assert outcomes["O3"].status is RoundStatus.COMMITTED
+    assert outcomes["O1"].status is ConsensusStatus.NON_CONSENTING
+    assert outcomes["O2"].status is ConsensusStatus.COMMITTED
+    assert outcomes["O3"].status is ConsensusStatus.COMMITTED
     assert outcomes["O1"].consensus_hash == outcomes["O2"].local_hash
 
     diverged = cluster["O1"]
@@ -127,7 +128,7 @@ def test_unverifiable_transaction_fails_deterministically(cluster):
         org: node.complete_round(cluster.peers_of(org), cluster.fetch_vote)
         for org, node in cluster.nodes.items()
     }
-    assert all(o.status is RoundStatus.COMMITTED for o in outcomes.values())
+    assert all(o.status is ConsensusStatus.COMMITTED for o in outcomes.values())
     block = cluster["O1"].ledger.block(2)
     assert block.successful == (False, True)
     # the refused DELETE had no effect anywhere
@@ -143,7 +144,7 @@ def test_unknown_client_signature_fails_bit(cluster):
     for node in cluster.nodes.values():
         node.execute_action(action)
     for org, node in cluster.nodes.items():
-        assert node.complete_round(cluster.peers_of(org), cluster.fetch_vote).status is RoundStatus.COMMITTED
+        assert node.complete_round(cluster.peers_of(org), cluster.fetch_vote).status is ConsensusStatus.COMMITTED
     assert cluster["O1"].ledger.block(2).successful == (False,)
 
 
@@ -167,7 +168,7 @@ def test_replay_skips_failed_transactions(cluster):
         "INSERT INTO acct (id, bal) VALUES (1, 0);",  # duplicate pk, bit 0
         "UPDATE acct SET bal = bal + 5 WHERE id = 2;",
     )
-    assert outcomes["O1"].status is RoundStatus.COMMITTED
+    assert outcomes["O1"].status is ConsensusStatus.COMMITTED
     block = cluster["O1"].ledger.block(2)
     assert block.successful == (False, True)
 

@@ -1,18 +1,23 @@
 """Grammar coverage for the SQL subset."""
 
+import re
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from effectledger.engine.parser import (
+    _KEYWORDS,
     Condition,
     CreateTable,
     Delete,
     Insert,
     Select,
+    Token,
     Update,
     parse_script,
     parse_statement,
+    tokenize,
 )
 from effectledger.engine.types import ColumnType
 from effectledger.errors import ParseError
@@ -129,3 +134,58 @@ def test_keywords_and_identifiers_case_insensitive():
     stmt = parse_statement("select A, B from MyTable where A = 1;")
     assert stmt.table == "mytable"
     assert stmt.columns == ("a", "b")
+
+
+# ---- tokenizer: one finditer pass equals the per-position match loop ----
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<decimal>\d+\.\d+)
+  | (?P<int>\d+)
+  | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op><=|>=|[=<>(),;*+\-])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(sql):
+    """The tokenizer as a loop of anchored matches, one per token."""
+    tokens = []
+    pos = 0
+    while pos < len(sql):
+        m = _REFERENCE_TOKEN_RE.match(sql, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {sql[pos]!r} at offset {pos}")
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "ident" and text.lower() in _KEYWORDS:
+            kind, text = "keyword", text.lower()
+        if kind != "ws":
+            tokens.append(Token(kind, text, pos))
+        pos = m.end()
+    return tokens
+
+
+SQL_PIECES = st.sampled_from(
+    ["SELECT", "update", "Set", "where", "a_1", " ", "\n", "\t", "\x1f", "'", '"', "''",
+     "12", "3.5", ".", "-", "<=", ">=", "=", "(", ")", ",", ";", "*", "+", "!", "é", "€", "٣"]
+)
+SQL_LIKE = st.lists(st.one_of(SQL_PIECES, st.text(max_size=3)), max_size=30).map("".join)
+
+
+@given(st.one_of(st.text(), SQL_LIKE))
+@example("UPDATE t SET a = 1 ! 2")
+@example("SELECT *\nFROM t\x1f?")
+@example("a 'open")
+def test_tokenize_matches_reference_loop(sql):
+    try:
+        expected = reference_tokenize(sql)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            tokenize(sql)
+        assert str(raised.value) == str(exc)
+    else:
+        assert tokenize(sql) == expected

@@ -2,9 +2,9 @@
 
 import pytest
 
+from effectledger.consensus import ConsensusStatus
 from effectledger.engine.types import QuirkConfig
 from effectledger.errors import HistoryUnavailable
-from effectledger.org import RoundStatus
 from effectledger.recovery import CheckpointManager, RecoveryStrategy, recover
 
 from conftest import Cluster
@@ -97,8 +97,8 @@ def diverge_then_recover(cluster, strategy, fetch_state=None, sql=None):
         node.execute_action(action)
     for org, node in cluster.nodes.items():
         outcomes[org] = node.complete_round(cluster.peers_of(org), cluster.fetch_vote)
-    assert outcomes["O2"].status is RoundStatus.COMMITTED
-    assert outcomes["O3"].status is RoundStatus.COMMITTED
+    assert outcomes["O2"].status is ConsensusStatus.COMMITTED
+    assert outcomes["O3"].status is ConsensusStatus.COMMITTED
     report = recover(
         cluster["O1"],
         cluster.peers_of("O1"),
@@ -216,7 +216,7 @@ def test_peer_state_restore():
     assert node.checkpoints.snapshots == []
     # and the node keeps committing with its peers afterwards
     outcomes = cluster.round(4, bump(3))
-    assert all(o.status is RoundStatus.COMMITTED for o in outcomes.values())
+    assert all(o.status is ConsensusStatus.COMMITTED for o in outcomes.values())
 
 
 def test_peer_state_restore_without_transport_excludes():
@@ -239,7 +239,7 @@ def test_recovered_node_keeps_committing():
     report = diverge_then_recover(cluster, RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY, sql=bump(1))
     assert report.recovered
     outcomes = cluster.round(5, bump(3, "2.25"))
-    assert all(o.status is RoundStatus.COMMITTED for o in outcomes.values())
+    assert all(o.status is ConsensusStatus.COMMITTED for o in outcomes.values())
     heads = {n.ledger.head_hash() for n in cluster.nodes.values()}
     assert len(heads) == 1
 
