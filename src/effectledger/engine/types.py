@@ -180,19 +180,34 @@ def decode_literal(column: Column, raw):
     return decimal.Decimal(str(raw))
 
 
+def _key_value(column: Column, raw):
+    """decode_literal, with a DECIMAL brought to the column scale; None when
+    the value is not exact at that scale and so cannot be a stored key."""
+    value = decode_literal(column, raw)
+    if column.type is not ColumnType.DECIMAL:
+        return value
+    try:
+        scaled = value.quantize(decimal.Decimal(1).scaleb(-column.scale))
+    except decimal.InvalidOperation:
+        return None
+    if scaled != value:
+        return None
+    return abs(scaled) if scaled.is_zero() else scaled  # never -0.00, as stored
+
+
 def row_key(schema: TableSchema, rows: dict, raw_pk) -> bytes:
     """Key of the stored row whose primary key reads raw_pk, one value per
-    primary-key column decoded by decode_literal.  BindError when the arity
-    is wrong or no such row exists."""
+    primary-key column decoded by decode_literal.  A DECIMAL matches at the
+    column scale, so 2.5, "2.5" and "2.50" name the same row and 2.505 none.
+    BindError when the arity is wrong or no such row exists."""
     if len(raw_pk) != len(schema.primary_key):
         raise BindError(
             f"table {schema.name} has a {len(schema.primary_key)}-column key"
         )
-    key = UNIT_SEP.join(
-        canonical_value_bytes(column, decode_literal(column, raw))
-        for column, raw in zip(map(schema.column, schema.primary_key), raw_pk)
-    )
-    if key not in rows:
+    columns = [schema.column(name) for name in schema.primary_key]
+    values = [_key_value(column, raw) for column, raw in zip(columns, raw_pk)]
+    key = None if None in values else UNIT_SEP.join(map(canonical_value_bytes, columns, values))
+    if key is None or key not in rows:
         raise BindError(f"no row with key {tuple(raw_pk)} in {schema.name}")
     return key
 

@@ -296,11 +296,13 @@ class Ledger:
 
     With durable=True every append is flushed and fsynced before returning,
     making the commit point a durability point (group-commit economics: the
-    cost is per block, so bigger blocks amortize it).
+    cost is per block, so bigger blocks amortize it).  The head hash is kept,
+    not recomputed: it is the hash the last append was given or computed.
     """
 
     def __init__(self, path=None, durable: bool = False):
         self.blocks: list[LedgerBlock] = []
+        self._head_hash = GENESIS_PREVIOUS
         self.path = path
         self.durable = durable and path is not None
         self._fh = open(path, "wb") if path is not None else None  # fresh file
@@ -313,18 +315,19 @@ class Ledger:
         return len(self.blocks)
 
     def head_hash(self) -> bytes:
-        if not self.blocks:
-            return GENESIS_PREVIOUS
-        return block_hash(self.blocks[-1])
+        return self._head_hash
 
-    def append(self, block: LedgerBlock):
+    def append(self, block: LedgerBlock, effect_hash: bytes | None = None):
+        """Append the next block.  `effect_hash` is block_hash(block) when the
+        caller already holds it; it becomes the head hash unchecked."""
         if block.block_id != len(self.blocks) + 1:
             raise ChainGap(
                 f"expected block {len(self.blocks) + 1}, got {block.block_id}"
             )
-        if block.hash_previous != self.head_hash():
+        if block.hash_previous != self._head_hash:
             raise ChainGap(f"block {block.block_id}: previous-hash mismatch")
         self.blocks.append(block)
+        self._head_hash = block_hash(block) if effect_hash is None else effect_hash
         if self._fh is not None:
             self._fh.write(block.serialize())
             self._fh.flush()
@@ -350,4 +353,6 @@ class Ledger:
             data = fh.read()
         ledger = cls()
         ledger.blocks = parse_ledger_bytes(data)
+        if ledger.blocks:
+            ledger._head_hash = block_hash(ledger.blocks[-1])
         return ledger

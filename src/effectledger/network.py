@@ -7,6 +7,14 @@ timeout, and each organization steps a small state machine per tick
 by an engine delay in ticks; a "slow" organization simply finishes blocks
 later, which is what produces the catch-up and halting timelines.
 
+A vote reaches waiting peers when it is published, not at their next poll.  It
+is published when its execution finishes and, for a recovering organization,
+when the recovery window ends.  The publisher then makes its own consensus
+attempt first, and each other live organization waiting on consensus makes one
+attempt in the same tick, fetching and verifying every vote itself.  Waiting
+organizations also poll once per tick, which is how a vote dropped by a fault
+rule is fetched after the rule expires.
+
 Identical (config, schedule, fault script) inputs produce identical reports
 and identical ledger bytes.  The only randomness anywhere is the workload
 generator's seeded RNG, outside this module.
@@ -385,10 +393,11 @@ class Network:
             if rt is None or not rt.live:
                 return None
             node = rt.node
-            if node.height == block_id:
+            if node.height == block_id and node.pending is None:
                 return node.db.snapshot_all(), node.ledger.block(block_id)
-            # a checkpoint taken exactly at the requested block also works
-            if node.height > block_id and node.checkpoints is not None:
+            # a checkpoint taken exactly at the requested block also works; it
+            # is the only source while an executed round holds uncommitted effects
+            if node.height >= block_id and node.checkpoints is not None:
                 for cp in node.checkpoints.newest_first():
                     if cp.block_id == block_id:
                         return dict(cp.tables), node.ledger.block(block_id)
@@ -479,6 +488,17 @@ class Network:
     # ---- per-org state machine ----
 
     def _step_org(self, rt: _OrgRuntime):
+        """One tick of one organization: deferred events, then end of a
+        recovery window, end of an execution, a consensus poll, and the start
+        of the next execution, as far as the organization is free to go.
+
+        A vote becomes visible to peers when its execution finishes and, for
+        a recovering organization, when its recovery window ends.  At either
+        point the publisher decides first, so it has committed before a peer
+        can pick it as a recovery state source; then every waiting peer makes
+        one consensus attempt in the same tick (_wake_waiting_peers).  A
+        recovered publisher committed during recovery, at its window's start.
+        """
         tick = self.tick
         if rt.killed:
             return
@@ -489,11 +509,13 @@ class Network:
                 rt.node.excluded = True
         if not rt.live or tick < rt.busy_until:
             return
-        rt.recovering_block = None
+        if rt.recovering_block is not None:
+            rt.recovering_block = None
+            self._wake_waiting_peers(rt)
 
         if rt.phase == _EXECUTING:
             self._finish_execution(rt)
-        if rt.phase == _CONSENSUS:
+        elif rt.phase == _CONSENSUS:
             self._attempt_consensus(rt)
         if rt.phase == _IDLE and tick >= rt.busy_until:
             action = rt.node.executable_action()
@@ -506,14 +528,28 @@ class Network:
                 rt.busy_until = tick + rt.config.engine_delay
                 return
             self._finish_execution(rt)
-            if rt.phase == _CONSENSUS:
-                self._attempt_consensus(rt)
 
     def _finish_execution(self, rt: _OrgRuntime):
         action, rt.staged_action = rt.staged_action, None
         rt.node.execute_action(action)
         self.report.emit(self.tick, rt.node.org_id, EXEC_DONE, action.round_id)
         rt.phase = _CONSENSUS
+        self._attempt_consensus(rt)
+        if rt.recovering_block is None:  # recovery hides the vote until its window ends
+            self._wake_waiting_peers(rt)
+
+    def _wake_waiting_peers(self, publisher: _OrgRuntime):
+        """publisher's vote just became visible: each other live organization
+        waiting on consensus past its busy time makes one attempt, in org
+        order, fetching and verifying the votes itself."""
+        for rt in self.runtimes.values():
+            if (
+                rt is not publisher
+                and rt.live
+                and rt.phase == _CONSENSUS
+                and self.tick >= rt.busy_until
+            ):
+                self._attempt_consensus(rt)
 
     def _attempt_consensus(self, rt: _OrgRuntime):
         node = rt.node

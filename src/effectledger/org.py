@@ -225,7 +225,7 @@ class OrgNode:
 
     def commit_pending(self, transcript: cns.ConsensusTranscript):
         pending = self.pending
-        self.ledger.append(pending.block)
+        self.ledger.append(pending.block, pending.effect_hash)
         self.transcripts[pending.block.block_id] = transcript
         self.buffered.pop(pending.block.block_id, None)
         self.pending = None

@@ -249,7 +249,7 @@ def _recover_from_peer(
         # adopt on faith; the next round's consensus is the verification
         node.db.restore_all(snapshots)
         node.abandon_pending()
-        node.ledger.append(block)
+        node.ledger.append(block, peer_hash)
         node.vote_store.record(
             cns.make_vote(node.org_id, failing_id, peer_hash, node.private_key)
         )

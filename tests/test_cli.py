@@ -235,6 +235,17 @@ def test_inject_rejects_a_missing_row(mixed_dump, pk):
         )
 
 
+def test_inject_matches_a_decimal_key_at_the_column_scale(mixed_dump, capsys):
+    args = ("inject", "--state", str(mixed_dump), "--table", "mixed", "--column", "v",
+            "--value", "7")
+    with pytest.raises(SystemExit):
+        run_cli(*args, "--pk", "1,5,2.505")
+    assert run_cli(*args, "--pk", "1,5,2.5") == 0
+    capsys.readouterr()
+    (row,) = Database.load_dump(mixed_dump.read_bytes()).table("mixed").rows.values()
+    assert row[3] == 7
+
+
 # ---- bench ----
 
 

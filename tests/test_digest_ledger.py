@@ -306,6 +306,7 @@ def test_file_mirroring_and_load(tmp_path):
     assert path.read_bytes() == ledger.to_bytes()
     loaded = Ledger.load(path)
     assert loaded.blocks == blocks
+    assert loaded.head_hash() == ledger.head_hash() == block_hash(blocks[-1])
     assert verify_ledger(loaded).ok
 
 

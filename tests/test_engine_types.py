@@ -130,3 +130,15 @@ def test_row_key_finds_stored_rows_only():
     for missing in ((4, "a"), (3, "b"), (3,), (3, "a", 1)):
         with pytest.raises(BindError):
             row_key(schema, rows, missing)
+
+
+def test_row_key_matches_decimal_keys_at_the_column_scale():
+    schema = TableSchema("t", (MONEY,), ("m",))
+    rows = {pk_bytes(schema, (value,)): (value,) for value in (Decimal("2.50"), Decimal("0.00"))}
+    for given in ("2.50", "2.5", 2.5, Decimal("2.5"), "2.500"):
+        assert row_key(schema, rows, (given,)) == b"2.50"
+    for given in ("0", 0, "-0", "-0.000"):
+        assert row_key(schema, rows, (given,)) == b"0.00"
+    for missing in ("2.505", 2.505, "2.51", "25", "1E+40"):
+        with pytest.raises(BindError):
+            row_key(schema, rows, (missing,))

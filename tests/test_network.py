@@ -5,7 +5,10 @@ from decimal import Decimal
 
 import pytest
 
+from effectledger import ledger as ledger_module
+from effectledger import org as org_module
 from effectledger.agreement import ChainedTransaction, Rejected, make_proposal
+from effectledger.engine.database import Database
 from effectledger.errors import ConfigError
 from effectledger.keys import derive_private_key
 from effectledger.ledger import verify_ledger
@@ -15,6 +18,8 @@ from effectledger.network import (
     CUT,
     EQUIVOCATE,
     EXCLUDED,
+    EXEC_DONE,
+    EXEC_START,
     KILL,
     NONCONSENT,
     RECOVER_DONE,
@@ -99,7 +104,7 @@ def test_out_dir_artifacts(tmp_path):
     for org, node in net.nodes.items():
         data = (tmp_path / f"{org}.ledger").read_bytes()
         assert data == node.ledger.to_bytes()
-        assert verify_ledger(data).ok
+        assert verify_ledger(data, expected_head=node.ledger.head_hash()).ok
 
 
 def test_ledgers_agree_to_common_height():
@@ -111,6 +116,102 @@ def test_ledgers_agree_to_common_height():
     for ledger in by_org.values():
         for bid in range(1, common + 1):
             assert ledger.block(bid) == reference.block(bid)
+
+
+# ---- commit on vote arrival ----
+
+
+def test_quorum_commit_lands_in_the_cut_tick():
+    report = make_net().run(basic_schedule())
+    cuts = {line.block: line.tick for line in report.events("orderer", CUT)}
+    assert len(cuts) >= 4
+    for block, tick in cuts.items():
+        lines = [l for l in report.lines if l.block == block and l.event in (COMMIT, EXEC_START)]
+        commits = [i for i, l in enumerate(lines) if l.event == COMMIT]
+        starts = [i for i, l in enumerate(lines) if l.event == EXEC_START]
+        assert lines[commits[1]].tick == tick
+        assert commits[1] < starts[2]
+
+
+def test_waiting_peers_commit_in_the_tick_of_the_last_exec_done():
+    orgs = [OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", engine_delay=3)]
+    net = make_net(orgs=orgs, min_matching=3)
+    report = net.run(basic_schedule())
+    done = sorted((line.block, line.tick) for line in report.events("O3", EXEC_DONE))
+    assert len(done) >= 4
+    for org in ("O1", "O2"):
+        assert report.commits(org) == done
+
+
+def test_dropped_votes_commit_on_the_first_poll_after_the_rule_expires():
+    net = make_net()
+    gag = {"at_tick": 0, "kind": "drop_votes", "requester": "O1", "until_tick": 12}
+    report = net.run(basic_schedule(bumps=4), faults=[gag])
+    assert report.commits("O2")[0][1] < 12
+    assert report.commits("O1")[0][1] == 12
+    assert net.node("O1").height == net.node("O2").height
+
+
+def deaf_to_o4_with_o3_corrupted():
+    """4 orgs, min_matching 3, O1 never hears O4 and O3 diverges at tick 6: O1
+    needs O3's recovered vote to reach a quorum.  O3's engine delay keeps its
+    next execution from publishing in the tick its recovery window ends."""
+    orgs = [OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", engine_delay=2), OrgConfig("O4")]
+    net = make_net(orgs=orgs, min_matching=3, checkpoint_interval=2)
+    faults = [
+        {"at_tick": 0, "kind": "drop_votes", "requester": "O1", "responder": "O4"},
+        corrupt_fault(6, org="O3"),
+    ]
+    return net, net.run(basic_schedule(bumps=8), faults=faults)
+
+
+def test_waiting_peer_commits_when_the_recovery_window_ends():
+    net, report = deaf_to_o4_with_o3_corrupted()
+    failing = report.first("O3", NONCONSENT)
+    done = report.first("O3", RECOVER_DONE)
+    assert done.block == failing.block and done.tick > failing.tick
+    assert dict(report.commits("O1"))[failing.block] == done.tick
+    # the recovering organization starts nothing inside its window
+    assert all(l.tick >= done.tick for l in report.events("O3", EXEC_START) if l.block > done.block)
+    assert len({n.ledger.head_hash() for n in net.nodes.values()}) == 1
+
+
+def test_identical_fault_runs_are_byte_identical():
+    (first_net, first), (second_net, second) = (deaf_to_o4_with_o3_corrupted() for _ in range(2))
+    assert first.to_text() == second.to_text()
+    for org in first_net.nodes:
+        assert first_net.node(org).ledger.to_bytes() == second_net.node(org).ledger.to_bytes()
+
+
+def test_fetch_state_serves_committed_state_while_a_round_is_pending():
+    schedule = basic_schedule(bumps=2)
+    committed = make_net()
+    committed.run(schedule[:2])  # block 1 only
+    net = make_net(checkpoint_interval=1)
+    gag = {"at_tick": 0, "kind": "drop_votes", "block_from": 2}
+    net.run(schedule, faults=[gag], max_ticks=8)
+    node = net.node("O1")
+    assert node.height == 1 and node.pending is not None  # block 2 executed, not committed
+    assert node.db.state_hash() != committed.node("O1").db.state_hash()
+    snapshots, block = net.fetch_state("O3")("O1", 1)
+    assert block == node.ledger.block(1)
+    fetched = Database()
+    fetched.restore_all(snapshots)
+    assert fetched.state_hash() == committed.node("O1").db.state_hash()
+
+
+def test_each_org_hashes_each_committed_block_once(monkeypatch):
+    hashed = []
+    for module in (ledger_module, org_module):
+        def counted(block, original=module.block_hash):
+            hashed.append(block.block_id)
+            return original(block)
+
+        monkeypatch.setattr(module, "block_hash", counted)
+    net = make_net()
+    net.run(basic_schedule())
+    heights = [node.height for node in net.nodes.values()]
+    assert sorted(hashed) == sorted(b for h in heights for b in range(1, h + 1))
 
 
 # ---- the orderer ----
@@ -315,6 +416,24 @@ def test_corrupt_row_rejects_a_missing_row(pk):
                        pk=tuple(pk), column="v", value=1)
     with pytest.raises(ConfigError):
         net.apply_fault(fault)
+
+
+@pytest.mark.parametrize(
+    "d, found", [("2.5", True), (2.5, True), ("2.505", False), (2.505, False)],
+    ids=["text-exact", "number-exact", "text-inexact", "number-inexact"],
+)
+def test_corrupt_row_matches_a_decimal_key_at_the_column_scale(d, found):
+    net = make_net()
+    net.run([(0, "alice", MIXED_DDL), (0, "alice", MIXED_ROW)])
+    fault = FaultEvent(at_tick=0, kind="corrupt_row", org="O1", table="mixed",
+                       pk=(1, "5", d), column="v", value=7)
+    if not found:
+        with pytest.raises(ConfigError):
+            net.apply_fault(fault)
+        return
+    net.apply_fault(fault)
+    (row,) = net.node("O1").db.table("mixed").rows.values()
+    assert row[3] == 7
 
 
 # ---- agreement wiring ----
