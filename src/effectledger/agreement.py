@@ -366,25 +366,29 @@ def verify_chained_transaction(
 
     Returns the transaction parsed, for the caller to analyze and execute, or
     None when the check fails.  Every signature is checked before the SQL is
-    parsed, so a forged transaction costs no parse.
+    parsed, so a forged transaction costs no parse.  A transaction without
+    agreements is not digested, and without policies no organization is
+    required.
     """
     proposal = ct.proposal
     if not registry.known(proposal.client):
         return None
     if not registry.verify_as(proposal.client, proposal.signature, proposal.signed_payload()):
         return None
-    digest = proposal.digest()
     by_org = {}
-    for agreement in ct.agreements:
-        if agreement.txn_digest != digest or not agreement.verdict:
-            return None
-        if not registry.known(agreement.org):
-            return None
-        if not registry.verify_as(agreement.org, agreement.signature, agreement.signed_payload()):
-            return None
-        by_org[agreement.org] = agreement
+    if ct.agreements:
+        digest = proposal.digest()
+        for agreement in ct.agreements:
+            if agreement.txn_digest != digest or not agreement.verdict:
+                return None
+            if not registry.known(agreement.org):
+                return None
+            if not registry.verify_as(agreement.org, agreement.signature, agreement.signed_payload()):
+                return None
+            by_org[agreement.org] = agreement
     parsed = parse_transaction(proposal.sql)
-    for org in required_orgs(parsed, policies):
-        if org not in by_org:
-            return None
+    if policies:
+        for org in required_orgs(parsed, policies):
+            if org not in by_org:
+                return None
     return parsed

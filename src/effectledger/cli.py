@@ -72,7 +72,11 @@ def cmd_run(args) -> int:
     if args.faults:
         with open(args.faults) as fh:
             faults = load_fault_script(fh.read())
-    report = Network(config).run(schedule, faults, max_ticks=args.max_ticks)
+    net = Network(config)
+    try:
+        report = net.run(schedule, faults, max_ticks=args.max_ticks)
+    finally:
+        net.close()
     sys.stdout.write(report.to_text())
     return 0
 

@@ -38,6 +38,7 @@ from .parser import (
     parse_script,
 )
 from .types import (
+    DECIMAL_QUANTA,
     Column,
     ColumnType,
     QuirkConfig,
@@ -458,7 +459,7 @@ def _exact_domain_value(column: Column, literal):
         return literal
     if column.type is ColumnType.TEXT:
         return literal
-    quantum = Decimal(1).scaleb(-column.scale)
+    quantum = DECIMAL_QUANTA[column.scale]
     value = Decimal(literal)
     quantized = value.quantize(quantum) if value == value.quantize(quantum) else None
     if quantized is None:

@@ -13,20 +13,24 @@ from __future__ import annotations
 import decimal
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from ..errors import ParseError
 from .types import Column, ColumnType, TableSchema
 
+# The groups start on disjoint characters (decimal is tried before int), so
+# their order only decides how soon a match is found: common kinds first.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<decimal>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|[=<>(),;*+\-])
-  | (?P<unexpected>.)
+    \s*+
+    (?:
+      (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op><=|>=|[=<>(),;*+\-])
+    | (?P<decimal>\d+\.\d+)
+    | (?P<int>\d+)
+    | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
+    | (?P<unexpected>.)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -40,27 +44,28 @@ _KEYWORDS = {
 Literal = Union[int, str, decimal.Decimal]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'keyword' | 'int' | 'decimal' | 'string' | 'op'
     text: str
     pos: int
 
 
 def tokenize(sql: str) -> list[Token]:
-    """One regex pass; every character belongs to some group, so matches are
-    contiguous and the first unexpected character raises at its offset."""
+    """One regex pass.  Each match consumes the whitespace before its token,
+    and every other character belongs to some group, so matches are
+    contiguous (only trailing whitespace matches nothing) and the first
+    unexpected character raises at its offset."""
     tokens = []
     for m in _TOKEN_RE.finditer(sql):
         kind = m.lastgroup
-        if kind == "ws":
-            continue
-        text = m.group()
-        pos = m.start()
-        if kind == "unexpected":
+        text = m.group(kind)
+        pos = m.start(kind)
+        if kind == "ident":
+            lowered = text.lower()
+            if lowered in _KEYWORDS:
+                kind, text = "keyword", lowered
+        elif kind == "unexpected":
             raise ParseError(f"unexpected character {text!r} at offset {pos}")
-        if kind == "ident" and text.lower() in _KEYWORDS:
-            kind, text = "keyword", text.lower()
         tokens.append(Token(kind, text, pos))
     return tokens
 
@@ -127,19 +132,22 @@ Statement = Union[CreateTable, Insert, Update, Delete, Select]
 
 
 class _Parser:
+    """Reads tokens by index; `n` is the token count."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.n = len(tokens)
         self.i = 0
 
     def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i] if self.i < self.n else None
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+        i = self.i
+        if i >= self.n:
             raise ParseError("unexpected end of statement")
-        self.i += 1
-        return tok
+        self.i = i + 1
+        return self.tokens[i]
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.next()
@@ -149,10 +157,12 @@ class _Parser:
         return tok
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.peek()
-        if tok and tok.kind == kind and (text is None or tok.text == text):
-            self.i += 1
-            return tok
+        i = self.i
+        if i < self.n:
+            tok = self.tokens[i]
+            if tok.kind == kind and (text is None or tok.text == text):
+                self.i = i + 1
+                return tok
         return None
 
     def ident(self) -> str:
@@ -185,16 +195,10 @@ class _Parser:
             raise ParseError("empty statement")
         if tok.kind != "keyword":
             raise ParseError(f"expected statement keyword, got {tok.text!r}")
-        handler = {
-            "create": self.create_table,
-            "insert": self.insert,
-            "update": self.update,
-            "delete": self.delete,
-            "select": self.select,
-        }.get(tok.text)
+        handler = _STATEMENT_HANDLERS.get(tok.text)
         if handler is None:
             raise ParseError(f"unsupported statement {tok.text!r}")
-        return handler()
+        return handler(self)
 
     def create_table(self) -> CreateTable:
         self.expect("keyword", "create")
@@ -288,17 +292,16 @@ class _Parser:
         while True:
             if self.accept("op", "+"):
                 terms.append((1, self.term()))
-            elif self.peek() and self.peek().kind == "op" and self.peek().text == "-":
-                self.next()
+            elif self.accept("op", "-"):
                 terms.append((-1, self.term()))
             else:
                 break
         return ValueExpr(tuple(terms))
 
     def term(self) -> Union[ColumnRef, Literal]:
-        tok = self.peek()
-        if tok and tok.kind == "ident":
-            return ColumnRef(self.ident())
+        tok = self.accept("ident")
+        if tok is not None:
+            return ColumnRef(tok.text.lower())
         return self.literal()
 
     def delete(self) -> Delete:
@@ -338,12 +341,22 @@ class _Parser:
         return Condition(column, tok.text, self.literal())
 
 
+# statement keyword -> the _Parser method that parses that statement
+_STATEMENT_HANDLERS = {
+    "create": _Parser.create_table,
+    "insert": _Parser.insert,
+    "update": _Parser.update,
+    "delete": _Parser.delete,
+    "select": _Parser.select,
+}
+
+
 def parse_statement(sql: str) -> Statement:
     parser = _Parser(tokenize(sql))
     stmt = parser.statement()
     parser.accept("op", ";")
-    if parser.peek() is not None:
-        tok = parser.peek()
+    tok = parser.peek()
+    if tok is not None:
         raise ParseError(f"trailing input {tok.text!r} at offset {tok.pos}")
     return stmt
 
@@ -352,11 +365,11 @@ def parse_script(sql: str) -> list[Statement]:
     """Parse a ';'-separated sequence of statements."""
     parser = _Parser(tokenize(sql))
     statements = []
-    while parser.peek() is not None:
+    while parser.i < parser.n:
         statements.append(parser.statement())
         if parser.accept("op", ";") is None:
             break
-    if parser.peek() is not None:
-        tok = parser.peek()
+    tok = parser.peek()
+    if tok is not None:
         raise ParseError(f"trailing input {tok.text!r} at offset {tok.pos}")
     return statements

@@ -20,6 +20,11 @@ INT64_MAX = 2**63 - 1
 # Separator between canonical values inside one encoded row.
 UNIT_SEP = b"\x1f"
 
+MAX_SCALE = 30  # most fractional digits a DECIMAL column may declare
+
+# DECIMAL quantum per column scale: DECIMAL_QUANTA[2] is Decimal("0.01")
+DECIMAL_QUANTA = tuple(decimal.Decimal(1).scaleb(-s) for s in range(MAX_SCALE + 1))
+
 
 class ColumnType(str, Enum):
     INT = "INT"
@@ -89,7 +94,7 @@ class Column:
     def __post_init__(self):
         if self.type is not ColumnType.DECIMAL and self.scale != 0:
             raise BindError(f"column {self.name}: scale only applies to DECIMAL")
-        if self.scale < 0 or self.scale > 30:
+        if self.scale < 0 or self.scale > MAX_SCALE:
             raise BindError(f"column {self.name}: unsupported scale {self.scale}")
 
 
@@ -146,7 +151,7 @@ def coerce_value(column: Column, raw, quirks: QuirkConfig):
     if isinstance(raw, bool) or not isinstance(raw, (int, decimal.Decimal)):
         raise BindError(f"column {column.name}: expected DECIMAL, got {raw!r}")
     value = decimal.Decimal(raw)
-    quantum = decimal.Decimal(1).scaleb(-column.scale)
+    quantum = DECIMAL_QUANTA[column.scale]
     mode = (
         decimal.ROUND_HALF_EVEN
         if quirks.decimal_rounding is DecimalRounding.HALF_EVEN
@@ -187,7 +192,7 @@ def _key_value(column: Column, raw):
     if column.type is not ColumnType.DECIMAL:
         return value
     try:
-        scaled = value.quantize(decimal.Decimal(1).scaleb(-column.scale))
+        scaled = value.quantize(DECIMAL_QUANTA[column.scale])
     except decimal.InvalidOperation:
         return None
     if scaled != value:

@@ -29,8 +29,10 @@ import hashlib
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ChainGap, CorruptLedgerFile
 
@@ -50,8 +52,7 @@ class ChangeType(str, Enum):
     DELETE = "D"
 
 
-@dataclass(frozen=True)
-class DigestTuple:
+class DigestTuple(NamedTuple):
     table: str
     pk: bytes  # canonical primary-key encoding
     serial: int  # per-pk counter within the block, from 0
@@ -103,7 +104,7 @@ def compute_hash_digest(tuples) -> bytes:
     if isinstance(tuples, BlockDigest):
         tuples = tuples.tuples
     hasher = hashlib.sha256()
-    for t in sorted(tuples, key=lambda t: (t.table, t.pk, t.serial)):
+    for t in sorted(tuples, key=itemgetter(0, 1, 2)):  # (table, pk, serial)
         hasher.update(t.row_hash)
     return hasher.digest()
 
@@ -343,6 +344,16 @@ class Ledger:
         if not 1 <= block_id <= len(self.blocks):
             raise ChainGap(f"no block {block_id} in ledger of height {len(self.blocks)}")
         return self.blocks[block_id - 1]
+
+    def stored_hash(self, block_id: int) -> bytes:
+        """Hash of a committed block, read from the chain instead of
+        recomputed: the next block's hash_previous, or the head hash for the
+        last block.  append() enforces both links."""
+        if not 1 <= block_id <= len(self.blocks):
+            raise ChainGap(f"no block {block_id} in ledger of height {len(self.blocks)}")
+        if block_id == len(self.blocks):
+            return self._head_hash
+        return self.blocks[block_id].hash_previous
 
     def to_bytes(self) -> bytes:
         return b"".join(b.serialize() for b in self.blocks)

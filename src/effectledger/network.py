@@ -346,6 +346,11 @@ class Network:
     def nodes(self) -> dict[str, OrgNode]:
         return {org_id: rt.node for org_id, rt in self.runtimes.items()}
 
+    def close(self):
+        """Close every organization's ledger file (a no-op without out_dir)."""
+        for rt in self.runtimes.values():
+            rt.node.ledger.close()
+
     def peers_of(self, org_id: str) -> list[str]:
         return [o for o in self.runtimes if o != org_id]
 

@@ -8,10 +8,10 @@ forward the untouched payloads by reference.
 Recovery walks checkpoints newest to oldest: restore, replay the organization's
 own ledger up to the failing block, re-execute the failing action, and re-run
 consensus for just that block.  A replayed block whose recomputed hash differs
-from the committed one is evidence the snapshot itself is bad, so the walk
-falls back to the next older checkpoint.  When no checkpoint works the entire
-history is replayed from empty state; when even that cannot reach consent the
-organization is excluded.
+from the committed one (read from the chain, not rehashed) is evidence the
+snapshot itself is bad, so the walk falls back to the next older checkpoint.
+When no checkpoint works the entire history is replayed from empty state; when
+even that cannot reach consent the organization is excluded.
 
 The alternative strategy of copying a consenting peer's state adopts that
 state on faith (its first verification happens in the next round), which is
@@ -182,7 +182,7 @@ def _try_replay(
         stored = node.ledger.block(block_id)
         recomputed = node.replay_committed_block(stored, parallel)
         replayed += 1
-        if recomputed != block_hash(stored):
+        if recomputed != node.ledger.stored_hash(block_id):
             # the base snapshot (or the history itself) is damaged here
             report.iterations.append(
                 RecoveryIteration(source, replayed, False,

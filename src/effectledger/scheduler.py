@@ -204,8 +204,8 @@ def _predicate_intervals(table: str, where, catalog, write: bool) -> list[Access
         interval = _condition_interval(cond, schema)
         if interval is None:
             return [AccessInterval(table, ALL_COLUMNS, FULL_INTERVAL, write)]
-        known = per_column.get(cond.column, FULL_INTERVAL)
-        per_column[cond.column] = known.intersect(interval)
+        known = per_column.get(cond.column)
+        per_column[cond.column] = interval if known is None else known.intersect(interval)
     if any(iv.is_empty() for iv in per_column.values()):
         return []  # provably matches nothing
     return [AccessInterval(table, col, iv, write) for col, iv in per_column.items()]

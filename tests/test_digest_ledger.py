@@ -296,6 +296,17 @@ def test_block_accessor():
         ledger.block(0)
 
 
+def test_stored_hash_reads_the_chain():
+    ledger = Ledger()
+    blocks = make_chain(3)
+    for b in blocks:
+        ledger.append(b)
+    assert [ledger.stored_hash(i) for i in (1, 2, 3)] == [block_hash(b) for b in blocks]
+    for missing in (0, 4):
+        with pytest.raises(ChainGap):
+            ledger.stored_hash(missing)
+
+
 def test_file_mirroring_and_load(tmp_path):
     path = tmp_path / "org.ledger"
     ledger = Ledger(path)

@@ -99,6 +99,7 @@ def test_report_header_and_round_trip():
 def test_out_dir_artifacts(tmp_path):
     net = make_net(out_dir=str(tmp_path))
     net.run(basic_schedule(bumps=2))
+    net.close()
     report_text = (tmp_path / "report.tsv").read_text()
     assert report_text.startswith(REPORT_HEADER)
     for org, node in net.nodes.items():

@@ -2,6 +2,9 @@
 
 import pytest
 
+from effectledger import ledger as ledger_module
+from effectledger import org as org_module
+from effectledger import recovery as recovery_module
 from effectledger.consensus import ConsensusStatus
 from effectledger.engine.types import QuirkConfig
 from effectledger.errors import HistoryUnavailable
@@ -128,6 +131,34 @@ def test_corrupt_row_newest_checkpoint_one_iteration():
     assert report.iterations[0].source == "checkpoint:3"
     assert cluster["O1"].db.state_hash() == cluster["O2"].db.state_hash()
     assert cluster["O1"].ledger.head_hash() == cluster["O2"].ledger.head_hash()
+
+
+def test_checkpoint_replay_reads_stored_hashes(monkeypatch):
+    """Replaying N committed blocks hashes N+1 blocks: each replayed block and
+    the re-executed failing one; the stored hashes come from the chain."""
+    cluster = managed_cluster(interval=4)
+    cluster.round(1, DDL, SEED)
+    for bid in range(2, 8):
+        cluster.round(bid, bump(1))
+    node = cluster["O1"]
+    corrupt_row(node)
+    action = cluster.action(node.next_round, bump(1))
+    for peer in cluster.nodes.values():
+        peer.execute_action(action)
+    for org, peer in cluster.nodes.items():
+        peer.complete_round(cluster.peers_of(org), cluster.fetch_vote)
+    hashed = []
+    for module in (ledger_module, org_module, recovery_module):
+        def counted(block, original=module.block_hash):
+            hashed.append(block.block_id)
+            return original(block)
+
+        monkeypatch.setattr(module, "block_hash", counted)
+    report = recover(node, cluster.peers_of("O1"), cluster.fetch_vote)
+    assert report.recovered
+    assert [(it.source, it.blocks_replayed) for it in report.iterations] == [("checkpoint:4", 4)]
+    assert sorted(hashed) == [5, 6, 7, 8]
+    assert node.ledger.head_hash() == cluster["O2"].ledger.head_hash()
 
 
 def test_corrupt_snapshot_falls_back_one_checkpoint():
