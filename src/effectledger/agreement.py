@@ -11,12 +11,15 @@ not found, unreachable organization) conservatively refuses.
 A fully endorsed proposal becomes a ChainedTransaction carrying the client
 signature plus one signed agreement per required organization; execution later
 re-verifies the whole bundle and marks transactions with missing or invalid
-agreements failed.
+agreements failed.  That check has two halves, so that the signatures can be
+verified elsewhere in between: signature_jobs lists them, and
+finish_verification takes the verdict on them; verify_chained_transaction is
+the two together.
 
 Each party parses a transaction's SQL once, into a ParsedTransaction: the
 client to find the required organizations (only when policies exist), each
 endorser to evaluate its predicates, and each executing organization in
-verify_chained_transaction, after every signature has checked out.  The
+finish_verification, after every signature has checked out.  The
 executor's value then feeds the scheduler's analysis and the engine.
 """
 
@@ -357,6 +360,54 @@ def collect_agreements(
     return ChainedTransaction(proposal, tuple(agreements))
 
 
+def signature_jobs(
+    ct: ChainedTransaction, registry: keys.KeyRegistry
+) -> tuple[tuple[bytes, bytes, bytes], ...] | None:
+    """First half of the execution-time check: the signatures to verify.
+
+    One (public key bytes, signature, message) tuple for the client and one
+    per agreement, for keys.verify_jobs; None when a check that needs no
+    signature fails already: an unknown client or endorser, or an agreement
+    on another digest or with a refusing verdict.  A transaction without
+    agreements is not digested.
+    """
+    proposal = ct.proposal
+    client_key = registry.encoded_key(proposal.client)
+    if client_key is None:
+        return None
+    jobs = [(client_key, proposal.signature, proposal.signed_payload())]
+    if ct.agreements:
+        digest = proposal.digest()
+        for agreement in ct.agreements:
+            if agreement.txn_digest != digest or not agreement.verdict:
+                return None
+            org_key = registry.encoded_key(agreement.org)
+            if org_key is None:
+                return None
+            jobs.append((org_key, agreement.signature, agreement.signed_payload()))
+    return tuple(jobs)
+
+
+def finish_verification(
+    ct: ChainedTransaction, signatures_ok: bool, policies: dict[str, AgreementPolicy]
+) -> ParsedTransaction | None:
+    """Second half: parse, then check that every required organization agreed.
+
+    signatures_ok is the verdict on the first half's jobs.  When it is false
+    the SQL is not parsed, so a forged transaction costs no parse.  Without
+    policies no organization is required.
+    """
+    if not signatures_ok:
+        return None
+    parsed = parse_transaction(ct.proposal.sql)
+    if policies:
+        agreed = {agreement.org for agreement in ct.agreements}
+        for org in required_orgs(parsed, policies):
+            if org not in agreed:
+                return None
+    return parsed
+
+
 def verify_chained_transaction(
     ct: ChainedTransaction,
     policies: dict[str, AgreementPolicy],
@@ -365,30 +416,9 @@ def verify_chained_transaction(
     """Execution-time check: client signature plus every required agreement.
 
     Returns the transaction parsed, for the caller to analyze and execute, or
-    None when the check fails.  Every signature is checked before the SQL is
-    parsed, so a forged transaction costs no parse.  A transaction without
-    agreements is not digested, and without policies no organization is
-    required.
+    None when the check fails.  It is the composition of signature_jobs and
+    finish_verification, verified in this process; organizations run the same
+    halves with the signatures verified by the worker process (OrgNode).
     """
-    proposal = ct.proposal
-    if not registry.known(proposal.client):
-        return None
-    if not registry.verify_as(proposal.client, proposal.signature, proposal.signed_payload()):
-        return None
-    by_org = {}
-    if ct.agreements:
-        digest = proposal.digest()
-        for agreement in ct.agreements:
-            if agreement.txn_digest != digest or not agreement.verdict:
-                return None
-            if not registry.known(agreement.org):
-                return None
-            if not registry.verify_as(agreement.org, agreement.signature, agreement.signed_payload()):
-                return None
-            by_org[agreement.org] = agreement
-    parsed = parse_transaction(proposal.sql)
-    if policies:
-        for org in required_orgs(parsed, policies):
-            if org not in by_org:
-                return None
-    return parsed
+    [signatures_ok] = keys.verify_jobs([signature_jobs(ct, registry)])
+    return finish_verification(ct, signatures_ok, policies)

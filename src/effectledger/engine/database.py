@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 from ..errors import (
     BindError,
@@ -38,6 +38,7 @@ from .parser import (
     parse_script,
 )
 from .types import (
+    DECIMAL_CONTEXT,
     DECIMAL_QUANTA,
     Column,
     ColumnType,
@@ -283,7 +284,11 @@ class Database:
         for sign, value in resolved:
             if isinstance(value, str):
                 raise BindError("arithmetic over TEXT is not supported")
-            total = total + value if sign > 0 else total - value
+            if isinstance(total, Decimal) or isinstance(value, Decimal):
+                combine = DECIMAL_CONTEXT.add if sign > 0 else DECIMAL_CONTEXT.subtract
+                total = combine(total, value)
+            else:
+                total = total + value if sign > 0 else total - value
         return total
 
     # ---- predicate evaluation ----
@@ -459,12 +464,14 @@ def _exact_domain_value(column: Column, literal):
         return literal
     if column.type is ColumnType.TEXT:
         return literal
-    quantum = DECIMAL_QUANTA[column.scale]
     value = Decimal(literal)
-    quantized = value.quantize(quantum) if value == value.quantize(quantum) else None
-    if quantized is None:
+    try:
+        quantized = value.quantize(DECIMAL_QUANTA[column.scale], context=DECIMAL_CONTEXT)
+    except InvalidOperation:
         return _NO_MATCH
-    return abs(quantized) if quantized.is_zero() else quantized
+    if quantized != value:
+        return _NO_MATCH
+    return quantized.copy_abs() if quantized.is_zero() else quantized
 
 
 def _parse_schema_header(name: str, line: str) -> TableSchema:

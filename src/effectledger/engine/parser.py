@@ -172,16 +172,16 @@ class _Parser:
         return tok.text.lower()
 
     def literal(self) -> Literal:
-        sign = 1
-        if self.accept("op", "-"):
-            sign = -1
+        negative = self.accept("op", "-") is not None
         tok = self.next()
         if tok.kind == "int":
-            return sign * int(tok.text)
+            return -int(tok.text) if negative else int(tok.text)
         if tok.kind == "decimal":
-            return sign * decimal.Decimal(tok.text)
+            # exact: arithmetic on a Decimal would round it to the thread's context
+            value = decimal.Decimal(tok.text)
+            return value.copy_negate() if negative else value
         if tok.kind == "string":
-            if sign < 0:
+            if negative:
                 raise ParseError(f"cannot negate string at offset {tok.pos}")
             quote = tok.text[0]
             return tok.text[1:-1].replace(quote * 2, quote)

@@ -22,6 +22,19 @@ UNIT_SEP = b"\x1f"
 
 MAX_SCALE = 30  # most fractional digits a DECIMAL column may declare
 
+# Significant digits of DECIMAL arithmetic: any value with up to 18 integer
+# digits (as many as an INT has, less one) at the largest scale.
+DECIMAL_PRECISION = MAX_SCALE + 18
+
+# The one context of all DECIMAL rounding and arithmetic.  It is passed
+# explicitly, never installed as the thread's context: execute_staged's
+# session threads start with the default 28-digit context.
+DECIMAL_CONTEXT = decimal.Context(
+    prec=DECIMAL_PRECISION,
+    rounding=decimal.ROUND_HALF_EVEN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
+
 # DECIMAL quantum per column scale: DECIMAL_QUANTA[2] is Decimal("0.01")
 DECIMAL_QUANTA = tuple(decimal.Decimal(1).scaleb(-s) for s in range(MAX_SCALE + 1))
 
@@ -158,11 +171,11 @@ def coerce_value(column: Column, raw, quirks: QuirkConfig):
         else decimal.ROUND_DOWN
     )
     try:
-        value = value.quantize(quantum, rounding=mode)
+        value = value.quantize(quantum, rounding=mode, context=DECIMAL_CONTEXT)
     except decimal.InvalidOperation:
         raise ConstraintViolation(f"column {column.name}: DECIMAL out of range") from None
     if value.is_zero():
-        value = abs(value)  # never store -0.00
+        value = value.copy_abs()  # never store -0.00
     return value
 
 
@@ -192,12 +205,12 @@ def _key_value(column: Column, raw):
     if column.type is not ColumnType.DECIMAL:
         return value
     try:
-        scaled = value.quantize(DECIMAL_QUANTA[column.scale])
+        scaled = value.quantize(DECIMAL_QUANTA[column.scale], context=DECIMAL_CONTEXT)
     except decimal.InvalidOperation:
         return None
     if scaled != value:
         return None
-    return abs(scaled) if scaled.is_zero() else scaled  # never -0.00, as stored
+    return scaled.copy_abs() if scaled.is_zero() else scaled  # never -0.00, as stored
 
 
 def row_key(schema: TableSchema, rows: dict, raw_pk) -> bytes:

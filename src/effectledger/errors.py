@@ -55,6 +55,10 @@ class HistoryUnavailable(EffectLedgerError):
     """Recovery needs ledger blocks or buffered actions that are missing."""
 
 
+class VerifierUnavailable(EffectLedgerError):
+    """The process that verifies block signatures is gone."""
+
+
 class InvalidKey(EffectLedgerError):
     """Signature check against a key that is not registered."""
 

@@ -15,6 +15,15 @@ attempt in the same tick, fetching and verifying every vote itself.  Waiting
 organizations also poll once per tick, which is how a vote dropped by a fault
 rule is fetched after the rule expires.
 
+Signatures are verified outside the tick clock.  When the orderer cuts a
+block, each live organization's receive_action sends its copy's client and
+agreement signatures to the process's signature worker (keys), which verifies
+them while the organizations execute in turn; execute_action reads the
+verdicts in block order.  Nothing in this process waits for the worker on a
+thread of its own, since such a thread would contend with execution for the
+interpreter lock.  Effect votes are verified here, by each organization that
+fetches them.
+
 Identical (config, schedule, fault script) inputs produce identical reports
 and identical ledger bytes.  The only randomness anywhere is the workload
 generator's seeded RNG, outside this module.
@@ -522,17 +531,22 @@ class Network:
             self._finish_execution(rt)
         elif rt.phase == _CONSENSUS:
             self._attempt_consensus(rt)
-        if rt.phase == _IDLE and tick >= rt.busy_until:
-            action = rt.node.executable_action()
-            if action is None:
-                return
-            self.report.emit(tick, rt.node.org_id, EXEC_START, action.round_id)
-            rt.staged_action = action
-            if rt.config.engine_delay > 0:
-                rt.phase = _EXECUTING
-                rt.busy_until = tick + rt.config.engine_delay
-                return
-            self._finish_execution(rt)
+        self._start_next_execution(rt)
+
+    def _start_next_execution(self, rt: _OrgRuntime):
+        """Start executing the next buffered block if rt is idle and free."""
+        if rt.phase != _IDLE or self.tick < rt.busy_until:
+            return
+        action = rt.node.executable_action()
+        if action is None:
+            return
+        self.report.emit(self.tick, rt.node.org_id, EXEC_START, action.round_id)
+        rt.staged_action = action
+        if rt.config.engine_delay > 0:
+            rt.phase = _EXECUTING
+            rt.busy_until = self.tick + rt.config.engine_delay
+            return
+        self._finish_execution(rt)
 
     def _finish_execution(self, rt: _OrgRuntime):
         action, rt.staged_action = rt.staged_action, None
@@ -546,7 +560,8 @@ class Network:
     def _wake_waiting_peers(self, publisher: _OrgRuntime):
         """publisher's vote just became visible: each other live organization
         waiting on consensus past its busy time makes one attempt, in org
-        order, fetching and verifying the votes itself."""
+        order, fetching and verifying the votes itself.  One that commits
+        starts its next buffered block at once, as it would in its own step."""
         for rt in self.runtimes.values():
             if (
                 rt is not publisher
@@ -555,6 +570,7 @@ class Network:
                 and self.tick >= rt.busy_until
             ):
                 self._attempt_consensus(rt)
+                self._start_next_execution(rt)
 
     def _attempt_consensus(self, rt: _OrgRuntime):
         node = rt.node

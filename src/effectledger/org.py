@@ -8,6 +8,17 @@ organizations report the same hash and it matches the local one; otherwise
 the round stays pending until consensus arrives late (peers catching up) or
 recovery rebuilds the state.
 
+Signatures are verified in the worker process of keys.signature_worker; the
+checks that need no signature stay here.  receive_action sends a block's
+signatures to the worker as soon as the block arrives, so the worker verifies
+them while this process executes other organizations' copies or earlier
+blocks.  execute_action sends them itself when nothing was sent at receipt
+for that action: a re-execution in recovery, or a direct call.  It reads the
+verdicts chunk by chunk in block order, and parses and analyzes each
+transaction once its chunk's verdicts are back.  No thread of this process
+waits on the worker: a helper thread would contend with execution for the
+interpreter lock (see keys).
+
 Execution mutates the engine before the commit decision on purpose: the model
 votes on effects, so the effects must exist first.  Recovery owns undoing
 them when the vote goes against us.
@@ -85,6 +96,8 @@ class OrgNode:
         self.vote_store = cns.VoteStore()
         self.transcripts: dict[int, cns.ConsensusTranscript] = {}
         self.buffered: dict[int, Action] = {}
+        # round -> (buffered action, verdicts on its signatures, sent at receipt)
+        self.verifying: dict[int, tuple[Action, keys.Verdicts]] = {}
         self.pending: PendingRound | None = None
         self.last_transcript: cns.ConsensusTranscript | None = None
         self.excluded = False
@@ -127,7 +140,16 @@ class OrgNode:
     # ---- action intake ----
 
     def receive_action(self, action: Action):
-        self.buffered.setdefault(action.round_id, action)
+        """Buffer an ordered action and send its signatures for verification,
+        with the keys the registry holds now.  A second action for a buffered
+        round is ignored."""
+        if action.round_id not in self.buffered:
+            self.buffered[action.round_id] = action
+            self.verifying[action.round_id] = (action, self._verify_signatures(action))
+
+    def _verify_signatures(self, action: Action) -> keys.Verdicts:
+        jobs = (agmt.signature_jobs(ct, self.registry) for ct in action.transactions)
+        return keys.signature_worker().verify(jobs)
 
     def executable_action(self) -> Action | None:
         if self.pending is not None:
@@ -139,11 +161,12 @@ class OrgNode:
     def execute_action(self, action: Action) -> bytes:
         """Apply one action to the engine and vote on the resulting block hash.
 
-        Each transaction is parsed once, by verify_chained_transaction after
-        its signatures check out; analysis and execution read that parse.
+        Each transaction is parsed once, by finish_verification after its
+        signatures check out; analysis and execution read that parse.
         Deterministic in (quirks, committed state, action).  Raises
         OutOfOrderAction/DuplicateRound when the action does not extend the
-        committed chain, EngineFailure when the engine is gone.
+        committed chain, EngineFailure when the engine is gone and
+        VerifierUnavailable when the signature worker is.
         """
         if self.db.failed:
             raise EngineFailure(f"{self.org_id}: engine unavailable")
@@ -156,11 +179,16 @@ class OrgNode:
                 f"cannot execute round {action.round_id}; next is {self.next_round}"
             )
 
+        sent = self.verifying.pop(action.round_id, None)
+        if sent is not None and sent[0] is action:
+            verdicts = sent[1]
+        else:
+            verdicts = self._verify_signatures(action)
         catalog = self.catalog()
         names_before = set(self.db.tables)
         access_sets: list[TxnAccessSet] = []
-        for i, ct in enumerate(action.transactions):
-            parsed = agmt.verify_chained_transaction(ct, self.agreement_policies, self.registry)
+        for i, (ct, signatures_ok) in enumerate(zip(action.transactions, verdicts)):
+            parsed = agmt.finish_verification(ct, signatures_ok, self.agreement_policies)
             if parsed is None:
                 access_sets.append(TxnAccessSet(i, parse_error="agreement verification failed"))
             else:

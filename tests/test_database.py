@@ -194,3 +194,59 @@ def test_noop_update_digest_quirk(emits):
     result = db.execute_transaction("UPDATE t SET v = 5 WHERE k = 1;", digest=spy)
     assert result.success and result.outputs == [1]
     assert len(spy.entries) == (1 if emits else 0)
+
+
+# ---- DECIMAL precision: every scale a column may declare is usable ----
+
+WIDE_DECIMALS = [
+    ("d28", 28, "1.5", Decimal("1.5000000000000000000000000000")),
+    ("d30", 30, "0.5", Decimal("0.500000000000000000000000000000")),
+    ("d27", 27, "10.5", Decimal("10.500000000000000000000000000")),
+]
+
+
+@pytest.mark.parametrize("table, scale, literal, stored", WIDE_DECIMALS)
+def test_wide_scale_decimal_inserts_exactly(table, scale, literal, stored):
+    db = Database()
+    assert run_sql(db, f"CREATE TABLE {table} (k INT, v DECIMAL(40, {scale}), PRIMARY KEY (k));").success
+    result = run_sql(db, f"INSERT INTO {table} (k, v) VALUES (1, {literal});")
+    assert result.success, result.error
+    value = db.table(table).rows[b"1"][1]
+    assert value == stored and value.as_tuple().exponent == -scale
+
+
+def test_wide_scale_decimal_arithmetic_is_exact():
+    db = Database()
+    run_sql(db, "CREATE TABLE t (k INT, v DECIMAL(40, 30), PRIMARY KEY (k));")
+    run_sql(db, "INSERT INTO t (k, v) VALUES (1, 1.5);")
+    tiny = "0.000000000000000000000000000001"
+    for sql in (
+        f"UPDATE t SET v = v + {tiny} WHERE k = 1;",
+        f"UPDATE t SET v = v - -{tiny} WHERE k = 1;",
+        "UPDATE t SET v = v - 1 + 3 WHERE v = 1.500000000000000000000000000002;",
+    ):
+        assert run_sql(db, sql).outputs == [1]
+    assert db.table("t").rows[b"1"][1] == Decimal("3.500000000000000000000000000002")
+
+
+def test_wide_scale_decimals_hash_alike_at_any_session_count():
+    """execute_staged's session threads start with the default 28-digit
+    context; values must not depend on which thread computed them."""
+    from effectledger.ledger import BlockDigest
+    from effectledger.scheduler import analyze_transaction, build_dependency_graph, execute_staged
+
+    hashes = set()
+    for sessions in (1, 2):
+        db = Database()
+        for table, scale, _, _ in WIDE_DECIMALS:
+            run_sql(db, f"CREATE TABLE {table} (k INT, v DECIMAL(40, {scale}), PRIMARY KEY (k));")
+        catalog = {name: t.schema for name, t in db.tables.items()}
+        block = [
+            analyze_transaction(i, f"INSERT INTO {table} (k, v) VALUES (1, {literal});", catalog)
+            for i, (table, _, literal, _) in enumerate(WIDE_DECIMALS)
+        ]
+        graph = build_dependency_graph(block)
+        assert len(graph.stages) == 1
+        assert execute_staged(graph, block, db, sessions, BlockDigest()) == [True] * len(block)
+        hashes.add(db.state_hash())
+    assert len(hashes) == 1

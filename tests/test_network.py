@@ -177,6 +177,15 @@ def test_waiting_peer_commits_when_the_recovery_window_ends():
     assert len({n.ledger.head_hash() for n in net.nodes.values()}) == 1
 
 
+def test_woken_peer_that_commits_starts_its_next_block_in_the_same_tick():
+    """O1 steps before O3 in each tick, so it commits block 2 only when O3's
+    vote wakes it; it starts the buffered block 3 in that same tick."""
+    net, report = deaf_to_o4_with_o3_corrupted()
+    assert dict(report.commits("O1"))[2] == 5
+    assert (2, 5) in [(l.block, l.tick) for l in report.events("O3", EXEC_DONE)]
+    assert [l.tick for l in report.events("O1", EXEC_START) if l.block == 3] == [5]
+
+
 def test_identical_fault_runs_are_byte_identical():
     (first_net, first), (second_net, second) = (deaf_to_o4_with_o3_corrupted() for _ in range(2))
     assert first.to_text() == second.to_text()

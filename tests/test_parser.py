@@ -455,3 +455,10 @@ def test_rendered_statements_parse_back(data, statements):
     expected = [stmt for stmt, _ in statements]
     assert parsed == expected
     assert repr(parsed) == repr(expected)  # Decimal digits and int/Decimal kinds too
+
+
+@pytest.mark.parametrize("text", ["1.000000000000000000000000000019", "-1.000000000000000000000000000019"])
+def test_long_decimal_literals_parse_exactly(text):
+    stmt = parse_statement(f"INSERT INTO t (a) VALUES ({text});")
+    assert stmt.rows == ((Decimal(text),),)
+    assert str(stmt.rows[0][0]) == text
