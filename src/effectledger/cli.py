@@ -4,7 +4,6 @@ Subcommands:
   run     drive the deterministic simulator from a config, schedule, faults
   verify  check a ledger file's hash chain (optionally against a trusted head)
   inject  corrupt one column of one row inside a state dump file
-  bench   wall-clock throughput sweep over blocksizes
   graph   print a block's dependency graph as DOT
 
 Exit status is nonzero on verification failure or bad input.
@@ -17,7 +16,6 @@ import os
 import random
 import sys
 
-from . import bench as bench_mod
 from .engine.database import Database
 from .engine.types import decode_literal, row_key
 from .errors import BindError, EffectLedgerError
@@ -113,23 +111,6 @@ def cmd_inject(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.blocksizes.split(",")]
-    print("blocksize\tclients\ttxns\tok\tseconds\ttps")
-    for result in bench_mod.sweep_blocksizes(
-        sizes,
-        txns=args.txns,
-        num_users=args.users,
-        orgs=args.orgs,
-        clients=args.clients,
-        sessions=args.sessions,
-        seed=args.seed,
-        vote_latency=args.vote_latency_ms / 1000.0,
-    ):
-        print(result.row())
-    return 0
-
-
 def cmd_graph(args) -> int:
     with open(args.block) as fh:
         lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
@@ -146,7 +127,7 @@ def cmd_graph(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effectledger",
-        description="consensus-on-effects ledger network: simulate, verify, bench",
+        description="consensus-on-effects ledger network: simulate, verify, inspect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -175,20 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", required=True)
     p.add_argument("--out", help="write here instead of in place")
     p.set_defaults(func=cmd_inject)
-
-    p = sub.add_parser("bench", help="wall-clock throughput sweep")
-    p.add_argument("--blocksizes", default="256,512,1024,2048,4096")
-    p.add_argument("--txns", type=int, default=8192)
-    p.add_argument("--users", type=int, default=1000)
-    p.add_argument("--orgs", type=int, default=3)
-    p.add_argument("--clients", type=int, default=3)
-    p.add_argument("--sessions", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--vote-latency-ms", type=float, default=2.0,
-        help="simulated round trip per peer hash poll (0 for raw compute)",
-    )
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("graph", help="dependency graph of a block as DOT")
     p.add_argument("block", help="file with one SQL transaction per line")

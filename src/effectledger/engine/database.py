@@ -6,15 +6,15 @@ digest tuples.  Successful transactions flush one digest tuple per row change
 to the block's digest sink (INSERT/UPDATE hash the post-change row, DELETE the
 pre-delete row).  SELECT never emits digests.
 
-Concurrency model: the scheduler guarantees that concurrently executed
-transactions are conflict-free, so the per-table latch here is purely for
-physical consistency of the dicts, not for isolation.
+Concurrency model: none.  An organization runs a block's transactions one
+at a time on one thread, stage by stage in the scheduler's order, so the
+tables need no latches.  The scheduler's stages say which transactions could
+run side by side with the same result.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
@@ -67,7 +67,6 @@ class Table:
     def __init__(self, schema: TableSchema):
         self.schema = schema
         self.rows: dict[bytes, tuple] = {}
-        self.lock = threading.Lock()
 
     def snapshot(self) -> TableSnapshot:
         return TableSnapshot(self.schema, tuple(self.rows.values()))
@@ -101,7 +100,6 @@ class Database:
     def __init__(self, quirks: QuirkConfig | None = None):
         self.quirks = quirks or QuirkConfig()
         self.tables: dict[str, Table] = {}
-        self._catalog_lock = threading.Lock()
         self.failed = False  # set by fault injection to model engine loss
 
     # ---- catalog ----
@@ -159,23 +157,20 @@ class Database:
         for entry in reversed(ctx.undo):
             kind, name = entry[0], entry[1]
             if kind == "create":
-                with self._catalog_lock:
-                    self.tables.pop(name, None)
+                self.tables.pop(name, None)
                 continue
             table = self.tables[name]
             pk, old_row = entry[2], entry[3]
-            with table.lock:
-                if kind == "insert":
-                    table.rows.pop(pk, None)
-                else:  # update / delete
-                    table.rows[pk] = old_row
+            if kind == "insert":
+                table.rows.pop(pk, None)
+            else:  # update / delete
+                table.rows[pk] = old_row
 
     def _create_table(self, stmt: CreateTable, ctx: _TxnContext) -> int:
         name = stmt.schema.name
-        with self._catalog_lock:
-            if name in self.tables:
-                raise ConstraintViolation(f"table {name} already exists")
-            self.tables[name] = Table(stmt.schema)
+        if name in self.tables:
+            raise ConstraintViolation(f"table {name} already exists")
+        self.tables[name] = Table(stmt.schema)
         ctx.undo.append(("create", name))
         ctx.created.append(name)
         return 0
@@ -202,12 +197,9 @@ class Database:
                 row[slot] = coerce_value(schema.columns[slot], raw, self.quirks)
             row = tuple(row)
             pk = pk_bytes(schema, row)
-            with table.lock:
-                if pk in table.rows:
-                    raise ConstraintViolation(
-                        f"table {schema.name}: duplicate primary key"
-                    )
-                table.rows[pk] = row
+            if pk in table.rows:
+                raise ConstraintViolation(f"table {schema.name}: duplicate primary key")
+            table.rows[pk] = row
             ctx.undo.append(("insert", schema.name, pk, None))
             ctx.pending.append((schema.name, pk, row_hash(schema, row), ChangeType.INSERT))
             count += 1
@@ -226,21 +218,20 @@ class Database:
                 schema.column_index(ref)  # bind check
         self._bind_where(schema, stmt.where)
         count = 0
-        with table.lock:
-            for pk, row in self._matching(table, stmt.where):
-                new_row = list(row)
-                for idx, expr in targets:
-                    value = self._eval_expr(schema, expr, row)
-                    new_row[idx] = coerce_value(schema.columns[idx], value, self.quirks)
-                new_row = tuple(new_row)
-                count += 1
-                if new_row == row and not self.quirks.update_noop_emits_digest:
-                    continue
-                ctx.undo.append(("update", schema.name, pk, row))
-                table.rows[pk] = new_row
-                ctx.pending.append(
-                    (schema.name, pk, row_hash(schema, new_row), ChangeType.UPDATE)
-                )
+        for pk, row in self._matching(table, stmt.where):
+            new_row = list(row)
+            for idx, expr in targets:
+                value = self._eval_expr(schema, expr, row)
+                new_row[idx] = coerce_value(schema.columns[idx], value, self.quirks)
+            new_row = tuple(new_row)
+            count += 1
+            if new_row == row and not self.quirks.update_noop_emits_digest:
+                continue
+            ctx.undo.append(("update", schema.name, pk, row))
+            table.rows[pk] = new_row
+            ctx.pending.append(
+                (schema.name, pk, row_hash(schema, new_row), ChangeType.UPDATE)
+            )
         return count
 
     def _delete(self, stmt: Delete, ctx: _TxnContext) -> int:
@@ -248,15 +239,12 @@ class Database:
         schema = table.schema
         self._bind_where(schema, stmt.where)
         count = 0
-        with table.lock:
-            for pk, row in self._matching(table, stmt.where):
-                ctx.undo.append(("delete", schema.name, pk, row))
-                # hash of the state being removed, taken before removal
-                ctx.pending.append(
-                    (schema.name, pk, row_hash(schema, row), ChangeType.DELETE)
-                )
-                del table.rows[pk]
-                count += 1
+        for pk, row in self._matching(table, stmt.where):
+            ctx.undo.append(("delete", schema.name, pk, row))
+            # hash of the state being removed, taken before removal
+            ctx.pending.append((schema.name, pk, row_hash(schema, row), ChangeType.DELETE))
+            del table.rows[pk]
+            count += 1
         return count
 
     def _select(self, stmt: Select) -> list[tuple]:
@@ -268,9 +256,8 @@ class Database:
         else:
             project = [schema.column_index(c) for c in stmt.columns]
         rows = []
-        with table.lock:
-            for _, row in self._matching(table, stmt.where):
-                rows.append(row if project is None else tuple(row[i] for i in project))
+        for _, row in self._matching(table, stmt.where):
+            rows.append(row if project is None else tuple(row[i] for i in project))
         return rows
 
     def _eval_expr(self, schema: TableSchema, expr, row: tuple):
@@ -370,16 +357,14 @@ class Database:
 
     def restore_all(self, snapshots: dict[str, TableSnapshot]):
         """Reset the database to exactly the given table set."""
-        with self._catalog_lock:
-            self.tables = {}
-            for name, snap in snapshots.items():
-                table = Table(snap.schema)
-                table.restore(snap)
-                self.tables[name] = table
+        self.tables = {}
+        for name, snap in snapshots.items():
+            table = Table(snap.schema)
+            table.restore(snap)
+            self.tables[name] = table
 
     def reset(self):
-        with self._catalog_lock:
-            self.tables = {}
+        self.tables = {}
 
     def dump_table(self, name: str) -> bytes:
         """One row per line, canonical values 0x1F-separated, sorted by PK."""

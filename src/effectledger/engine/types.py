@@ -27,8 +27,8 @@ MAX_SCALE = 30  # most fractional digits a DECIMAL column may declare
 DECIMAL_PRECISION = MAX_SCALE + 18
 
 # The one context of all DECIMAL rounding and arithmetic.  It is passed
-# explicitly, never installed as the thread's context: execute_staged's
-# session threads start with the default 28-digit context.
+# explicitly, never installed as the thread's context, so a value never
+# depends on which thread computed it or on a context a caller installed.
 DECIMAL_CONTEXT = decimal.Context(
     prec=DECIMAL_PRECISION,
     rounding=decimal.ROUND_HALF_EVEN,

@@ -209,9 +209,9 @@ class SignatureWorker:
     The worker is forked.  The spawn and forkserver methods run the main
     module again in the child, which fails in a script without a __main__
     guard, and a library user should not need one.  A fork is safe while the
-    process has no other thread: signature_worker starts the worker on first
-    use, from the thread that runs the organizations, and the program's only
-    other threads, execute_staged's sessions, end with each call.
+    process has no other thread, and the main process never starts one: the
+    organizations, their blocks included, all run on the thread that calls
+    signature_worker, which starts the worker on first use.
     """
 
     def __init__(self):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -65,21 +64,21 @@ class BlockDigest:
 
     Acts as the per-table digest tables of a real deployment: record() appends
     a tuple and assigns the next serial for that (table, pk).  Cleared at every
-    block boundary by constructing a fresh instance.  Safe to feed from
-    concurrent executor sessions; sort order makes arrival order irrelevant.
+    block boundary by constructing a fresh instance.  Fed by the one thread
+    that runs the block.  Two transactions that change the same row never
+    share a stage, so a row's serials, and with them the digest hash, are the
+    same whatever order a stage's members run in.
     """
 
     def __init__(self):
         self._tuples: list[DigestTuple] = []
         self._serials: dict[tuple[str, bytes], int] = {}
-        self._lock = threading.Lock()
 
     def record(self, table: str, pk: bytes, row_hash: bytes, change_type: ChangeType):
-        with self._lock:
-            key = (table, pk)
-            serial = self._serials.get(key, 0)
-            self._serials[key] = serial + 1
-            self._tuples.append(DigestTuple(table, pk, serial, row_hash, change_type))
+        key = (table, pk)
+        serial = self._serials.get(key, 0)
+        self._serials[key] = serial + 1
+        self._tuples.append(DigestTuple(table, pk, serial, row_hash, change_type))
 
     @property
     def tuples(self) -> tuple[DigestTuple, ...]:

@@ -123,7 +123,14 @@ class OrgConfig:
     org_id: str
     quirks: QuirkConfig = field(default_factory=QuirkConfig)
     engine_delay: int = 0  # ticks one block execution takes
-    sessions: int = 1  # parallel executor sessions
+    # Executor sessions, at least 1.  Accepted so that configurations that set
+    # it still load; execution does not depend on it, because an organization
+    # runs every block on one thread.
+    sessions: int = 1
+
+    def __post_init__(self):
+        if self.sessions < 1:
+            raise ConfigError(f"organization {self.org_id}: sessions must be at least 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "OrgConfig":
@@ -133,6 +140,9 @@ class OrgConfig:
             engine_delay=int(raw.get("engine_delay", 0)),
             sessions=int(raw.get("sessions", 1)),
         )
+
+
+_STRATEGY_NAMES = tuple(s.value for s in RecoveryStrategy)
 
 
 @dataclass
@@ -148,7 +158,7 @@ class NetworkConfig:
     predicates: dict[str, dict[str, list[str]]] = field(default_factory=dict)  # org -> table -> lines
     seed: int = 0
     out_dir: str | None = None
-    durable: bool = False  # fsync ledger appends (bench mode)
+    durable: bool = False  # fsync every ledger append
 
     def __post_init__(self):
         if not self.orgs:
@@ -164,6 +174,11 @@ class NetworkConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "NetworkConfig":
         strategy = raw.get("recovery_strategy", "optimized_partial_replay")
+        if strategy is not None and strategy not in _STRATEGY_NAMES:
+            raise ConfigError(
+                f"unknown recovery_strategy {strategy!r}; choose from "
+                f"{', '.join(_STRATEGY_NAMES)} or null"
+            )
         return cls(
             orgs=[OrgConfig.from_dict(o) for o in raw["organizations"]],
             min_matching=int(raw.get("min_matching", 2)),
@@ -326,7 +341,6 @@ class Network:
                 private_key=private_key,
                 agreement_policies=agreement_policies,
                 predicates=predicates,
-                sessions=org_cfg.sessions,
                 ledger_path=ledger_path,
                 durable=config.durable,
             )

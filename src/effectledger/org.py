@@ -2,8 +2,8 @@
 
 A round processes exactly one ordered action (a block of chained
 transactions): verify signatures, parse each transaction once, analyze,
-execute in conflict-free stages, assemble the ledger block, then seek
-consensus on its hash.  The block only enters the ledger when enough
+execute stage by stage on the calling thread, assemble the ledger block, then
+seek consensus on its hash.  The block only enters the ledger when enough
 organizations report the same hash and it matches the local one; otherwise
 the round stays pending until consensus arrives late (peers catching up) or
 recovery rebuilds the state.
@@ -15,9 +15,9 @@ them while this process executes other organizations' copies or earlier
 blocks.  execute_action sends them itself when nothing was sent at receipt
 for that action: a re-execution in recovery, or a direct call.  It reads the
 verdicts chunk by chunk in block order, and parses and analyzes each
-transaction once its chunk's verdicts are back.  No thread of this process
-waits on the worker: a helper thread would contend with execution for the
-interpreter lock (see keys).
+transaction once its chunk's verdicts are back.  This process runs no other
+thread: a helper thread would contend with execution for the interpreter
+lock (see keys), and so would executor threads inside a block.
 
 Execution mutates the engine before the commit decision on purpose: the model
 votes on effects, so the effects must exist first.  Recovery owns undoing
@@ -80,7 +80,6 @@ class OrgNode:
         private_key=None,
         agreement_policies: dict[str, agmt.AgreementPolicy] | None = None,
         predicates: dict[str, agmt.AgreementPredicate] | None = None,
-        sessions: int = 1,
         ledger_path=None,
         durable: bool = False,
     ):
@@ -92,7 +91,6 @@ class OrgNode:
         self.private_key = private_key or keys.derive_private_key(f"org:{org_id}")
         self.agreement_policies = agreement_policies or {}
         self.predicates = predicates or {}
-        self.sessions = max(1, sessions)
         self.vote_store = cns.VoteStore()
         self.transcripts: dict[int, cns.ConsensusTranscript] = {}
         self.buffered: dict[int, Action] = {}
@@ -195,7 +193,7 @@ class OrgNode:
                 access_sets.append(analyze_transaction(i, parsed, catalog))
         graph = build_dependency_graph(access_sets)
         digest = BlockDigest()
-        bits = execute_staged(graph, access_sets, self.db, self.sessions, digest)
+        bits = execute_staged(graph, access_sets, self.db, digest)
 
         records = tuple(
             TransactionRecord(ct.proposal.client, ct.proposal.sql, ct.agreed_orgs)
@@ -271,7 +269,7 @@ class OrgNode:
 
     # ---- replay support ----
 
-    def replay_committed_block(self, block: LedgerBlock, parallel: bool) -> bytes:
+    def replay_committed_block(self, block: LedgerBlock) -> bytes:
         """Re-execute one committed block from its ta_list; returns the hash
         the replay would have committed.
 
@@ -290,8 +288,7 @@ class OrgNode:
                 positions.append(i)
         graph = build_dependency_graph(subset)
         digest = BlockDigest()
-        sessions = self.sessions if parallel else 1
-        bits = execute_staged(graph, subset, self.db, sessions, digest)
+        bits = execute_staged(graph, subset, self.db, digest)
         replay_bits = list(block.successful)
         for pos, ok in zip(positions, bits):
             replay_bits[pos] = ok

@@ -32,9 +32,11 @@ from .org import OrgNode
 
 
 class RecoveryStrategy(str, Enum):
+    """OPTIMIZED_PARTIAL_REPLAY replays from the checkpoints, newest first,
+    then from empty state; FULL_REPLAY from empty state only."""
+
     RESTORE_FROM_PEER_STATE = "restore_from_peer_state"
     FULL_REPLAY = "full_replay"
-    PARTIAL_REPLAY = "partial_replay"
     OPTIMIZED_PARTIAL_REPLAY = "optimized_partial_replay"
 
 
@@ -137,14 +139,12 @@ def recover(
     if strategy is RecoveryStrategy.RESTORE_FROM_PEER_STATE:
         _recover_from_peer(node, peers, fetch_vote, fetch_state, report, max_retries, on_retry)
     else:
-        parallel = strategy is not RecoveryStrategy.PARTIAL_REPLAY
         sources: list[Checkpoint | None] = []
         if strategy is not RecoveryStrategy.FULL_REPLAY and node.checkpoints is not None:
             sources.extend(node.checkpoints.newest_first())
         sources.append(None)  # full replay from empty state is the last resort
         for checkpoint in sources:
-            if _try_replay(node, checkpoint, peers, fetch_vote, parallel, report,
-                           max_retries, on_retry):
+            if _try_replay(node, checkpoint, peers, fetch_vote, report, max_retries, on_retry):
                 report.recovered = True
                 if node.checkpoints is not None:
                     node.checkpoints.mark_all_changed(node)
@@ -161,7 +161,6 @@ def _try_replay(
     checkpoint: Checkpoint | None,
     peers,
     fetch_vote,
-    parallel: bool,
     report: RecoveryReport,
     max_retries: int,
     on_retry,
@@ -180,7 +179,7 @@ def _try_replay(
     replayed = 0
     for block_id in range(start, failing_id):
         stored = node.ledger.block(block_id)
-        recomputed = node.replay_committed_block(stored, parallel)
+        recomputed = node.replay_committed_block(stored)
         replayed += 1
         if recomputed != node.ledger.stored_hash(block_id):
             # the base snapshot (or the history itself) is damaged here

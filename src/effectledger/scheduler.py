@@ -1,24 +1,34 @@
-"""Intra-block parallel execution with serial-equivalent results.
+"""Intra-block staging with serial-equivalent results.
 
-Three phases per block: (1) semantic analysis extracts, per transaction, the
-column intervals it reads and writes, keyed by the WHERE predicate columns;
-(2) a dependency graph gets an edge i -> j (i < j in block order) whenever the
-two access sets conflict on an overlapping interval of the same table and
-column with at least one write; (3) transactions execute stage by stage, where
-a transaction's stage is one past its highest-staged predecessor, with a
-barrier between stages and k sessions pulling work inside a stage.
+Three phases per block, all on the thread that runs the organization: (1)
+semantic analysis turns each statement into accesses to one table: whether
+it writes, and the interval each column it constrains and does not assign is
+confined to; (2) the dependency graph places each transaction one stage past
+every earlier transaction it conflicts with; (3) the block runs stage by
+stage, each stage's members in block order.  Any order of a stage's
+members gives the same bits, digest and state, so the stages are the
+parallelism of the block; running them one after another costs no more than
+a plain loop.
 
+The conflict rule.  Two accesses to the same table, at least one of them a
+write, conflict unless a witness column separates them: a column that both
+constrain, that neither assigns, and on which their intervals are disjoint.
+Neither access then moves a row into or out of the other's interval, so the
+two touch disjoint rows in either order.  WHERE conjuncts constrain columns;
+an INSERT constrains its primary-key columns to the row's key, because its
+success depends on whether that key exists, whatever the other columns hold.
+A TEXT range (<, >, <=, >=, BETWEEN) constrains nothing: an engine with a
+case-insensitive collation orders TEXT differently from a binary interval.
+TEXT equality is binary on every engine, so a TEXT point does constrain.
 Anything the analyzer cannot see through (DDL, statements against tables that
-do not exist yet, malformed column lists) is treated as a full-domain write on
-every column of the table, which serializes it against all other access to
-that table.  Conflicts are keyed on predicate columns: two UPDATEs whose WHERE
-clauses overlap conflict no matter which columns they SET.
+do not exist yet, unknown columns, malformed column lists) constrains nothing,
+which serializes it against all other access to that table.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .agreement import ParsedTransaction
 from .engine.parser import (
@@ -30,10 +40,8 @@ from .engine.parser import (
     Update,
     parse_script,
 )
-from .engine.types import ColumnType, TableSchema
+from .engine.types import Column, ColumnType, TableSchema
 from .errors import BindError, ParseError
-
-ALL_COLUMNS = "*"
 
 
 @dataclass(frozen=True)
@@ -85,9 +93,6 @@ class Interval:
         return not (_strictly_below(self, other) or _strictly_below(other, self))
 
 
-FULL_INTERVAL = Interval()
-
-
 def _compare(a, b):
     """Three-way compare; None when the literals are not comparable."""
     try:
@@ -107,21 +112,27 @@ def _strictly_below(a: Interval, b: Interval) -> bool:
     return cmp < 0 or (cmp == 0 and (a.high_open or b.low_open))
 
 
-@dataclass(frozen=True)
-class AccessInterval:
-    table: str
-    column: str  # ALL_COLUMNS means every column of the table
-    interval: Interval
-    write: bool
+@dataclass(slots=True)
+class Access:
+    """One statement's claim on the rows of one table.
 
-    def conflicts_with(self, other: "AccessInterval") -> bool:
+    `witnesses` maps each column the statement constrains and does not
+    assign onto the interval its rows lie in; with no witnesses the claim
+    covers every row.
+    """
+
+    table: str
+    write: bool
+    witnesses: dict[str, Interval] = field(default_factory=dict)
+
+    def conflicts_with(self, other: "Access") -> bool:
         if self.table != other.table or not (self.write or other.write):
             return False
-        if self.column == ALL_COLUMNS or other.column == ALL_COLUMNS:
-            return True
-        if self.column != other.column:
-            return False
-        return self.interval.overlaps(other.interval)
+        for column, interval in self.witnesses.items():
+            theirs = other.witnesses.get(column)
+            if theirs is not None and not interval.overlaps(theirs):
+                return False  # separated on this witness column
+        return True
 
 
 @dataclass
@@ -129,7 +140,7 @@ class TxnAccessSet:
     """What one transaction reads and writes, plus its parsed statements."""
 
     index: int
-    intervals: tuple[AccessInterval, ...] = ()
+    accesses: tuple[Access, ...] = ()
     statements: tuple[Statement, ...] | None = None
     parse_error: str | None = None
 
@@ -141,14 +152,14 @@ class TxnAccessSet:
 def analyze_transaction(
     index: int, txn: ParsedTransaction | str, catalog: dict[str, TableSchema]
 ) -> TxnAccessSet:
-    """Extract one transaction's access intervals from its parsed statements.
+    """Extract one transaction's accesses from its parsed statements.
 
     An organization passes the ParsedTransaction it verified, so the SQL is
     not parsed again.  SQL text, as replay reads it back from the ledger, is
     parsed here once.  Unparseable SQL yields parse_error set and no
-    intervals; the transaction is pre-marked failed and never joins the
-    graph.  Interval extraction never consults quirk settings, so identically
-    configured organizations build the same graph from the same block.
+    accesses; the transaction is pre-marked failed and never joins the
+    graph.  Analysis never consults quirk settings, so organizations build
+    the same graph from the same block and catalog.
     """
     if isinstance(txn, str):
         try:
@@ -157,69 +168,88 @@ def analyze_transaction(
             txn = ParsedTransaction(error=str(exc))
     if txn.error is not None:
         return TxnAccessSet(index, parse_error=txn.error)
-    intervals: list[AccessInterval] = []
+    accesses: list[Access] = []
     for stmt in txn.statements:
-        intervals.extend(_statement_intervals(stmt, catalog))
-    return TxnAccessSet(index, tuple(intervals), txn.statements)
+        accesses.extend(_statement_accesses(stmt, catalog))
+    return TxnAccessSet(index, tuple(accesses), txn.statements)
 
 
-def _statement_intervals(stmt: Statement, catalog) -> list[AccessInterval]:
+def _statement_accesses(stmt: Statement, catalog) -> list[Access]:
     if isinstance(stmt, CreateTable):
-        return [AccessInterval(stmt.schema.name, ALL_COLUMNS, FULL_INTERVAL, True)]
+        return [Access(stmt.schema.name, True)]
     if isinstance(stmt, Insert):
-        return _insert_intervals(stmt, catalog)
-    if isinstance(stmt, (Update, Delete)):
-        return _predicate_intervals(stmt.table, stmt.where, catalog, write=True)
+        return _insert_accesses(stmt, catalog)
+    if isinstance(stmt, Update):
+        assigned = [name for name, _ in stmt.assignments]
+        return _predicate_accesses(stmt.table, stmt.where, catalog, True, assigned)
+    if isinstance(stmt, Delete):
+        return _predicate_accesses(stmt.table, stmt.where, catalog, True)
     if isinstance(stmt, Select):
-        return _predicate_intervals(stmt.table, stmt.where, catalog, write=False)
-    return [AccessInterval(getattr(stmt, "table", "?"), ALL_COLUMNS, FULL_INTERVAL, True)]
+        return _predicate_accesses(stmt.table, stmt.where, catalog, False)
+    return [Access(getattr(stmt, "table", "?"), True)]
 
 
-def _insert_intervals(stmt: Insert, catalog) -> list[AccessInterval]:
+def _insert_accesses(stmt: Insert, catalog) -> list[Access]:
     schema = catalog.get(stmt.table)
     if schema is None:
-        return [AccessInterval(stmt.table, ALL_COLUMNS, FULL_INTERVAL, True)]
+        return [Access(stmt.table, True)]
     names = stmt.columns or tuple(c.name for c in schema.columns)
     if sorted(names) != sorted(c.name for c in schema.columns) or any(
         len(row) != len(names) for row in stmt.rows
     ):
         # malformed against current schema; will fail at execution, stay coarse
-        return [AccessInterval(stmt.table, ALL_COLUMNS, FULL_INTERVAL, True)]
+        return [Access(stmt.table, True)]
+    key = [(names.index(name), schema.column(name)) for name in schema.primary_key]
     out = []
     for row in stmt.rows:
-        for name, value in zip(names, row):
-            out.append(AccessInterval(stmt.table, name, Interval(value, value), True))
+        witnesses = {
+            column.name: Interval(row[position], row[position])
+            for position, column in key
+            if _stored_as_given(column, row[position])
+        }
+        out.append(Access(stmt.table, True, witnesses))
     return out
 
 
-def _predicate_intervals(table: str, where, catalog, write: bool) -> list[AccessInterval]:
+def _stored_as_given(column: Column, literal) -> bool:
+    """Whether an INSERT stores this key literal at its own value: a DECIMAL
+    with more fractional digits than the column scale is rounded under the
+    engine's quirks, to a value the analyzer does not know."""
+    if column.type is ColumnType.DECIMAL and isinstance(literal, Decimal):
+        return literal.as_tuple().exponent >= -column.scale
+    return True
+
+
+def _predicate_accesses(table: str, where, catalog, write: bool, assigned=()) -> list[Access]:
     schema = catalog.get(table)
     if schema is None:
-        return [AccessInterval(table, ALL_COLUMNS, FULL_INTERVAL, True)]
-    if not where:
-        # unqualified statement touches every row of every column
-        return [AccessInterval(table, ALL_COLUMNS, FULL_INTERVAL, write)]
-    per_column: dict[str, Interval] = {}
+        return [Access(table, True)]
+    witnesses: dict[str, Interval] = {}
     for cond in where:
-        interval = _condition_interval(cond, schema)
+        try:
+            column = schema.column(cond.column)
+        except BindError:
+            return [Access(table, write)]  # fails at execution
+        interval = _condition_interval(cond, column)
         if interval is None:
-            return [AccessInterval(table, ALL_COLUMNS, FULL_INTERVAL, write)]
-        known = per_column.get(cond.column)
-        per_column[cond.column] = interval if known is None else known.intersect(interval)
-    if any(iv.is_empty() for iv in per_column.values()):
+            continue
+        known = witnesses.get(cond.column)
+        witnesses[cond.column] = interval if known is None else known.intersect(interval)
+    if any(iv.is_empty() for iv in witnesses.values()):
         return []  # provably matches nothing
-    return [AccessInterval(table, col, iv, write) for col, iv in per_column.items()]
+    for name in assigned:
+        witnesses.pop(name, None)
+    return [Access(table, write, witnesses)]
 
 
-def _condition_interval(cond, schema: TableSchema) -> Interval | None:
-    """Interval matched by one comparison; None when the column is unknown."""
-    try:
-        column = schema.column(cond.column)
-    except BindError:
-        return None
-    is_int = column.type is ColumnType.INT and isinstance(cond.value, int)
+def _condition_interval(cond, column: Column) -> Interval | None:
+    """Interval matched by one comparison; None when it constrains nothing
+    (a TEXT range, whose order depends on the engine's collation)."""
     if cond.op == "=":
         return Interval(cond.value, cond.value)
+    if column.type is ColumnType.TEXT:
+        return None
+    is_int = column.type is ColumnType.INT and isinstance(cond.value, int)
     if cond.op == "between":
         return Interval(cond.value, cond.high)
     if cond.op == "<":
@@ -238,10 +268,11 @@ def _condition_interval(cond, schema: TableSchema) -> Interval | None:
 class DependencyGraph:
     """Conflict relation and execution stages for one block.
 
-    Stages are computed eagerly in one pass.  The explicit edge set is the
-    same relation (every conflicting pair i < j) but materializing it for a
-    skewed block is quadratic in the hot-key count, so it is built lazily on
-    first access; execution only needs the stages.
+    Stages are computed eagerly in one pass; every transaction's stage is
+    past the stages of all earlier transactions it conflicts with.  The
+    explicit edge set (every conflicting pair i < j) is quadratic in the
+    hot-key count for a skewed block, so it is built lazily on first access;
+    execution only needs the stages.
     """
 
     def __init__(self, access_sets: list[TxnAccessSet]):
@@ -286,85 +317,102 @@ class DependencyGraph:
 
 
 def _sets_conflict(a: TxnAccessSet, b: TxnAccessSet) -> bool:
-    return any(x.conflicts_with(y) for x in a.intervals for y in b.intervals)
+    return any(x.conflicts_with(y) for x in a.accesses for y in b.accesses)
 
 
 class _StageTracker:
-    """Highest stage placed so far, indexed the way conflicts are keyed.
+    """Highest stages placed so far on each table, as [read, write] pairs.
 
-    For each (table, column) bucket, point accesses keep a [read, write]
-    stage-maximum pair per exact value and range accesses a scannable list;
-    full-table wildcard accesses and per-table grand totals resolve the
-    ALL_COLUMNS cases.  A query returns the highest stage among earlier
-    accesses that would conflict, which is all the graph's stage rule needs.
+    `every` covers all accesses to a table.  Per witness column some access
+    had, `free` covers the accesses without that witness, while those with it
+    are indexed by interval: a point by value, a range in a scannable list.
+    A query bounds, through each of the access's witness columns, the highest
+    stage among earlier accesses it may conflict with, and keeps the lowest
+    bound.  The bound is exact when accesses have one witness column each, as
+    Smallbank's do.
     """
 
     def __init__(self):
-        self.buckets: dict[str, dict[str, _Bucket]] = {}
-        self.table_all: dict[str, list[int]] = {}  # any access on table
-        self.table_star: dict[str, list[int]] = {}  # wildcard accesses only
+        self.tables: dict[str, _TableStages] = {}
 
-    def query(self, ai: AccessInterval) -> int:
-        best = -1
-
-        def fold(pair):
-            nonlocal best
-            if pair is not None:
-                candidate = max(pair) if ai.write else pair[1]
-                if candidate > best:
-                    best = candidate
-
-        fold(self.table_star.get(ai.table))
-        if ai.column == ALL_COLUMNS:
-            fold(self.table_all.get(ai.table))
-            return best
-        column_buckets = self.buckets.get(ai.table)
-        bucket = column_buckets.get(ai.column) if column_buckets else None
-        if bucket is None:
-            return best
-        if ai.interval.is_point:
-            fold(bucket.points.get(ai.interval.low))
-        else:
-            for value, pair in bucket.points.items():
-                if ai.interval.overlaps(Interval(value, value)):
-                    fold(pair)
-        for interval, pair in bucket.ranges:
-            if ai.interval.overlaps(interval):
-                fold(pair)
+    def query(self, access: Access) -> int:
+        table = self.tables.get(access.table)
+        if table is None:
+            return -1
+        write = access.write
+        best = _highest(table.every, write)
+        for column, interval in access.witnesses.items():
+            stages = table.columns.get(column)
+            if stages is None:
+                continue  # no earlier access had this witness: the bound is `every`
+            bound = _highest(stages.free, write)
+            if interval.is_point:
+                pair = stages.points.get(interval.low)
+                if pair is not None:
+                    bound = max(bound, _highest(pair, write))
+            else:
+                for value, pair in stages.points.items():
+                    if interval.overlaps(Interval(value, value)):
+                        bound = max(bound, _highest(pair, write))
+            for other, pair in stages.ranges:
+                if interval.overlaps(other):
+                    bound = max(bound, _highest(pair, write))
+            if bound < best:
+                best = bound
         return best
 
-    def place(self, ai: AccessInterval, stage: int):
-        slot = 1 if ai.write else 0
-
-        def bump(pair):
+    def place(self, access: Access, stage: int):
+        slot = 1 if access.write else 0
+        table = self.tables.get(access.table)
+        if table is None:
+            table = self.tables[access.table] = _TableStages()
+        witnesses = access.witnesses
+        for column, stages in table.columns.items():
+            if column not in witnesses and stage > stages.free[slot]:
+                stages.free[slot] = stage
+        for column, interval in witnesses.items():
+            stages = table.columns.get(column)
+            if stages is None:
+                # every earlier access lacked this witness
+                stages = table.columns[column] = _ColumnStages(list(table.every))
+            if interval.is_point:
+                pair = stages.points.setdefault(interval.low, [-1, -1])
+            else:
+                pair = [-1, -1]
+                stages.ranges.append((interval, pair))
             if stage > pair[slot]:
                 pair[slot] = stage
-
-        bump(self.table_all.setdefault(ai.table, [-1, -1]))
-        if ai.column == ALL_COLUMNS:
-            bump(self.table_star.setdefault(ai.table, [-1, -1]))
-            return
-        bucket = self.buckets.setdefault(ai.table, {}).setdefault(ai.column, _Bucket())
-        if ai.interval.is_point:
-            bump(bucket.points.setdefault(ai.interval.low, [-1, -1]))
-        else:
-            pair = [-1, -1]
-            bump(pair)
-            bucket.ranges.append((ai.interval, pair))
+        if stage > table.every[slot]:
+            table.every[slot] = stage
 
 
-class _Bucket:
-    """Per (table, column) stage maxima: points by value, ranges as a list."""
+def _highest(pair: list[int], write: bool) -> int:
+    """The highest stage in a [read, write] pair that an access conflicts
+    with: the higher of the two for a write, the write stage for a read."""
+    if write and pair[0] > pair[1]:
+        return pair[0]
+    return pair[1]
 
-    __slots__ = ("points", "ranges")
+
+class _TableStages:
+    __slots__ = ("every", "columns")
 
     def __init__(self):
+        self.every = [-1, -1]
+        self.columns: dict[str, _ColumnStages] = {}
+
+
+class _ColumnStages:
+    __slots__ = ("free", "points", "ranges")
+
+    def __init__(self, free: list[int]):
+        self.free = free
         self.points: dict[object, list[int]] = {}
         self.ranges: list[tuple[Interval, list[int]]] = []
 
 
 def build_dependency_graph(access_sets: list[TxnAccessSet]) -> DependencyGraph:
-    """Stage each transaction one past its highest-staged conflicting predecessor."""
+    """Stage each transaction past every earlier transaction it conflicts with."""
     graph = DependencyGraph(access_sets)
     tracker = _StageTracker()
     for acc in access_sets:
@@ -373,10 +421,10 @@ def build_dependency_graph(access_sets: list[TxnAccessSet]) -> DependencyGraph:
             continue
         graph.nodes.append(acc.index)
         stage = 0
-        for ai in acc.intervals:
-            stage = max(stage, tracker.query(ai) + 1)
-        for ai in acc.intervals:
-            tracker.place(ai, stage)
+        for access in acc.accesses:
+            stage = max(stage, tracker.query(access) + 1)
+        for access in acc.accesses:
+            tracker.place(access, stage)
         graph._stage_of[acc.index] = stage
         while len(graph.stages) <= stage:
             graph.stages.append([])
@@ -385,36 +433,16 @@ def build_dependency_graph(access_sets: list[TxnAccessSet]) -> DependencyGraph:
 
 
 def execute_staged(
-    graph: DependencyGraph,
-    block: list[TxnAccessSet],
-    db,
-    sessions: int = 1,
-    digest=None,
+    graph: DependencyGraph, block: list[TxnAccessSet], db, digest=None
 ) -> list[bool]:
-    """Run a block stage by stage; returns one success bit per transaction.
+    """Run a block stage by stage, each stage's members in block order, on
+    the calling thread; returns one success bit per transaction.
 
-    Parse-failed transactions keep bit 0 without executing.  Within a stage,
-    `sessions` worker threads pull transactions; the conflict-freedom of a
-    stage makes any interleaving equivalent to block order.
+    Parse-failed transactions keep bit 0 without executing.
     """
-    by_index = {acc.index: acc for acc in block}
+    statements = {acc.index: acc.statements for acc in block}
     bits = [False] * graph.node_count
-
-    def run_one(index: int) -> bool:
-        acc = by_index[index]
-        return db.execute_transaction(acc.statements, digest).success
-
-    if sessions <= 1:
-        for members in graph.stages:
-            for index in members:
-                bits[index] = run_one(index)
-        return bits
-
-    with ThreadPoolExecutor(max_workers=sessions) as pool:
-        for members in graph.stages:
-            if len(members) == 1:
-                bits[members[0]] = run_one(members[0])
-                continue
-            for index, ok in zip(members, pool.map(run_one, members)):
-                bits[index] = ok  # barrier: map drains the stage
+    for members in graph.stages:
+        for index in members:
+            bits[index] = db.execute_transaction(statements[index], digest).success
     return bits

@@ -51,6 +51,15 @@ def test_run_prints_report(config_file, schedule_file, capsys):
     assert "\tCOMMIT\t" in out
 
 
+def test_run_reports_an_unknown_recovery_strategy(tmp_path, schedule_file, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({**CONFIG, "recovery_strategy": "partial_replay"}))
+    assert run_cli("run", "--config", str(path), "--schedule", schedule_file) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown recovery_strategy 'partial_replay'")
+    assert "optimized_partial_replay" in err
+
+
 def test_run_writes_artifacts(config_file, schedule_file, tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     assert (
@@ -244,27 +253,6 @@ def test_inject_matches_a_decimal_key_at_the_column_scale(mixed_dump, capsys):
     capsys.readouterr()
     (row,) = Database.load_dump(mixed_dump.read_bytes()).table("mixed").rows.values()
     assert row[3] == 7
-
-
-# ---- bench ----
-
-
-def test_bench_tiny_sweep(capsys):
-    assert (
-        run_cli(
-            "bench", "--blocksizes", "2,4", "--txns", "8", "--users", "5",
-            "--orgs", "2", "--clients", "1",
-        )
-        == 0
-    )
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].split("\t") == ["blocksize", "clients", "txns", "ok", "seconds", "tps"]
-    assert len(lines) == 3
-    for line in lines[1:]:
-        blocksize, _, txns, ok, seconds, tps = line.split("\t")
-        assert int(blocksize) in (2, 4)
-        assert int(ok) <= int(txns)
-        assert float(seconds) > 0 and float(tps) > 0
 
 
 # ---- graph ----

@@ -229,24 +229,38 @@ def test_wide_scale_decimal_arithmetic_is_exact():
     assert db.table("t").rows[b"1"][1] == Decimal("3.500000000000000000000000000002")
 
 
-def test_wide_scale_decimals_hash_alike_at_any_session_count():
-    """execute_staged's session threads start with the default 28-digit
-    context; values must not depend on which thread computed them."""
+def test_wide_scale_decimals_hash_alike_staged_or_direct():
+    """Staged execution here and direct execution in a fresh thread, which
+    starts with the default 28-digit context, store the same values: DECIMAL
+    arithmetic never depends on the calling thread's context."""
+    import threading
+
     from effectledger.ledger import BlockDigest
     from effectledger.scheduler import analyze_transaction, build_dependency_graph, execute_staged
 
-    hashes = set()
-    for sessions in (1, 2):
+    def wide_tables():
         db = Database()
         for table, scale, _, _ in WIDE_DECIMALS:
             run_sql(db, f"CREATE TABLE {table} (k INT, v DECIMAL(40, {scale}), PRIMARY KEY (k));")
-        catalog = {name: t.schema for name, t in db.tables.items()}
-        block = [
-            analyze_transaction(i, f"INSERT INTO {table} (k, v) VALUES (1, {literal});", catalog)
-            for i, (table, _, literal, _) in enumerate(WIDE_DECIMALS)
-        ]
-        graph = build_dependency_graph(block)
-        assert len(graph.stages) == 1
-        assert execute_staged(graph, block, db, sessions, BlockDigest()) == [True] * len(block)
-        hashes.add(db.state_hash())
-    assert len(hashes) == 1
+        return db
+
+    sqls = [
+        f"INSERT INTO {table} (k, v) VALUES (1, {literal});"
+        for table, _, literal, _ in WIDE_DECIMALS
+    ]
+    staged = wide_tables()
+    catalog = {name: t.schema for name, t in staged.tables.items()}
+    block = [analyze_transaction(i, sql, catalog) for i, sql in enumerate(sqls)]
+    graph = build_dependency_graph(block)
+    assert len(graph.stages) == 1
+    assert execute_staged(graph, block, staged, BlockDigest()) == [True] * len(block)
+
+    direct = wide_tables()
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.extend(direct.execute_transaction(sql) for sql in sqls)
+    )
+    worker.start()
+    worker.join()
+    assert [r.success for r in results] == [True] * len(sqls)
+    assert direct.state_hash() == staged.state_hash()

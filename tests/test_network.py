@@ -520,6 +520,24 @@ def test_config_from_json():
     assert config.agreement_policies == {"acct": ["O1"]}
 
 
+def test_config_rejects_zero_sessions():
+    with pytest.raises(ConfigError, match="sessions must be at least 1"):
+        OrgConfig.from_dict({"id": "O1", "sessions": 0})
+    with pytest.raises(ConfigError, match="sessions"):
+        OrgConfig("O1", sessions=-1)
+
+
+def test_config_names_the_recovery_strategies_on_an_unknown_one():
+    raw = {"organizations": [{"id": "O1"}], "min_matching": 1}
+    with pytest.raises(ConfigError) as caught:
+        NetworkConfig.from_dict({**raw, "recovery_strategy": "partial_replay"})
+    assert "'partial_replay'" in str(caught.value)
+    for strategy in ("restore_from_peer_state", "full_replay", "optimized_partial_replay"):
+        assert strategy in str(caught.value)
+        assert NetworkConfig.from_dict({**raw, "recovery_strategy": strategy})
+    assert NetworkConfig.from_dict({**raw, "recovery_strategy": None}).recovery_strategy is None
+
+
 def test_throughput_helper():
     net = make_net()
     net.run(basic_schedule(bumps=6))

@@ -148,14 +148,13 @@ def test_unknown_client_signature_fails_bit(cluster):
     assert cluster["O1"].ledger.block(2).successful == (False,)
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_replay_matches_committed_hashes(cluster, parallel):
+def test_replay_matches_committed_hashes(cluster):
     cluster.round(1, DDL, SEED_ROWS)
     cluster.round(2, "UPDATE acct SET bal = bal + 7 WHERE id = 1;")
     node = Cluster(count=1)["O1"]
     for block_id in (1, 2):
         block = cluster["O2"].ledger.block(block_id)
-        replayed = node.replay_committed_block(block, parallel=parallel)
+        replayed = node.replay_committed_block(block)
         assert replayed == cluster.fetch_vote("O2", block_id).effect_hash
         node.ledger.append(block)
     assert node.db.state_hash() == cluster["O2"].db.state_hash()
@@ -175,7 +174,7 @@ def test_replay_skips_failed_transactions(cluster):
     fresh = Cluster(count=1)["O1"]
     for block_id in (1, 2):
         committed = cluster["O1"].ledger.block(block_id)
-        assert fresh.replay_committed_block(committed, parallel=False) == cluster.fetch_vote(
+        assert fresh.replay_committed_block(committed) == cluster.fetch_vote(
             "O1", block_id
         ).effect_hash
         fresh.ledger.append(committed)

@@ -146,5 +146,5 @@ def test_failed_transactions_keep_their_bits_and_hash(monkeypatch):
 
     replica = Cluster(count=1, min_matching=1)["O1"]
     ledger = cluster["O1"].ledger
-    replica.replay_committed_block(ledger.block(1), parallel=False)
-    assert replica.replay_committed_block(block, parallel=False) == outcomes["O1"].local_hash
+    replica.replay_committed_block(ledger.block(1))
+    assert replica.replay_committed_block(block) == outcomes["O1"].local_hash
