@@ -41,7 +41,11 @@ def _read_schedule(path: str):
             parts = line.split("\t", 2)
             if len(parts) != 3:
                 raise SystemExit(f"{path}:{number}: expected tick<TAB>client<TAB>sql")
-            schedule.append((int(parts[0]), parts[1], parts[2]))
+            try:
+                tick = int(parts[0])
+            except ValueError:
+                raise SystemExit(f"{path}:{number}: tick {parts[0]!r} is not an integer") from None
+            schedule.append((tick, parts[1], parts[2]))
     return schedule
 
 

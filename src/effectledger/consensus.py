@@ -6,6 +6,10 @@ policy.min_matching organizations; the deciding organization commits only if
 that hash equals its own.  If two distinct hashes reach the threshold (possible
 when min_matching <= n/2) the round counts as having no global consensus.
 
+One consensus attempt polls each peer once and records the answers, and the
+rule's outcome, in a ConsensusTranscript.  A peer that is not ready is listed
+as missing; waiting for it means another attempt at a later tick.
+
 Votes are idempotent per (org, block): duplicates count once, and the latest
 verified vote from an organization wins, which lets a recovered organization
 replace its earlier divergent vote.
@@ -84,48 +88,32 @@ class VoteStore:
         """The organization's vote, or None when not ready."""
         return self._votes.get(block_id)
 
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self._votes
 
-
-def quorum_hashes(votes, min_matching: int) -> set[bytes]:
-    """All hashes reported by at least min_matching organizations.
-
-    `votes` is a mapping org -> hash or an iterable of hashes; a mapping
-    guarantees one vote per organization.
-    """
-    values = votes.values() if isinstance(votes, dict) else votes
-    counts = Counter(values)
+def quorum_hashes(votes: dict[str, bytes], min_matching: int) -> set[bytes]:
+    """All hashes reported by at least min_matching organizations, from a
+    mapping org -> hash (one vote per organization)."""
+    counts = Counter(votes.values())
     return {h for h, n in counts.items() if n >= min_matching}
-
-
-@dataclass
-class Decision:
-    quorum_hash: bytes | None  # unique hash at threshold, if any
-    consenting: bool  # quorum hash equals the local hash
-    ambiguous: bool  # two or more hashes reached threshold
-    complete: bool  # every organization's vote was present
-
-    @property
-    def decided(self) -> bool:
-        return self.quorum_hash is not None
-
-
-def decide(votes: dict[str, bytes], local_org: str, policy: ConsensusPolicy,
-           org_count: int | None = None) -> Decision:
-    """Apply the commit rule to one round's verified votes."""
-    quorum = quorum_hashes(votes, policy.min_matching)
-    complete = org_count is None or len(votes) >= org_count
-    if len(quorum) == 1:
-        winner = next(iter(quorum))
-        return Decision(winner, votes.get(local_org) == winner, False, complete)
-    return Decision(None, False, len(quorum) > 1, complete)
 
 
 class ConsensusStatus(str, Enum):
     COMMITTED = "consenting_committed"
     NON_CONSENTING = "non_consenting_local"
     NO_CONSENSUS = "no_global_consensus"
+
+
+def decide(
+    votes: dict[str, bytes], local_org: str, policy: ConsensusPolicy
+) -> tuple[ConsensusStatus, bytes | None]:
+    """Apply the commit rule to one round's verified votes: the status and
+    the unique hash at threshold, if any."""
+    quorum = quorum_hashes(votes, policy.min_matching)
+    if len(quorum) != 1:  # none, or two hashes at threshold
+        return ConsensusStatus.NO_CONSENSUS, None
+    winner = next(iter(quorum))
+    if votes.get(local_org) == winner:
+        return ConsensusStatus.COMMITTED, winner
+    return ConsensusStatus.NON_CONSENTING, winner
 
 
 @dataclass
@@ -138,10 +126,7 @@ class ConsensusTranscript:
     invalid: list[str] = field(default_factory=list)  # orgs whose votes failed checks
     missing: list[str] = field(default_factory=list)  # never answered
     status: ConsensusStatus = ConsensusStatus.NO_CONSENSUS
-    quorum_hash: bytes | None = None
-
-    def matching_votes(self, effect_hash: bytes) -> int:
-        return sum(1 for h in self.votes.values() if h == effect_hash)
+    quorum_hash: bytes | None = None  # the unique hash at threshold, if any
 
 
 def run_consensus(
@@ -152,47 +137,24 @@ def run_consensus(
     policy: ConsensusPolicy,
     fetch_vote,
     registry,
-    max_retries: int = 10,
-    on_retry=None,
-) -> tuple[Decision, ConsensusTranscript]:
-    """One bounded consensus attempt.
+) -> ConsensusTranscript:
+    """One consensus attempt: one poll of each peer, then the commit rule.
 
     fetch_vote(peer, block_id) returns a HashVote, or None when the peer is
-    not ready or unreachable.  Peers answering None are re-polled up to
-    max_retries times with on_retry() called between polls (the simulator's
-    tick hook).  Invalid votes (wrong fields or bad signature) are discarded
-    without retry.  The caller is expected to re-run the attempt for the same
-    block for as long as it wants to wait on missing peers.
+    not ready or unreachable; such a peer is listed as missing.  Invalid votes
+    (wrong fields or bad signature) are listed as invalid and not counted.
+    The caller runs another attempt for the same block, at a later tick, for
+    as long as it wants to wait on missing peers.
     """
-    peers = list(peers)
     transcript = ConsensusTranscript(block_id, local_org)
     transcript.votes[local_org] = local_hash
-    pending = list(peers)
-    retries = 0
-    while True:
-        still_pending = []
-        for peer in pending:
-            vote = fetch_vote(peer, block_id)
-            if vote is None:
-                still_pending.append(peer)
-            elif vote_is_valid(vote, peer, block_id, registry):
-                transcript.votes[peer] = vote.effect_hash
-            else:
-                transcript.invalid.append(peer)
-        pending = still_pending
-        if not pending or retries >= max_retries:
-            break
-        retries += 1
-        if on_retry is not None:
-            on_retry()
-    transcript.missing = pending
-
-    decision = decide(transcript.votes, local_org, policy, 1 + len(peers))
-    transcript.quorum_hash = decision.quorum_hash
-    if decision.consenting:
-        transcript.status = ConsensusStatus.COMMITTED
-    elif decision.decided:
-        transcript.status = ConsensusStatus.NON_CONSENTING
-    else:
-        transcript.status = ConsensusStatus.NO_CONSENSUS
-    return decision, transcript
+    for peer in peers:
+        vote = fetch_vote(peer, block_id)
+        if vote is None:
+            transcript.missing.append(peer)
+        elif vote_is_valid(vote, peer, block_id, registry):
+            transcript.votes[peer] = vote.effect_hash
+        else:
+            transcript.invalid.append(peer)
+    transcript.status, transcript.quorum_hash = decide(transcript.votes, local_org, policy)
+    return transcript

@@ -118,6 +118,25 @@ class SimulationReport:
 
 # ---- configuration ----
 
+_REQUIRED = object()
+_JSON_TYPES = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
+
+
+def _field(raw: dict, name: str, kind: type, where: str, default=_REQUIRED):
+    """raw[name], which must be a JSON value of type kind, or null when the
+    default is None; the default when absent.  ConfigError naming the field
+    otherwise."""
+    if name not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing {name!r}")
+        return default
+    value = raw[name]
+    # type(), not isinstance(): a JSON true is no integer
+    if type(value) is not kind and not (value is None and default is None):
+        raise ConfigError(f"{where}: {name} must be {_JSON_TYPES[kind]}, not {value!r}")
+    return value
+
+
 @dataclass
 class OrgConfig:
     org_id: str
@@ -134,11 +153,13 @@ class OrgConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "OrgConfig":
+        org_id = _field(raw, "id", str, "organization")
+        where = f"organization {org_id}"
         return cls(
-            org_id=raw["id"],
+            org_id=org_id,
             quirks=QuirkConfig.from_dict(raw.get("quirks", {})),
-            engine_delay=int(raw.get("engine_delay", 0)),
-            sessions=int(raw.get("sessions", 1)),
+            engine_delay=_field(raw, "engine_delay", int, where, 0),
+            sessions=_field(raw, "sessions", int, where, 1),
         )
 
 
@@ -180,20 +201,20 @@ class NetworkConfig:
                 f"{', '.join(_STRATEGY_NAMES)} or null"
             )
         return cls(
-            orgs=[OrgConfig.from_dict(o) for o in raw["organizations"]],
-            min_matching=int(raw.get("min_matching", 2)),
-            blocksize=int(raw.get("blocksize", 128)),
-            block_timeout=int(raw.get("block_timeout", 4)),
-            checkpoint_interval=int(raw.get("checkpoint_interval", 3)),
-            checkpoint_capacity=int(raw.get("checkpoint_capacity", 3)),
+            orgs=[OrgConfig.from_dict(o) for o in _field(raw, "organizations", list, "config")],
+            min_matching=_field(raw, "min_matching", int, "config", 2),
+            blocksize=_field(raw, "blocksize", int, "config", 128),
+            block_timeout=_field(raw, "block_timeout", int, "config", 4),
+            checkpoint_interval=_field(raw, "checkpoint_interval", int, "config", 3),
+            checkpoint_capacity=_field(raw, "checkpoint_capacity", int, "config", 3),
             recovery_strategy=None if strategy is None else RecoveryStrategy(strategy),
             agreement_policies={
                 t: list(orgs) for t, orgs in raw.get("agreement_policies", {}).items()
             },
             predicates=raw.get("predicates", {}),
-            seed=int(raw.get("seed", 0)),
+            seed=_field(raw, "seed", int, "config", 0),
             out_dir=raw.get("out_dir"),
-            durable=bool(raw.get("durable", False)),
+            durable=_field(raw, "durable", bool, "config", False),
         )
 
     @classmethod
@@ -222,19 +243,19 @@ class FaultEvent:
     @classmethod
     def from_dict(cls, raw: dict) -> "FaultEvent":
         return cls(
-            at_tick=int(raw["at_tick"]),
-            kind=raw["kind"],
+            at_tick=_field(raw, "at_tick", int, "fault"),
+            kind=_field(raw, "kind", str, "fault"),
             org=raw.get("org"),
             table=raw.get("table"),
             pk=tuple(raw.get("pk", ())),
             column=raw.get("column"),
             value=raw.get("value"),
-            block_id=raw.get("block_id"),
+            block_id=_field(raw, "block_id", int, "fault", None),
             requester=raw.get("requester"),
             responder=raw.get("responder"),
-            until_tick=raw.get("until_tick"),
-            block_from=raw.get("block_from"),
-            block_to=raw.get("block_to"),
+            until_tick=_field(raw, "until_tick", int, "fault", None),
+            block_from=_field(raw, "block_from", int, "fault", None),
+            block_to=_field(raw, "block_to", int, "fault", None),
         )
 
 
@@ -302,7 +323,6 @@ class _OrgRuntime:
     recovering_block: int | None = None
     deferred: list = field(default_factory=list)  # (tick, event, block, then_exclude)
     killed: bool = False
-    last_recovery: object = None
 
     @property
     def live(self) -> bool:
@@ -589,15 +609,13 @@ class Network:
     def _attempt_consensus(self, rt: _OrgRuntime):
         node = rt.node
         org_id = node.org_id
-        outcome = node.complete_round(
-            self.peers_of(org_id), self.fetch_vote(org_id), max_retries=0
-        )
-        if outcome.status is ConsensusStatus.COMMITTED:
-            self.report.emit(self.tick, org_id, COMMIT, outcome.block_id)
+        transcript = node.complete_round(self.peers_of(org_id), self.fetch_vote(org_id))
+        if transcript.status is ConsensusStatus.COMMITTED:
+            self.report.emit(self.tick, org_id, COMMIT, transcript.block_id)
             rt.phase = _IDLE
-        elif outcome.status is ConsensusStatus.NON_CONSENTING:
-            self.report.emit(self.tick, org_id, NONCONSENT, outcome.block_id)
-            self._run_recovery(rt, outcome.block_id)
+        elif transcript.status is ConsensusStatus.NON_CONSENTING:
+            self.report.emit(self.tick, org_id, NONCONSENT, transcript.block_id)
+            self._run_recovery(rt, transcript.block_id)
         # NO_CONSENSUS: keep polling on later ticks
 
     def _run_recovery(self, rt: _OrgRuntime, failing_block: int):
@@ -611,21 +629,18 @@ class Network:
             self.fetch_vote(org_id),
             strategy=self.config.recovery_strategy,
             fetch_state=self.fetch_state(org_id),
-            max_retries=0,
         )
         cost = max(1, report.blocks_replayed_total) * max(1, rt.config.engine_delay)
         done_tick = self.tick + cost
         rt.busy_until = done_tick
-        rt.last_recovery = report
+        rt.phase = _IDLE
         if report.recovered:
             rt.deferred.append((done_tick, RECOVER_DONE, failing_block, False))
             rt.deferred.append((done_tick, COMMIT, failing_block, False))
-            rt.phase = _IDLE
         else:
             node.excluded = False  # re-flag when the deferred event fires
             rt.deferred.append((done_tick, RECOVER_FAIL, failing_block, False))
             rt.deferred.append((done_tick, EXCLUDED, failing_block, True))
-            rt.phase = _IDLE
 
     # ---- main loop ----
 
@@ -686,7 +701,3 @@ class Network:
             if rt.node.executable_action() is not None:
                 return False
         return True
-
-
-def run_network(config: NetworkConfig, schedule, faults=(), max_ticks: int = 10_000) -> SimulationReport:
-    return Network(config).run(schedule, faults, max_ticks)

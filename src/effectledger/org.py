@@ -54,15 +54,6 @@ class Action:
 
 
 @dataclass
-class RoundOutcome:
-    status: cns.ConsensusStatus
-    block_id: int
-    local_hash: bytes
-    consensus_hash: bytes | None
-    transcript: cns.ConsensusTranscript
-
-
-@dataclass
 class PendingRound:
     action: Action
     block: LedgerBlock
@@ -191,18 +182,13 @@ class OrgNode:
                 access_sets.append(TxnAccessSet(i, parse_error="agreement verification failed"))
             else:
                 access_sets.append(analyze_transaction(i, parsed, catalog))
-        graph = build_dependency_graph(access_sets)
-        digest = BlockDigest()
-        bits = execute_staged(graph, access_sets, self.db, digest)
-
         records = tuple(
             TransactionRecord(ct.proposal.client, ct.proposal.sql, ct.agreed_orgs)
             for ct in action.transactions
         )
-        block = build_ledger_block(
-            action.round_id, records, bits, digest, self.ledger.head_hash()
+        digest, block, effect_hash = self._run_block(
+            action.round_id, access_sets, records, self.ledger.head_hash()
         )
-        effect_hash = block_hash(block)
         changed = digest.tables_touched() | (set(self.db.tables) - names_before)
         self.pending = PendingRound(action, block, effect_hash, changed)
         self.vote_store.record(
@@ -210,44 +196,37 @@ class OrgNode:
         )
         return effect_hash
 
+    def _run_block(self, block_id, access_sets, records, hash_previous):
+        """Stage and execute one analyzed block on the engine, then build its
+        ledger block; returns (digest, block, block hash).  Transactions with
+        a parse_error keep bit 0 without executing."""
+        graph = build_dependency_graph(access_sets)
+        digest = BlockDigest()
+        bits = execute_staged(graph, access_sets, self.db, digest)
+        block = build_ledger_block(block_id, records, bits, digest, hash_previous)
+        return digest, block, block_hash(block)
+
     # ---- the LC phase: consensus then commit ----
 
-    def complete_round(self, peers, fetch_vote, max_retries: int = 10, on_retry=None) -> RoundOutcome:
-        """One consensus attempt for the pending block; commits on consent.
+    def complete_round(self, peers, fetch_vote) -> cns.ConsensusTranscript:
+        """One consensus attempt for the pending block, polling each peer
+        once; commits when the transcript's status is COMMITTED.
 
-        Without consent the pending round stays open: the caller may retry
-        while peers catch up, or hand the node to recovery after a decided
-        mismatch.
+        Otherwise the pending round stays open: the caller makes another
+        attempt at a later tick while peers catch up, or hands the node to
+        recovery after a decided mismatch (NON_CONSENTING).
         """
         if self.pending is None:
             raise OutOfOrderAction(f"{self.org_id}: no pending round")
         pending = self.pending
-        decision, transcript = cns.run_consensus(
-            pending.block.block_id,
-            self.org_id,
-            pending.effect_hash,
-            peers,
-            self.policy,
-            fetch_vote,
-            self.registry,
-            max_retries=max_retries,
-            on_retry=on_retry,
+        transcript = cns.run_consensus(
+            pending.block.block_id, self.org_id, pending.effect_hash, peers, self.policy,
+            fetch_vote, self.registry,
         )
         self.last_transcript = transcript
-        if decision.consenting:
+        if transcript.status is cns.ConsensusStatus.COMMITTED:
             self.commit_pending(transcript)
-            status = cns.ConsensusStatus.COMMITTED
-        elif decision.decided:
-            status = cns.ConsensusStatus.NON_CONSENTING
-        else:
-            status = cns.ConsensusStatus.NO_CONSENSUS
-        return RoundOutcome(
-            status,
-            pending.block.block_id,
-            pending.effect_hash,
-            decision.quorum_hash,
-            transcript,
-        )
+        return transcript
 
     def commit_pending(self, transcript: cns.ConsensusTranscript):
         pending = self.pending
@@ -274,25 +253,19 @@ class OrgNode:
         the replay would have committed.
 
         Transactions whose committed bit is 0 had no effects, so they are
-        skipped rather than re-executed; signatures are not re-checked because
-        signature bytes never reach the ledger.  A transaction that succeeded
-        historically but fails on replay flips its bit and thereby the hash.
+        marked failed rather than re-executed; signatures are not re-checked
+        because signature bytes never reach the ledger.  A transaction that
+        succeeded historically but fails on replay flips its bit and thereby
+        the hash.
         """
         catalog = self.catalog()
-        subset: list[TxnAccessSet] = []
-        positions: list[int] = []
-        for i, (rec, ok) in enumerate(zip(block.transactions, block.successful)):
-            if ok:
-                acc = analyze_transaction(len(subset), rec.sql, catalog)
-                subset.append(acc)
-                positions.append(i)
-        graph = build_dependency_graph(subset)
-        digest = BlockDigest()
-        bits = execute_staged(graph, subset, self.db, digest)
-        replay_bits = list(block.successful)
-        for pos, ok in zip(positions, bits):
-            replay_bits[pos] = ok
-        rebuilt = build_ledger_block(
-            block.block_id, block.transactions, replay_bits, digest, block.hash_previous
+        access_sets = [
+            analyze_transaction(i, rec.sql, catalog)
+            if ok
+            else TxnAccessSet(i, parse_error="failed when committed")
+            for i, (rec, ok) in enumerate(zip(block.transactions, block.successful))
+        ]
+        _, _, effect_hash = self._run_block(
+            block.block_id, access_sets, block.transactions, block.hash_previous
         )
-        return block_hash(rebuilt)
+        return effect_hash

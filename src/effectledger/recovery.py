@@ -104,9 +104,13 @@ class RecoveryIteration:
 
 @dataclass
 class RecoveryReport:
-    recovered: bool
-    excluded: bool
+    recovered: bool = False
     iterations: list[RecoveryIteration] = field(default_factory=list)
+
+    @property
+    def excluded(self) -> bool:
+        """An organization that does not recover is excluded."""
+        return not self.recovered
 
     @property
     def blocks_replayed_total(self) -> int:
@@ -119,8 +123,6 @@ def recover(
     fetch_vote,
     strategy: RecoveryStrategy | None = RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY,
     fetch_state=None,
-    max_retries: int = 10,
-    on_retry=None,
 ) -> RecoveryReport:
     """Bring a non-consenting organization back, or exclude it.
 
@@ -130,40 +132,28 @@ def recover(
     """
     if node.pending is None:
         raise HistoryUnavailable(f"{node.org_id}: nothing pending to recover")
-    report = RecoveryReport(recovered=False, excluded=False)
-    if strategy is None:
-        report.excluded = True
-        node.excluded = True
-        return report
-
+    report = RecoveryReport()
     if strategy is RecoveryStrategy.RESTORE_FROM_PEER_STATE:
-        _recover_from_peer(node, peers, fetch_vote, fetch_state, report, max_retries, on_retry)
-    else:
+        _recover_from_peer(node, peers, fetch_state, report)
+    elif strategy is not None:
         sources: list[Checkpoint | None] = []
         if strategy is not RecoveryStrategy.FULL_REPLAY and node.checkpoints is not None:
             sources.extend(node.checkpoints.newest_first())
         sources.append(None)  # full replay from empty state is the last resort
         for checkpoint in sources:
-            if _try_replay(node, checkpoint, peers, fetch_vote, report, max_retries, on_retry):
+            if _try_replay(node, checkpoint, peers, fetch_vote, report):
                 report.recovered = True
                 if node.checkpoints is not None:
                     node.checkpoints.mark_all_changed(node)
                 break
 
-    if not report.recovered:
-        report.excluded = True
+    if report.excluded:
         node.excluded = True
     return report
 
 
 def _try_replay(
-    node: OrgNode,
-    checkpoint: Checkpoint | None,
-    peers,
-    fetch_vote,
-    report: RecoveryReport,
-    max_retries: int,
-    on_retry,
+    node: OrgNode, checkpoint: Checkpoint | None, peers, fetch_vote, report: RecoveryReport
 ) -> bool:
     failing = node.pending.action
     failing_id = failing.round_id
@@ -191,28 +181,14 @@ def _try_replay(
 
     node.abandon_pending()
     node.execute_action(failing)
-    outcome = node.complete_round(peers, fetch_vote, max_retries, on_retry)
-    consented = outcome.status is ConsensusStatus.COMMITTED
-    report.iterations.append(
-        RecoveryIteration(
-            source,
-            replayed + 1,
-            consented,
-            None if consented else f"block {failing_id} still {outcome.status.value}",
-        )
-    )
+    status = node.complete_round(peers, fetch_vote).status
+    consented = status is ConsensusStatus.COMMITTED
+    reason = None if consented else f"block {failing_id} still {status.value}"
+    report.iterations.append(RecoveryIteration(source, replayed + 1, consented, reason))
     return consented
 
 
-def _recover_from_peer(
-    node: OrgNode,
-    peers,
-    fetch_vote,
-    fetch_state,
-    report: RecoveryReport,
-    max_retries: int,
-    on_retry,
-):
+def _recover_from_peer(node: OrgNode, peers, fetch_state, report: RecoveryReport):
     """Copy a consenting peer's state and adopt its block for the failing round."""
     if fetch_state is None:
         report.iterations.append(

@@ -290,6 +290,53 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {"organizations": [{"id": "O1", "sessions": "two"}], "min_matching": 1},
+            "organization O1: sessions must be an integer, not 'two'",
+        ),
+        ({"organizations": [{"sessions": 1}], "min_matching": 1}, "organization: missing 'id'"),
+        ({**CONFIG, "durable": "false"}, "config: durable must be true or false, not 'false'"),
+    ],
+)
+def test_run_rejects_a_mistyped_config_field(tmp_path, schedule_file, capsys, config, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(bad), "--schedule", schedule_file) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (
+            {"at_tick": 1, "kind": "drop_votes", "until_tick": "3"},
+            "until_tick must be an integer, not '3'",
+        ),
+        ({"at_tick": "soon", "kind": "kill_org"}, "at_tick must be an integer, not 'soon'"),
+    ],
+)
+def test_run_rejects_a_mistyped_fault_tick(
+    config_file, schedule_file, tmp_path, capsys, fault, message
+):
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps([fault]))
+    argv = ("run", "--config", config_file, "--schedule", schedule_file, "--faults", str(faults))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: fault: {message}\n"
+
+
+def test_schedule_rejects_a_non_integer_tick(config_file, tmp_path):
+    schedule = tmp_path / "schedule.tsv"
+    schedule.write_text(SCHEDULE_LINES[1] + "\nx\tbob\tSELECT * FROM acct;\n")
+    with pytest.raises(SystemExit) as caught:
+        run_cli("run", "--config", config_file, "--schedule", str(schedule))
+    # a string exit code is printed to stderr and exits with status 1
+    assert caught.value.code == f"{schedule}:2: tick 'x' is not an integer"
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         run_cli("frobnicate")

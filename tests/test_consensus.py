@@ -76,7 +76,7 @@ def test_vote_store_latest_wins():
     store = VoteStore()
     assert store.serve_hash_request(3) is None
     store.record(make_vote("O1", 3, H1, key_of("O1")))
-    assert 3 in store
+    assert store.serve_hash_request(3).effect_hash == H1
     store.record(make_vote("O1", 3, H2, key_of("O1")))  # post-recovery replacement
     assert store.serve_hash_request(3).effect_hash == H2
 
@@ -118,31 +118,26 @@ def test_quorum_monotone_in_threshold(votes, threshold):
 
 
 def test_decide_consenting():
-    d = decide({"O1": H1, "O2": H1, "O3": H2}, "O1", ConsensusPolicy(2), 3)
-    assert d.decided and d.consenting and not d.ambiguous and d.complete
+    votes = {"O1": H1, "O2": H1, "O3": H2}
+    assert decide(votes, "O1", ConsensusPolicy(2)) == (ConsensusStatus.COMMITTED, H1)
 
 
 def test_decide_non_consenting_local():
-    d = decide({"O1": H2, "O2": H1, "O3": H1}, "O1", ConsensusPolicy(2), 3)
-    assert d.decided and not d.consenting
-    assert d.quorum_hash == H1
+    votes = {"O1": H2, "O2": H1, "O3": H1}
+    assert decide(votes, "O1", ConsensusPolicy(2)) == (ConsensusStatus.NON_CONSENTING, H1)
 
 
 def test_decide_no_quorum():
-    d = decide({"O1": H1, "O2": H2, "O3": H3}, "O1", ConsensusPolicy(2), 3)
-    assert not d.decided and not d.ambiguous
+    votes = {"O1": H1, "O2": H2, "O3": H3}
+    assert quorum_hashes(votes, 2) == set()
+    assert decide(votes, "O1", ConsensusPolicy(2)) == (ConsensusStatus.NO_CONSENSUS, None)
 
 
 def test_decide_two_quorums_is_ambiguous():
     # min_matching at half the cluster lets two hashes both reach threshold
     votes = {"O1": H1, "O2": H1, "O3": H2, "O4": H2}
-    d = decide(votes, "O1", ConsensusPolicy(2), 4)
-    assert not d.decided and d.ambiguous
-
-
-def test_decide_incomplete_round():
-    d = decide({"O1": H1, "O2": H1}, "O1", ConsensusPolicy(2), 3)
-    assert d.decided and d.consenting and not d.complete
+    assert quorum_hashes(votes, 2) == {H1, H2}
+    assert decide(votes, "O1", ConsensusPolicy(2)) == (ConsensusStatus.NO_CONSENSUS, None)
 
 
 def test_policy_validation():
@@ -153,19 +148,14 @@ def test_policy_validation():
     ConsensusPolicy(3).validate(3)
 
 
-# ---- the polling round driver ----
+# ---- one consensus attempt: one poll of each peer ----
 
 
 def serve_votes(answers):
-    """fetch_vote stub: org -> HashVote | None | list of answers per poll."""
-    polls = {org: iter(v) if isinstance(v, list) else None for org, v in answers.items()}
+    """fetch_vote stub: org -> HashVote or None."""
 
     def fetch(peer, block_id):
-        if peer not in answers:
-            return None
-        if polls[peer] is not None:
-            return next(polls[peer], None)
-        return answers[peer]
+        return answers.get(peer)
 
     return fetch
 
@@ -177,35 +167,18 @@ def test_run_consensus_commit(registry):
             "O3": make_vote("O3", 1, H2, key_of("O3")),
         }
     )
-    decision, transcript = run_consensus(
-        1, "O1", H1, ["O2", "O3"], ConsensusPolicy(2), fetch, registry
-    )
-    assert decision.consenting
+    transcript = run_consensus(1, "O1", H1, ["O2", "O3"], ConsensusPolicy(2), fetch, registry)
     assert transcript.status is ConsensusStatus.COMMITTED
-    assert transcript.matching_votes(H1) == 2
+    assert transcript.quorum_hash == H1
+    assert transcript.votes == {"O1": H1, "O2": H1, "O3": H2}
     assert transcript.missing == [] and transcript.invalid == []
 
 
-def test_run_consensus_retries_then_succeeds(registry):
-    vote = make_vote("O2", 1, H1, key_of("O2"))
-    fetch = serve_votes({"O2": [None, None, vote], "O3": [None, None, None, None]})
-    ticks = []
-    decision, transcript = run_consensus(
-        1, "O1", H1, ["O2", "O3"], ConsensusPolicy(2), fetch, registry,
-        max_retries=3, on_retry=lambda: ticks.append(1),
-    )
-    assert decision.consenting
-    assert transcript.missing == ["O3"]
-    assert len(ticks) == 3
-
-
-def test_run_consensus_zero_retries_reports_not_ready(registry):
+def test_run_consensus_reports_unready_peers_missing(registry):
     fetch = serve_votes({"O2": None, "O3": None})
-    decision, transcript = run_consensus(
-        1, "O1", H1, ["O2", "O3"], ConsensusPolicy(2), fetch, registry, max_retries=0
-    )
-    assert not decision.decided
+    transcript = run_consensus(1, "O1", H1, ["O2", "O3"], ConsensusPolicy(2), fetch, registry)
     assert transcript.status is ConsensusStatus.NO_CONSENSUS
+    assert transcript.quorum_hash is None
     assert sorted(transcript.missing) == ["O2", "O3"]
 
 
@@ -218,10 +191,8 @@ def test_run_consensus_discards_invalid_without_retry(registry):
         calls[peer] += 1
         return {"O2": good, "O3": bad}[peer]
 
-    decision, transcript = run_consensus(
-        1, "O1", H1, ["O2", "O3"], ConsensusPolicy(2), fetch, registry, max_retries=5
-    )
-    assert decision.consenting
+    transcript = run_consensus(1, "O1", H1, ["O2", "O3"], ConsensusPolicy(2), fetch, registry)
+    assert transcript.status is ConsensusStatus.COMMITTED
     assert transcript.invalid == ["O3"]
     assert calls["O3"] == 1  # no re-poll for a vote that failed verification
 
@@ -233,12 +204,73 @@ def test_run_consensus_non_consenting(registry):
             "O3": make_vote("O3", 1, H2, key_of("O3")),
         }
     )
-    decision, transcript = run_consensus(
-        1, "O1", H1, ["O2", "O3"], ConsensusPolicy(2), fetch, registry
-    )
-    assert decision.decided and not decision.consenting
+    transcript = run_consensus(1, "O1", H1, ["O2", "O3"], ConsensusPolicy(2), fetch, registry)
     assert transcript.status is ConsensusStatus.NON_CONSENTING
     assert transcript.quorum_hash == H2
+
+
+ALL_ORGS = ["O1", "O2", "O3", "O4", "O5"]
+WIDE_REGISTRY = KeyRegistry()
+for _org in ALL_ORGS:
+    WIDE_REGISTRY.register(_org, key_of(_org))
+
+# what one peer answers to the single poll
+PEER_ANSWERS = st.one_of(
+    st.tuples(st.just("vote"), st.sampled_from([H1, H2, H3])),
+    st.just(("none", None)),
+    st.tuples(st.just("bad_signature"), st.sampled_from([H1, H2, H3])),
+    st.tuples(st.just("wrong_block"), st.sampled_from([H1, H2, H3])),
+)
+
+
+def _answer_vote(peer, kind, effect_hash):
+    if kind == "vote":
+        return make_vote(peer, 1, effect_hash, key_of(peer))
+    if kind == "bad_signature":
+        return make_vote(peer, 1, effect_hash, key_of("O1"))  # wrong signer
+    if kind == "wrong_block":
+        return make_vote(peer, 2, effect_hash, key_of(peer))
+    return None
+
+
+@given(
+    st.lists(PEER_ANSWERS, min_size=1, max_size=4),
+    st.sampled_from([H1, H2, H3]),
+    st.integers(1, 5),
+)
+def test_run_consensus_polls_each_peer_once_and_matches_oracle(answers, local_hash, threshold):
+    peers = ALL_ORGS[1 : 1 + len(answers)]
+    policy = ConsensusPolicy(min(threshold, 1 + len(peers)))
+    served = {
+        peer: _answer_vote(peer, kind, h) for peer, (kind, h) in zip(peers, answers)
+    }
+    calls = Counter()
+
+    def fetch(peer, block_id):
+        calls[peer] += 1
+        return served[peer]
+
+    transcript = run_consensus(1, "O1", local_hash, peers, policy, fetch, WIDE_REGISTRY)
+
+    assert calls == Counter(peers)  # exactly one poll per peer
+    voted = [peer for peer in transcript.votes if peer != "O1"]
+    assert sorted(voted + transcript.missing + transcript.invalid) == peers  # a partition
+    for peer, (kind, h) in zip(peers, answers):
+        if kind == "vote":
+            assert transcript.votes[peer] == h
+        else:
+            assert peer in (transcript.missing if kind == "none" else transcript.invalid)
+
+    # brute force over the verified votes, local vote included
+    verified = [local_hash] + [h for kind, h in answers if kind == "vote"]
+    winners = [h for h in (H1, H2, H3) if verified.count(h) >= policy.min_matching]
+    if len(winners) != 1:
+        expected = (ConsensusStatus.NO_CONSENSUS, None)
+    elif winners[0] == local_hash:
+        expected = (ConsensusStatus.COMMITTED, local_hash)
+    else:
+        expected = (ConsensusStatus.NON_CONSENTING, winners[0])
+    assert (transcript.status, transcript.quorum_hash) == expected
 
 
 def brute_force_outcomes(assignment, min_matching):
@@ -268,14 +300,14 @@ def test_all_27_assignments_match_oracle(registry):
                     if peer != org
                 }
             )
-            decision, transcript = run_consensus(
+            transcript = run_consensus(
                 1, org, assignment[org], [p for p in orgs if p != org],
                 policy, fetch, registry,
             )
             expected = brute_force_outcomes(assignment, 2)[org]
             if expected == "commit":
                 assert transcript.status is ConsensusStatus.COMMITTED
-                committed_hashes.add(decision.quorum_hash)
+                committed_hashes.add(transcript.quorum_hash)
             elif expected == "recover":
                 assert transcript.status is ConsensusStatus.NON_CONSENTING
             else:

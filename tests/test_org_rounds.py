@@ -1,12 +1,28 @@
 """Per-organization round pipeline: execute, vote, commit, replay."""
 
-import pytest
+import random
 
-from effectledger.agreement import ChainedTransaction, TransactionProposal, make_proposal
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from effectledger.agreement import (
+    AgreementPolicy,
+    ChainedTransaction,
+    TransactionProposal,
+    collect_agreements,
+    make_proposal,
+)
 from effectledger.consensus import ConsensusStatus
 from effectledger.engine.types import QuirkConfig
 from effectledger.errors import DuplicateRound, EngineFailure, OutOfOrderAction
 from effectledger.org import Action
+from effectledger.smallbank import (
+    CHECKING_TABLE,
+    SmallbankConfig,
+    bootstrap_transactions,
+    generate_workload,
+    render_deposit_checking,
+)
 
 from conftest import CLIENT, Cluster
 
@@ -25,9 +41,10 @@ def test_clean_round_commits_everywhere(cluster):
 def test_round_outcome_reports_votes(cluster):
     outcomes = cluster.round(1, DDL)
     o1 = outcomes["O1"]
+    local_hash = cluster.fetch_vote("O1", 1).effect_hash
     assert o1.block_id == 1
-    assert o1.consensus_hash == o1.local_hash
-    assert o1.transcript.matching_votes(o1.local_hash) == 3
+    assert o1.quorum_hash == local_hash
+    assert list(o1.votes.values()) == [local_hash] * 3
     assert cluster["O1"].transcripts[1].status.value == "consenting_committed"
 
 
@@ -82,7 +99,7 @@ def test_no_consensus_then_late_commit(cluster):
     action = cluster.action(1, DDL)
     early = cluster["O1"]
     early.execute_action(action)
-    outcome = early.complete_round(cluster.peers_of("O1"), cluster.fetch_vote, max_retries=0)
+    outcome = early.complete_round(cluster.peers_of("O1"), cluster.fetch_vote)
     assert outcome.status is ConsensusStatus.NO_CONSENSUS
     assert early.pending is not None
     assert early.height == 0
@@ -108,7 +125,7 @@ def test_quirk_divergence_is_non_consenting():
     assert outcomes["O1"].status is ConsensusStatus.NON_CONSENTING
     assert outcomes["O2"].status is ConsensusStatus.COMMITTED
     assert outcomes["O3"].status is ConsensusStatus.COMMITTED
-    assert outcomes["O1"].consensus_hash == outcomes["O2"].local_hash
+    assert outcomes["O1"].quorum_hash == cluster.fetch_vote("O2", 2).effect_hash
 
     diverged = cluster["O1"]
     assert diverged.pending is not None  # kept for recovery to resolve
@@ -160,26 +177,72 @@ def test_replay_matches_committed_hashes(cluster):
     assert node.db.state_hash() == cluster["O2"].db.state_hash()
 
 
-def test_replay_skips_failed_transactions(cluster):
-    cluster.round(1, DDL, SEED_ROWS)
-    outcomes = cluster.round(
-        2,
-        "INSERT INTO acct (id, bal) VALUES (1, 0);",  # duplicate pk, bit 0
-        "UPDATE acct SET bal = bal + 5 WHERE id = 2;",
-    )
-    assert outcomes["O1"].status is ConsensusStatus.COMMITTED
-    block = cluster["O1"].ledger.block(2)
-    assert block.successful == (False, True)
+ACCOUNTS = 3  # few accounts, so that a block's transactions conflict
+BANK_POLICIES = {CHECKING_TABLE: AgreementPolicy(CHECKING_TABLE, ("O2",))}
+FAILURES = ("unparseable", "duplicate_key", "stripped_agreement")
 
+
+def failing_transaction(cluster, kind):
+    """A transaction that commits with bit 0, for one of three causes."""
+    if kind == "unparseable":
+        return ChainedTransaction(make_proposal(CLIENT, "UPDATE savings SET", cluster.client_key))
+    if kind == "duplicate_key":
+        return endorse(cluster, "INSERT INTO savings (custid, bal) VALUES (1, 0);")
+    # BANK_POLICIES asks for O2's agreement on checking, and this carries none
+    sql = render_deposit_checking(1, "1.000")
+    return ChainedTransaction(make_proposal(CLIENT, sql, cluster.client_key))
+
+
+def endorse(cluster, sql):
+    proposal = make_proposal(CLIENT, sql, cluster.client_key)
+    evaluators = {org: node.evaluate_agreement for org, node in cluster.nodes.items()}
+    return collect_agreements(proposal, BANK_POLICIES, evaluators)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 8), st.sampled_from(FAILURES)), max_size=4),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_replay_skips_failed_transactions(seed, failures_per_block):
+    """Smallbank blocks with bit-0 transactions at any position replay, on a
+    fresh equal-quirk node, to the committed hashes and the same state."""
+    cluster = Cluster(agreement_policies=BANK_POLICIES)
+    workload = generate_workload(
+        SmallbankConfig(num_users=ACCOUNTS, distribution="uniform"), seed
+    )
+    bootstrap = bootstrap_transactions(ACCOUNTS, random.Random(seed))
+    blocks = [[endorse(cluster, sql) for sql in bootstrap]]
+    failing = [set()]
+    for failures in failures_per_block:
+        txns = [endorse(cluster, next(workload)) for _ in range(8)]
+        bad = []
+        for position, kind in failures:
+            ct = failing_transaction(cluster, kind)
+            txns.insert(position, ct)
+            bad.append(ct)
+        blocks.append(txns)
+        failing.append({i for i, ct in enumerate(txns) if any(ct is b for b in bad)})
+    for block_id, txns in enumerate(blocks, start=1):
+        action = Action(block_id, tuple(txns))
+        for node in cluster.nodes.values():
+            node.execute_action(action)
+        for org, node in cluster.nodes.items():
+            transcript = node.complete_round(cluster.peers_of(org), cluster.fetch_vote)
+            assert transcript.status is ConsensusStatus.COMMITTED
+
+    source = cluster["O1"]
     fresh = Cluster(count=1)["O1"]
-    for block_id in (1, 2):
-        committed = cluster["O1"].ledger.block(block_id)
-        assert fresh.replay_committed_block(committed) == cluster.fetch_vote(
-            "O1", block_id
-        ).effect_hash
+    for block_id, bad in enumerate(failing, start=1):
+        committed = source.ledger.block(block_id)
+        assert not any(committed.successful[i] for i in bad)
+        assert fresh.replay_committed_block(committed) == source.ledger.stored_hash(block_id)
         fresh.ledger.append(committed)
-    # the failed INSERT was never re-attempted: row 1 still holds the original balance
-    assert fresh.db.table("acct").rows == cluster["O1"].db.table("acct").rows
+    assert fresh.db.state_hash() == source.db.state_hash()
 
 
 def test_evaluate_agreement_checks_client_signature(cluster):

@@ -142,9 +142,9 @@ def test_failed_transactions_keep_their_bits_and_hash(monkeypatch):
 
     block = cluster["O1"].ledger.block(2)
     assert block.successful == (True, False, False, True)
-    assert len({o.local_hash for o in outcomes.values()}) == 1
+    assert len({o.votes[org] for org, o in outcomes.items()}) == 1
 
     replica = Cluster(count=1, min_matching=1)["O1"]
     ledger = cluster["O1"].ledger
     replica.replay_committed_block(ledger.block(1))
-    assert replica.replay_committed_block(block) == outcomes["O1"].local_hash
+    assert replica.replay_committed_block(block) == outcomes["O1"].votes["O1"]
