@@ -12,7 +12,7 @@ import decimal
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import BindError, ConstraintViolation
+from ..errors import BindError, ConfigError, ConstraintViolation
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -88,13 +88,29 @@ class QuirkConfig:
         )
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "QuirkConfig":
+    def from_dict(cls, raw: dict, where: str = "quirks") -> "QuirkConfig":
+        """Quirks from a JSON object; ConfigError naming the field on a
+        value that is not one of its choices."""
+
+        def choice(name, kind, default):
+            value = raw.get(name, default)
+            try:
+                return kind(value)
+            except ValueError:
+                choices = ", ".join(member.value for member in kind)
+                raise ConfigError(
+                    f"{where}: unknown {name} {value!r}; choose from {choices}"
+                ) from None
+
+        noop_digest = raw.get("update_noop_emits_digest", True)
+        if type(noop_digest) is not bool:
+            raise ConfigError(
+                f"{where}: update_noop_emits_digest must be true or false, not {noop_digest!r}"
+            )
         return cls(
-            decimal_rounding=DecimalRounding(raw.get("decimal_rounding", "half_even")),
-            text_collation_for_order=TextCollation(
-                raw.get("text_collation_for_order", "binary")
-            ),
-            update_noop_emits_digest=bool(raw.get("update_noop_emits_digest", True)),
+            decimal_rounding=choice("decimal_rounding", DecimalRounding, "half_even"),
+            text_collation_for_order=choice("text_collation_for_order", TextCollation, "binary"),
+            update_noop_emits_digest=noop_digest,
         )
 
 

@@ -8,20 +8,26 @@ aid, not a production key-management scheme.
 
 Where signatures are verified.  An organization checks the client and
 agreement signatures of a block's transactions when the ordered block reaches
-it: OrgNode.receive_action sends them, in chunks of CHUNK_TRANSACTIONS
-transactions, to the one SignatureWorker of this process, and
-OrgNode.execute_action reads the verdicts back in block order.  Each
-organization sends its own checks and reads its own verdicts; nothing is
-shared between organizations or remembered across requests.  Effect votes and
-endorsement requests are verified in the calling process, by verify.
+it: OrgNode.receive_action queues them, one job per transaction, with the one
+SignatureWorker of this process, and OrgNode.execute_action reads the verdicts
+back in block order.  Each job is verified exactly once, by the worker process
+or by this one: requests of CHUNK_TRANSACTIONS jobs are sent to the worker
+from the front of the queue while it holds fewer signatures than there are
+verdicts left to read, and a reader that would otherwise wait verifies jobs
+from the front of the queue itself (see SignatureWorker).  Both run
+verify_jobs.  Each organization queues its own checks and reads its own
+verdicts; nothing is shared between organizations or remembered across
+requests.  Effect votes and endorsement requests are verified in the calling
+process, by verify.
 
 Why a process: verification holds the interpreter lock, so a second thread
 verifies no faster than one.  Why no helper thread in the main process: a
 thread there that collects results contends for the lock with execution (a
 ProcessPoolExecutor, which has such a thread, lowered tps on bank-corrupt).
 So the main process only writes requests to a pipe and reads results from it
-when execute_action needs them.  The reader thread sits inside the worker: it
-drains requests as they come, so the main process never waits on a send.
+when a reader needs them, and verifies in the time it would spend waiting.
+The reader thread sits inside the worker: it drains requests as they come, so
+the main process never waits on a send.
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ import multiprocessing
 import queue
 import threading
 import weakref
+from collections import deque
 from collections.abc import Iterable
-from itertools import islice
+from itertools import count, islice
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
@@ -47,12 +54,13 @@ _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 _SIGN_ALGO = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
 _VERIFY_ALGO = ec.ECDSA(hashes.SHA256())
 
-# Transactions per request to the worker.  Execution waits for the first
-# chunk of a block only, and parses each chunk while the worker verifies the
-# next.  Measured on 2 cores: on bank-corrupt (blocks of 256), chunks of 128
-# and 256 gave about 15% less tps than 16 to 64, because execution then waits
-# for half or all of a block; between 16 and 64 the workloads differed by no
-# more than noise, and 32 lets execution start after 32 verifications.
+# Transactions per request to the worker, and per chunk that a reader verifies
+# itself when that chunk was never sent.  Execution waits for the first chunk
+# of a block only, and parses each chunk while the worker verifies the next.
+# Measured on 2 cores: on bank-corrupt (blocks of 256), chunks of 128 and 256
+# gave about 15% less tps than 16 to 64, because execution then waits for half
+# or all of a block; between 16 and 64 the workloads differed by no more than
+# noise, and 32 lets execution start after 32 verifications.
 CHUNK_TRANSACTIONS = 32
 
 # How long interpreter exit waits for the worker to end after closing its pipe.
@@ -101,18 +109,23 @@ def verify_jobs(jobs, loaded: dict | None = None) -> list[bool]:
     first that fails.  A job of None stands for a transaction that already
     failed a check needing no signature, and fails.  loaded caches decoded
     public keys across calls; it holds keys, never verdicts.
+
+    Checks call the decoded key, not verify: which process runs a block's
+    checks depends on timing, so calls to verify count vote and endorsement
+    checks only, the same on every run.
     """
     loaded = {} if loaded is None else loaded
     verdicts = []
     for job in jobs:
         ok = job is not None
-        for raw, signature, message in job or ():
-            key = loaded.get(raw)
-            if key is None:
-                key = loaded[raw] = load_public_bytes(raw)
-            if not verify(key, signature, message):
-                ok = False
-                break
+        try:
+            for raw, signature, message in job or ():
+                key = loaded.get(raw)
+                if key is None:
+                    key = loaded[raw] = load_public_bytes(raw)
+                key.verify(signature, message, _VERIFY_ALGO)
+        except InvalidSignature:
+            ok = False
         verdicts.append(ok)
     return verdicts
 
@@ -150,7 +163,8 @@ class KeyRegistry:
 # ---- the verifying worker process ----
 
 def _serve(conn, parent_end):
-    """Worker main: verify requests in arrival order until the pipe closes.
+    """Worker main: verify requests and answer them in arrival order until
+    the pipe closes.
 
     The worker first closes its inherited copy of the main process's end, so
     that the pipe reads as closed once the main process is gone, however it
@@ -171,9 +185,8 @@ def _serve(conn, parent_end):
     threading.Thread(target=drain, name="requests", daemon=True).start()
     loaded: dict = {}
     try:
-        while (request := requests.get()) is not None:
-            request_id, jobs = request
-            conn.send((request_id, verify_jobs(jobs, loaded)))
+        while (jobs := requests.get()) is not None:
+            conn.send(verify_jobs(jobs, loaded))
     except OSError:
         pass  # the main process is gone
     finally:
@@ -181,30 +194,65 @@ def _serve(conn, parent_end):
 
 
 class Verdicts:
-    """Verdicts of one sequence of jobs, sent to the worker in chunks.
+    """Verdicts of one sequence of jobs, each job verified once, either by the
+    worker or by this process.
 
-    Iterating, once, yields one verdict per job in order, waiting for each
-    chunk only when it is reached.  Raises VerifierUnavailable if the worker
-    died.
+    self._jobs[self._lo:] are the jobs not yet handed out, this Verdicts'
+    part of the worker's local queue.  Iterating, once, yields one verdict
+    per job in order.  Raises VerifierUnavailable if the worker died.
     """
 
     def __init__(self, worker: "SignatureWorker", jobs: Iterable):
         self._worker = worker
-        self._received: dict[int, list[bool]] = {}
-        self._requests: list[int] = []
+        self._jobs: list = []
+        self._verdicts: list[bool | None] = []
+        self._lo = 0
+        self._read = 0  # verdicts yielded
+        self._open_id = next(worker._open_ids)
+        worker._open[self._open_id] = self
         jobs = iter(jobs)
         while chunk := list(islice(jobs, CHUNK_TRANSACTIONS)):
-            self._requests.append(worker._send(chunk, self))
+            self._jobs += chunk
+            self._verdicts += [None] * len(chunk)
+            worker._send_while_behind()
+        if not self._jobs:
+            del worker._open[self._open_id]
 
     def __iter__(self):
-        for request_id in self._requests:
-            while request_id not in self._received:
-                self._worker._receive()
-            yield from self._received.pop(request_id)
+        worker, verdicts = self._worker, self._verdicts
+        for i in range(len(verdicts)):
+            while verdicts[i] is None:
+                worker._advance(self, i)
+            self._read = i + 1
+            if self._read == len(verdicts):
+                del worker._open[self._open_id]
+            yield verdicts[i]
+
+    def _take(self, count: int) -> tuple[int, list]:
+        """Hand out the next count queued jobs; returns (first index, jobs)."""
+        start = self._lo
+        self._lo = min(start + count, len(self._jobs))
+        return start, self._jobs[start : self._lo]
+
+    def _verify_here(self, count: int):
+        start, jobs = self._take(count)
+        self._verdicts[start : self._lo] = verify_jobs(jobs, self._worker._loaded)
 
 
 class SignatureWorker:
-    """A process that runs verify_jobs, and this process's end of its pipe.
+    """A process that runs verify_jobs, this process's end of its pipe, and
+    the local queue of jobs not yet sent to it.
+
+    The queue holds the jobs of every open Verdicts, oldest first.  Requests
+    of at most CHUNK_TRANSACTIONS jobs are sent from its front while the
+    worker holds fewer signatures in flight than there are verdicts left to
+    read: once its verdict is read, a job costs this process about one
+    signature's time to parse and execute, so both processes then have about
+    equal work left.  A job with at most one signature is therefore sent as
+    soon as it is queued.  A reader that would wait verifies jobs from the
+    front of the queue itself (see _advance), so every job is verified
+    exactly once, in one of the two processes, and this process reaches the
+    jobs it verified soon after the worker's.
 
     The worker is forked.  The spawn and forkserver methods run the main
     module again in the child, which fails in a script without a __main__
@@ -225,39 +273,79 @@ class SignatureWorker:
         )
         self._process.start()
         child_end.close()  # so that a dead worker reads as EOF here
-        self._next_id = 0
-        # request id -> the Verdicts waiting for it; a result whose Verdicts
-        # was dropped unread is discarded on arrival
-        self._waiting: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        self._loaded: dict = {}  # public keys decoded for this process's checks
+        # Verdicts with verdicts left to read, oldest first; one dropped
+        # unread leaves on collection, with its jobs not yet sent
+        self._open: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        self._open_ids = count()
+        # requests sent and not yet answered, in the order the answers come:
+        # (weak reference to the Verdicts, index of its first job, signatures)
+        self._waiting: deque = deque()
+        self._in_flight = 0  # signatures of the requests in _waiting
 
     @property
     def pid(self) -> int:
         return self._process.pid
 
     def verify(self, jobs: Iterable) -> Verdicts:
-        """Send jobs for verification, building them a chunk at a time; the
-        verdicts are read when iterated."""
+        """Queue jobs for verification, building them a chunk at a time and
+        sending what the rule allows as they are built; the verdicts are read
+        when iterated."""
         return Verdicts(self, jobs)
 
-    def _send(self, jobs: list, owner: Verdicts) -> int:
-        request_id = self._next_id
-        self._next_id += 1
-        self._waiting[request_id] = owner
-        try:
-            self._conn.send((request_id, jobs))
-        except OSError as exc:
-            raise self._gone() from exc
-        return request_id
+    def _jobs_left(self) -> int:
+        return sum(len(v._verdicts) - v._read for v in self._open.values())
+
+    def _oldest_queued(self) -> Verdicts | None:
+        for owner in list(self._open.values()):
+            if owner._lo < len(owner._jobs):
+                return owner
+        return None
+
+    def _send_while_behind(self):
+        """Send requests from the front of the queue while the worker holds
+        fewer signatures than there are verdicts left to read."""
+        left = self._jobs_left()
+        while self._in_flight < left and (owner := self._oldest_queued()):
+            start, jobs = owner._take(CHUNK_TRANSACTIONS)
+            try:
+                self._conn.send(jobs)
+            except OSError as exc:
+                raise self._gone() from exc
+            signatures = sum(len(job) for job in jobs if job)
+            self._waiting.append((weakref.ref(owner), start, signatures))
+            self._in_flight += signatures
 
     def _receive(self):
-        """Read the next result and hand it to the Verdicts that asked for it."""
+        """Read the next answer, hand it to the Verdicts that asked for it,
+        and send more if the worker is now behind."""
         try:
-            request_id, verdicts = self._conn.recv()
+            verdicts = self._conn.recv()
         except (EOFError, OSError) as exc:
             raise self._gone() from exc
-        owner = self._waiting.pop(request_id, None)
-        if owner is not None:
-            owner._received[request_id] = verdicts
+        ref, start, signatures = self._waiting.popleft()
+        self._in_flight -= signatures
+        owner = ref()
+        if owner is not None:  # else dropped unread: discard
+            owner._verdicts[start : start + len(verdicts)] = verdicts
+        self._send_while_behind()
+
+    def _advance(self, owner: Verdicts, i: int):
+        """One step towards owner's verdict i, which is not known yet.
+
+        In order of preference: read an answer that is ready; verify owner's
+        next chunk here if it was never sent; verify the job at the front of
+        the queue if the worker holds more signatures than there are verdicts
+        left to read; otherwise wait for the next answer.
+        """
+        if self._waiting and self._conn.poll():
+            self._receive()
+        elif i == owner._lo:
+            owner._verify_here(CHUNK_TRANSACTIONS)
+        elif self._in_flight > self._jobs_left() and (oldest := self._oldest_queued()):
+            oldest._verify_here(1)
+        else:
+            self._receive()
 
     def _gone(self) -> VerifierUnavailable:
         global _worker

@@ -16,13 +16,14 @@ organizations also poll once per tick, which is how a vote dropped by a fault
 rule is fetched after the rule expires.
 
 Signatures are verified outside the tick clock.  When the orderer cuts a
-block, each live organization's receive_action sends its copy's client and
-agreement signatures to the process's signature worker (keys), which verifies
-them while the organizations execute in turn; execute_action reads the
-verdicts in block order.  Nothing in this process waits for the worker on a
-thread of its own, since such a thread would contend with execution for the
-interpreter lock.  Effect votes are verified here, by each organization that
-fetches them.
+block, each live organization's receive_action queues its copy's client and
+agreement signatures with the process's signature worker (keys).  The worker
+process verifies what it is sent while the organizations execute in turn;
+execute_action reads the verdicts in block order, and verifies queued
+signatures in this process where it would otherwise wait.  Nothing in this
+process waits for the worker on a thread of its own, since such a thread
+would contend with execution for the interpreter lock.  Effect votes are
+verified here, by each organization that fetches them.
 
 Identical (config, schedule, fault script) inputs produce identical reports
 and identical ledger bytes.  The only randomness anywhere is the workload
@@ -119,7 +120,9 @@ class SimulationReport:
 # ---- configuration ----
 
 _REQUIRED = object()
-_JSON_TYPES = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
+_JSON_TYPES = {
+    int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object",
+}
 
 
 def _field(raw: dict, name: str, kind: type, where: str, default=_REQUIRED):
@@ -157,7 +160,7 @@ class OrgConfig:
         where = f"organization {org_id}"
         return cls(
             org_id=org_id,
-            quirks=QuirkConfig.from_dict(raw.get("quirks", {})),
+            quirks=QuirkConfig.from_dict(_field(raw, "quirks", dict, where, {}), where),
             engine_delay=_field(raw, "engine_delay", int, where, 0),
             sessions=_field(raw, "sessions", int, where, 1),
         )
@@ -191,6 +194,16 @@ class NetworkConfig:
             raise ConfigError("blocksize must be positive")
         if self.block_timeout < 1:
             raise ConfigError("block_timeout must be positive")
+        org_ids = {o.org_id for o in self.orgs}
+        for table, orgs in self.agreement_policies.items():
+            for org in orgs:
+                if org not in org_ids:
+                    raise ConfigError(
+                        f"agreement_policies: {table} names unknown organization {org!r}"
+                    )
+        for org in self.predicates:
+            if org not in org_ids:
+                raise ConfigError(f"predicates: unknown organization {org!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NetworkConfig":
@@ -200,6 +213,8 @@ class NetworkConfig:
                 f"unknown recovery_strategy {strategy!r}; choose from "
                 f"{', '.join(_STRATEGY_NAMES)} or null"
             )
+        policies = _field(raw, "agreement_policies", dict, "config", {})
+        predicates = _field(raw, "predicates", dict, "config", {})
         return cls(
             orgs=[OrgConfig.from_dict(o) for o in _field(raw, "organizations", list, "config")],
             min_matching=_field(raw, "min_matching", int, "config", 2),
@@ -209,9 +224,9 @@ class NetworkConfig:
             checkpoint_capacity=_field(raw, "checkpoint_capacity", int, "config", 3),
             recovery_strategy=None if strategy is None else RecoveryStrategy(strategy),
             agreement_policies={
-                t: list(orgs) for t, orgs in raw.get("agreement_policies", {}).items()
+                table: _field(policies, table, list, "agreement_policies") for table in policies
             },
-            predicates=raw.get("predicates", {}),
+            predicates={org: _field(predicates, org, dict, "predicates") for org in predicates},
             seed=_field(raw, "seed", int, "config", 0),
             out_dir=raw.get("out_dir"),
             durable=_field(raw, "durable", bool, "config", False),
@@ -247,7 +262,7 @@ class FaultEvent:
             kind=_field(raw, "kind", str, "fault"),
             org=raw.get("org"),
             table=raw.get("table"),
-            pk=tuple(raw.get("pk", ())),
+            pk=tuple(_field(raw, "pk", list, "fault", [])),
             column=raw.get("column"),
             value=raw.get("value"),
             block_id=_field(raw, "block_id", int, "fault", None),

@@ -8,16 +8,17 @@ organizations report the same hash and it matches the local one; otherwise
 the round stays pending until consensus arrives late (peers catching up) or
 recovery rebuilds the state.
 
-Signatures are verified in the worker process of keys.signature_worker; the
-checks that need no signature stay here.  receive_action sends a block's
-signatures to the worker as soon as the block arrives, so the worker verifies
-them while this process executes other organizations' copies or earlier
-blocks.  execute_action sends them itself when nothing was sent at receipt
-for that action: a re-execution in recovery, or a direct call.  It reads the
-verdicts chunk by chunk in block order, and parses and analyzes each
-transaction once its chunk's verdicts are back.  This process runs no other
+Signatures are verified through keys.signature_worker; the checks that need
+no signature stay here.  receive_action queues a block's signatures as soon as
+the block arrives, and the worker process verifies those it is sent while this
+process executes other organizations' copies or earlier blocks.
+execute_action queues them itself when nothing was queued at receipt for that
+action: a re-execution in recovery, or a direct call.  It reads the verdicts in
+block order, and parses and analyzes each transaction once its verdict is
+known.  Where reading would wait for the worker, this process verifies queued
+signatures itself (see keys), each exactly once.  This process runs no other
 thread: a helper thread would contend with execution for the interpreter
-lock (see keys), and so would executor threads inside a block.
+lock, and so would executor threads inside a block.
 
 Execution mutates the engine before the commit decision on purpose: the model
 votes on effects, so the effects must exist first.  Recovery owns undoing
@@ -85,7 +86,7 @@ class OrgNode:
         self.vote_store = cns.VoteStore()
         self.transcripts: dict[int, cns.ConsensusTranscript] = {}
         self.buffered: dict[int, Action] = {}
-        # round -> (buffered action, verdicts on its signatures, sent at receipt)
+        # round -> (buffered action, verdicts on its signatures, queued at receipt)
         self.verifying: dict[int, tuple[Action, keys.Verdicts]] = {}
         self.pending: PendingRound | None = None
         self.last_transcript: cns.ConsensusTranscript | None = None
@@ -129,8 +130,8 @@ class OrgNode:
     # ---- action intake ----
 
     def receive_action(self, action: Action):
-        """Buffer an ordered action and send its signatures for verification,
-        with the keys the registry holds now.  A second action for a buffered
+        """Buffer an ordered action and queue its signatures for
+        verification, with the keys the registry holds now.  A second action for a buffered
         round is ignored."""
         if action.round_id not in self.buffered:
             self.buffered[action.round_id] = action

@@ -228,8 +228,12 @@ def _recover_from_peer(node: OrgNode, peers, fetch_state, report: RecoveryReport
         node.vote_store.record(
             cns.make_vote(node.org_id, failing_id, peer_hash, node.private_key)
         )
-        node.transcripts[failing_id] = transcript or cns.ConsensusTranscript(
-            failing_id, node.org_id, votes={node.org_id: peer_hash},
+        # the audit record of the adopted block: the peers' votes of the
+        # last attempt, with this organization's own vote now the adopted hash
+        votes = dict(transcript.votes) if transcript else {}
+        votes[node.org_id] = peer_hash
+        node.transcripts[failing_id] = cns.ConsensusTranscript(
+            failing_id, node.org_id, votes=votes,
             status=ConsensusStatus.COMMITTED, quorum_hash=peer_hash,
         )
         node.buffered.pop(failing_id, None)

@@ -299,6 +299,21 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         ),
         ({"organizations": [{"sessions": 1}], "min_matching": 1}, "organization: missing 'id'"),
         ({**CONFIG, "durable": "false"}, "config: durable must be true or false, not 'false'"),
+        (
+            {"organizations": [{"id": "O1", "quirks": {"decimal_rounding": "bogus"}}],
+             "min_matching": 1},
+            "organization O1: unknown decimal_rounding 'bogus'; "
+            "choose from half_even, truncate",
+        ),
+        (
+            {"organizations": [{"id": "O1", "quirks": "x"}], "min_matching": 1},
+            "organization O1: quirks must be an object, not 'x'",
+        ),
+        (
+            {"organizations": [{"id": "O1", "quirks": {"update_noop_emits_digest": "false"}}],
+             "min_matching": 1},
+            "organization O1: update_noop_emits_digest must be true or false, not 'false'",
+        ),
     ],
 )
 def test_run_rejects_a_mistyped_config_field(tmp_path, schedule_file, capsys, config, message):

@@ -538,6 +538,33 @@ def test_config_names_the_recovery_strategies_on_an_unknown_one():
     assert NetworkConfig.from_dict({**raw, "recovery_strategy": None}).recovery_strategy is None
 
 
+THREE_ORGS = {"organizations": [{"id": "O1"}, {"id": "O2"}, {"id": "O3"}], "min_matching": 2}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"agreement_policies": {"acct": "O1"}}, "agreement_policies: acct must be a list, not 'O1'"),
+        (
+            {"agreement_policies": {"acct": ["O1", "O9"]}},
+            "agreement_policies: acct names unknown organization 'O9'",
+        ),
+        ({"predicates": {"O9": {"acct": ["T.id >= 1"]}}}, "predicates: unknown organization 'O9'"),
+    ],
+)
+def test_config_rejects_malformed_agreement_wiring(fields, message):
+    with pytest.raises(ConfigError) as caught:
+        NetworkConfig.from_dict({**THREE_ORGS, **fields})
+    assert str(caught.value) == message
+
+
+def test_fault_rejects_a_pk_that_is_not_a_list():
+    raw = {"at_tick": 1, "kind": "corrupt_row", "org": "O1", "table": "acct", "column": "bal"}
+    with pytest.raises(ConfigError, match="fault: pk must be a list, not '12'"):
+        FaultEvent.from_dict({**raw, "pk": "12"})
+    assert FaultEvent.from_dict({**raw, "pk": ["1", 2]}).pk == ("1", 2)
+
+
 def test_throughput_helper():
     net = make_net()
     net.run(basic_schedule(bumps=6))

@@ -243,6 +243,13 @@ def test_peer_state_restore():
     assert node.db.state_hash() == cluster["O2"].db.state_hash()
     assert node.ledger.head_hash() == cluster["O2"].ledger.head_hash()
     assert node.height == 3
+    # the adopted block's audit record is a commit on the adopted hash
+    adopted = node.ledger.stored_hash(3)
+    assert adopted == cluster["O2"].ledger.stored_hash(3)
+    transcript = node.transcripts[3]
+    assert transcript.status is ConsensusStatus.COMMITTED
+    assert transcript.quorum_hash == adopted
+    assert transcript.votes["O1"] == adopted
     # adopted state invalidates history-bound snapshots
     assert node.checkpoints.snapshots == []
     # and the node keeps committing with its peers afterwards

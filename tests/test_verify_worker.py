@@ -1,8 +1,11 @@
-"""Block signatures are verified in the worker process: sent at receipt, read
-in block order at execution, and judged exactly as verify_chained_transaction
-judges each transaction in this process."""
+"""Block signatures are verified once each, by the worker process or by this
+one: queued at receipt, sent to the worker from the front of the queue while
+it is behind, verified here when a reader would wait, read in block order at
+execution, and judged exactly as verify_chained_transaction judges each
+transaction."""
 
 import gc
+import math
 import os
 import signal
 import subprocess
@@ -25,7 +28,9 @@ from effectledger.agreement import (
     make_proposal,
     verify_chained_transaction,
 )
+from effectledger.errors import VerifierUnavailable
 from effectledger.keys import derive_private_key
+from effectledger.network import Network, NetworkConfig, OrgConfig
 
 from conftest import CLIENT, Cluster
 
@@ -198,17 +203,154 @@ def test_verify_jobs_checks_every_signature_of_a_job():
     assert keys.verify_jobs(jobs) == [True, True, False, False, False, True]
 
 
-def test_verdicts_dropped_unread_do_not_disturb_later_ones():
-    key = derive_private_key("test:jobs")
-    raw = keys.public_bytes(key)
-    good = ((raw, keys.sign(key, b"m"), b"m"),)
-    bad = ((raw, keys.sign(key, b"m"), b"x"),)
-    worker = keys.signature_worker()
-    worker.verify([bad] * (3 * keys.CHUNK_TRANSACTIONS))  # never read
+JOB_KEY = derive_private_key("test:jobs")
+JOB_RAW = keys.public_bytes(JOB_KEY)
+
+
+def check(message, signed=None):
+    return (JOB_RAW, keys.sign(JOB_KEY, signed or message), message)
+
+
+GOOD = (check(b"m"),)
+FORGED = (check(b"m", b"other"),)
+TRIPLE = (check(b"a"), check(b"b"), check(b"c"))
+TRIPLE_FORGED = (check(b"a"), check(b"b"), check(b"c", b"x"))
+# more than three chunks, and not a whole number of them
+MIXED = [GOOD, FORGED, None, TRIPLE, TRIPLE_FORGED, ()] * 17
+SERIAL = keys.verify_jobs
+
+
+@pytest.fixture
+def idle_worker():
+    """The worker, with no Verdicts open and nothing in flight."""
     gc.collect()
-    wanted = worker.verify([good, bad, None] * keys.CHUNK_TRANSACTIONS)
+    worker = keys.signature_worker()
+    # answers come in the order requests were sent, so every earlier one is in
+    assert list(worker.verify([GOOD])) == [True]
+    assert not worker._open and not worker._waiting and worker._in_flight == 0
+    return worker
+
+
+@pytest.fixture
+def verified_here(idle_worker, monkeypatch):
+    """Sizes of the batches of jobs verified in this process."""
+    sizes = []
+
+    def counted(jobs, loaded=None):
+        sizes.append(len(jobs))
+        return SERIAL(jobs, loaded)
+
+    monkeypatch.setattr(keys, "verify_jobs", counted)
+    return sizes
+
+
+def never_send(monkeypatch):
+    monkeypatch.setattr(keys.SignatureWorker, "_send_while_behind", lambda worker: None)
+
+
+def send_everything(monkeypatch):
+    monkeypatch.setattr(keys.SignatureWorker, "_jobs_left", lambda worker: math.inf)
+
+
+@pytest.mark.parametrize("sending", ["rule", "never", "everything"])
+def test_verdicts_equal_serial_verification(sending, verified_here, monkeypatch):
+    expected = SERIAL(MIXED)
+    assert expected == [True, False, False, True, False, True] * 17
+    if sending == "never":  # queued without being sent: this process verifies
+        never_send(monkeypatch)
+    elif sending == "everything":
+        send_everything(monkeypatch)
+
+    assert list(keys.signature_worker().verify(iter(MIXED))) == expected
+    if sending == "never":
+        assert sum(verified_here) == len(MIXED)
+    elif sending == "everything":
+        assert verified_here == []
+    else:  # the first chunk always goes to the worker
+        assert sum(verified_here) <= len(MIXED) - keys.CHUNK_TRANSACTIONS
+
+
+def test_verdicts_dropped_unread_do_not_disturb_later_ones(idle_worker):
+    worker = idle_worker
+    dropped = worker.verify(MIXED)
+    assert 0 < dropped._lo < len(MIXED)  # some jobs sent, some queued
+    del dropped
+    gc.collect()
+    assert not worker._open  # its queued jobs went with it
+    wanted = worker.verify([GOOD, FORGED, None] * keys.CHUNK_TRANSACTIONS)
     assert list(wanted) == [True, False, False] * keys.CHUNK_TRANSACTIONS
-    assert len(worker._waiting) == 0
+    assert not worker._open and not worker._waiting and worker._in_flight == 0
+
+
+def test_one_signature_jobs_are_all_sent_at_receipt(idle_worker):
+    jobs = [GOOD, FORGED, None, ()] * keys.CHUNK_TRANSACTIONS
+    verdicts = idle_worker.verify(jobs)
+    assert verdicts._lo == len(jobs)
+    assert list(verdicts) == [True, False, False, True] * keys.CHUNK_TRANSACTIONS
+
+    # an organization's block of client-signed transactions, as on a network
+    # without agreement policies
+    cluster = Cluster()
+    action = cluster.action(1, *[DDL] * (2 * keys.CHUNK_TRANSACTIONS + 11))
+    for node in cluster.nodes.values():
+        node.receive_action(action)
+        assert node.verifying[1][1]._lo == len(action.transactions)
+    for node in cluster.nodes.values():
+        node.execute_action(action)
+
+
+def test_a_killed_worker_raises_with_jobs_queued():
+    worker = keys.SignatureWorker()  # a worker of its own, not the process's
+    try:
+        os.kill(worker.pid, signal.SIGKILL)
+        worker._process.join()
+        with pytest.raises(VerifierUnavailable, match="is gone"):
+            list(worker.verify(MIXED))
+    finally:
+        worker.close()
+
+
+@pytest.mark.parametrize("sending", ["rule", "never"])
+def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monkeypatch):
+    """keys.verify counts vote and endorsement checks only, whichever process
+    verifies a block's signatures."""
+    calls = {"pipeline": 0, "elsewhere": 0}
+    executing = []
+    original_verify = keys.verify
+    original_execute = org_module.OrgNode.execute_action
+
+    def counted_verify(*args):
+        calls["pipeline" if executing else "elsewhere"] += 1
+        return original_verify(*args)
+
+    def marked_execute(node, action):
+        executing.append(node.org_id)
+        try:
+            return original_execute(node, action)
+        finally:
+            executing.pop()
+
+    monkeypatch.setattr(keys, "verify", counted_verify)
+    monkeypatch.setattr(org_module.OrgNode, "execute_action", marked_execute)
+    if sending == "never":
+        never_send(monkeypatch)
+    net = Network(NetworkConfig(
+        orgs=[OrgConfig(org) for org in ("O1", "O2", "O3")],
+        blocksize=40,
+        agreement_policies={"acct": ["O2", "O3"]},
+    ))
+    updates = [(1, "alice", f"UPDATE acct SET bal = bal + 1 WHERE id = {i % 10 + 1};")
+               for i in range(40)]
+    try:
+        net.run([(0, "alice", DDL), (0, "alice", ROWS), *updates])
+    finally:
+        net.close()
+
+    assert [node.height for node in net.nodes.values()] == [2, 2, 2]
+    assert all(net.node("O1").ledger.block(2).successful)
+    assert calls["pipeline"] == 0 and calls["elsewhere"] > 0
+    if sending == "never":
+        assert sum(verified_here) == 3 * (2 + 40)
 
 
 # ---- the worker process's lifetime, in separate interpreters ----
