@@ -17,8 +17,7 @@ import random
 import sys
 
 from .engine.database import Database
-from .engine.types import decode_literal, row_key
-from .errors import BindError, EffectLedgerError
+from .errors import EffectLedgerError
 from .ledger import verify_ledger
 from .network import Network, NetworkConfig, load_fault_script
 from .scheduler import analyze_transaction, build_dependency_graph
@@ -98,16 +97,7 @@ def cmd_verify(args) -> int:
 def cmd_inject(args) -> int:
     with open(args.state, "rb") as fh:
         db = Database.load_dump(fh.read())
-    table = db.table(args.table)
-    schema = table.schema
-    try:
-        pk = row_key(schema, table.rows, args.pk.split(","))
-    except BindError as exc:
-        raise SystemExit(str(exc)) from None
-    idx = schema.column_index(args.column)
-    row = list(table.rows[pk])
-    row[idx] = decode_literal(schema.columns[idx], args.value)
-    table.rows[pk] = tuple(row)
+    db.overwrite_cell(args.table, args.pk.split(","), args.column, args.value)
     out = args.out or args.state
     with open(out, "wb") as fh:
         fh.write(db.dump_all())

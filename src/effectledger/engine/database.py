@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 
 from ..errors import (
     BindError,
@@ -39,17 +39,20 @@ from .parser import (
 )
 from .types import (
     DECIMAL_CONTEXT,
-    DECIMAL_QUANTA,
     Column,
     ColumnType,
     QuirkConfig,
     TableSchema,
-    UNIT_SEP,
-    canonical_value_bytes,
     coerce_value,
+    decode_literal,
+    decode_values,
     encode_row,
+    encode_values,
+    key_bytes,
+    key_value,
     ordering_key,
     pk_bytes,
+    row_key,
 )
 
 
@@ -297,12 +300,8 @@ class Database:
         fast = self._pk_probe(schema, where)
         if fast is not None:
             probe, residual = fast
-            if probe is _NO_MATCH:
-                return []
             row = table.rows.get(probe)
-            if row is None:
-                return []
-            if all(self._cond_holds(schema, c, row) for c in residual):
+            if row is not None and all(self._cond_holds(schema, c, row) for c in residual):
                 return [(probe, row)]
             return []
         return [
@@ -312,7 +311,8 @@ class Database:
         ]
 
     def _pk_probe(self, schema: TableSchema, where):
-        """Point lookup when equality conditions pin every pk column."""
+        """Point lookup when equality conditions pin every pk column: the
+        key (None when no row can match) and the other conditions."""
         eq: dict[str, object] = {}
         residual = []
         for cond in where:
@@ -320,16 +320,10 @@ class Database:
                 eq[cond.column] = cond.value
             else:
                 residual.append(cond)
-        if set(eq) != set(schema.primary_key):
+        if len(eq) != len(schema.primary_key):
             return None
-        parts = []
-        for name in schema.primary_key:
-            column = schema.column(name)
-            value = _exact_domain_value(column, eq[name])
-            if value is _NO_MATCH:
-                return _NO_MATCH, residual
-            parts.append(canonical_value_bytes(column, value))
-        return UNIT_SEP.join(parts), residual
+        values = list(map(key_value, schema.pk_columns, map(eq.get, schema.primary_key)))
+        return key_bytes(schema, values), residual
 
     def _cond_holds(self, schema: TableSchema, cond: Condition, row: tuple) -> bool:
         column = schema.column(cond.column)
@@ -338,10 +332,10 @@ class Database:
             return value == cond.value  # binary on TEXT, numeric on int/Decimal
         key = ordering_key(column, value, self.quirks)
         if cond.op == "between":
-            low = _literal_key(column, cond.value, self.quirks)
-            high = _literal_key(column, cond.high, self.quirks)
+            low = ordering_key(column, cond.value, self.quirks)
+            high = ordering_key(column, cond.high, self.quirks)
             return low <= key <= high
-        lit = _literal_key(column, cond.value, self.quirks)
+        lit = ordering_key(column, cond.value, self.quirks)
         if cond.op == "<":
             return key < lit
         if cond.op == ">":
@@ -366,21 +360,35 @@ class Database:
     def reset(self):
         self.tables = {}
 
+    def overwrite_cell(self, name: str, raw_pk, column: str, raw_value):
+        """Set one column of the row that row_key finds to a value given as
+        for decode_literal, bypassing the column's domain checks: the
+        corruption of faults and `effectledger inject`."""
+        table = self.table(name)
+        key = row_key(table.schema, table.rows, raw_pk)
+        idx = table.schema.column_index(column)
+        row = list(table.rows[key])
+        row[idx] = decode_literal(table.schema.columns[idx], raw_value)
+        table.rows[key] = tuple(row)
+
     def dump_table(self, name: str) -> bytes:
-        """One row per line, canonical values 0x1F-separated, sorted by PK."""
+        """The table's rows sorted by primary key, one encode_values line each."""
         table = self.table(name)
         schema = table.schema
-        lines = []
-        for row in sorted(table.rows.values(), key=lambda r: tuple(r[i] for i in schema.pk_indices)):
-            lines.append(
-                UNIT_SEP.join(
-                    canonical_value_bytes(c, v) for c, v in zip(schema.columns, row)
-                )
-            )
-        return b"\n".join(lines) + (b"\n" if lines else b"")
+        rows = sorted(table.rows.values(), key=lambda r: [r[i] for i in schema.pk_indices])
+        return b"".join(encode_values(schema.columns, row) + b"\n" for row in rows)
 
     def dump_all(self) -> bytes:
-        """Whole-state dump with schema headers, tables sorted by name."""
+        """Whole-state dump, tables sorted by name.  Each table is a section:
+
+            == <table name>
+            #schema <column>:<TYPE>[:<scale>],... pk=<column>,...
+            <one line per row, as dump_table writes it>
+
+        Every line ends with a newline.  A row line never starts with "== "
+        or "#schema ", since TEXT escapes "=" and "#", and it is empty only
+        for a single TEXT column holding ''.
+        """
         out = []
         for name in sorted(self.tables):
             schema = self.tables[name].schema
@@ -403,60 +411,24 @@ class Database:
         db = cls(quirks)
         current_name = None
         schema = None
-        for raw_line in data.split(b"\n"):
-            if not raw_line:
-                continue
+        lines = data.split(b"\n")
+        if not lines[-1]:
+            lines.pop()  # what follows the last line's newline
+        for raw_line in lines:
             if raw_line.startswith(b"== "):
                 current_name = raw_line[3:].decode("utf-8").strip()
                 schema = None
-                continue
-            if raw_line.startswith(b"#schema "):
+            elif raw_line.startswith(b"#schema "):
                 if current_name is None:
                     raise SchemaMismatch("schema header outside table context")
                 schema = _parse_schema_header(current_name, raw_line.decode("utf-8"))
                 db.tables[current_name] = Table(schema)
-                continue
-            if schema is None:
+            elif schema is None:
                 raise SchemaMismatch("dump row before schema header")
-            values = raw_line.split(UNIT_SEP)
-            if len(values) != len(schema.columns):
-                raise SchemaMismatch(f"table {schema.name}: bad dump row width")
-            row = tuple(
-                _decode_canonical(col, v) for col, v in zip(schema.columns, values)
-            )
-            db.tables[schema.name].rows[pk_bytes(schema, row)] = row
+            else:
+                row = decode_values(schema.columns, raw_line)
+                db.tables[schema.name].rows[pk_bytes(schema, row)] = row
         return db
-
-
-_NO_MATCH = object()
-
-
-def _literal_key(column: Column, literal, quirks: QuirkConfig):
-    if column.type is ColumnType.TEXT:
-        return ordering_key(column, literal, quirks)
-    return literal
-
-
-def _exact_domain_value(column: Column, literal):
-    """Map an equality literal into the column domain, or prove no row matches."""
-    if column.type is ColumnType.INT:
-        if isinstance(literal, Decimal):
-            if literal != literal.to_integral_value():
-                return _NO_MATCH
-            literal = int(literal)
-        if not isinstance(literal, int) or isinstance(literal, bool):
-            raise BindError(f"column {column.name}: INT comparison needs a number")
-        return literal
-    if column.type is ColumnType.TEXT:
-        return literal
-    value = Decimal(literal)
-    try:
-        quantized = value.quantize(DECIMAL_QUANTA[column.scale], context=DECIMAL_CONTEXT)
-    except InvalidOperation:
-        return _NO_MATCH
-    if quantized != value:
-        return _NO_MATCH
-    return quantized.copy_abs() if quantized.is_zero() else quantized
 
 
 def _parse_schema_header(name: str, line: str) -> TableSchema:
@@ -473,11 +445,3 @@ def _parse_schema_header(name: str, line: str) -> TableSchema:
         return TableSchema(name, tuple(columns), tuple(pk_part.split(",")))
     except (ValueError, IndexError, KeyError) as exc:
         raise SchemaMismatch(f"bad schema header for {name}: {exc}") from None
-
-
-def _decode_canonical(column: Column, raw: bytes):
-    if column.type is ColumnType.INT:
-        return int(raw)
-    if column.type is ColumnType.TEXT:
-        return raw.decode("utf-8")
-    return Decimal(raw.decode("ascii"))

@@ -1,24 +1,39 @@
-"""Value domain, table schemas, and per-engine quirk switches.
+"""Value domain, table schemas, per-engine quirk switches, and the one value
+codec.
 
 Three column types are supported: 64-bit signed INT, TEXT, and DECIMAL with a
 per-column scale.  NULL does not exist anywhere.  Every stored value has a
 single canonical byte encoding, so identically configured engines hash
 identical state to identical bytes.
+
+The codec (encode_values, decode_values) joins the canonical encodings of a
+list of values with the unit separator 0x1F.  Primary keys, row hashes and
+state dumps all use it, and it is injective:
+  - INT is the decimal integer, "-" first when negative: b"-7".
+  - DECIMAL is fixed-point at the column scale, never exponent notation and
+    never "-0": b"1.50".
+  - TEXT is UTF-8 with five bytes written as %XX (uppercase hex): "%" as %25,
+    because it starts an escape; 0x1F as %1F, because it separates values;
+    0x0A as %0A, because it ends a dump line; "=" as %3D and "#" as %23,
+    because a dump line starting "== " or "#schema " is a header.  Every
+    other byte stays as it is, and INT and DECIMAL hold none of the five.
 """
 
 from __future__ import annotations
 
 import decimal
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import BindError, ConfigError, ConstraintViolation
+from ..errors import BindError, ConfigError, ConstraintViolation, SchemaMismatch
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-# Separator between canonical values inside one encoded row.
-UNIT_SEP = b"\x1f"
+UNIT_SEP = b"\x1f"  # between the canonical values of one encoded list
+_TEXT_ESCAPES = {byte: f"%{byte:02X}" for byte in b"%\x1f\n=#"}  # a str.translate table
+_ESCAPED = re.compile("%(25|1F|0A|3D|23)")
 
 MAX_SCALE = 30  # most fractional digits a DECIMAL column may declare
 
@@ -144,6 +159,8 @@ class TableSchema:
             if pk not in index:
                 raise BindError(f"table {self.name}: unknown pk column {pk}")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "pk_indices", tuple(index[c] for c in self.primary_key))
+        object.__setattr__(self, "pk_columns", tuple(map(self.columns.__getitem__, self.pk_indices)))
 
     def column_index(self, name: str) -> int:
         try:
@@ -153,10 +170,6 @@ class TableSchema:
 
     def column(self, name: str) -> Column:
         return self.columns[self.column_index(name)]
-
-    @property
-    def pk_indices(self) -> tuple[int, ...]:
-        return tuple(self._index[c] for c in self.primary_key)
 
 
 def coerce_value(column: Column, raw, quirks: QuirkConfig):
@@ -196,70 +209,111 @@ def coerce_value(column: Column, raw, quirks: QuirkConfig):
 
 
 def canonical_value_bytes(column: Column, value) -> bytes:
-    """Canonical byte encoding used for row hashing and table dumps."""
+    """One stored value in the codec's form (see the module docstring)."""
     if column.type is ColumnType.INT:
         return b"%d" % value
     if column.type is ColumnType.TEXT:
-        return value.encode("utf-8")
+        return value.translate(_TEXT_ESCAPES).encode("utf-8")
     return format(value, "f").encode("ascii")
+
+
+def encode_values(columns, values) -> bytes:
+    """The codec's encoder: one value per column, joined by UNIT_SEP."""
+    return UNIT_SEP.join(map(canonical_value_bytes, columns, values))
+
+
+def decode_values(columns, data: bytes) -> tuple:
+    """The codec's decoder, inverse of encode_values; SchemaMismatch when
+    data is not an encoding of one value per column."""
+    parts = data.split(UNIT_SEP)
+    if len(parts) != len(columns):
+        raise SchemaMismatch(f"{len(parts)} values for {len(columns)} columns")
+    try:
+        return tuple(map(_decode_value, columns, parts))
+    except (ValueError, decimal.InvalidOperation):
+        raise SchemaMismatch(f"undecodable values {data!r}") from None
+
+
+def _decode_value(column: Column, raw: bytes):
+    if column.type is ColumnType.INT:
+        return int(raw)
+    if column.type is ColumnType.TEXT:
+        return _ESCAPED.sub(lambda m: chr(int(m[1], 16)), raw.decode("utf-8"))
+    return decimal.Decimal(raw.decode("ascii"))
+
+
+def encode_row(schema: TableSchema, row: tuple) -> bytes:
+    """Column count, then the encoded values, joined with the unit separator."""
+    return b"%d" % len(schema.columns) + UNIT_SEP + encode_values(schema.columns, row)
+
+
+def key_bytes(schema: TableSchema, values: list) -> bytes | None:
+    """The one primary-key encoding: the key columns' values, in key order.
+    None when a value is None, as key_value gives for "no such row"."""
+    return None if None in values else encode_values(schema.pk_columns, values)
+
+
+def pk_bytes(schema: TableSchema, row: tuple) -> bytes:
+    """Key of a stored row."""
+    return key_bytes(schema, [row[i] for i in schema.pk_indices])
 
 
 def decode_literal(column: Column, raw):
     """A column value given from outside as a JSON number or string, or as
-    command-line text.  DECIMAL goes through str, so 7, 7.5 and "-1" all work."""
-    if column.type is ColumnType.INT:
-        return int(raw)
+    command-line text.  Numbers go through str, so 7, 7.5 and "-1" all work.
+    BindError for a number column given a non-number, or an INT column a
+    fraction or a value outside its range."""
     if column.type is ColumnType.TEXT:
         return str(raw)
-    return decimal.Decimal(str(raw))
-
-
-def _key_value(column: Column, raw):
-    """decode_literal, with a DECIMAL brought to the column scale; None when
-    the value is not exact at that scale and so cannot be a stored key."""
-    value = decode_literal(column, raw)
-    if column.type is not ColumnType.DECIMAL:
-        return value
     try:
-        scaled = value.quantize(DECIMAL_QUANTA[column.scale], context=DECIMAL_CONTEXT)
+        value = decimal.Decimal(str(raw))
     except decimal.InvalidOperation:
+        value = decimal.Decimal("NaN")
+    if isinstance(raw, bool) or not value.is_finite():
+        raise BindError(f"column {column.name}: {raw!r} is not a number")
+    if column.type is ColumnType.DECIMAL:
+        return value
+    if value != value.to_integral_value() or not INT64_MIN <= value <= INT64_MAX:
+        raise BindError(f"column {column.name}: {raw!r} is not an INT")
+    return int(value)
+
+
+_EXACT = QuirkConfig()  # rounding mode is moot: key_value keeps exact values only
+
+
+def key_value(column: Column, literal):
+    """The stored value equal to a key literal of the column's kind (an int
+    or Decimal for a number column, a str for TEXT), or None when no stored
+    value can equal it: a fraction for an INT column, a value out of range,
+    or a DECIMAL inexact at the column scale."""
+    if column.type is ColumnType.INT:
+        if not INT64_MIN <= literal <= INT64_MAX:
+            return None
+        if isinstance(literal, decimal.Decimal):
+            return int(literal) if literal == literal.to_integral_value() else None
+        return literal
+    if column.type is ColumnType.TEXT:
+        return literal
+    try:
+        value = coerce_value(column, literal, _EXACT)
+    except ConstraintViolation:
         return None
-    if scaled != value:
-        return None
-    return scaled.copy_abs() if scaled.is_zero() else scaled  # never -0.00, as stored
+    return value if value == literal else None
 
 
 def row_key(schema: TableSchema, rows: dict, raw_pk) -> bytes:
     """Key of the stored row whose primary key reads raw_pk, one value per
     primary-key column decoded by decode_literal.  A DECIMAL matches at the
     column scale, so 2.5, "2.5" and "2.50" name the same row and 2.505 none.
-    BindError when the arity is wrong or no such row exists."""
+    BindError when a value is malformed, the arity is wrong or no such row
+    exists."""
     if len(raw_pk) != len(schema.primary_key):
-        raise BindError(
-            f"table {schema.name} has a {len(schema.primary_key)}-column key"
-        )
-    columns = [schema.column(name) for name in schema.primary_key]
-    values = [_key_value(column, raw) for column, raw in zip(columns, raw_pk)]
-    key = None if None in values else UNIT_SEP.join(map(canonical_value_bytes, columns, values))
-    if key is None or key not in rows:
+        raise BindError(f"table {schema.name} has a {len(schema.primary_key)}-column key")
+    values = [key_value(c, decode_literal(c, raw)) for c, raw in zip(schema.pk_columns, raw_pk)]
+    key = key_bytes(schema, values)
+    if key not in rows:
         raise BindError(f"no row with key {tuple(raw_pk)} in {schema.name}")
     return key
-
-
-def encode_row(schema: TableSchema, row: tuple) -> bytes:
-    """Column count, then canonical values, all joined with the unit separator."""
-    parts = [b"%d" % len(schema.columns)]
-    parts.extend(
-        canonical_value_bytes(col, value) for col, value in zip(schema.columns, row)
-    )
-    return UNIT_SEP.join(parts)
-
-
-def pk_bytes(schema: TableSchema, row: tuple) -> bytes:
-    """Canonical encoding of the row's primary-key values."""
-    return UNIT_SEP.join(
-        canonical_value_bytes(schema.columns[i], row[i]) for i in schema.pk_indices
-    )
 
 
 def ordering_key(column: Column, value, quirks: QuirkConfig):

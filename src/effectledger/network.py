@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 from . import agreement as agmt
 from . import keys
 from .consensus import ConsensusPolicy, ConsensusStatus
-from .engine.types import QuirkConfig, decode_literal, row_key
+from .engine.database import Database
+from .engine.types import QuirkConfig
 from .errors import BindError, ConfigError
 from .org import Action, OrgNode
 from .recovery import CheckpointManager, RecoveryStrategy, recover
@@ -474,42 +475,20 @@ class Network:
         if event.kind == "kill_org":
             rt = self.runtimes[event.org]
             rt.killed = True
+            rt.node.verifying.clear()  # its unread verdicts leave the worker's queue
             self.report.emit(self.tick, event.org, KILL)
         elif event.kind == "corrupt_row":
-            node = self.node(event.org)
-            table = node.db.table(event.table)
-            try:
-                pk = row_key(table.schema, table.rows, event.pk)
-            except BindError as exc:
-                raise ConfigError(f"corrupt_row: {exc}") from None
-            row = list(table.rows[pk])
-            idx = table.schema.column_index(event.column)
-            row[idx] = decode_literal(table.schema.columns[idx], event.value)
-            table.rows[pk] = tuple(row)
+            self._overwrite(event, self.node(event.org).db)
             self.report.emit(self.tick, event.org, CORRUPT)
         elif event.kind == "corrupt_snapshot":
             manager = self.node(event.org).checkpoints
             if not manager or not manager.snapshots:
                 raise ConfigError("corrupt_snapshot: no checkpoint to corrupt")
             checkpoint = manager.snapshots[-1]
-            snap = checkpoint.tables[event.table]
-            idx = snap.schema.column_index(event.column)
-            value = decode_literal(snap.schema.columns[idx], event.value)
-            pk_cols = snap.schema.pk_indices
-            want = tuple(
-                decode_literal(snap.schema.columns[i], raw)
-                for i, raw in zip(pk_cols, event.pk)
-            )
-            rows = list(snap.rows)
-            for i, row in enumerate(rows):
-                if tuple(row[j] for j in pk_cols) == want:
-                    mutated = list(row)
-                    mutated[idx] = value
-                    rows[i] = tuple(mutated)
-                    break
-            else:
-                raise ConfigError("corrupt_snapshot: row not in snapshot")
-            checkpoint.tables[event.table] = type(snap)(snap.schema, tuple(rows))
+            copy = Database()
+            copy.restore_all(checkpoint.tables)
+            self._overwrite(event, copy)
+            checkpoint.tables[event.table] = copy.table(event.table).snapshot()
             self.report.emit(self.tick, event.org, CORRUPT_SNAPSHOT, checkpoint.block_id)
         elif event.kind == "equivocate_orderer":
             self._equivocations[(event.org, event.block_id)] = event
@@ -519,6 +498,14 @@ class Network:
             self._tamper_rules.append(event)
         else:
             raise ConfigError(f"unknown fault kind {event.kind!r}")
+
+    @staticmethod
+    def _overwrite(event: FaultEvent, db: Database):
+        """Overwrite the cell that a corrupt_* fault names in db."""
+        try:
+            db.overwrite_cell(event.table, event.pk, event.column, event.value)
+        except BindError as exc:
+            raise ConfigError(f"{event.kind}: {exc}") from None
 
     # ---- submission ----
 
@@ -669,6 +656,12 @@ class Network:
             ((int(t), c, s) for t, c, s in schedule), key=lambda e: e[0]
         )
         fault_events = sorted(load_fault_script(list(faults)), key=lambda e: e.at_tick)
+        for event in fault_events:  # refuse faults on unknown organizations before tick 0
+            for role in ("org", "requester", "responder"):
+                name = getattr(event, role)
+                optional = role != "org" or event.kind in ("drop_votes", "tamper_vote")
+                if name not in self.runtimes and not (name is None and optional):
+                    raise ConfigError(f"fault {event.kind}: {role} {name!r} is not an organization")
         sub_i = 0
         fault_i = 0
         self.tick = 0

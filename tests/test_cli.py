@@ -197,12 +197,12 @@ def test_inject_writes_to_out_path(dump_file, tmp_path, capsys):
     assert original.state_hash() != tampered.state_hash()
 
 
-def test_inject_unknown_row_fails(dump_file):
-    with pytest.raises(SystemExit):
-        run_cli(
-            "inject", "--state", str(dump_file), "--table", "acct",
-            "--pk", "42", "--column", "bal", "--value", "0",
-        )
+def test_inject_unknown_row_fails(dump_file, capsys):
+    assert run_cli(
+        "inject", "--state", str(dump_file), "--table", "acct",
+        "--pk", "42", "--column", "bal", "--value", "0",
+    ) == 2
+    assert capsys.readouterr().err == "error: no row with key ('42',) in acct\n"
 
 
 @pytest.fixture
@@ -236,23 +236,39 @@ def test_inject_decodes_int_text_and_decimal_keys_and_values(mixed_dump, column,
 
 
 @pytest.mark.parametrize("pk", ["2,5,2.50", "1,6,2.50", "1,5,2.51", "1,5"])
-def test_inject_rejects_a_missing_row(mixed_dump, pk):
-    with pytest.raises(SystemExit):
-        run_cli(
-            "inject", "--state", str(mixed_dump), "--table", "mixed",
-            "--pk", pk, "--column", "v", "--value", "1",
-        )
+def test_inject_rejects_a_missing_row(mixed_dump, pk, capsys):
+    assert run_cli(
+        "inject", "--state", str(mixed_dump), "--table", "mixed",
+        "--pk", pk, "--column", "v", "--value", "1",
+    ) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_inject_matches_a_decimal_key_at_the_column_scale(mixed_dump, capsys):
     args = ("inject", "--state", str(mixed_dump), "--table", "mixed", "--column", "v",
             "--value", "7")
-    with pytest.raises(SystemExit):
-        run_cli(*args, "--pk", "1,5,2.505")
+    assert run_cli(*args, "--pk", "1,5,2.505") == 2
     assert run_cli(*args, "--pk", "1,5,2.5") == 0
     capsys.readouterr()
     (row,) = Database.load_dump(mixed_dump.read_bytes()).table("mixed").rows.values()
     assert row[3] == 7
+
+
+@pytest.mark.parametrize(
+    "pk, column, value, message",
+    [
+        ("abc,5,2.50", "v", "1", "column k: 'abc' is not a number"),
+        ("1,5,2.50", "v", "1.5", "column v: '1.5' is not an INT"),
+        ("1,5,2.50", "x", "NaN", "column x: 'NaN' is not a number"),
+    ],
+)
+def test_inject_rejects_a_bad_literal(mixed_dump, capsys, pk, column, value, message):
+    before = mixed_dump.read_bytes()
+    argv = ("inject", "--state", str(mixed_dump), "--table", "mixed", "--pk", pk,
+            "--column", column, "--value", value)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert mixed_dump.read_bytes() == before
 
 
 # ---- graph ----
@@ -341,6 +357,38 @@ def test_run_rejects_a_mistyped_fault_tick(
     argv = ("run", "--config", config_file, "--schedule", schedule_file, "--faults", str(faults))
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"error: fault: {message}\n"
+
+
+BAD_FAULTS = [
+    ({"kind": "corrupt_row", "org": "O1", "table": "acct", "pk": ["abc"], "column": "bal",
+      "value": 1}, "corrupt_row: column id: 'abc' is not a number"),
+    ({"kind": "corrupt_row", "org": "O1", "table": "acct", "pk": [1], "column": "id",
+      "value": 1.5}, "corrupt_row: column id: 1.5 is not an INT"),
+    ({"kind": "corrupt_row", "org": "O1", "table": "acct", "pk": [1], "column": "bal",
+      "value": "Infinity"}, "corrupt_row: column bal: 'Infinity' is not a number"),
+    ({"kind": "corrupt_row", "org": "O1", "table": "nope", "pk": [1], "column": "bal",
+      "value": 1}, "corrupt_row: unknown table nope"),
+    ({"kind": "corrupt_row", "org": "O9", "table": "acct", "pk": [1], "column": "bal",
+      "value": 1}, "fault corrupt_row: org 'O9' is not an organization"),
+    ({"kind": "kill_org", "org": "O9"}, "fault kill_org: org 'O9' is not an organization"),
+    ({"kind": "drop_votes", "responder": "O9"},
+     "fault drop_votes: responder 'O9' is not an organization"),
+    ({"kind": "corrupt_snapshot", "org": "O1", "table": "nope", "pk": [1], "column": "bal",
+      "value": 1}, "corrupt_snapshot: unknown table nope"),
+    ({"kind": "corrupt_snapshot", "org": "O1", "table": "acct", "pk": [1, 1], "column": "bal",
+      "value": 1}, "corrupt_snapshot: table acct has a 1-column key"),
+]
+
+
+@pytest.mark.parametrize("fault, message", BAD_FAULTS)
+def test_run_rejects_a_fault_with_a_bad_target(tmp_path, schedule_file, capsys, fault, message):
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps({**CONFIG, "checkpoint_interval": 1}))
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps([{"at_tick": 3, **fault}]))
+    argv = ("run", "--config", str(config), "--schedule", schedule_file, "--faults", str(faults))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_schedule_rejects_a_non_integer_tick(config_file, tmp_path):

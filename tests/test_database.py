@@ -4,9 +4,11 @@ import hashlib
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from effectledger.engine.database import Database
-from effectledger.engine.types import QuirkConfig
+from effectledger.engine.types import INT64_MAX, INT64_MIN, QuirkConfig, row_key
 
 from conftest import run_sql
 
@@ -264,3 +266,58 @@ def test_wide_scale_decimals_hash_alike_staged_or_direct():
     worker.join()
     assert [r.success for r in results] == [True] * len(sqls)
     assert direct.state_hash() == staged.state_hash()
+
+
+# ---- keys and dumps of TEXT holding the codec's special bytes ----
+
+
+def test_text_keys_that_differ_only_in_where_a_separator_falls_are_distinct(db):
+    run_sql(db, "CREATE TABLE pair (a TEXT, b TEXT, PRIMARY KEY (a, b));")
+    assert run_sql(db, "INSERT INTO pair VALUES ('x\x1fy', 'z');").success
+    result = run_sql(db, "INSERT INTO pair VALUES ('x', 'y\x1fz');")
+    assert result.success, result.error
+    assert sorted(db.table("pair").rows.values()) == [("x", "y\x1fz"), ("x\x1fy", "z")]
+
+
+def sql_text(value: str) -> str:
+    return "'" + value.replace("'", "''") + "'"
+
+
+@pytest.mark.parametrize("text", ["", "== x", "#schema x", "a\nb"])
+def test_dump_round_trips_text_that_looks_like_dump_syntax(db, text):
+    run_sql(db, "CREATE TABLE notes (s TEXT, PRIMARY KEY (s));")
+    assert run_sql(db, f"INSERT INTO notes VALUES ({sql_text(text)});").success
+    dump = db.dump_all()
+    clone = Database.load_dump(dump)
+    assert clone.table("notes").rows == db.table("notes").rows
+    assert clone.dump_all() == dump
+
+
+TEXTS = st.text() | st.sampled_from(["x\x1fy", "z", "x", "y\x1fz", "", "== x", "'"])
+KEYS = st.tuples(
+    st.integers(INT64_MIN, INT64_MAX),
+    TEXTS,
+    TEXTS,
+    st.decimals(min_value=-(10**6), max_value=10**6, places=2),
+)
+
+
+@given(st.lists(KEYS, min_size=1, max_size=5, unique=True))
+@example([(1, "x\x1fy", "z", Decimal("2.50")), (1, "x", "y\x1fz", Decimal("2.50"))])
+def test_row_key_and_the_sql_point_probe_name_the_same_row(keys):
+    """row_key on a stored row's key literals, given as text, and an UPDATE
+    whose WHERE pins every key column to a literal change the same row."""
+    db = Database()
+    run_sql(db, "CREATE TABLE keyed (k INT, s TEXT, t TEXT, d DECIMAL(10, 2), v INT, "
+                "PRIMARY KEY (k, s, t, d));")
+    for k, s, t, d in keys:
+        result = run_sql(db, f"INSERT INTO keyed VALUES ({k}, {sql_text(s)}, {sql_text(t)}, {d}, 0);")
+        assert result.success, result.error
+    table = db.table("keyed")
+    for k, s, t, d in keys:
+        d_literal = format(d.normalize(), "f")  # 2.5 for a stored 2.50
+        key = row_key(table.schema, table.rows, [str(k), s, t, d_literal])
+        before = dict(table.rows)
+        where = f"k = {k} AND s = {sql_text(s)} AND t = {sql_text(t)} AND d = {d_literal}"
+        assert run_sql(db, f"UPDATE keyed SET v = v + 1 WHERE {where};").outputs == [1]
+        assert [pk for pk, row in table.rows.items() if row != before[pk]] == [key]

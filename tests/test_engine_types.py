@@ -3,8 +3,13 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
+from effectledger.engine.database import Database, Table
 from effectledger.engine.types import (
+    INT64_MAX,
+    INT64_MIN,
     Column,
     ColumnType,
     DecimalRounding,
@@ -15,12 +20,14 @@ from effectledger.engine.types import (
     canonical_value_bytes,
     coerce_value,
     decode_literal,
+    decode_values,
     encode_row,
+    encode_values,
     ordering_key,
     pk_bytes,
     row_key,
 )
-from effectledger.errors import BindError, ConstraintViolation
+from effectledger.errors import BindError, ConstraintViolation, SchemaMismatch
 
 INT_COL = Column("n", ColumnType.INT)
 TEXT_COL = Column("t", ColumnType.TEXT)
@@ -121,6 +128,16 @@ def test_decode_literal_takes_json_numbers_and_text(column, raw, value):
     assert decoded == value and type(decoded) is type(value)
 
 
+@pytest.mark.parametrize(
+    "column, raw",
+    [(INT_COL, "abc"), (INT_COL, "1.5"), (INT_COL, 1.5), (INT_COL, True), (INT_COL, "2e19"),
+     (MONEY, "abc"), (MONEY, "NaN"), (MONEY, "Infinity"), (MONEY, float("inf")), (MONEY, [1])],
+)
+def test_decode_literal_rejects_what_is_no_value_of_the_column(column, raw):
+    with pytest.raises(BindError):
+        decode_literal(column, raw)
+
+
 def test_row_key_finds_stored_rows_only():
     schema = TableSchema("t", (INT_COL, TEXT_COL, MONEY), ("n", "t"))
     row = (3, "a", Decimal("1.00"))
@@ -142,3 +159,65 @@ def test_row_key_matches_decimal_keys_at_the_column_scale():
     for missing in ("2.505", 2.505, "2.51", "25", "1E+40"):
         with pytest.raises(BindError):
             row_key(schema, rows, (missing,))
+
+
+# ---- the value codec: injective and round-tripping ----
+
+# a composite key of two adjacent TEXT columns, where an unescaped separator
+# would let ("x\x1fy", "z") and ("x", "y\x1fz") collide
+PAIR = TableSchema("pair", (Column("s", ColumnType.TEXT), TEXT_COL, INT_COL, MONEY), ("s", "t", "n"))
+ONE_TEXT = TableSchema("one", (Column("s", ColumnType.TEXT),), ("s",))
+DUMP_SYNTAX = ["", "== x", "#schema x", "\n", "\x1f", "%", "%25", "%1F", "a\nb", "x\x1fy"]
+TEXTS = st.text() | st.sampled_from(DUMP_SYNTAX)
+MONEYS = st.decimals(min_value=-(10**8), max_value=10**8, places=2).map(
+    lambda d: coerce_value(MONEY, d, DEFAULTS)
+)
+PAIR_ROWS = st.tuples(TEXTS, TEXTS, st.integers(INT64_MIN, INT64_MAX), MONEYS)
+COLLIDING = (("x\x1fy", "z", 1, Decimal("0.00")), ("x", "y\x1fz", 1, Decimal("0.00")))
+
+
+@given(PAIR_ROWS, PAIR_ROWS)
+@example(*COLLIDING)
+@example(("a\n", "b", 0, Decimal("1.00")), ("a", "\nb", 0, Decimal("1.00")))
+def test_distinct_rows_encode_distinctly(a, b):
+    assume(a != b)
+    assert encode_row(PAIR, a) != encode_row(PAIR, b)
+
+
+@given(PAIR_ROWS, PAIR_ROWS)
+@example(*COLLIDING)
+@example(("%1F", "", 0, Decimal("0.00")), ("\x1f", "", 0, Decimal("0.00")))
+def test_distinct_keys_give_distinct_pk_bytes(a, b):
+    assume(a[:3] != b[:3])
+    assert pk_bytes(PAIR, a) != pk_bytes(PAIR, b)
+
+
+@given(PAIR_ROWS)
+@example(("== x", "#schema x", -5, Decimal("0.00")))
+def test_decoding_an_encoded_list_gives_it_back(row):
+    decoded = decode_values(PAIR.columns, encode_values(PAIR.columns, row))
+    assert decoded == row and list(map(type, decoded)) == list(map(type, row))
+
+
+def test_text_escapes_only_the_five_bytes():
+    assert canonical_value_bytes(TEXT_COL, "%\x1f\n=#é\r\x00") == b"%25%1F%0A%3D%23\xc3\xa9\r\x00"
+
+
+@pytest.mark.parametrize("data", [b"a" + UNIT_SEP + b"b", b"a\x1fb\x1fx\x1f1.00", b"a\x1fb\x1f1\x1fNaN?"])
+def test_decode_values_rejects_what_encode_values_never_writes(data):
+    with pytest.raises(SchemaMismatch):
+        decode_values(PAIR.columns, data)
+
+
+@given(st.lists(PAIR_ROWS, max_size=4), st.lists(TEXTS, max_size=4))
+@example([], [""])
+@example([COLLIDING[0]], DUMP_SYNTAX)
+def test_dump_load_dump_is_the_identity(pair_rows, texts):
+    db = Database()
+    for schema, rows in ((PAIR, pair_rows), (ONE_TEXT, [(t,) for t in texts])):
+        db.tables[schema.name] = Table(schema)
+        db.tables[schema.name].rows.update((pk_bytes(schema, row), row) for row in rows)
+    dump = db.dump_all()
+    clone = Database.load_dump(dump)
+    assert clone.dump_all() == dump
+    assert {n: t.rows for n, t in clone.tables.items()} == {n: t.rows for n, t in db.tables.items()}

@@ -1,10 +1,13 @@
 """Deterministic multi-org simulation: ordering, faults, and the report."""
 
+import gc
 import json
+import random
 from decimal import Decimal
 
 import pytest
 
+from effectledger import keys
 from effectledger import ledger as ledger_module
 from effectledger import org as org_module
 from effectledger.agreement import ChainedTransaction, Rejected, make_proposal
@@ -35,6 +38,7 @@ from effectledger.network import (
     SimulationReport,
     load_fault_script,
 )
+from effectledger.smallbank import bootstrap_transactions, build_schedule
 
 DDL = "CREATE TABLE acct (id INT, bal DECIMAL(12, 2), PRIMARY KEY (id));"
 SEED = "INSERT INTO acct (id, bal) VALUES (1, 100), (2, 200), (3, 300);"
@@ -314,6 +318,19 @@ def test_kill_org_halts_it_but_not_survivors():
     assert net.node("O1").height >= 4
 
 
+def test_a_killed_organization_leaves_no_unread_verdicts():
+    """Its buffered blocks' signature checks are dropped with it, so the
+    worker's queue neither keeps nor counts them."""
+    gc.collect()  # Verdicts of earlier tests' collected networks leave the queue
+    net = make_net(orgs=[OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", engine_delay=3)],
+                   blocksize=64, block_timeout=4)
+    schedule = build_schedule(bootstrap_transactions(200, random.Random(0)))
+    net.run(schedule, faults=[{"at_tick": 6, "kind": "kill_org", "org": "O3"}])
+    assert [net.node(org).height for org in ("O1", "O2", "O3")] == [1, 1, 0]
+    worker = keys.signature_worker()
+    assert (len(worker._open), worker._jobs_left()) == (0, 0)
+
+
 def test_equivocation_excludes_victim():
     net = make_net()
     fault = {"at_tick": 1, "kind": "equivocate_orderer", "org": "O2", "block_id": 2}
@@ -444,6 +461,61 @@ def test_corrupt_row_matches_a_decimal_key_at_the_column_scale(d, found):
     net.apply_fault(fault)
     (row,) = net.node("O1").db.table("mixed").rows.values()
     assert row[3] == 7
+
+
+def mixed_net_with_checkpoint():
+    net = make_net(checkpoint_interval=1)
+    second = MIXED_ROW.replace("(1, '5', 2.50, 0, 'z', 0)", "(2, '5', 2.50, 0, 'z', 0)")
+    net.run([(0, "alice", MIXED_DDL), (0, "alice", MIXED_ROW), (1, "alice", second)])
+    return net
+
+
+def test_corrupt_snapshot_overwrites_the_named_row_of_the_newest_checkpoint():
+    net = mixed_net_with_checkpoint()
+    net.apply_fault(FaultEvent(at_tick=0, kind="corrupt_snapshot", org="O1", table="mixed",
+                               pk=(2, "5", "2.5"), column="v", value="7"))
+    rows = net.node("O1").checkpoints.snapshots[-1].tables["mixed"].rows
+    assert [row[:4] for row in rows] == [(1, "5", Decimal("2.50"), 0), (2, "5", Decimal("2.50"), 7)]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"table": "nope"}, "corrupt_snapshot: unknown table nope"),
+        ({"pk": (1, "5", "2.50", 1)}, "corrupt_snapshot: table mixed has a 3-column key"),
+        ({"pk": ("x", "5", "2.50")}, "corrupt_snapshot: column k: 'x' is not a number"),
+        ({"value": 1.5}, "corrupt_snapshot: column v: 1.5 is not an INT"),
+    ],
+)
+def test_corrupt_snapshot_rejects_a_bad_target(fields, message):
+    net = mixed_net_with_checkpoint()
+    before = net.node("O1").checkpoints.snapshots[-1].tables["mixed"]
+    fault = {"at_tick": 0, "kind": "corrupt_snapshot", "org": "O1", "table": "mixed",
+             "pk": (1, "5", "2.50"), "column": "v", "value": 7, **fields}
+    with pytest.raises(ConfigError) as caught:
+        net.apply_fault(FaultEvent(**fault))
+    assert str(caught.value) == message
+    assert net.node("O1").checkpoints.snapshots[-1].tables["mixed"] == before
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"kind": "kill_org", "org": "O9"}, "fault kill_org: org 'O9' is not an organization"),
+        ({"kind": "kill_org"}, "fault kill_org: org None is not an organization"),
+        (corrupt_fault(3, org="O9"), "fault corrupt_row: org 'O9' is not an organization"),
+        ({"kind": "drop_votes", "requester": "O9"},
+         "fault drop_votes: requester 'O9' is not an organization"),
+        ({"kind": "tamper_vote", "org": "O1", "responder": "O4"},
+         "fault tamper_vote: responder 'O4' is not an organization"),
+    ],
+)
+def test_run_refuses_a_fault_on_an_unknown_organization_before_tick_0(fault, message):
+    net = make_net()
+    with pytest.raises(ConfigError) as caught:
+        net.run(basic_schedule(), faults=[{"at_tick": 3, **fault}])
+    assert str(caught.value) == message
+    assert net.report.events() == [] and net.node("O1").height == 0
 
 
 # ---- agreement wiring ----
