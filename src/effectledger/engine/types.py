@@ -261,15 +261,18 @@ def pk_bytes(schema: TableSchema, row: tuple) -> bytes:
 def decode_literal(column: Column, raw):
     """A column value given from outside as a JSON number or string, or as
     command-line text.  Numbers go through str, so 7, 7.5 and "-1" all work.
-    BindError for a number column given a non-number, or an INT column a
-    fraction or a value outside its range."""
+    BindError for any other value (null, a boolean, a list or an object), a
+    number column given a non-number, or an INT column a fraction or a value
+    outside its range."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float, decimal.Decimal)):
+        raise BindError(f"column {column.name}: {raw!r} is not a number or a string")
     if column.type is ColumnType.TEXT:
         return str(raw)
     try:
         value = decimal.Decimal(str(raw))
     except decimal.InvalidOperation:
         value = decimal.Decimal("NaN")
-    if isinstance(raw, bool) or not value.is_finite():
+    if not value.is_finite():
         raise BindError(f"column {column.name}: {raw!r} is not a number")
     if column.type is ColumnType.DECIMAL:
         return value

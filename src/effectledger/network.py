@@ -3,17 +3,21 @@
 Everything runs in one process on a logical tick clock: clients submit
 proposals on schedule, an untrusted FIFO orderer cuts blocks at blocksize or
 timeout, and each organization steps a small state machine per tick
-(execute -> seek consensus -> commit / recover).  Execution latency is modeled
+(execute -> seek consensus -> commit / recover).  Its state is derived from
+the few facts _OrgRuntime stores; a kill and an exclusion after failed
+recovery are one way out (Network._retire).  Execution latency is modeled
 by an engine delay in ticks; a "slow" organization simply finishes blocks
 later, which is what produces the catch-up and halting timelines.
 
 A vote reaches waiting peers when it is published, not at their next poll.  It
 is published when its execution finishes and, for a recovering organization,
-when the recovery window ends.  The publisher then makes its own consensus
-attempt first, and each other live organization waiting on consensus makes one
-attempt in the same tick, fetching and verifying every vote itself.  Waiting
-organizations also poll once per tick, which is how a vote dropped by a fault
-rule is fetched after the rule expires.
+when the recovery window ends (a recovered organization committed at the
+window's start).  The publisher decides first, so it has committed before a
+peer can pick it as a recovery state source; then each other live
+organization waiting on consensus makes one attempt in the same tick,
+fetching and verifying every vote itself.  Waiting organizations also poll
+once per tick, which is how a vote dropped by a fault rule is fetched after
+the rule expires.
 
 Signatures are verified outside the tick clock.  When the orderer cuts a
 block, each live organization's receive_action queues its copy's client and
@@ -30,14 +34,15 @@ and identical ledger bytes.  The only randomness anywhere is the workload
 generator's seeded RNG, outside this module.
 
 Faults are scripted, never emergent: rows or snapshots corrupted at a tick,
-organizations killed, the orderer equivocating one block to one victim, and
-vote traffic dropped or tampered between pairs of organizations.
+organizations stopped for good, the orderer equivocating one block to one
+victim, and vote traffic dropped or tampered between pairs of organizations.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from enum import Enum
 
 from . import agreement as agmt
 from . import keys
@@ -106,16 +111,6 @@ class SimulationReport:
         for org in sorted(self.summary):
             out.append(f"# summary: org={org} committed={self.summary[org]}")
         return "\n".join(out) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "SimulationReport":
-        report = cls()
-        for line in text.splitlines():
-            if not line or line.startswith("#"):
-                continue
-            tick, org, event, block = line.split("\t")
-            report.emit(int(tick), org, event, int(block))
-        return report
 
 
 # ---- configuration ----
@@ -240,10 +235,30 @@ class NetworkConfig:
 
 # ---- fault script ----
 
+class FaultKind(str, Enum):
+    CORRUPT_ROW = "corrupt_row"
+    CORRUPT_SNAPSHOT = "corrupt_snapshot"
+    KILL_ORG = "kill_org"
+    EQUIVOCATE_ORDERER = "equivocate_orderer"
+    DROP_VOTES = "drop_votes"
+    TAMPER_VOTE = "tamper_vote"
+
+
+# the fields each kind of fault needs (Network.check_fault)
+_FAULT_FIELDS = {
+    FaultKind.CORRUPT_ROW: ("org", "table", "column", "value"),
+    FaultKind.CORRUPT_SNAPSHOT: ("org", "table", "column", "value"),
+    FaultKind.KILL_ORG: ("org",),
+    FaultKind.EQUIVOCATE_ORDERER: ("org", "block_id"),
+    FaultKind.DROP_VOTES: (),
+    FaultKind.TAMPER_VOTE: (),
+}
+
+
 @dataclass
 class FaultEvent:
     at_tick: int
-    kind: str  # corrupt_row | corrupt_snapshot | kill_org | equivocate_orderer | drop_votes | tamper_vote
+    kind: str  # a FaultKind value; Network.check_fault checks it
     org: str | None = None
     table: str | None = None
     pk: tuple = ()
@@ -313,12 +328,6 @@ class Orderer:
             actions.append(self._cut())
         return actions
 
-    def flush(self) -> list[Action]:
-        actions = []
-        while self.queue:
-            actions.append(self._cut())
-        return actions
-
     @property
     def empty(self) -> bool:
         return not self.queue
@@ -326,23 +335,24 @@ class Orderer:
 
 # ---- per-org runtime wrapper ----
 
-_IDLE, _EXECUTING, _CONSENSUS = "idle", "executing", "consensus"
-
-
 @dataclass
 class _OrgRuntime:
+    """The facts of one organization's lifecycle that cannot be derived:
+    the block it is executing, or its open recovery window as (failing
+    block, recovered), either of which ends at busy_until; and whether it is
+    live, not yet retired by a kill or an exclusion.  It waits on consensus
+    while it has a pending round and no recovery window is open."""
+
     node: OrgNode
     config: OrgConfig
-    phase: str = _IDLE
     busy_until: int = 0
-    staged_action: Action | None = None
-    recovering_block: int | None = None
-    deferred: list = field(default_factory=list)  # (tick, event, block, then_exclude)
-    killed: bool = False
+    executing: Action | None = None
+    recovery: tuple[int, bool] | None = None
+    live: bool = True
 
     @property
-    def live(self) -> bool:
-        return not self.killed and not self.node.excluded
+    def waiting(self) -> bool:
+        return self.node.pending is not None and self.recovery is None
 
 
 class Network:
@@ -431,11 +441,11 @@ class Network:
     def fetch_vote(self, requester: str):
         def fetch(responder: str, block_id: int):
             rt = self.runtimes.get(responder)
-            if rt is None or rt.killed or rt.node.excluded:
+            if rt is None or not rt.live:
                 return None
-            if rt.recovering_block is not None and block_id >= rt.recovering_block:
+            if rt.recovery is not None and block_id >= rt.recovery[0]:
                 return None  # recovering: not ready for this block yet
-            if rt.phase == _EXECUTING and block_id >= rt.node.next_round:
+            if rt.executing is not None and block_id >= rt.node.next_round:
                 return None  # still executing: vote not published
             for rule in self._drop_rules:
                 if self._rule_active(rule, requester, responder, block_id):
@@ -451,36 +461,50 @@ class Network:
 
         return fetch
 
-    def fetch_state(self, requester: str):
-        def fetch(responder: str, block_id: int):
-            rt = self.runtimes.get(responder)
-            if rt is None or not rt.live:
-                return None
-            node = rt.node
-            if node.height == block_id and node.pending is None:
-                return node.db.snapshot_all(), node.ledger.block(block_id)
-            # a checkpoint taken exactly at the requested block also works; it
-            # is the only source while an executed round holds uncommitted effects
-            if node.height >= block_id and node.checkpoints is not None:
-                for cp in node.checkpoints.newest_first():
-                    if cp.block_id == block_id:
-                        return dict(cp.tables), node.ledger.block(block_id)
+    def fetch_state(self, responder: str, block_id: int):
+        """responder's state and ledger block at block_id, or None."""
+        rt = self.runtimes.get(responder)
+        if rt is None or not rt.live:
             return None
-
-        return fetch
+        node = rt.node
+        if node.height == block_id and node.pending is None:
+            return node.db.snapshot_all(), node.ledger.block(block_id)
+        # a checkpoint taken exactly at the requested block also works; it
+        # is the only source while an executed round holds uncommitted effects
+        if node.height >= block_id and node.checkpoints is not None:
+            for cp in node.checkpoints.newest_first():
+                if cp.block_id == block_id:
+                    return dict(cp.tables), node.ledger.block(block_id)
+        return None
 
     # ---- fault application ----
 
+    def check_fault(self, event: FaultEvent) -> FaultKind:
+        """event's kind, once event has the fields the kind needs and names
+        organizations of this network; ConfigError naming the kind and the
+        field otherwise.  A corrupt_* target is checked when applied."""
+        try:
+            kind = FaultKind(event.kind)
+        except ValueError:
+            raise ConfigError(f"unknown fault kind {event.kind!r}") from None
+        needed = _FAULT_FIELDS[kind]
+        for role in ("org", "requester", "responder"):
+            name = getattr(event, role)
+            if name not in self.runtimes and not (name is None and role not in needed):
+                raise ConfigError(f"fault {kind.value}: {role} {name!r} is not an organization")
+        for name in needed:
+            if getattr(event, name) is None:
+                raise ConfigError(f"fault {kind.value}: missing {name}")
+        return kind
+
     def apply_fault(self, event: FaultEvent):
-        if event.kind == "kill_org":
-            rt = self.runtimes[event.org]
-            rt.killed = True
-            rt.node.verifying.clear()  # its unread verdicts leave the worker's queue
-            self.report.emit(self.tick, event.org, KILL)
-        elif event.kind == "corrupt_row":
+        kind = self.check_fault(event)
+        if kind is FaultKind.KILL_ORG:
+            self._retire(self.runtimes[event.org], KILL)
+        elif kind is FaultKind.CORRUPT_ROW:
             self._overwrite(event, self.node(event.org).db)
             self.report.emit(self.tick, event.org, CORRUPT)
-        elif event.kind == "corrupt_snapshot":
+        elif kind is FaultKind.CORRUPT_SNAPSHOT:
             manager = self.node(event.org).checkpoints
             if not manager or not manager.snapshots:
                 raise ConfigError("corrupt_snapshot: no checkpoint to corrupt")
@@ -490,14 +514,20 @@ class Network:
             self._overwrite(event, copy)
             checkpoint.tables[event.table] = copy.table(event.table).snapshot()
             self.report.emit(self.tick, event.org, CORRUPT_SNAPSHOT, checkpoint.block_id)
-        elif event.kind == "equivocate_orderer":
+        elif kind is FaultKind.EQUIVOCATE_ORDERER:
             self._equivocations[(event.org, event.block_id)] = event
-        elif event.kind == "drop_votes":
+        elif kind is FaultKind.DROP_VOTES:
             self._drop_rules.append(event)
-        elif event.kind == "tamper_vote":
+        elif kind is FaultKind.TAMPER_VOTE:
             self._tamper_rules.append(event)
-        else:
-            raise ConfigError(f"unknown fault kind {event.kind!r}")
+
+    def _retire(self, rt: _OrgRuntime, event: str, block: int = 0):
+        """Kill (KILL) or exclude (EXCLUDED) rt for good: it no longer steps,
+        votes or receives blocks, and its unread verdicts leave the signature
+        worker's queue."""
+        rt.live = False
+        rt.node.verifying.clear()
+        self.report.emit(self.tick, rt.node.org_id, event, block)
 
     @staticmethod
     def _overwrite(event: FaultEvent, db: Database):
@@ -538,59 +568,51 @@ class Network:
     # ---- per-org state machine ----
 
     def _step_org(self, rt: _OrgRuntime):
-        """One tick of one organization: deferred events, then end of a
-        recovery window, end of an execution, a consensus poll, and the start
-        of the next execution, as far as the organization is free to go.
-
-        A vote becomes visible to peers when its execution finishes and, for
-        a recovering organization, when its recovery window ends.  At either
-        point the publisher decides first, so it has committed before a peer
-        can pick it as a recovery state source; then every waiting peer makes
-        one consensus attempt in the same tick (_wake_waiting_peers).  A
-        recovered publisher committed during recovery, at its window's start.
+        """One tick of one organization: the end of a recovery window or of
+        an execution, or a consensus poll, then the start of the next
+        execution, as far as the organization is free to go.  Where a vote
+        is published, waiting peers attempt consensus (_wake_waiting_peers).
         """
         tick = self.tick
-        if rt.killed:
-            return
-        while rt.deferred and rt.deferred[0][0] <= tick:
-            _, event, block, then_exclude = rt.deferred.pop(0)
-            self.report.emit(tick, rt.node.org_id, event, block)
-            if then_exclude:
-                rt.node.excluded = True
         if not rt.live or tick < rt.busy_until:
             return
-        if rt.recovering_block is not None:
-            rt.recovering_block = None
+        org_id = rt.node.org_id
+        if rt.recovery is not None:
+            (block, recovered), rt.recovery = rt.recovery, None
+            if not recovered:
+                self.report.emit(tick, org_id, RECOVER_FAIL, block)
+                self._retire(rt, EXCLUDED, block)
+                return
+            self.report.emit(tick, org_id, RECOVER_DONE, block)
+            self.report.emit(tick, org_id, COMMIT, block)
             self._wake_waiting_peers(rt)
-
-        if rt.phase == _EXECUTING:
-            self._finish_execution(rt)
-        elif rt.phase == _CONSENSUS:
+        elif rt.executing is not None:
+            action, rt.executing = rt.executing, None
+            self._finish_execution(rt, action)
+        elif rt.waiting:
             self._attempt_consensus(rt)
         self._start_next_execution(rt)
 
     def _start_next_execution(self, rt: _OrgRuntime):
-        """Start executing the next buffered block if rt is idle and free."""
-        if rt.phase != _IDLE or self.tick < rt.busy_until:
+        """Start executing the next buffered block if rt is past its busy
+        time and not waiting on consensus."""
+        if self.tick < rt.busy_until:
             return
         action = rt.node.executable_action()
         if action is None:
             return
         self.report.emit(self.tick, rt.node.org_id, EXEC_START, action.round_id)
-        rt.staged_action = action
         if rt.config.engine_delay > 0:
-            rt.phase = _EXECUTING
+            rt.executing = action
             rt.busy_until = self.tick + rt.config.engine_delay
             return
-        self._finish_execution(rt)
+        self._finish_execution(rt, action)
 
-    def _finish_execution(self, rt: _OrgRuntime):
-        action, rt.staged_action = rt.staged_action, None
+    def _finish_execution(self, rt: _OrgRuntime, action: Action):
         rt.node.execute_action(action)
         self.report.emit(self.tick, rt.node.org_id, EXEC_DONE, action.round_id)
-        rt.phase = _CONSENSUS
         self._attempt_consensus(rt)
-        if rt.recovering_block is None:  # recovery hides the vote until its window ends
+        if rt.recovery is None:  # recovery hides the vote until its window ends
             self._wake_waiting_peers(rt)
 
     def _wake_waiting_peers(self, publisher: _OrgRuntime):
@@ -599,12 +621,7 @@ class Network:
         order, fetching and verifying the votes itself.  One that commits
         starts its next buffered block at once, as it would in its own step."""
         for rt in self.runtimes.values():
-            if (
-                rt is not publisher
-                and rt.live
-                and rt.phase == _CONSENSUS
-                and self.tick >= rt.busy_until
-            ):
+            if rt is not publisher and rt.live and rt.waiting and self.tick >= rt.busy_until:
                 self._attempt_consensus(rt)
                 self._start_next_execution(rt)
 
@@ -614,35 +631,26 @@ class Network:
         transcript = node.complete_round(self.peers_of(org_id), self.fetch_vote(org_id))
         if transcript.status is ConsensusStatus.COMMITTED:
             self.report.emit(self.tick, org_id, COMMIT, transcript.block_id)
-            rt.phase = _IDLE
         elif transcript.status is ConsensusStatus.NON_CONSENTING:
             self.report.emit(self.tick, org_id, NONCONSENT, transcript.block_id)
             self._run_recovery(rt, transcript.block_id)
         # NO_CONSENSUS: keep polling on later ticks
 
     def _run_recovery(self, rt: _OrgRuntime, failing_block: int):
+        """Recover rt now; _step_org reports the outcome when its window ends."""
         node = rt.node
         org_id = node.org_id
         self.report.emit(self.tick, org_id, RECOVER_START, failing_block)
-        rt.recovering_block = failing_block
         report = recover(
             node,
             self.peers_of(org_id),
             self.fetch_vote(org_id),
             strategy=self.config.recovery_strategy,
-            fetch_state=self.fetch_state(org_id),
+            fetch_state=self.fetch_state,
         )
         cost = max(1, report.blocks_replayed_total) * max(1, rt.config.engine_delay)
-        done_tick = self.tick + cost
-        rt.busy_until = done_tick
-        rt.phase = _IDLE
-        if report.recovered:
-            rt.deferred.append((done_tick, RECOVER_DONE, failing_block, False))
-            rt.deferred.append((done_tick, COMMIT, failing_block, False))
-        else:
-            node.excluded = False  # re-flag when the deferred event fires
-            rt.deferred.append((done_tick, RECOVER_FAIL, failing_block, False))
-            rt.deferred.append((done_tick, EXCLUDED, failing_block, True))
+        rt.busy_until = self.tick + cost
+        rt.recovery = (failing_block, report.recovered)
 
     # ---- main loop ----
 
@@ -650,21 +658,17 @@ class Network:
         """Drive the network to quiescence or the tick budget.
 
         schedule: iterable of (tick, client, sql), pre-sorted or not.
-        faults: FaultEvents or dicts.
+        faults: FaultEvents or dicts.  Ticks count from 0 in every run.
         """
         pending_submissions = sorted(
             ((int(t), c, s) for t, c, s in schedule), key=lambda e: e[0]
         )
         fault_events = sorted(load_fault_script(list(faults)), key=lambda e: e.at_tick)
-        for event in fault_events:  # refuse faults on unknown organizations before tick 0
-            for role in ("org", "requester", "responder"):
-                name = getattr(event, role)
-                optional = role != "org" or event.kind in ("drop_votes", "tamper_vote")
-                if name not in self.runtimes and not (name is None and optional):
-                    raise ConfigError(f"fault {event.kind}: {role} {name!r} is not an organization")
+        for event in fault_events:  # refuse a malformed fault before tick 0
+            self.check_fault(event)
+        self._restart_clock()
         sub_i = 0
         fault_i = 0
-        self.tick = 0
         while self.tick <= max_ticks:
             while fault_i < len(fault_events) and fault_events[fault_i].at_tick <= self.tick:
                 self.apply_fault(fault_events[fault_i])
@@ -688,24 +692,23 @@ class Network:
                 fh.write(self.report.to_text())
         return self.report
 
-    def throughput(self, org_id: str, ramp_ticks: int = 0) -> float:
-        """Successful transactions per tick for blocks committed after ramp."""
-        node = self.node(org_id)
-        commits = [(b, t) for b, t in self.report.commits(org_id) if t >= ramp_ticks]
-        if not commits:
-            return 0.0
-        successful = sum(sum(node.ledger.block(b).successful) for b, _ in commits)
-        span = max(1, commits[-1][1] - ramp_ticks + 1)
-        return successful / span
+    def _restart_clock(self):
+        """Tick 0 for a new run: shift the ticks that state kept from the
+        previous run holds by the tick that run stopped at."""
+        shift, self.tick = self.tick, 0
+        for rt in self.runtimes.values():
+            rt.busy_until -= shift
+        self.orderer.queue = [(tick - shift, ct) for tick, ct in self.orderer.queue]
+        for rules in (self._drop_rules, self._tamper_rules):
+            rules[:] = [
+                replace(r, at_tick=r.at_tick - shift,
+                        until_tick=None if r.until_tick is None else r.until_tick - shift)
+                for r in rules
+            ]
 
     def _quiescent(self, submissions_done: bool, faults_done: bool) -> bool:
-        if not (submissions_done and faults_done and self.orderer.empty):
-            return False
-        for rt in self.runtimes.values():
-            if not rt.live:
-                continue
-            if rt.deferred or rt.phase != _IDLE or rt.node.pending is not None:
-                return False
-            if rt.node.executable_action() is not None:
-                return False
-        return True
+        return submissions_done and faults_done and self.orderer.empty and all(
+            rt.recovery is None and rt.executing is None and rt.node.pending is None
+            and rt.node.executable_action() is None
+            for rt in self.runtimes.values() if rt.live
+        )

@@ -90,7 +90,6 @@ class OrgNode:
         self.verifying: dict[int, tuple[Action, keys.Verdicts]] = {}
         self.pending: PendingRound | None = None
         self.last_transcript: cns.ConsensusTranscript | None = None
-        self.excluded = False
         self.checkpoints = None  # attached by recovery.CheckpointManager
 
     # ---- identity / bookkeeping ----

@@ -10,8 +10,11 @@ own ledger up to the failing block, re-execute the failing action, and re-run
 consensus for just that block.  A replayed block whose recomputed hash differs
 from the committed one (read from the chain, not rehashed) is evidence the
 snapshot itself is bad, so the walk falls back to the next older checkpoint.
-When no checkpoint works the entire history is replayed from empty state; when
-even that cannot reach consent the organization is excluded.
+When no checkpoint works the entire history is replayed from empty state.
+
+recover only reports whether the organization reached consent again
+(RecoveryReport.recovered).  Excluding an organization that did not is the
+caller's decision: the simulator's driver takes it out of the network.
 
 The alternative strategy of copying a consenting peer's state adopts that
 state on faith (its first verification happens in the next round), which is
@@ -108,11 +111,6 @@ class RecoveryReport:
     iterations: list[RecoveryIteration] = field(default_factory=list)
 
     @property
-    def excluded(self) -> bool:
-        """An organization that does not recover is excluded."""
-        return not self.recovered
-
-    @property
     def blocks_replayed_total(self) -> int:
         return sum(it.blocks_replayed for it in self.iterations)
 
@@ -124,11 +122,11 @@ def recover(
     strategy: RecoveryStrategy | None = RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY,
     fetch_state=None,
 ) -> RecoveryReport:
-    """Bring a non-consenting organization back, or exclude it.
+    """Try to bring a non-consenting organization back to consent.
 
     Expects node.pending to hold the failing round.  With strategy None the
-    organization has neither actions nor state to rebuild from and is excluded
-    immediately.
+    organization has neither actions nor state to rebuild from, and the
+    report says it did not recover without trying.
     """
     if node.pending is None:
         raise HistoryUnavailable(f"{node.org_id}: nothing pending to recover")
@@ -146,9 +144,6 @@ def recover(
                 if node.checkpoints is not None:
                     node.checkpoints.mark_all_changed(node)
                 break
-
-    if report.excluded:
-        node.excluded = True
     return report
 
 

@@ -131,7 +131,8 @@ def test_decode_literal_takes_json_numbers_and_text(column, raw, value):
 @pytest.mark.parametrize(
     "column, raw",
     [(INT_COL, "abc"), (INT_COL, "1.5"), (INT_COL, 1.5), (INT_COL, True), (INT_COL, "2e19"),
-     (MONEY, "abc"), (MONEY, "NaN"), (MONEY, "Infinity"), (MONEY, float("inf")), (MONEY, [1])],
+     (MONEY, "abc"), (MONEY, "NaN"), (MONEY, "Infinity"), (MONEY, float("inf")), (MONEY, [1]),
+     (TEXT_COL, None), (TEXT_COL, True), (TEXT_COL, [1]), (TEXT_COL, {"a": "x"})],
 )
 def test_decode_literal_rejects_what_is_no_value_of_the_column(column, raw):
     with pytest.raises(BindError):

