@@ -112,6 +112,16 @@ class SimulationReport:
             out.append(f"# summary: org={org} committed={self.summary[org]}")
         return "\n".join(out) + "\n"
 
+    @classmethod
+    def parse(cls, text: str) -> "SimulationReport":
+        report = cls()
+        for line in text.splitlines():
+            if not line or line.startswith("#"):
+                continue
+            tick, org, event, block = line.split("\t")
+            report.emit(int(tick), org, event, int(block))
+        return report
+
 
 # ---- configuration ----
 
@@ -236,23 +246,19 @@ class NetworkConfig:
 # ---- fault script ----
 
 class FaultKind(str, Enum):
-    CORRUPT_ROW = "corrupt_row"
-    CORRUPT_SNAPSHOT = "corrupt_snapshot"
-    KILL_ORG = "kill_org"
-    EQUIVOCATE_ORDERER = "equivocate_orderer"
-    DROP_VOTES = "drop_votes"
-    TAMPER_VOTE = "tamper_vote"
+    """A fault's kind, and the fields it needs (Network.check_fault)."""
 
+    def __new__(cls, value: str, *needs: str):
+        kind = str.__new__(cls, value)
+        kind._value_, kind.needs = value, needs
+        return kind
 
-# the fields each kind of fault needs (Network.check_fault)
-_FAULT_FIELDS = {
-    FaultKind.CORRUPT_ROW: ("org", "table", "column", "value"),
-    FaultKind.CORRUPT_SNAPSHOT: ("org", "table", "column", "value"),
-    FaultKind.KILL_ORG: ("org",),
-    FaultKind.EQUIVOCATE_ORDERER: ("org", "block_id"),
-    FaultKind.DROP_VOTES: (),
-    FaultKind.TAMPER_VOTE: (),
-}
+    CORRUPT_ROW = "corrupt_row", "org", "table", "column", "value"
+    CORRUPT_SNAPSHOT = "corrupt_snapshot", "org", "table", "column", "value"
+    KILL_ORG = "kill_org", "org"
+    EQUIVOCATE_ORDERER = "equivocate_orderer", "org", "block_id"
+    DROP_VOTES = ("drop_votes",)
+    TAMPER_VOTE = ("tamper_vote",)
 
 
 @dataclass
@@ -328,6 +334,12 @@ class Orderer:
             actions.append(self._cut())
         return actions
 
+    def flush(self) -> list[Action]:
+        actions = []
+        while self.queue:
+            actions.append(self._cut())
+        return actions
+
     @property
     def empty(self) -> bool:
         return not self.queue
@@ -368,7 +380,6 @@ class Network:
             table: agmt.AgreementPolicy(table, tuple(orgs))
             for table, orgs in config.agreement_policies.items()
         }
-        agreement_policies = self.agreement_policies
         self.runtimes: dict[str, _OrgRuntime] = {}
         for org_cfg in config.orgs:
             private_key = keys.derive_private_key(f"{config.seed}:org:{org_cfg.org_id}")
@@ -385,7 +396,7 @@ class Network:
                 policy=policy,
                 registry=self.registry,
                 private_key=private_key,
-                agreement_policies=agreement_policies,
+                agreement_policies=self.agreement_policies,
                 predicates=predicates,
                 ledger_path=ledger_path,
                 durable=config.durable,
@@ -396,7 +407,7 @@ class Network:
         self._client_keys: dict[str, object] = {}
         self._drop_rules: list[FaultEvent] = []
         self._tamper_rules: list[FaultEvent] = []
-        self._equivocations: dict[tuple[str, int], FaultEvent] = {}
+        self._equivocations: set[tuple[str, int]] = set()  # (victim, block id)
         self.tick = 0
 
     # ---- keys ----
@@ -487,18 +498,18 @@ class Network:
             kind = FaultKind(event.kind)
         except ValueError:
             raise ConfigError(f"unknown fault kind {event.kind!r}") from None
-        needed = _FAULT_FIELDS[kind]
         for role in ("org", "requester", "responder"):
             name = getattr(event, role)
-            if name not in self.runtimes and not (name is None and role not in needed):
+            if name not in self.runtimes and not (name is None and role not in kind.needs):
                 raise ConfigError(f"fault {kind.value}: {role} {name!r} is not an organization")
-        for name in needed:
+        for name in kind.needs:
             if getattr(event, name) is None:
                 raise ConfigError(f"fault {kind.value}: missing {name}")
         return kind
 
-    def apply_fault(self, event: FaultEvent):
-        kind = self.check_fault(event)
+    def apply_fault(self, event: FaultEvent, kind: FaultKind | None = None):
+        """Apply event now; kind, when given, is check_fault's answer for it."""
+        kind = kind or self.check_fault(event)
         if kind is FaultKind.KILL_ORG:
             self._retire(self.runtimes[event.org], KILL)
         elif kind is FaultKind.CORRUPT_ROW:
@@ -515,11 +526,11 @@ class Network:
             checkpoint.tables[event.table] = copy.table(event.table).snapshot()
             self.report.emit(self.tick, event.org, CORRUPT_SNAPSHOT, checkpoint.block_id)
         elif kind is FaultKind.EQUIVOCATE_ORDERER:
-            self._equivocations[(event.org, event.block_id)] = event
+            self._equivocations.add((event.org, event.block_id))
         elif kind is FaultKind.DROP_VOTES:
-            self._drop_rules.append(event)
+            self._drop_rules.append(replace(event))  # a copy: _restart_clock shifts it
         elif kind is FaultKind.TAMPER_VOTE:
-            self._tamper_rules.append(event)
+            self._tamper_rules.append(replace(event))
 
     def _retire(self, rt: _OrgRuntime, event: str, block: int = 0):
         """Kill (KILL) or exclude (EXCLUDED) rt for good: it no longer steps,
@@ -542,12 +553,11 @@ class Network:
     def submit(self, client: str, sql: str):
         """Chainify one proposal: gather agreements, then hand to the orderer."""
         proposal = agmt.make_proposal(client, sql, self.client_key(client))
-        policies = self.agreement_policies
         evaluators = {
             org: (rt.node.evaluate_agreement if rt.live else None)
             for org, rt in self.runtimes.items()
         }
-        result = agmt.collect_agreements(proposal, policies, evaluators)
+        result = agmt.collect_agreements(proposal, self.agreement_policies, evaluators)
         if isinstance(result, agmt.Rejected):
             self.report.emit(self.tick, result.dissenting[0], REJECT)
             return result
@@ -558,8 +568,7 @@ class Network:
         self.report.emit(self.tick, "orderer", CUT, action.round_id)
         for org_id, rt in self.runtimes.items():
             delivered = action
-            fault = self._equivocations.get((org_id, action.round_id))
-            if fault is not None:
+            if (org_id, action.round_id) in self._equivocations:
                 delivered = Action(action.round_id, action.transactions[:-1])
                 self.report.emit(self.tick, org_id, EQUIVOCATE, action.round_id)
             if rt.live:
@@ -626,9 +635,8 @@ class Network:
                 self._start_next_execution(rt)
 
     def _attempt_consensus(self, rt: _OrgRuntime):
-        node = rt.node
-        org_id = node.org_id
-        transcript = node.complete_round(self.peers_of(org_id), self.fetch_vote(org_id))
+        org_id = rt.node.org_id
+        transcript = rt.node.complete_round(self.peers_of(org_id), self.fetch_vote(org_id))
         if transcript.status is ConsensusStatus.COMMITTED:
             self.report.emit(self.tick, org_id, COMMIT, transcript.block_id)
         elif transcript.status is ConsensusStatus.NON_CONSENTING:
@@ -638,11 +646,10 @@ class Network:
 
     def _run_recovery(self, rt: _OrgRuntime, failing_block: int):
         """Recover rt now; _step_org reports the outcome when its window ends."""
-        node = rt.node
-        org_id = node.org_id
+        org_id = rt.node.org_id
         self.report.emit(self.tick, org_id, RECOVER_START, failing_block)
         report = recover(
-            node,
+            rt.node,
             self.peers_of(org_id),
             self.fetch_vote(org_id),
             strategy=self.config.recovery_strategy,
@@ -664,14 +671,13 @@ class Network:
             ((int(t), c, s) for t, c, s in schedule), key=lambda e: e[0]
         )
         fault_events = sorted(load_fault_script(list(faults)), key=lambda e: e.at_tick)
-        for event in fault_events:  # refuse a malformed fault before tick 0
-            self.check_fault(event)
+        kinds = [self.check_fault(e) for e in fault_events]  # refused before tick 0
         self._restart_clock()
         sub_i = 0
         fault_i = 0
         while self.tick <= max_ticks:
             while fault_i < len(fault_events) and fault_events[fault_i].at_tick <= self.tick:
-                self.apply_fault(fault_events[fault_i])
+                self.apply_fault(fault_events[fault_i], kinds[fault_i])
                 fault_i += 1
             while sub_i < len(pending_submissions) and pending_submissions[sub_i][0] <= self.tick:
                 _, client, sql = pending_submissions[sub_i]
@@ -681,9 +687,10 @@ class Network:
                 self._broadcast(action)
             for rt in self.runtimes.values():
                 self._step_org(rt)
-            if self._quiescent(sub_i == len(pending_submissions), fault_i == len(fault_events)):
+            quiet = self._quiescent(sub_i == len(pending_submissions), fault_i == len(fault_events))
+            self.tick += 1  # after the loop: one past the last tick stepped
+            if quiet:
                 break
-            self.tick += 1
 
         for org_id, rt in self.runtimes.items():
             self.report.summary[org_id] = rt.node.height
@@ -694,17 +701,14 @@ class Network:
 
     def _restart_clock(self):
         """Tick 0 for a new run: shift the ticks that state kept from the
-        previous run holds by the tick that run stopped at."""
+        previous run holds by one past the last tick that run stepped."""
         shift, self.tick = self.tick, 0
         for rt in self.runtimes.values():
             rt.busy_until -= shift
         self.orderer.queue = [(tick - shift, ct) for tick, ct in self.orderer.queue]
-        for rules in (self._drop_rules, self._tamper_rules):
-            rules[:] = [
-                replace(r, at_tick=r.at_tick - shift,
-                        until_tick=None if r.until_tick is None else r.until_tick - shift)
-                for r in rules
-            ]
+        for rule in self._drop_rules + self._tamper_rules:
+            rule.at_tick -= shift
+            rule.until_tick = None if rule.until_tick is None else rule.until_tick - shift
 
     def _quiescent(self, submissions_done: bool, faults_done: bool) -> bool:
         return submissions_done and faults_done and self.orderer.empty and all(

@@ -201,21 +201,17 @@ def _recover_from_peer(node: OrgNode, peers, fetch_state, report: RecoveryReport
             continue
         snapshots, block = fetched
         if not isinstance(block, LedgerBlock) or block.block_id != failing_id:
-            report.iterations.append(
-                RecoveryIteration(f"peer:{peer}", 0, False, "peer sent wrong block")
-            )
+            refused = "peer sent wrong block"
+        elif quorum_hash is not None and block_hash(block) != quorum_hash:
+            refused = "peer hash not the quorum hash"
+        elif block.hash_previous != node.ledger.head_hash():
+            refused = "peer block does not extend local chain"
+        else:
+            refused = None
+        if refused is not None:
+            report.iterations.append(RecoveryIteration(f"peer:{peer}", 0, False, refused))
             continue
         peer_hash = block_hash(block)
-        if quorum_hash is not None and peer_hash != quorum_hash:
-            report.iterations.append(
-                RecoveryIteration(f"peer:{peer}", 0, False, "peer hash not the quorum hash")
-            )
-            continue
-        if block.hash_previous != node.ledger.head_hash():
-            report.iterations.append(
-                RecoveryIteration(f"peer:{peer}", 0, False, "peer block does not extend local chain")
-            )
-            continue
         # adopt on faith; the next round's consensus is the verification
         node.db.restore_all(snapshots)
         node.abandon_pending()

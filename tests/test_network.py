@@ -37,6 +37,7 @@ from effectledger.network import (
     NetworkConfig,
     Orderer,
     OrgConfig,
+    SimulationReport,
     load_fault_script,
 )
 from effectledger.recovery import RecoveryStrategy
@@ -98,9 +99,8 @@ def test_report_header_and_round_trip():
     lines = report.to_text().splitlines()
     assert lines[0] == REPORT_HEADER
     assert lines[1] == REPORT_COLUMNS
-    assert lines[2:2 + len(report.lines)] == [
-        f"{l.tick}\t{l.org}\t{l.event}\t{l.block}" for l in report.lines
-    ]
+    parsed = SimulationReport.parse(report.to_text())
+    assert parsed.lines == report.lines
 
 
 def test_out_dir_artifacts(tmp_path):
@@ -259,6 +259,15 @@ def test_orderer_cuts_on_timeout():
     (action,) = orderer.tick(6)
     assert action.round_id == 1 and len(action.transactions) == 1
     assert orderer.empty
+
+
+def test_orderer_flush_drains_partial_block():
+    orderer = Orderer(blocksize=100, block_timeout=100)
+    orderer.submit(ct(0), tick=0)
+    orderer.submit(ct(1), tick=0)
+    (action,) = orderer.flush()
+    assert action.round_id == 1 and len(action.transactions) == 2
+    assert orderer.empty and orderer.flush() == []
 
 
 # ---- faults ----
@@ -730,3 +739,16 @@ def test_a_vote_rule_that_expired_in_the_first_run_stays_expired():
     bump = "UPDATE acct SET bal = bal + 1 WHERE id = 1;"
     net.run([(0, "bob", bump), (0, "bob", bump)])
     assert report.commits("O1") == [(1, 3), (2, 0)]
+
+
+def test_a_vote_rule_that_ends_one_past_a_quiet_run_stays_expired():
+    """The first run is quiet after stepping tick 0, so a rule that ends at
+    tick 1 is over; the second run's tick 0 comes after it, as it would
+    after a run stopped by its tick budget."""
+    net = make_net()
+    gag = {"at_tick": 0, "kind": "drop_votes", "requester": "O1", "block_from": 2, "until_tick": 1}
+    report = net.run([(0, "alice", DDL), (0, "alice", SEED)], faults=[gag])
+    assert report.commits("O1") == [(1, 0)]
+    bump = "UPDATE acct SET bal = bal + 1 WHERE id = 1;"
+    net.run([(0, "bob", bump), (0, "bob", bump)])
+    assert report.commits("O1") == [(1, 0), (2, 0)]
