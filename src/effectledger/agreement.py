@@ -20,7 +20,9 @@ Each party parses a transaction's SQL once, into a ParsedTransaction: the
 client to find the required organizations (only when policies exist), each
 endorser to evaluate its predicates, and each executing organization in
 finish_verification, after every signature has checked out.  The
-executor's value then feeds the scheduler's analysis and the engine.
+executor's value then feeds the scheduler's analysis and the engine.  An
+organization parses through its own plan cache (engine.parser.PlanCache),
+and so does each client of a Network.
 """
 
 from __future__ import annotations
@@ -33,7 +35,16 @@ from decimal import Decimal
 from typing import Union
 
 from . import keys
-from .engine.parser import CreateTable, Delete, Insert, Select, Statement, Update, parse_script
+from .engine.parser import (
+    CreateTable,
+    Delete,
+    Insert,
+    PlanCache,
+    Select,
+    Statement,
+    Update,
+    parse_script,
+)
 from .errors import ConfigError, ParseError
 
 
@@ -161,9 +172,14 @@ class ParsedTransaction:
         return fields
 
 
-def parse_transaction(sql: str) -> ParsedTransaction:
+def parse_transaction(sql: str, plans: PlanCache | None = None) -> ParsedTransaction:
+    """Parse sql, through a party's plan cache when plans is given.
+
+    A cache miss parses with this module's parse_script.
+    """
     try:
-        return ParsedTransaction(tuple(parse_script(sql)))
+        statements = parse_script(sql) if plans is None else plans.parse(sql, parse_script)
+        return ParsedTransaction(tuple(statements))
     except ParseError as exc:
         return ParsedTransaction(error=str(exc))
 
@@ -333,14 +349,18 @@ def collect_agreements(
     proposal: TransactionProposal,
     policies: dict[str, AgreementPolicy],
     evaluators: dict[str, object],
+    plans: PlanCache | None = None,
 ) -> Union[ChainedTransaction, Rejected]:
     """Gather signed agreements from every required organization.
 
     evaluators maps org id to a callable(proposal) -> Agreement | None; None
     models an unreachable organization and refuses conservatively.  Without
-    policies no organization is required, and the SQL is not parsed.
+    policies no organization is required, and the SQL is not parsed; with
+    them, the client parses it through plans, its own plan cache, when given.
     """
-    needed = required_orgs(parse_transaction(proposal.sql), policies) if policies else ()
+    needed = (
+        required_orgs(parse_transaction(proposal.sql, plans), policies) if policies else ()
+    )
     agreements = []
     dissenting = []
     reasons = []
@@ -389,17 +409,21 @@ def signature_jobs(
 
 
 def finish_verification(
-    ct: ChainedTransaction, signatures_ok: bool, policies: dict[str, AgreementPolicy]
+    ct: ChainedTransaction,
+    signatures_ok: bool,
+    policies: dict[str, AgreementPolicy],
+    plans: PlanCache | None = None,
 ) -> ParsedTransaction | None:
     """Second half: parse, then check that every required organization agreed.
 
     signatures_ok is the verdict on the first half's jobs.  When it is false
-    the SQL is not parsed, so a forged transaction costs no parse.  Without
-    policies no organization is required.
+    the SQL is not parsed, so a forged transaction costs no parse.  The
+    parse goes through plans, the executing organization's plan cache, when
+    given.  Without policies no organization is required.
     """
     if not signatures_ok:
         return None
-    parsed = parse_transaction(ct.proposal.sql)
+    parsed = parse_transaction(ct.proposal.sql, plans)
     if policies:
         agreed = {agreement.org for agreement in ct.agreements}
         for org in required_orgs(parsed, policies):

@@ -6,6 +6,11 @@ conjunctions of comparisons between one column and literals (=, <, >, <=, >=,
 BETWEEN).  SET expressions allow +/- arithmetic over columns and literals,
 which is how read-modify-write transactions are expressed.  No joins, no
 aggregation, no ORDER BY, no NULL.
+
+PlanCache is one party's plan cache, an organization's or a client's: it
+parses statement texts that differ from a learned shape only in their
+literals by binding the literals, without running the parser (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import decimal
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from ..errors import ParseError
 from .types import Column, ColumnType, TableSchema
@@ -42,6 +47,12 @@ _KEYWORDS = {
 }
 
 Literal = Union[int, str, decimal.Decimal]
+
+
+def _unquote(text: str) -> str:
+    """The value of a string literal token: quotes off, doubled quotes single."""
+    quote = text[0]
+    return text[1:-1].replace(quote * 2, quote)
 
 
 class Token(NamedTuple):
@@ -183,8 +194,7 @@ class _Parser:
         if tok.kind == "string":
             if negative:
                 raise ParseError(f"cannot negate string at offset {tok.pos}")
-            quote = tok.text[0]
-            return tok.text[1:-1].replace(quote * 2, quote)
+            return _unquote(tok.text)
         raise ParseError(f"expected literal, got {tok.text!r} at offset {tok.pos}")
 
     # ---- statements ----
@@ -373,3 +383,181 @@ def parse_script(sql: str) -> list[Statement]:
     if tok is not None:
         raise ParseError(f"trailing input {tok.text!r} at offset {tok.pos}")
     return statements
+
+
+# ---- the plan cache ----
+
+# Splits a statement text into slots, one per literal token, each after the
+# run of text before it: identifiers (with their digits), keywords,
+# operators, signs and whitespace.  The literal patterns are tokenize's, and a
+# run stops only where tokenize would start a literal, so two texts whose
+# runs, tail and slot kinds are equal tokenize alike except for literal
+# texts.  re.split yields _STRIDE items per slot: the text skipped before the
+# run, the run, the string with its opening quote (' or ") in the next two
+# items, the decimal with its point, and the int; the tail after the last
+# slot comes last.  Text is skipped only at a quote that starts no string,
+# where tokenize fails, so a shape learned from a parse skips nothing.
+_SLOT_RE = re.compile(
+    r"""
+    ( (?: [^'"\dA-Za-z_]+ | [A-Za-z_][A-Za-z0-9_]*+ )*+ )
+    (?:
+      ( (')(?:[^']|'')*' | (")(?:[^"]|"")*" )
+    | ( \d+(\.)\d+ )
+    | ( \d+ )
+    )
+    """,
+    re.VERBOSE,
+)
+_STRIDE = 8
+_STRING, _DECIMAL, _INT = 2, 5, 7  # offsets of a slot's literal text
+
+# Learning stops at PLAN_LIMIT shapes, since clients choose the SQL text.  A
+# text longer than PLAN_TEXT_LIMIT is parsed without a lookup, which bounds
+# the size of a shape and spares bulk loads the split: each of their row
+# counts would be a shape of its own.
+PLAN_LIMIT = 64
+PLAN_TEXT_LIMIT = 1024
+
+_BINDER_NAMES = {
+    "Insert": Insert,
+    "Update": Update,
+    "Delete": Delete,
+    "Select": Select,
+    "ValueExpr": ValueExpr,
+    "Condition": Condition,
+    "Decimal": decimal.Decimal,
+    "_unquote": _unquote,
+}
+
+Binder = Callable[[list], list]
+
+
+class PlanCache:
+    """One party's plan cache: statement shapes it has parsed, each with a
+    binder that rebuilds the parse from a text's literals.
+
+    A shape is a text's split with the literal texts left out: the runs, the
+    tail and each slot's kind.  parse(sql, parse) returns what parse_script
+    returns.  On a hit the binder converts the slot texts as the parser does
+    (int, exact Decimal, unquoted string) into statements built by code
+    generated once for the shape.  On a miss, `parse` parses the text, so its
+    errors and their offsets are the parser's, and the cache learns the shape
+    from that parse, unless it is DDL or an INSERT of several rows.  A shape
+    is kept only if binding the text's own literals gives a parse whose repr
+    equals the parser's: repr, unlike ==, tells Decimal('1.5') from
+    Decimal('1.50') and 5 from Decimal(5).  Parties never share one.
+    """
+
+    def __init__(self):
+        self._binders: dict[tuple, Binder] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._binders)
+
+    def parse(self, sql: str, parse: Callable[[str], list[Statement]]) -> list[Statement]:
+        if len(sql) > PLAN_TEXT_LIMIT:
+            self.misses += 1
+            return parse(sql)
+        parts = _SLOT_RE.split(sql)
+        shape = tuple(parts[::_STRIDE] + parts[1::_STRIDE] + parts[3::_STRIDE]
+                      + parts[4::_STRIDE] + parts[6::_STRIDE])
+        binder = self._binders.get(shape)
+        if binder is not None:
+            self.hits += 1
+            return binder(parts)
+        self.misses += 1
+        statements = parse(sql)
+        if len(self._binders) < PLAN_LIMIT:
+            binder = _learn(parts, statements)
+            if binder is not None:
+                self._binders[shape] = binder
+        return statements
+
+
+class _NotAPlan(Exception):
+    """The parse cannot teach a binder for its shape."""
+
+
+def _learn(parts: list, statements: list[Statement]) -> Binder | None:
+    """A binder for the shape of the split parts, from the text's parse, or
+    None when the text cannot teach one."""
+    source = _BinderSource(parts)
+    try:
+        body = "".join(f"{source.statement(stmt)}, " for stmt in statements)
+        if next(source.slots, None) is not None:
+            return None
+    except _NotAPlan:
+        return None
+    binder = eval(f"lambda p: [{body}]", source.names)
+    return binder if repr(binder(parts)) == repr(statements) else None
+
+
+class _BinderSource:
+    """Python source that rebuilds a parse from split parts p.
+
+    The parser reads literals in text order and puts each into the tree
+    once, so the n-th literal of a pre-order walk is slot n.  A slot is
+    negated when its parsed value is; an int slot that parsed to 0 after a
+    '-' leaves the sign unknown, and the text teaches nothing.  Terms that
+    hold no literal are built once and shared: they are frozen.
+    """
+
+    def __init__(self, parts: list):
+        self.parts = parts
+        self.slots = iter(range(0, len(parts) - 1, _STRIDE))
+        self.names = dict(_BINDER_NAMES)
+
+    def const(self, value) -> str:
+        name = f"_k{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def slot(self, value) -> str:
+        parts, at = self.parts, next(self.slots, None)
+        if at is None:
+            raise _NotAPlan
+        if parts[at + _STRING] is not None and isinstance(value, str):
+            return f"_unquote(p[{at + _STRING}])"
+        if parts[at + _DECIMAL] is not None and isinstance(value, decimal.Decimal):
+            text = f"Decimal(p[{at + _DECIMAL}])"
+            return f"{text}.copy_negate()" if value.is_signed() else text
+        if parts[at + _INT] is not None and type(value) is int:
+            if value == 0 and parts[at + 1].rstrip().endswith("-"):
+                raise _NotAPlan
+            return f"-int(p[{at + _INT}])" if value < 0 else f"int(p[{at + _INT}])"
+        raise _NotAPlan
+
+    def statement(self, stmt: Statement) -> str:
+        if isinstance(stmt, Insert):
+            if len(stmt.rows) != 1:
+                raise _NotAPlan
+            row = "".join(f"{self.slot(value)}, " for value in stmt.rows[0])
+            return f"Insert({stmt.table!r}, {stmt.columns!r}, (({row}),))"
+        if isinstance(stmt, Update):
+            sets = "".join(
+                f"({column!r}, {self.expr(expr)}), " for column, expr in stmt.assignments
+            )
+            return f"Update({stmt.table!r}, ({sets}), {self.where(stmt.where)})"
+        if isinstance(stmt, Delete):
+            return f"Delete({stmt.table!r}, {self.where(stmt.where)})"
+        if isinstance(stmt, Select):
+            return f"Select({stmt.table!r}, {stmt.columns!r}, {self.where(stmt.where)})"
+        raise _NotAPlan  # DDL
+
+    def expr(self, expr: ValueExpr) -> str:
+        terms = "".join(
+            f"{self.const(term)}, " if isinstance(term[1], ColumnRef)
+            else f"({term[0]}, {self.slot(term[1])}), "
+            for term in expr.terms
+        )
+        return f"ValueExpr(({terms}))"
+
+    def where(self, where: tuple[Condition, ...]) -> str:
+        conditions = "".join(
+            f"Condition({c.column!r}, {c.op!r}, {self.slot(c.value)}, "
+            f"{self.slot(c.high) if c.op == 'between' else None}), "
+            for c in where
+        )
+        return f"({conditions})"

@@ -252,7 +252,11 @@ class SignatureWorker:
     soon as it is queued.  A reader that would wait verifies jobs from the
     front of the queue itself (see _advance), so every job is verified
     exactly once, in one of the two processes, and this process reaches the
-    jobs it verified soon after the worker's.
+    jobs it verified soon after the worker's.  The rule's premise stops
+    holding on bank-steady once parses hit the organizations' plan caches:
+    with one signature per transaction (no agreements), executing a verdict
+    then costs this process less than a signature, so the worker, which
+    verifies almost every job, becomes the slower side.
 
     The worker is forked.  The spawn and forkserver methods run the main
     module again in the child, which fails in a script without a __main__

@@ -48,6 +48,7 @@ from . import agreement as agmt
 from . import keys
 from .consensus import ConsensusPolicy, ConsensusStatus
 from .engine.database import Database
+from .engine.parser import PlanCache
 from .engine.types import QuirkConfig
 from .errors import BindError, ConfigError
 from .org import Action, OrgNode
@@ -210,15 +211,18 @@ class NetworkConfig:
         for org in self.predicates:
             if org not in org_ids:
                 raise ConfigError(f"predicates: unknown organization {org!r}")
+        # accept the strategy's name; recover compares enum identity
+        if self.recovery_strategy is not None:
+            try:
+                self.recovery_strategy = RecoveryStrategy(self.recovery_strategy)
+            except ValueError:
+                raise ConfigError(
+                    f"unknown recovery_strategy {self.recovery_strategy!r}; choose from "
+                    f"{', '.join(_STRATEGY_NAMES)} or null"
+                ) from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NetworkConfig":
-        strategy = raw.get("recovery_strategy", "optimized_partial_replay")
-        if strategy is not None and strategy not in _STRATEGY_NAMES:
-            raise ConfigError(
-                f"unknown recovery_strategy {strategy!r}; choose from "
-                f"{', '.join(_STRATEGY_NAMES)} or null"
-            )
         policies = _field(raw, "agreement_policies", dict, "config", {})
         predicates = _field(raw, "predicates", dict, "config", {})
         return cls(
@@ -228,7 +232,7 @@ class NetworkConfig:
             block_timeout=_field(raw, "block_timeout", int, "config", 4),
             checkpoint_interval=_field(raw, "checkpoint_interval", int, "config", 3),
             checkpoint_capacity=_field(raw, "checkpoint_capacity", int, "config", 3),
-            recovery_strategy=None if strategy is None else RecoveryStrategy(strategy),
+            recovery_strategy=raw.get("recovery_strategy", "optimized_partial_replay"),
             agreement_policies={
                 table: _field(policies, table, list, "agreement_policies") for table in policies
             },
@@ -334,12 +338,6 @@ class Orderer:
             actions.append(self._cut())
         return actions
 
-    def flush(self) -> list[Action]:
-        actions = []
-        while self.queue:
-            actions.append(self._cut())
-        return actions
-
     @property
     def empty(self) -> bool:
         return not self.queue
@@ -405,6 +403,7 @@ class Network:
             self.registry.register(org_cfg.org_id, private_key)
             self.runtimes[org_cfg.org_id] = _OrgRuntime(node, org_cfg)
         self._client_keys: dict[str, object] = {}
+        self._client_plans: dict[str, PlanCache] = {}
         self._drop_rules: list[FaultEvent] = []
         self._tamper_rules: list[FaultEvent] = []
         self._equivocations: set[tuple[str, int]] = set()  # (victim, block id)
@@ -416,6 +415,7 @@ class Network:
         if client not in self._client_keys:
             key = keys.derive_private_key(f"{self.config.seed}:client:{client}")
             self._client_keys[client] = key
+            self._client_plans[client] = PlanCache()
             self.registry.register(client, key)
         return self._client_keys[client]
 
@@ -557,7 +557,9 @@ class Network:
             org: (rt.node.evaluate_agreement if rt.live else None)
             for org, rt in self.runtimes.items()
         }
-        result = agmt.collect_agreements(proposal, self.agreement_policies, evaluators)
+        result = agmt.collect_agreements(
+            proposal, self.agreement_policies, evaluators, self._client_plans[client]
+        )
         if isinstance(result, agmt.Rejected):
             self.report.emit(self.tick, result.dissenting[0], REJECT)
             return result

@@ -8,6 +8,12 @@ organizations report the same hash and it matches the local one; otherwise
 the round stays pending until consensus arrives late (peers catching up) or
 recovery rebuilds the state.
 
+"Parse" means a lookup in the organization's own plan cache (self.plans), as
+a DBMS keeps prepared statements; endorsement, execution and replay all go
+through it.  A transaction whose text differs from a shape seen before only
+in its literals is bound from that shape; only a new shape runs the parser.
+The cache is never shared, since each organization stands for its own DBMS.
+
 Signatures are verified through keys.signature_worker; the checks that need
 no signature stay here.  receive_action queues a block's signatures as soon as
 the block arrives, and the worker process verifies those it is sent while this
@@ -33,6 +39,7 @@ from . import agreement as agmt
 from . import consensus as cns
 from . import keys
 from .engine.database import Database
+from .engine.parser import PlanCache
 from .engine.types import QuirkConfig
 from .errors import DuplicateRound, EngineFailure, OutOfOrderAction
 from .ledger import (
@@ -91,6 +98,7 @@ class OrgNode:
         self.pending: PendingRound | None = None
         self.last_transcript: cns.ConsensusTranscript | None = None
         self.checkpoints = None  # attached by recovery.CheckpointManager
+        self.plans = PlanCache()
 
     # ---- identity / bookkeeping ----
 
@@ -113,7 +121,7 @@ class OrgNode:
             proposal.client, proposal.signature, proposal.signed_payload()
         )
         if verdict:
-            parsed = agmt.parse_transaction(proposal.sql)
+            parsed = agmt.parse_transaction(proposal.sql, self.plans)
             fields = parsed.fields(self.catalog())
             for table in parsed.dml_tables:
                 predicate = self.predicates.get(table)
@@ -150,8 +158,9 @@ class OrgNode:
     def execute_action(self, action: Action) -> bytes:
         """Apply one action to the engine and vote on the resulting block hash.
 
-        Each transaction is parsed once, by finish_verification after its
-        signatures check out; analysis and execution read that parse.
+        Each transaction is parsed once, through the plan cache, by
+        finish_verification after its signatures check out; analysis and
+        execution read that parse.
         Deterministic in (quirks, committed state, action).  Raises
         OutOfOrderAction/DuplicateRound when the action does not extend the
         committed chain, EngineFailure when the engine is gone and
@@ -177,7 +186,9 @@ class OrgNode:
         names_before = set(self.db.tables)
         access_sets: list[TxnAccessSet] = []
         for i, (ct, signatures_ok) in enumerate(zip(action.transactions, verdicts)):
-            parsed = agmt.finish_verification(ct, signatures_ok, self.agreement_policies)
+            parsed = agmt.finish_verification(
+                ct, signatures_ok, self.agreement_policies, self.plans
+            )
             if parsed is None:
                 access_sets.append(TxnAccessSet(i, parse_error="agreement verification failed"))
             else:
@@ -260,7 +271,7 @@ class OrgNode:
         """
         catalog = self.catalog()
         access_sets = [
-            analyze_transaction(i, rec.sql, catalog)
+            analyze_transaction(i, agmt.parse_transaction(rec.sql, self.plans), catalog)
             if ok
             else TxnAccessSet(i, parse_error="failed when committed")
             for i, (rec, ok) in enumerate(zip(block.transactions, block.successful))

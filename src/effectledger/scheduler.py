@@ -154,12 +154,13 @@ def analyze_transaction(
 ) -> TxnAccessSet:
     """Extract one transaction's accesses from its parsed statements.
 
-    An organization passes the ParsedTransaction it verified, so the SQL is
-    not parsed again.  SQL text, as replay reads it back from the ledger, is
-    parsed here once.  Unparseable SQL yields parse_error set and no
-    accesses; the transaction is pre-marked failed and never joins the
-    graph.  Analysis never consults quirk settings, so organizations build
-    the same graph from the same block and catalog.
+    An organization passes the ParsedTransaction it verified, or in replay
+    the one its plan cache gives, so the SQL is not parsed again.  SQL text,
+    as `effectledger graph` reads it from a file, is parsed here once.
+    Unparseable SQL yields parse_error set and no accesses; the transaction
+    is pre-marked failed and never joins the graph.  Analysis never consults
+    quirk settings, so organizations build the same graph from the same
+    block and catalog.
     """
     if isinstance(txn, str):
         try:

@@ -261,15 +261,6 @@ def test_orderer_cuts_on_timeout():
     assert orderer.empty
 
 
-def test_orderer_flush_drains_partial_block():
-    orderer = Orderer(blocksize=100, block_timeout=100)
-    orderer.submit(ct(0), tick=0)
-    orderer.submit(ct(1), tick=0)
-    (action,) = orderer.flush()
-    assert action.round_id == 1 and len(action.transactions) == 2
-    assert orderer.empty and orderer.flush() == []
-
-
 # ---- faults ----
 
 
@@ -685,6 +676,22 @@ def test_config_names_the_recovery_strategies_on_an_unknown_one():
         assert strategy in str(caught.value)
         assert NetworkConfig.from_dict({**raw, "recovery_strategy": strategy})
     assert NetworkConfig.from_dict({**raw, "recovery_strategy": None}).recovery_strategy is None
+
+
+@pytest.mark.parametrize("strategy", list(RecoveryStrategy))
+def test_config_selects_a_recovery_strategy_by_name(strategy):
+    """recover compares the strategy by identity, so a name must become the
+    enum member when the config is built directly, not only from JSON."""
+    config = NetworkConfig(orgs=[OrgConfig("O1")], min_matching=1, recovery_strategy=strategy.value)
+    assert config.recovery_strategy is strategy
+    assert NetworkConfig(
+        orgs=[OrgConfig("O1")], min_matching=1, recovery_strategy=strategy
+    ).recovery_strategy is strategy
+
+
+def test_config_refuses_an_unknown_recovery_strategy_name():
+    with pytest.raises(ConfigError, match="unknown recovery_strategy 'bogus'; choose from"):
+        NetworkConfig(orgs=[OrgConfig("O1")], min_matching=1, recovery_strategy="bogus")
 
 
 THREE_ORGS = {"organizations": [{"id": "O1"}, {"id": "O2"}, {"id": "O3"}], "min_matching": 2}

@@ -1,5 +1,6 @@
-"""Each organization parses a transaction once, and only after its signatures
-check out; the outcome bits are those of verify-then-analyze."""
+"""Each organization parses a transaction once, through its plan cache, and
+only after its signatures check out; the outcome bits are those of
+verify-then-analyze."""
 
 import pytest
 
@@ -13,7 +14,8 @@ from effectledger.agreement import (
     collect_agreements,
     make_proposal,
 )
-from effectledger.engine import database
+from effectledger.engine import database, parser
+from effectledger.engine.parser import PlanCache
 
 from conftest import CLIENT, Cluster
 
@@ -31,8 +33,16 @@ POLICIES = {"acct": AgreementPolicy("acct", ("O2",))}
 
 @pytest.fixture
 def parses(monkeypatch):
-    """SQL texts handed to the parser, through every module that parses."""
+    """SQL texts each party reads: one per lookup in an organization's plan
+    cache, hit or miss, and one per parse outside a plan cache (the
+    client's), through every module that parses."""
     seen = []
+
+    def looked_up(cache, sql, parse, lookup=PlanCache.parse):
+        seen.append(sql)
+        return lookup(cache, sql, parser.parse_script)  # a miss is not a second read
+
+    monkeypatch.setattr(PlanCache, "parse", looked_up)
     for module in (agreement, scheduler, database):
         def counted(sql, original=module.parse_script):
             seen.append(sql)
