@@ -10,9 +10,9 @@ One consensus attempt polls each peer once and records the answers, and the
 rule's outcome, in a ConsensusTranscript.  A peer that is not ready is listed
 as missing; waiting for it means another attempt at a later tick.
 
-Votes are idempotent per (org, block): duplicates count once, and the latest
-verified vote from an organization wins, which lets a recovered organization
-replace its earlier divergent vote.
+Votes are idempotent per (org, block): duplicates count once, and each
+organization serves its latest vote per block (OrgNode.votes), which lets a
+recovered organization replace its earlier divergent vote.
 """
 
 from __future__ import annotations
@@ -68,25 +68,6 @@ def vote_is_valid(vote: HashVote, expected_org: str, block_id: int, registry) ->
     if len(vote.effect_hash) != 32:
         return False
     return registry.verify_as(vote.org, vote.signature, vote.signed_payload())
-
-
-class VoteStore:
-    """One organization's own signed votes, served to peers on request.
-
-    Serving is passive: peers may fetch votes for long-committed blocks at any
-    time, which is what lets a lagging organization finish old rounds.  A vote
-    may be re-recorded after recovery recomputes the block's effect.
-    """
-
-    def __init__(self):
-        self._votes: dict[int, HashVote] = {}
-
-    def record(self, vote: HashVote):
-        self._votes[vote.block_id] = vote
-
-    def serve_hash_request(self, block_id: int) -> HashVote | None:
-        """The organization's vote, or None when not ready."""
-        return self._votes.get(block_id)
 
 
 def quorum_hashes(votes: dict[str, bytes], min_matching: int) -> set[bytes]:

@@ -1,57 +1,1 @@
 """SQL subset engine: parser, value domain, and the executing database."""
-
-from .database import Database, Table, TableSnapshot, TransactionResult, row_hash
-from .parser import (
-    ColumnRef,
-    Condition,
-    CreateTable,
-    Delete,
-    Insert,
-    Select,
-    Statement,
-    Update,
-    ValueExpr,
-    parse_script,
-    parse_statement,
-    tokenize,
-)
-from .types import (
-    Column,
-    ColumnType,
-    DecimalRounding,
-    QuirkConfig,
-    TableSchema,
-    TextCollation,
-    coerce_value,
-    encode_row,
-    pk_bytes,
-)
-
-__all__ = [
-    "Column",
-    "ColumnRef",
-    "ColumnType",
-    "Condition",
-    "CreateTable",
-    "Database",
-    "DecimalRounding",
-    "Delete",
-    "Insert",
-    "QuirkConfig",
-    "Select",
-    "Statement",
-    "Table",
-    "TableSchema",
-    "TableSnapshot",
-    "TextCollation",
-    "TransactionResult",
-    "Update",
-    "ValueExpr",
-    "coerce_value",
-    "encode_row",
-    "parse_script",
-    "parse_statement",
-    "pk_bytes",
-    "row_hash",
-    "tokenize",
-]

@@ -52,7 +52,7 @@ class CorruptLedgerFile(EffectLedgerError):
 
 
 class HistoryUnavailable(EffectLedgerError):
-    """Recovery needs ledger blocks or buffered actions that are missing."""
+    """Recovery needs ledger blocks or received actions that are missing."""
 
 
 class VerifierUnavailable(EffectLedgerError):

@@ -9,16 +9,19 @@ aid, not a production key-management scheme.
 Where signatures are verified.  An organization checks the client and
 agreement signatures of a block's transactions when the ordered block reaches
 it: OrgNode.receive_action queues them, one job per transaction, with the one
-SignatureWorker of this process, and OrgNode.execute_action reads the verdicts
-back in block order.  Each job is verified exactly once, by the worker process
-or by this one: requests of CHUNK_TRANSACTIONS jobs are sent to the worker
-from the front of the queue while it holds fewer signatures than there are
-verdicts left to read, and a reader that would otherwise wait verifies jobs
-from the front of the queue itself (see SignatureWorker).  Both run
-verify_jobs.  Each organization queues its own checks and reads its own
-verdicts; nothing is shared between organizations or remembered across
-requests.  Effect votes and endorsement requests are verified in the calling
-process, by verify.
+SignatureWorker of this process, and OrgNode.execute_action reads the
+verdicts back in block order (it queues the checks itself for an action
+nobody queued).  The pending round keeps the verdicts it read, and recovery
+re-executes the round from those, so recovery queues no check again.  Each job
+is verified exactly once, by the worker process or by this one: requests of
+CHUNK_TRANSACTIONS jobs are sent to the worker from the front of the queue
+while it holds fewer signatures than there are verdicts left to read, and a
+reader that would otherwise wait verifies jobs from the front of the queue
+itself (see SignatureWorker).  Both run verify_jobs.  Each organization queues
+its own checks and reads its own verdicts; nothing is shared between
+organizations, and the worker remembers no verdict across requests.  Effect
+votes and endorsement requests are verified in the calling process, by
+verify.
 
 Why a process: verification holds the interpreter lock, so a second thread
 verifies no faster than one.  Why no helper thread in the main process: a

@@ -19,15 +19,10 @@ fetching and verifying every vote itself.  Waiting organizations also poll
 once per tick, which is how a vote dropped by a fault rule is fetched after
 the rule expires.
 
-Signatures are verified outside the tick clock.  When the orderer cuts a
-block, each live organization's receive_action queues its copy's client and
-agreement signatures with the process's signature worker (keys).  The worker
-process verifies what it is sent while the organizations execute in turn;
-execute_action reads the verdicts in block order, and verifies queued
-signatures in this process where it would otherwise wait.  Nothing in this
-process waits for the worker on a thread of its own, since such a thread
-would contend with execution for the interpreter lock.  Effect votes are
-verified here, by each organization that fetches them.
+Block signatures are verified outside the tick clock: when the orderer cuts
+a block, each live organization's receive_action queues its copy's checks,
+and keys tells where and by which process they are verified.  Effect votes
+are verified here, by each organization that fetches them.
 
 Identical (config, schedule, fault script) inputs produce identical reports
 and identical ledger bytes.  The only randomness anywhere is the workload
@@ -605,7 +600,7 @@ class Network:
         self._start_next_execution(rt)
 
     def _start_next_execution(self, rt: _OrgRuntime):
-        """Start executing the next buffered block if rt is past its busy
+        """Start executing the next received block if rt is past its busy
         time and not waiting on consensus."""
         if self.tick < rt.busy_until:
             return
@@ -630,7 +625,7 @@ class Network:
         """publisher's vote just became visible: each other live organization
         waiting on consensus past its busy time makes one attempt, in org
         order, fetching and verifying the votes itself.  One that commits
-        starts its next buffered block at once, as it would in its own step."""
+        starts its next received block at once, as it would in its own step."""
         for rt in self.runtimes.values():
             if rt is not publisher and rt.live and rt.waiting and self.tick >= rt.busy_until:
                 self._attempt_consensus(rt)

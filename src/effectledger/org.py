@@ -8,23 +8,21 @@ organizations report the same hash and it matches the local one; otherwise
 the round stays pending until consensus arrives late (peers catching up) or
 recovery rebuilds the state.
 
+Each round has one record at a time: received (self.verifying: the action
+and the verdicts on its signatures), then pending (self.pending: the block,
+the verdicts as read at execution, and the last consensus attempt), then
+committed (the ledger).  Recovery re-executes the pending round from its
+recorded verdicts (reexecute_pending), so no signature is checked twice.
+
 "Parse" means a lookup in the organization's own plan cache (self.plans), as
 a DBMS keeps prepared statements; endorsement, execution and replay all go
 through it.  A transaction whose text differs from a shape seen before only
 in its literals is bound from that shape; only a new shape runs the parser.
 The cache is never shared, since each organization stands for its own DBMS.
 
-Signatures are verified through keys.signature_worker; the checks that need
-no signature stay here.  receive_action queues a block's signatures as soon as
-the block arrives, and the worker process verifies those it is sent while this
-process executes other organizations' copies or earlier blocks.
-execute_action queues them itself when nothing was queued at receipt for that
-action: a re-execution in recovery, or a direct call.  It reads the verdicts in
-block order, and parses and analyzes each transaction once its verdict is
-known.  Where reading would wait for the worker, this process verifies queued
-signatures itself (see keys), each exactly once.  This process runs no other
-thread: a helper thread would contend with execution for the interpreter
-lock, and so would executor threads inside a block.
+Where signatures are verified, and by which process, is told in keys.  This
+process runs no other thread: a helper thread would contend with execution
+for the interpreter lock, and so would executor threads inside a block.
 
 Execution mutates the engine before the commit decision on purpose: the model
 votes on effects, so the effects must exist first.  Recovery owns undoing
@@ -63,10 +61,16 @@ class Action:
 
 @dataclass
 class PendingRound:
+    """An executed round awaiting consensus: its block, the signature
+    verdicts read at first execution (one bool per transaction), and its
+    last consensus attempt."""
+
     action: Action
     block: LedgerBlock
     effect_hash: bytes
     changed_tables: set[str]
+    verdicts: tuple[bool, ...]
+    transcript: cns.ConsensusTranscript | None = None
 
 
 class OrgNode:
@@ -90,13 +94,13 @@ class OrgNode:
         self.private_key = private_key or keys.derive_private_key(f"org:{org_id}")
         self.agreement_policies = agreement_policies or {}
         self.predicates = predicates or {}
-        self.vote_store = cns.VoteStore()
+        # own signed votes, served to peers on request, old blocks' too (so a
+        # lagging peer can finish old rounds); recovery replaces a divergent one
+        self.votes: dict[int, cns.HashVote] = {}
         self.transcripts: dict[int, cns.ConsensusTranscript] = {}
-        self.buffered: dict[int, Action] = {}
-        # round -> (buffered action, verdicts on its signatures, queued at receipt)
+        # round -> (received action, verdicts on its signatures), until executed
         self.verifying: dict[int, tuple[Action, keys.Verdicts]] = {}
         self.pending: PendingRound | None = None
-        self.last_transcript: cns.ConsensusTranscript | None = None
         self.checkpoints = None  # attached by recovery.CheckpointManager
         self.plans = PlanCache()
 
@@ -137,12 +141,16 @@ class OrgNode:
     # ---- action intake ----
 
     def receive_action(self, action: Action):
-        """Buffer an ordered action and queue its signatures for
-        verification, with the keys the registry holds now.  A second action for a buffered
-        round is ignored."""
-        if action.round_id not in self.buffered:
-            self.buffered[action.round_id] = action
-            self.verifying[action.round_id] = (action, self._verify_signatures(action))
+        """Record an ordered action and queue its signatures for verification,
+        with the keys the registry holds now.  An action for a round that is
+        committed, pending or already received is ignored."""
+        round_id = action.round_id
+        if (
+            round_id >= self.next_round
+            and round_id not in self.verifying
+            and (self.pending is None or self.pending.action.round_id != round_id)
+        ):
+            self.verifying[round_id] = (action, self._verify_signatures(action))
 
     def _verify_signatures(self, action: Action) -> keys.Verdicts:
         jobs = (agmt.signature_jobs(ct, self.registry) for ct in action.transactions)
@@ -151,16 +159,16 @@ class OrgNode:
     def executable_action(self) -> Action | None:
         if self.pending is not None:
             return None
-        return self.buffered.get(self.next_round)
+        received = self.verifying.get(self.next_round)
+        return None if received is None else received[0]
 
     # ---- the W phase: order is given, execute and hash ----
 
     def execute_action(self, action: Action) -> bytes:
         """Apply one action to the engine and vote on the resulting block hash.
 
-        Each transaction is parsed once, through the plan cache, by
-        finish_verification after its signatures check out; analysis and
-        execution read that parse.
+        Reads the verdicts queued when the action was received; an action
+        nobody queued (a direct call) has its signatures queued here.
         Deterministic in (quirks, committed state, action).  Raises
         OutOfOrderAction/DuplicateRound when the action does not extend the
         committed chain, EngineFailure when the engine is gone and
@@ -177,15 +185,31 @@ class OrgNode:
                 f"cannot execute round {action.round_id}; next is {self.next_round}"
             )
 
-        sent = self.verifying.pop(action.round_id, None)
-        if sent is not None and sent[0] is action:
-            verdicts = sent[1]
+        received = self.verifying.pop(action.round_id, None)
+        if received is not None and received[0] is action:
+            verdicts = received[1]
         else:
             verdicts = self._verify_signatures(action)
+        return self._execute(action, verdicts)
+
+    def reexecute_pending(self) -> bytes:
+        """Execute the pending round again on the current state, from the
+        verdicts read at its first execution; recovery calls this once it has
+        rebuilt the state the round extends."""
+        pending, self.pending = self.pending, None
+        return self._execute(pending.action, pending.verdicts)
+
+    def _execute(self, action: Action, verdicts) -> bytes:
+        """Execute action with one signature verdict per transaction, read in
+        block order.  Each transaction is parsed once, through the plan cache,
+        by finish_verification after its signatures check out; analysis and
+        execution read that parse."""
         catalog = self.catalog()
         names_before = set(self.db.tables)
         access_sets: list[TxnAccessSet] = []
+        read: list[bool] = []
         for i, (ct, signatures_ok) in enumerate(zip(action.transactions, verdicts)):
+            read.append(signatures_ok)
             parsed = agmt.finish_verification(
                 ct, signatures_ok, self.agreement_policies, self.plans
             )
@@ -201,9 +225,9 @@ class OrgNode:
             action.round_id, access_sets, records, self.ledger.head_hash()
         )
         changed = digest.tables_touched() | (set(self.db.tables) - names_before)
-        self.pending = PendingRound(action, block, effect_hash, changed)
-        self.vote_store.record(
-            cns.make_vote(self.org_id, action.round_id, effect_hash, self.private_key)
+        self.pending = PendingRound(action, block, effect_hash, changed, tuple(read))
+        self.votes[action.round_id] = cns.make_vote(
+            self.org_id, action.round_id, effect_hash, self.private_key
         )
         return effect_hash
 
@@ -234,7 +258,7 @@ class OrgNode:
             pending.block.block_id, self.org_id, pending.effect_hash, peers, self.policy,
             fetch_vote, self.registry,
         )
-        self.last_transcript = transcript
+        pending.transcript = transcript
         if transcript.status is cns.ConsensusStatus.COMMITTED:
             self.commit_pending(transcript)
         return transcript
@@ -243,19 +267,19 @@ class OrgNode:
         pending = self.pending
         self.ledger.append(pending.block, pending.effect_hash)
         self.transcripts[pending.block.block_id] = transcript
-        self.buffered.pop(pending.block.block_id, None)
         self.pending = None
         if self.checkpoints is not None:
             self.checkpoints.note_commit(self, pending.block.block_id, pending.changed_tables)
 
     def abandon_pending(self):
-        """Drop the pending round (recovery re-executes it from scratch)."""
+        """Drop the pending round (recovery, once it adopts a peer's block)."""
         self.pending = None
 
     # ---- vote service ----
 
-    def serve_hash_request(self, block_id: int):
-        return self.vote_store.serve_hash_request(block_id)
+    def serve_hash_request(self, block_id: int) -> cns.HashVote | None:
+        """This organization's vote on block_id, or None when not ready."""
+        return self.votes.get(block_id)
 
     # ---- replay support ----
 

@@ -6,8 +6,9 @@ checkpoint snapshots the tables changed since the previous one and carries
 forward the untouched payloads by reference.
 
 Recovery walks checkpoints newest to oldest: restore, replay the organization's
-own ledger up to the failing block, re-execute the failing action, and re-run
-consensus for just that block.  A replayed block whose recomputed hash differs
+own ledger up to the failing block, re-execute the pending round from the
+signature verdicts read at its first execution (no signature is checked
+again), and re-run consensus for just that block.  A replayed block whose recomputed hash differs
 from the committed one (read from the chain, not rehashed) is evidence the
 snapshot itself is bad, so the walk falls back to the next older checkpoint.
 When no checkpoint works the entire history is replayed from empty state.
@@ -150,8 +151,7 @@ def recover(
 def _try_replay(
     node: OrgNode, checkpoint: Checkpoint | None, peers, fetch_vote, report: RecoveryReport
 ) -> bool:
-    failing = node.pending.action
-    failing_id = failing.round_id
+    failing_id = node.pending.action.round_id
     if checkpoint is None:
         source = "full_replay"
         start = 1
@@ -174,8 +174,7 @@ def _try_replay(
             )
             return False
 
-    node.abandon_pending()
-    node.execute_action(failing)
+    node.reexecute_pending()
     status = node.complete_round(peers, fetch_vote).status
     consented = status is ConsensusStatus.COMMITTED
     reason = None if consented else f"block {failing_id} still {status.value}"
@@ -191,9 +190,7 @@ def _recover_from_peer(node: OrgNode, peers, fetch_state, report: RecoveryReport
         )
         return
     failing_id = node.pending.action.round_id
-    transcript = node.last_transcript
-    if transcript is not None and transcript.block_id != failing_id:
-        transcript = None
+    transcript = node.pending.transcript
     quorum_hash = transcript.quorum_hash if transcript else None
     for peer in peers:
         fetched = fetch_state(peer, failing_id)
@@ -216,9 +213,7 @@ def _recover_from_peer(node: OrgNode, peers, fetch_state, report: RecoveryReport
         node.db.restore_all(snapshots)
         node.abandon_pending()
         node.ledger.append(block, peer_hash)
-        node.vote_store.record(
-            cns.make_vote(node.org_id, failing_id, peer_hash, node.private_key)
-        )
+        node.votes[failing_id] = cns.make_vote(node.org_id, failing_id, peer_hash, node.private_key)
         # the audit record of the adopted block: the peers' votes of the
         # last attempt, with this organization's own vote now the adopted hash
         votes = dict(transcript.votes) if transcript else {}
@@ -227,7 +222,6 @@ def _recover_from_peer(node: OrgNode, peers, fetch_state, report: RecoveryReport
             failing_id, node.org_id, votes=votes,
             status=ConsensusStatus.COMMITTED, quorum_hash=peer_hash,
         )
-        node.buffered.pop(failing_id, None)
         if node.checkpoints is not None:
             node.checkpoints.invalidate_all()
         report.iterations.append(RecoveryIteration(f"peer:{peer}", 0, True))

@@ -10,7 +10,6 @@ from effectledger.consensus import (
     ConsensusPolicy,
     ConsensusStatus,
     HashVote,
-    VoteStore,
     decide,
     make_vote,
     quorum_hashes,
@@ -70,15 +69,6 @@ def test_signed_payload_binds_all_fields():
     assert make_vote("O2", 7, H1, key_of("O1")).signed_payload() != base
     assert make_vote("O1", 8, H1, key_of("O1")).signed_payload() != base
     assert make_vote("O1", 7, H2, key_of("O1")).signed_payload() != base
-
-
-def test_vote_store_latest_wins():
-    store = VoteStore()
-    assert store.serve_hash_request(3) is None
-    store.record(make_vote("O1", 3, H1, key_of("O1")))
-    assert store.serve_hash_request(3).effect_hash == H1
-    store.record(make_vote("O1", 3, H2, key_of("O1")))  # post-recovery replacement
-    assert store.serve_hash_request(3).effect_hash == H2
 
 
 # ---- quorum counting and decisions ----

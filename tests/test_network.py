@@ -186,7 +186,7 @@ def test_waiting_peer_commits_when_the_recovery_window_ends():
 
 def test_woken_peer_that_commits_starts_its_next_block_in_the_same_tick():
     """O1 steps before O3 in each tick, so it commits block 2 only when O3's
-    vote wakes it; it starts the buffered block 3 in that same tick."""
+    vote wakes it; it starts the received block 3 in that same tick."""
     net, report = deaf_to_o4_with_o3_corrupted()
     assert dict(report.commits("O1"))[2] == 5
     assert (2, 5) in [(l.block, l.tick) for l in report.events("O3", EXEC_DONE)]
@@ -313,7 +313,7 @@ def test_kill_org_halts_it_but_not_survivors():
 
 
 def test_a_killed_organization_leaves_no_unread_verdicts():
-    """Its buffered blocks' signature checks are dropped with it, so the
+    """Its received blocks' signature checks are dropped with it, so the
     worker's queue neither keeps nor counts them."""
     gc.collect()  # Verdicts of earlier tests' collected networks leave the queue
     net = make_net(orgs=[OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", engine_delay=3)],
@@ -330,7 +330,7 @@ TRUNCATE = QuirkConfig.from_dict({"decimal_rounding": "truncate"}, "test")
 
 def test_an_excluded_organization_leaves_no_unread_verdicts():
     """O3 rounds a third fractional digit down and may not recover, so it is
-    excluded at block 2 with later blocks buffered; their signature checks
+    excluded at block 2 with later blocks received; their signature checks
     leave the worker's queue with it, as a killed organization's do."""
     gc.collect()
     orgs = [OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", quirks=TRUNCATE, engine_delay=3)]

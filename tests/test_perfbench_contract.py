@@ -1,19 +1,21 @@
-"""The names the benchmark's tracing patches and binds still exist.
+"""The names the benchmark's tracing patches, binds and reads still exist.
 
 perfbench/spans.py wraps functions at the attributes where callers look them
-up, and some wrappers bind a parameter by name.  A rename there would show
-only as a "span target missing" line in a traced benchmark run, or as a
-wrapper error; here it fails a test.  spans.py is loaded from its file and
+up, and some wrappers bind a parameter by name; spans.py and workloads.py
+also read attributes off program objects.  A rename there would show only as
+a "span target missing" line in a traced benchmark run, or as an error in a
+benchmark run; here it fails a test.  spans.py is loaded from its file and
 only read: loading it patches nothing.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
 
-from effectledger import consensus, org
+from effectledger import consensus, ledger, network, org, recovery, scheduler
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -49,3 +51,30 @@ def test_span_target_exists(owner, attr):
 )
 def test_bound_parameter_exists(function, parameter):
     assert parameter in inspect.signature(function).parameters
+
+
+# ---- attributes read off program objects ----
+
+
+def test_pending_round_has_its_action():
+    # spans.LatencyProbe reads node.pending.action when a block commits
+    assert "action" in {f.name for f in dataclasses.fields(org.PendingRound)}
+
+
+def test_recovery_report_counts():
+    report = recovery.RecoveryReport()
+    report.iterations.append(recovery.RecoveryIteration("full_replay", 2, True))
+    assert (len(report.iterations), report.blocks_replayed_total) == (1, 2)
+
+
+def test_graph_stages_and_digest_length():
+    graph = scheduler.build_dependency_graph([scheduler.TxnAccessSet(0), scheduler.TxnAccessSet(1)])
+    assert [len(stage) for stage in graph.stages] == [2]
+    assert len(ledger.BlockDigest()) == 0
+
+
+def test_workload_config_and_event_names():
+    assert network.OrgConfig("O1", sessions=2).sessions == 2
+    assert all(
+        isinstance(getattr(network, name), str) for name in ("EXCLUDED", "RECOVER_FAIL", "REJECT")
+    )

@@ -2,12 +2,13 @@
 
 import pytest
 
+from effectledger import keys
 from effectledger import ledger as ledger_module
 from effectledger import org as org_module
 from effectledger import recovery as recovery_module
 from effectledger.consensus import ConsensusStatus
 from effectledger.engine.types import QuirkConfig
-from effectledger.errors import HistoryUnavailable
+from effectledger.errors import HistoryUnavailable, VerifierUnavailable
 from effectledger.recovery import CheckpointManager, RecoveryStrategy, recover
 
 from conftest import Cluster
@@ -296,3 +297,42 @@ def test_vote_replaced_after_recovery():
     fixed_vote = cluster["O1"].serve_hash_request(failing_block).effect_hash
     assert fixed_vote != wrong_vote
     assert fixed_vote == cluster["O2"].serve_hash_request(failing_block).effect_hash
+
+
+# ---- re-execution reads the pending round's verdicts ----
+
+
+@pytest.mark.parametrize(
+    "strategy", [RecoveryStrategy.FULL_REPLAY, RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY]
+)
+def test_recovery_checks_no_signature_again(strategy, monkeypatch):
+    cluster = managed_cluster(interval=1)
+    cluster.round(1, DDL, SEED)
+    corrupt_row(cluster["O1"])
+    checked = []
+    original = org_module.OrgNode._verify_signatures
+
+    def counted(node, action):
+        checked.append(node.org_id)
+        return original(node, action)
+
+    monkeypatch.setattr(org_module.OrgNode, "_verify_signatures", counted)
+    assert diverge_then_recover(cluster, strategy, sql=bump(1)).recovered
+    assert checked == ["O1", "O2", "O3"]  # each organization's first execution only
+
+
+def test_recovery_needs_no_signature_worker(monkeypatch):
+    cluster = Cluster()
+    cluster.round(1, DDL, SEED)
+    corrupt_row(cluster["O1"])
+    diverge_then_recover(cluster, None, sql=bump(1))  # leaves O1's block 2 pending
+
+    def gone():
+        raise VerifierUnavailable("worker gone")
+
+    monkeypatch.setattr(keys, "signature_worker", gone)
+    node = cluster["O1"]
+    report = recover(node, cluster.peers_of("O1"), cluster.fetch_vote, RecoveryStrategy.FULL_REPLAY)
+    assert report.recovered
+    assert node.height == 2
+    assert node.ledger.head_hash() == cluster["O2"].ledger.head_hash()

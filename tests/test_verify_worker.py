@@ -188,10 +188,32 @@ def test_signatures_are_sent_once_at_receipt(monkeypatch):
     assert sent == [("O1", 2)]
     node.execute_action(action)
     assert sent == [("O1", 2)] and node.verifying == {}
-    # recovery re-executes the same action: its signatures are verified again
+    # a direct call with an action nobody queued verifies its signatures again
     node.abandon_pending()
     node.execute_action(action)
     assert sent == [("O1", 2), ("O1", 2)]
+
+
+@pytest.mark.parametrize("state", ["committed", "pending"])
+def test_a_round_received_again_queues_nothing(state):
+    """An action for a committed or pending round is ignored: it opens no
+    Verdicts that nobody would read."""
+    gc.collect()  # Verdicts of earlier tests' collected nodes leave the queue
+    cluster = seeded_cluster()
+    node = cluster["O1"]
+    action = org_module.Action(2, mixed_transactions(cluster, 5))
+    node.receive_action(action)
+    node.execute_action(node.executable_action())
+    if state == "committed":
+        for peer in ("O2", "O3"):
+            cluster[peer].execute_action(action)
+        node.complete_round(cluster.peers_of("O1"), cluster.fetch_vote)
+        assert node.height == 2
+    for round_id in (1, 2):
+        node.receive_action(org_module.Action(round_id, action.transactions))
+    worker = keys.signature_worker()
+    assert node.verifying == {}
+    assert (len(worker._open), worker._jobs_left()) == (0, 0)
 
 
 def test_verify_jobs_checks_every_signature_of_a_job():
