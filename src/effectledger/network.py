@@ -5,15 +5,16 @@ proposals on schedule, an untrusted FIFO orderer cuts blocks at blocksize or
 timeout, and each organization steps a small state machine per tick
 (execute -> seek consensus -> commit / recover).  Its state is derived from
 the few facts _OrgRuntime stores; a kill and an exclusion after failed
-recovery are one way out (Network._retire).  Execution latency is modeled
+recovery are one way out (Network._retire).  A run ends when it is
+quiescent, when it has stalled (organizations wait on rounds that can no
+longer commit; each is reported STALLED), or at its tick budget.  Execution latency is modeled
 by an engine delay in ticks; a "slow" organization simply finishes blocks
 later, which is what produces the catch-up and halting timelines.
 
 A vote reaches waiting peers when it is published, not at their next poll.  It
 is published when its execution finishes and, for a recovering organization,
 when the recovery window ends (a recovered organization committed at the
-window's start).  The publisher decides first, so it has committed before a
-peer can pick it as a recovery state source; then each other live
+window's start).  The publisher decides first; then each other live
 organization waiting on consensus makes one attempt in the same tick,
 fetching and verifying every vote itself.  Waiting organizations also poll
 once per tick, which is how a vote dropped by a fault rule is fetched after
@@ -47,7 +48,7 @@ from .engine.parser import PlanCache
 from .engine.types import QuirkConfig
 from .errors import BindError, ConfigError
 from .org import Action, OrgNode
-from .recovery import CheckpointManager, RecoveryStrategy, recover
+from .recovery import CheckpointManager, recover
 
 # report event names
 CUT = "CUT"
@@ -64,6 +65,7 @@ CORRUPT = "CORRUPT"
 CORRUPT_SNAPSHOT = "CORRUPT_SNAPSHOT"
 EQUIVOCATE = "EQUIVOCATE"
 REJECT = "REJECT"
+STALLED = "STALLED"
 
 REPORT_HEADER = "# effectledger simulation report v1"
 REPORT_COLUMNS = "# columns: tick org event block"
@@ -155,6 +157,8 @@ class OrgConfig:
     def __post_init__(self):
         if self.sessions < 1:
             raise ConfigError(f"organization {self.org_id}: sessions must be at least 1")
+        if self.engine_delay < 0:
+            raise ConfigError(f"organization {self.org_id}: engine_delay must not be negative")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "OrgConfig":
@@ -168,18 +172,16 @@ class OrgConfig:
         )
 
 
-_STRATEGY_NAMES = tuple(s.value for s in RecoveryStrategy)
-
-
 @dataclass
 class NetworkConfig:
     orgs: list[OrgConfig]
     min_matching: int = 2
     blocksize: int = 128
     block_timeout: int = 4  # ticks from first queued txn to forced cut
+    # committed blocks between checkpoints; 0 takes none, so every recovery
+    # replays the whole ledger from empty state
     checkpoint_interval: int = 3
-    checkpoint_capacity: int = 3
-    recovery_strategy: RecoveryStrategy | None = RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY
+    checkpoint_capacity: int = 3  # checkpoints kept, newest first
     agreement_policies: dict[str, list[str]] = field(default_factory=dict)
     predicates: dict[str, dict[str, list[str]]] = field(default_factory=dict)  # org -> table -> lines
     seed: int = 0
@@ -196,6 +198,10 @@ class NetworkConfig:
             raise ConfigError("blocksize must be positive")
         if self.block_timeout < 1:
             raise ConfigError("block_timeout must be positive")
+        if self.checkpoint_interval < 0:
+            raise ConfigError("checkpoint_interval must not be negative")
+        if self.checkpoint_capacity < 1:
+            raise ConfigError("checkpoint_capacity must be at least 1")
         org_ids = {o.org_id for o in self.orgs}
         for table, orgs in self.agreement_policies.items():
             for org in orgs:
@@ -206,18 +212,15 @@ class NetworkConfig:
         for org in self.predicates:
             if org not in org_ids:
                 raise ConfigError(f"predicates: unknown organization {org!r}")
-        # accept the strategy's name; recover compares enum identity
-        if self.recovery_strategy is not None:
-            try:
-                self.recovery_strategy = RecoveryStrategy(self.recovery_strategy)
-            except ValueError:
-                raise ConfigError(
-                    f"unknown recovery_strategy {self.recovery_strategy!r}; choose from "
-                    f"{', '.join(_STRATEGY_NAMES)} or null"
-                ) from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NetworkConfig":
+        if "recovery_strategy" in raw:
+            raise ConfigError(
+                "recovery_strategy is gone: every recovery replays the organization's own "
+                "ledger from its checkpoints, then from empty state; set checkpoint_interval "
+                "to 0 for full replay only"
+            )
         policies = _field(raw, "agreement_policies", dict, "config", {})
         predicates = _field(raw, "predicates", dict, "config", {})
         return cls(
@@ -227,7 +230,6 @@ class NetworkConfig:
             block_timeout=_field(raw, "block_timeout", int, "config", 4),
             checkpoint_interval=_field(raw, "checkpoint_interval", int, "config", 3),
             checkpoint_capacity=_field(raw, "checkpoint_capacity", int, "config", 3),
-            recovery_strategy=raw.get("recovery_strategy", "optimized_partial_replay"),
             agreement_policies={
                 table: _field(policies, table, list, "agreement_policies") for table in policies
             },
@@ -467,22 +469,6 @@ class Network:
 
         return fetch
 
-    def fetch_state(self, responder: str, block_id: int):
-        """responder's state and ledger block at block_id, or None."""
-        rt = self.runtimes.get(responder)
-        if rt is None or not rt.live:
-            return None
-        node = rt.node
-        if node.height == block_id and node.pending is None:
-            return node.db.snapshot_all(), node.ledger.block(block_id)
-        # a checkpoint taken exactly at the requested block also works; it
-        # is the only source while an executed round holds uncommitted effects
-        if node.height >= block_id and node.checkpoints is not None:
-            for cp in node.checkpoints.newest_first():
-                if cp.block_id == block_id:
-                    return dict(cp.tables), node.ledger.block(block_id)
-        return None
-
     # ---- fault application ----
 
     def check_fault(self, event: FaultEvent) -> FaultKind:
@@ -645,13 +631,7 @@ class Network:
         """Recover rt now; _step_org reports the outcome when its window ends."""
         org_id = rt.node.org_id
         self.report.emit(self.tick, org_id, RECOVER_START, failing_block)
-        report = recover(
-            rt.node,
-            self.peers_of(org_id),
-            self.fetch_vote(org_id),
-            strategy=self.config.recovery_strategy,
-            fetch_state=self.fetch_state,
-        )
+        report = recover(rt.node, self.peers_of(org_id), self.fetch_vote(org_id))
         cost = max(1, report.blocks_replayed_total) * max(1, rt.config.engine_delay)
         rt.busy_until = self.tick + cost
         rt.recovery = (failing_block, report.recovered)
@@ -659,7 +639,7 @@ class Network:
     # ---- main loop ----
 
     def run(self, schedule, faults=(), max_ticks: int = 10_000) -> SimulationReport:
-        """Drive the network to quiescence or the tick budget.
+        """Drive the network to quiescence, a stall or the tick budget.
 
         schedule: iterable of (tick, client, sql), pre-sorted or not.
         faults: FaultEvents or dicts.  Ticks count from 0 in every run.
@@ -673,6 +653,7 @@ class Network:
         sub_i = 0
         fault_i = 0
         while self.tick <= max_ticks:
+            lines_before = len(self.report.lines)
             while fault_i < len(fault_events) and fault_events[fault_i].at_tick <= self.tick:
                 self.apply_fault(fault_events[fault_i], kinds[fault_i])
                 fault_i += 1
@@ -684,9 +665,10 @@ class Network:
                 self._broadcast(action)
             for rt in self.runtimes.values():
                 self._step_org(rt)
-            quiet = self._quiescent(sub_i == len(pending_submissions), fault_i == len(fault_events))
+            inputs_done = sub_i == len(pending_submissions) and fault_i == len(fault_events)
+            done = inputs_done and self._quiescent_or_stalled(len(self.report.lines) > lines_before)
             self.tick += 1  # after the loop: one past the last tick stepped
-            if quiet:
+            if done:
                 break
 
         for org_id, rt in self.runtimes.items():
@@ -707,9 +689,26 @@ class Network:
             rule.at_tick -= shift
             rule.until_tick = None if rule.until_tick is None else rule.until_tick - shift
 
-    def _quiescent(self, submissions_done: bool, faults_done: bool) -> bool:
-        return submissions_done and faults_done and self.orderer.empty and all(
-            rt.recovery is None and rt.executing is None and rt.node.pending is None
-            and rt.node.executable_action() is None
-            for rt in self.runtimes.values() if rt.live
-        )
+    def _quiescent_or_stalled(self, tick_changed: bool) -> bool:
+        """Whether a run with every input consumed is over after this tick.
+        Nothing may be queued at the orderer, and no live organization may be
+        executing, recovering or able to start a block.  Then the run is
+        quiescent when no live organization waits on consensus, and stalled
+        when some do but this tick emitted no line and no vote rule has yet
+        to expire: their polls read the same votes at every later tick.
+        Each waiting organization of a stalled run is reported STALLED."""
+        live = [rt for rt in self.runtimes.values() if rt.live]
+        if not self.orderer.empty or any(
+            rt.recovery is not None or rt.executing is not None
+            or rt.node.executable_action() is not None for rt in live
+        ):
+            return False
+        waiting = [rt for rt in live if rt.waiting]
+        if waiting and (tick_changed or any(
+            rule.until_tick is not None and rule.until_tick > self.tick
+            for rule in self._drop_rules + self._tamper_rules
+        )):
+            return False
+        for rt in waiting:
+            self.report.emit(self.tick, rt.node.org_id, STALLED, rt.node.pending.action.round_id)
+        return True

@@ -9,10 +9,10 @@ the round stays pending until consensus arrives late (peers catching up) or
 recovery rebuilds the state.
 
 Each round has one record at a time: received (self.verifying: the action
-and the verdicts on its signatures), then pending (self.pending: the block,
-the verdicts as read at execution, and the last consensus attempt), then
-committed (the ledger).  Recovery re-executes the pending round from its
-recorded verdicts (reexecute_pending), so no signature is checked twice.
+and the verdicts on its signatures), then pending (self.pending: the block
+and the verdicts as read at execution), then committed (the ledger).
+Recovery re-executes the pending round from its recorded verdicts
+(reexecute_pending), so no signature is checked twice.
 
 "Parse" means a lookup in the organization's own plan cache (self.plans), as
 a DBMS keeps prepared statements; endorsement, execution and replay all go
@@ -61,16 +61,14 @@ class Action:
 
 @dataclass
 class PendingRound:
-    """An executed round awaiting consensus: its block, the signature
-    verdicts read at first execution (one bool per transaction), and its
-    last consensus attempt."""
+    """An executed round awaiting consensus: its block and the signature
+    verdicts read at first execution (one bool per transaction)."""
 
     action: Action
     block: LedgerBlock
     effect_hash: bytes
     changed_tables: set[str]
     verdicts: tuple[bool, ...]
-    transcript: cns.ConsensusTranscript | None = None
 
 
 class OrgNode:
@@ -258,7 +256,6 @@ class OrgNode:
             pending.block.block_id, self.org_id, pending.effect_hash, peers, self.policy,
             fetch_vote, self.registry,
         )
-        pending.transcript = transcript
         if transcript.status is cns.ConsensusStatus.COMMITTED:
             self.commit_pending(transcript)
         return transcript
@@ -270,10 +267,6 @@ class OrgNode:
         self.pending = None
         if self.checkpoints is not None:
             self.checkpoints.note_commit(self, pending.block.block_id, pending.changed_tables)
-
-    def abandon_pending(self):
-        """Drop the pending round (recovery, once it adopts a peer's block)."""
-        self.pending = None
 
     # ---- vote service ----
 

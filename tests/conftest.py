@@ -68,12 +68,6 @@ class Cluster:
     def fetch_vote(self, responder, block_id):
         return self.nodes[responder].serve_hash_request(block_id)
 
-    def fetch_state(self, responder, block_id):
-        node = self.nodes[responder]
-        if node.height != block_id:
-            return None
-        return node.db.snapshot_all(), node.ledger.block(block_id)
-
     def action(self, block_id, *sqls):
         return Action(
             block_id,

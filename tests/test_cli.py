@@ -51,13 +51,13 @@ def test_run_prints_report(config_file, schedule_file, capsys):
     assert "\tCOMMIT\t" in out
 
 
-def test_run_reports_an_unknown_recovery_strategy(tmp_path, schedule_file, capsys):
+def test_run_refuses_a_config_naming_a_recovery_strategy(tmp_path, schedule_file, capsys):
     path = tmp_path / "net.json"
-    path.write_text(json.dumps({**CONFIG, "recovery_strategy": "partial_replay"}))
+    path.write_text(json.dumps({**CONFIG, "recovery_strategy": "full_replay"}))
     assert run_cli("run", "--config", str(path), "--schedule", schedule_file) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: unknown recovery_strategy 'partial_replay'")
-    assert "optimized_partial_replay" in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: recovery_strategy is gone: ")
+    assert captured.out == ""
 
 
 def test_run_writes_artifacts(config_file, schedule_file, tmp_path, capsys):

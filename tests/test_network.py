@@ -12,7 +12,6 @@ from effectledger import keys
 from effectledger import ledger as ledger_module
 from effectledger import org as org_module
 from effectledger.agreement import ChainedTransaction, Rejected, make_proposal
-from effectledger.engine.database import Database
 from effectledger.engine.types import QuirkConfig
 from effectledger.errors import ConfigError
 from effectledger.keys import derive_private_key
@@ -32,6 +31,7 @@ from effectledger.network import (
     REJECT,
     REPORT_COLUMNS,
     REPORT_HEADER,
+    STALLED,
     FaultEvent,
     Network,
     NetworkConfig,
@@ -40,7 +40,6 @@ from effectledger.network import (
     SimulationReport,
     load_fault_script,
 )
-from effectledger.recovery import RecoveryStrategy
 from effectledger.smallbank import bootstrap_transactions, build_schedule
 
 DDL = "CREATE TABLE acct (id INT, bal DECIMAL(12, 2), PRIMARY KEY (id));"
@@ -200,23 +199,6 @@ def test_identical_fault_runs_are_byte_identical():
         assert first_net.node(org).ledger.to_bytes() == second_net.node(org).ledger.to_bytes()
 
 
-def test_fetch_state_serves_committed_state_while_a_round_is_pending():
-    schedule = basic_schedule(bumps=2)
-    committed = make_net()
-    committed.run(schedule[:2])  # block 1 only
-    net = make_net(checkpoint_interval=1)
-    gag = {"at_tick": 0, "kind": "drop_votes", "block_from": 2}
-    net.run(schedule, faults=[gag], max_ticks=8)
-    node = net.node("O1")
-    assert node.height == 1 and node.pending is not None  # block 2 executed, not committed
-    assert node.db.state_hash() != committed.node("O1").db.state_hash()
-    snapshots, block = net.fetch_state("O1", 1)
-    assert block == node.ledger.block(1)
-    fetched = Database()
-    fetched.restore_all(snapshots)
-    assert fetched.state_hash() == committed.node("O1").db.state_hash()
-
-
 def test_each_org_hashes_each_committed_block_once(monkeypatch):
     hashed = []
     for module in (ledger_module, org_module):
@@ -334,7 +316,7 @@ def test_an_excluded_organization_leaves_no_unread_verdicts():
     leave the worker's queue with it, as a killed organization's do."""
     gc.collect()
     orgs = [OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", quirks=TRUNCATE, engine_delay=3)]
-    net = make_net(orgs=orgs, recovery_strategy=None)
+    net = make_net(orgs=orgs)
     bumps = [
         (1 + i // 2, "bob", f"UPDATE acct SET bal = bal + 0.006 WHERE id = {1 + i % 3};")
         for i in range(16)
@@ -346,12 +328,12 @@ def test_an_excluded_organization_leaves_no_unread_verdicts():
     assert (len(worker._open), worker._jobs_left()) == (0, 0)
 
 
-def fault_matrix_run(strategy):
+def fault_matrix_run(checkpoint_interval):
     """Five organizations with engine delays 0-3, O3 rounding by truncation,
     and one fault of each kind that needs no checkpoint."""
     orgs = [OrgConfig(f"O{i + 1}", engine_delay=i % 4) for i in range(5)]
     orgs[2].quirks = TRUNCATE
-    net = make_net(orgs=orgs, checkpoint_interval=2, recovery_strategy=strategy)
+    net = make_net(orgs=orgs, checkpoint_interval=checkpoint_interval)
     amounts = ("1", "0.004", "2.5", "0.006")
     schedule = [(0, "alice", DDL), (0, "alice", SEED)] + [
         (1 + i, "bob", f"UPDATE acct SET bal = bal + {amounts[i % 4]} WHERE id = {1 + i % 3};")
@@ -374,22 +356,18 @@ def fault_matrix_run(strategy):
 
 
 @pytest.mark.parametrize(
-    "strategy, sha256",
+    "checkpoint_interval, sha256",
     [
-        (RecoveryStrategy.RESTORE_FROM_PEER_STATE,
-         "a97b04086fe7796127e946a0dabc59df2213e371e1e4b401efed567c966b884e"),
-        (RecoveryStrategy.FULL_REPLAY,
-         "a8ec32f3abb9729653e0bb4e2555ede497928fc00991cc21975b5cc9bc55e0dc"),
-        (RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY,
-         "40d3b427e21a8bb301abcd93a807c51cd627962fc141cafbf2f8b632b3e5d584"),
-        (None, "8118b9d5d7abc982e8495754fd809eb97a842f9be8703c93a7eada7336dbd0b9"),
+        (0, "a8ec32f3abb9729653e0bb4e2555ede497928fc00991cc21975b5cc9bc55e0dc"),
+        (2, "40d3b427e21a8bb301abcd93a807c51cd627962fc141cafbf2f8b632b3e5d584"),
     ],
 )
-def test_fault_matrix_report_and_ledger_bytes_are_pinned(strategy, sha256):
+def test_fault_matrix_report_and_ledger_bytes_are_pinned(checkpoint_interval, sha256):
     """Recoveries that succeed and fail, exclusions and a kill: the digest
     of the report and every ledger is pinned, so any change to the driver
-    that moves a byte of either shows here."""
-    assert fault_matrix_run(strategy) == sha256
+    that moves a byte of either shows here.  Interval 0 recovers by full
+    replay only, 2 from checkpoints first."""
+    assert fault_matrix_run(checkpoint_interval) == sha256
 
 
 def test_equivocation_excludes_victim():
@@ -405,6 +383,42 @@ def test_equivocation_excludes_victim():
     # the two honest orgs keep going without the victim
     assert net.node("O1").height == net.node("O3").height >= 4
     assert 2 in [b for b, _ in report.commits("O1")]
+
+
+def test_a_network_that_can_no_longer_commit_ends_stalled():
+    """O4 rounds by truncation and is excluded at block 3, O3 is killed and
+    O2 is sent a short block 4: O1 and O2 each wait on block 4 for a third
+    matching vote that no organization will publish.  The run stops at the
+    first tick that changes nothing, not at its tick budget."""
+    orgs = [OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3"), OrgConfig("O4", quirks=TRUNCATE)]
+    net = make_net(orgs=orgs, min_matching=3)
+    amounts = ("1", "1", "0.006", "1")
+    schedule = [(0, "alice", DDL), (0, "alice", SEED)] + [
+        (1 + i, "bob", f"UPDATE acct SET bal = bal + {amounts[i % 4]} WHERE id = {1 + i % 3};")
+        for i in range(8)
+    ]
+    faults = [
+        {"at_tick": 6, "kind": "kill_org", "org": "O3"},
+        {"at_tick": 6, "kind": "equivocate_orderer", "org": "O2", "block_id": 4},
+    ]
+    report = net.run(schedule, faults)
+    assert report.first("O4", EXCLUDED).block == 3
+    assert [(l.tick, l.org, l.block) for l in report.events(kind=STALLED)] == [
+        (9, "O1", 4), (9, "O2", 4)
+    ]
+    assert report.lines[-2:] == report.events(kind=STALLED)
+    assert net.tick == 10
+    assert [net.node(org).height for org in ("O1", "O2", "O3", "O4")] == [3, 3, 3, 2]
+
+
+def test_a_vote_rule_still_to_expire_keeps_the_run_going():
+    """O1 hears no vote until tick 12, so its quorum needs that tick: the
+    run waits for it instead of stopping as stalled."""
+    net = make_net()
+    gag = {"at_tick": 0, "kind": "drop_votes", "requester": "O1", "until_tick": 12}
+    report = net.run([(0, "alice", DDL), (0, "alice", SEED)], faults=[gag])
+    assert report.commits("O1") == [(1, 12)]
+    assert report.events(kind=STALLED) == []
 
 
 def test_drop_votes_window_delays_but_does_not_diverge():
@@ -646,7 +660,7 @@ def test_config_from_json():
                 ],
                 "min_matching": 2,
                 "blocksize": 64,
-                "recovery_strategy": "full_replay",
+                "checkpoint_interval": 0,
                 "agreement_policies": {"acct": ["O1"]},
             }
         )
@@ -656,8 +670,24 @@ def test_config_from_json():
     assert config.orgs[1].engine_delay == 3
     assert config.orgs[2].sessions == 4
     assert config.blocksize == 64
-    assert config.recovery_strategy.value == "full_replay"
+    assert config.checkpoint_interval == 0
     assert config.agreement_policies == {"acct": ["O1"]}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"checkpoint_interval": -2}, "checkpoint_interval must not be negative"),
+        ({"checkpoint_capacity": 0}, "checkpoint_capacity must be at least 1"),
+        ({"checkpoint_capacity": -1}, "checkpoint_capacity must be at least 1"),
+        ({"organizations": [{"id": "O1", "engine_delay": -1}]},
+         "organization O1: engine_delay must not be negative"),
+    ],
+)
+def test_config_refuses_negative_checkpoint_and_delay_fields(fields, message):
+    with pytest.raises(ConfigError) as caught:
+        NetworkConfig.from_dict({"organizations": [{"id": "O1"}], "min_matching": 1, **fields})
+    assert str(caught.value) == message
 
 
 def test_config_rejects_zero_sessions():
@@ -667,31 +697,13 @@ def test_config_rejects_zero_sessions():
         OrgConfig("O1", sessions=-1)
 
 
-def test_config_names_the_recovery_strategies_on_an_unknown_one():
+def test_config_refuses_the_recovery_strategy_field():
+    """Recovery has one path now; a config that still picks one fails
+    loudly rather than running a different recovery than it names."""
     raw = {"organizations": [{"id": "O1"}], "min_matching": 1}
-    with pytest.raises(ConfigError) as caught:
-        NetworkConfig.from_dict({**raw, "recovery_strategy": "partial_replay"})
-    assert "'partial_replay'" in str(caught.value)
-    for strategy in ("restore_from_peer_state", "full_replay", "optimized_partial_replay"):
-        assert strategy in str(caught.value)
-        assert NetworkConfig.from_dict({**raw, "recovery_strategy": strategy})
-    assert NetworkConfig.from_dict({**raw, "recovery_strategy": None}).recovery_strategy is None
-
-
-@pytest.mark.parametrize("strategy", list(RecoveryStrategy))
-def test_config_selects_a_recovery_strategy_by_name(strategy):
-    """recover compares the strategy by identity, so a name must become the
-    enum member when the config is built directly, not only from JSON."""
-    config = NetworkConfig(orgs=[OrgConfig("O1")], min_matching=1, recovery_strategy=strategy.value)
-    assert config.recovery_strategy is strategy
-    assert NetworkConfig(
-        orgs=[OrgConfig("O1")], min_matching=1, recovery_strategy=strategy
-    ).recovery_strategy is strategy
-
-
-def test_config_refuses_an_unknown_recovery_strategy_name():
-    with pytest.raises(ConfigError, match="unknown recovery_strategy 'bogus'; choose from"):
-        NetworkConfig(orgs=[OrgConfig("O1")], min_matching=1, recovery_strategy="bogus")
+    for strategy in ("full_replay", "optimized_partial_replay", None):
+        with pytest.raises(ConfigError, match="^recovery_strategy is gone: "):
+            NetworkConfig.from_dict({**raw, "recovery_strategy": strategy})
 
 
 THREE_ORGS = {"organizations": [{"id": "O1"}, {"id": "O2"}, {"id": "O3"}], "min_matching": 2}

@@ -130,8 +130,6 @@ def test_quirk_divergence_is_non_consenting():
     diverged = cluster["O1"]
     assert diverged.pending is not None  # kept for recovery to resolve
     assert diverged.height == 1
-    diverged.abandon_pending()
-    assert diverged.pending is None
 
 
 def test_unverifiable_transaction_fails_deterministically(cluster):

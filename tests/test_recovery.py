@@ -1,4 +1,4 @@
-"""Checkpoint cadence and the recovery ladder: checkpoints, full replay, peers."""
+"""Checkpoint cadence and the recovery ladder: checkpoints, then full replay."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from effectledger import recovery as recovery_module
 from effectledger.consensus import ConsensusStatus
 from effectledger.engine.types import QuirkConfig
 from effectledger.errors import HistoryUnavailable, VerifierUnavailable
-from effectledger.recovery import CheckpointManager, RecoveryStrategy, recover
+from effectledger.recovery import CheckpointManager, recover
 
 from conftest import Cluster
 
@@ -88,8 +88,8 @@ def test_checkpoint_restores_full_state():
 # ---- recovery ladder ----
 
 
-def diverge_then_recover(cluster, strategy, fetch_state=None, sql=None):
-    """Drive O1 into a non-consenting round, then run recovery for it.
+def diverge(cluster, sql=None):
+    """Drive O1 into a non-consenting round, leaving it pending.
 
     The default SQL reads and rewrites row 1, so it surfaces either a
     corrupted row 1 or a rounding-quirk mismatch (third fractional digit 6).
@@ -101,16 +101,15 @@ def diverge_then_recover(cluster, strategy, fetch_state=None, sql=None):
         node.execute_action(action)
     for org, node in cluster.nodes.items():
         outcomes[org] = node.complete_round(cluster.peers_of(org), cluster.fetch_vote)
+    assert outcomes["O1"].status is ConsensusStatus.NON_CONSENTING
     assert outcomes["O2"].status is ConsensusStatus.COMMITTED
     assert outcomes["O3"].status is ConsensusStatus.COMMITTED
-    report = recover(
-        cluster["O1"],
-        cluster.peers_of("O1"),
-        cluster.fetch_vote,
-        strategy,
-        fetch_state=fetch_state,
-    )
-    return report
+
+
+def diverge_then_recover(cluster, sql=None):
+    """diverge, then run recovery for O1."""
+    diverge(cluster, sql)
+    return recover(cluster["O1"], cluster.peers_of("O1"), cluster.fetch_vote)
 
 
 def test_recover_nothing_pending_raises():
@@ -126,7 +125,7 @@ def test_corrupt_row_newest_checkpoint_one_iteration():
     for bid in (2, 3, 4):
         cluster.round(bid, bump(1))
     corrupt_row(cluster["O1"])  # external damage to committed state
-    report = diverge_then_recover(cluster, RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY, sql=bump(1))
+    report = diverge_then_recover(cluster, sql=bump(1))
     assert report.recovered
     assert len(report.iterations) == 1
     assert report.iterations[0].source == "checkpoint:3"
@@ -179,7 +178,7 @@ def test_corrupt_snapshot_falls_back_one_checkpoint():
         (rid, Decimal("123456.00")) if rid == 1 else (rid, bal) for rid, bal in snap.rows
     )
     newest.tables["acct"] = type(snap)(snap.schema, rows)
-    report = diverge_then_recover(cluster, RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY, sql=bump(1))
+    report = diverge_then_recover(cluster, sql=bump(1))
     assert report.recovered
     assert len(report.iterations) == 2
     assert report.iterations[0].source == "checkpoint:4"
@@ -193,21 +192,12 @@ def test_full_replay_from_empty_without_checkpoints():
     cluster.round(1, DDL, SEED)
     cluster.round(2, bump(1))
     corrupt_row(cluster["O1"])
-    report = diverge_then_recover(cluster, RecoveryStrategy.FULL_REPLAY, sql=bump(1))
+    report = diverge_then_recover(cluster, sql=bump(1))
     assert report.recovered
     assert report.iterations[-1].source == "full_replay"
     # replays blocks 1..2 then re-executes the failing block 3
     assert report.iterations[-1].blocks_replayed == 3
     assert cluster["O1"].db.state_hash() == cluster["O2"].db.state_hash()
-
-
-def test_strategy_none_excludes_immediately():
-    cluster = managed_cluster()
-    cluster.round(1, DDL, SEED)
-    corrupt_row(cluster["O1"])
-    report = diverge_then_recover(cluster, None, sql=bump(1))
-    assert not report.recovered
-    assert report.iterations == []
 
 
 def test_same_quirk_failure_is_excluded_after_all_sources():
@@ -218,53 +208,11 @@ def test_same_quirk_failure_is_excluded_after_all_sources():
     )
     cluster.round(1, DDL, SEED)
     cluster.round(2, bump(1))
-    report = diverge_then_recover(cluster, RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY)
+    report = diverge_then_recover(cluster)
     assert not report.recovered
     # walked the checkpoint then fell through to full replay
     assert [it.source for it in report.iterations] == ["checkpoint:2", "full_replay"]
     assert all(not it.consented for it in report.iterations)
-
-
-def test_peer_state_restore():
-    cluster = managed_cluster(interval=2)
-    cluster.round(1, DDL, SEED)
-    cluster.round(2, bump(1))
-    corrupt_row(cluster["O1"])
-    report = diverge_then_recover(
-        cluster,
-        RecoveryStrategy.RESTORE_FROM_PEER_STATE,
-        fetch_state=cluster.fetch_state,
-        sql=bump(1),
-    )
-    assert report.recovered
-    assert report.iterations[-1].source.startswith("peer:")
-    node = cluster["O1"]
-    assert node.db.state_hash() == cluster["O2"].db.state_hash()
-    assert node.ledger.head_hash() == cluster["O2"].ledger.head_hash()
-    assert node.height == 3
-    # the adopted block's audit record is a commit on the adopted hash
-    adopted = node.ledger.stored_hash(3)
-    assert adopted == cluster["O2"].ledger.stored_hash(3)
-    transcript = node.transcripts[3]
-    assert transcript.status is ConsensusStatus.COMMITTED
-    assert transcript.quorum_hash == adopted
-    assert transcript.votes["O1"] == adopted
-    # adopted state invalidates history-bound snapshots
-    assert node.checkpoints.snapshots == []
-    # and the node keeps committing with its peers afterwards
-    outcomes = cluster.round(4, bump(3))
-    assert all(o.status is ConsensusStatus.COMMITTED for o in outcomes.values())
-
-
-def test_peer_state_restore_without_transport_excludes():
-    cluster = managed_cluster()
-    cluster.round(1, DDL, SEED)
-    corrupt_row(cluster["O1"])
-    report = diverge_then_recover(
-        cluster, RecoveryStrategy.RESTORE_FROM_PEER_STATE, fetch_state=None, sql=bump(1)
-    )
-    assert not report.recovered
-    assert report.iterations[0].reason == "no state transport available"
 
 
 def test_recovered_node_keeps_committing():
@@ -273,7 +221,7 @@ def test_recovered_node_keeps_committing():
     for bid in (2, 3):
         cluster.round(bid, bump(1))
     corrupt_row(cluster["O1"])
-    report = diverge_then_recover(cluster, RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY, sql=bump(1))
+    report = diverge_then_recover(cluster, sql=bump(1))
     assert report.recovered
     outcomes = cluster.round(5, bump(3, "2.25"))
     assert all(o.status is ConsensusStatus.COMMITTED for o in outcomes.values())
@@ -302,11 +250,9 @@ def test_vote_replaced_after_recovery():
 # ---- re-execution reads the pending round's verdicts ----
 
 
-@pytest.mark.parametrize(
-    "strategy", [RecoveryStrategy.FULL_REPLAY, RecoveryStrategy.OPTIMIZED_PARTIAL_REPLAY]
-)
-def test_recovery_checks_no_signature_again(strategy, monkeypatch):
-    cluster = managed_cluster(interval=1)
+@pytest.mark.parametrize("interval", [0, 1])  # full replay; replay from a checkpoint
+def test_recovery_checks_no_signature_again(interval, monkeypatch):
+    cluster = managed_cluster(interval=interval)
     cluster.round(1, DDL, SEED)
     corrupt_row(cluster["O1"])
     checked = []
@@ -317,7 +263,7 @@ def test_recovery_checks_no_signature_again(strategy, monkeypatch):
         return original(node, action)
 
     monkeypatch.setattr(org_module.OrgNode, "_verify_signatures", counted)
-    assert diverge_then_recover(cluster, strategy, sql=bump(1)).recovered
+    assert diverge_then_recover(cluster, sql=bump(1)).recovered
     assert checked == ["O1", "O2", "O3"]  # each organization's first execution only
 
 
@@ -325,14 +271,14 @@ def test_recovery_needs_no_signature_worker(monkeypatch):
     cluster = Cluster()
     cluster.round(1, DDL, SEED)
     corrupt_row(cluster["O1"])
-    diverge_then_recover(cluster, None, sql=bump(1))  # leaves O1's block 2 pending
+    diverge(cluster, sql=bump(1))  # leaves O1's block 2 pending
 
     def gone():
         raise VerifierUnavailable("worker gone")
 
     monkeypatch.setattr(keys, "signature_worker", gone)
     node = cluster["O1"]
-    report = recover(node, cluster.peers_of("O1"), cluster.fetch_vote, RecoveryStrategy.FULL_REPLAY)
+    report = recover(node, cluster.peers_of("O1"), cluster.fetch_vote)
     assert report.recovered
     assert node.height == 2
     assert node.ledger.head_hash() == cluster["O2"].ledger.head_hash()

@@ -189,7 +189,7 @@ def test_signatures_are_sent_once_at_receipt(monkeypatch):
     node.execute_action(action)
     assert sent == [("O1", 2)] and node.verifying == {}
     # a direct call with an action nobody queued verifies its signatures again
-    node.abandon_pending()
+    node.pending = None
     node.execute_action(action)
     assert sent == [("O1", 2), ("O1", 2)]
 
