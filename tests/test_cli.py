@@ -330,6 +330,7 @@ def test_domain_errors_exit_2(tmp_path, capsys):
              "min_matching": 1},
             "organization O1: update_noop_emits_digest must be true or false, not 'false'",
         ),
+        ({**CONFIG, "checkpoint_capacity": 0}, "checkpoint_capacity must be at least 1"),
     ],
 )
 def test_run_rejects_a_mistyped_config_field(tmp_path, schedule_file, capsys, config, message):

@@ -273,6 +273,17 @@ def test_corrupt_row_recovers_and_matches_peers():
     assert len(states) == 1 and len(heads) == 1
 
 
+def test_corrupt_row_recovers_by_full_replay_at_interval_zero():
+    net = make_net(checkpoint_interval=0)
+    report = net.run(basic_schedule(bumps=8), faults=[corrupt_fault(6)])
+    assert report.first("O1", RECOVER_DONE) is not None
+    assert report.first("O1", EXCLUDED) is None
+    assert all(node.checkpoints.snapshots == [] for node in net.nodes.values())
+    states = {node.db.state_hash() for node in net.nodes.values()}
+    heads = {node.ledger.head_hash() for node in net.nodes.values()}
+    assert len(states) == 1 and len(heads) == 1
+
+
 def test_fault_free_peers_commit_during_recovery():
     net = make_net(checkpoint_interval=2)
     report = net.run(basic_schedule(bumps=8), faults=[corrupt_fault(6)])
@@ -553,6 +564,17 @@ def test_corrupt_snapshot_overwrites_the_named_row_of_the_newest_checkpoint():
                                pk=(2, "5", "2.5"), column="v", value="7"))
     rows = net.node("O1").checkpoints.snapshots[-1].tables["mixed"].rows
     assert [row[:4] for row in rows] == [(1, "5", Decimal("2.50"), 0), (2, "5", Decimal("2.50"), 7)]
+
+
+def test_corrupt_snapshot_needs_a_checkpoint_at_interval_zero():
+    """Interval 0 keeps no snapshot, so there is none for the fault to hit."""
+    net = make_net(checkpoint_interval=0)
+    net.run(basic_schedule(bumps=2))
+    fault = FaultEvent(at_tick=0, kind="corrupt_snapshot", org="O1", table="acct",
+                       pk=(1,), column="bal", value="7")
+    with pytest.raises(ConfigError, match="^corrupt_snapshot: no checkpoint to corrupt$"):
+        net.apply_fault(fault)
+    assert net.node("O1").checkpoints.snapshots == []
 
 
 @pytest.mark.parametrize(

@@ -200,6 +200,20 @@ def test_full_replay_from_empty_without_checkpoints():
     assert cluster["O1"].db.state_hash() == cluster["O2"].db.state_hash()
 
 
+def test_interval_zero_takes_no_checkpoints_and_replays_everything():
+    cluster = managed_cluster(interval=0)
+    cluster.round(1, DDL, SEED)
+    for bid in (2, 3, 4):
+        cluster.round(bid, bump(1))
+    assert cluster["O1"].checkpoints.snapshots == []
+    corrupt_row(cluster["O1"])
+    report = diverge_then_recover(cluster, sql=bump(1))
+    assert report.recovered
+    # replays blocks 1..4 then re-executes the failing block 5
+    assert [(it.source, it.blocks_replayed) for it in report.iterations] == [("full_replay", 5)]
+    assert cluster["O1"].ledger.head_hash() == cluster["O2"].ledger.head_hash()
+
+
 def test_same_quirk_failure_is_excluded_after_all_sources():
     """When divergence is behavioral, every replay reproduces it: exclusion."""
     cluster = managed_cluster(
