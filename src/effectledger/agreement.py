@@ -14,7 +14,8 @@ re-verifies the whole bundle and marks transactions with missing or invalid
 agreements failed.  That check has two halves, so that the signatures can be
 verified elsewhere in between: signature_jobs lists them, and
 finish_verification takes the verdict on them; verify_chained_transaction is
-the two together.
+the two together.  An endorsing organization keeps an Endorsements record,
+so that its own list leaves out the checks it made or signed when endorsing.
 
 Each party parses a transaction's SQL once, into a ParsedTransaction: the
 client to find the required organizations (only when policies exist), each
@@ -30,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
@@ -52,6 +54,16 @@ def _len_prefixed(*parts: bytes) -> bytes:
     return b"".join(struct.pack(">I", len(p)) + p for p in parts)
 
 
+def proposal_payload(client: str, sql: str) -> bytes:
+    """The bytes a client signs for a proposal; their SHA-256 is its digest."""
+    return _len_prefixed(client.encode("utf-8"), sql.encode("utf-8"))
+
+
+def agreement_payload(org: str, txn_digest: bytes, verdict: bool) -> bytes:
+    """The bytes an organization signs for its verdict on a proposal digest."""
+    return _len_prefixed(org.encode("utf-8"), txn_digest, b"\x01" if verdict else b"\x00")
+
+
 @dataclass(frozen=True)
 class TransactionProposal:
     client: str
@@ -59,17 +71,14 @@ class TransactionProposal:
     signature: bytes = b""
 
     def signed_payload(self) -> bytes:
-        return _len_prefixed(self.client.encode("utf-8"), self.sql.encode("utf-8"))
+        return proposal_payload(self.client, self.sql)
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.signed_payload()).digest()
 
 
 def make_proposal(client: str, sql: str, private_key) -> TransactionProposal:
-    proposal = TransactionProposal(client, sql)
-    return TransactionProposal(
-        client, sql, keys.sign(private_key, proposal.signed_payload())
-    )
+    return TransactionProposal(client, sql, keys.sign(private_key, proposal_payload(client, sql)))
 
 
 @dataclass(frozen=True)
@@ -80,16 +89,12 @@ class Agreement:
     signature: bytes = b""
 
     def signed_payload(self) -> bytes:
-        return _len_prefixed(
-            self.org.encode("utf-8"), self.txn_digest, b"\x01" if self.verdict else b"\x00"
-        )
+        return agreement_payload(self.org, self.txn_digest, self.verdict)
 
 
 def make_agreement(org: str, txn_digest: bytes, verdict: bool, private_key) -> Agreement:
-    agreement = Agreement(org, txn_digest, verdict)
-    return Agreement(
-        org, txn_digest, verdict, keys.sign(private_key, agreement.signed_payload())
-    )
+    signature = keys.sign(private_key, agreement_payload(org, txn_digest, verdict))
+    return Agreement(org, txn_digest, verdict, signature)
 
 
 @dataclass(frozen=True)
@@ -380,8 +385,55 @@ def collect_agreements(
     return ChainedTransaction(proposal, tuple(agreements))
 
 
+class Endorsements:
+    """One organization's record of the proposals it agreed to and has not
+    yet received in a block.
+
+    Each entry maps the client check that passed at endorsement, as a
+    (client key bytes, signature, signed bytes) tuple, to the Agreement the
+    organization signed for that proposal.  signature_jobs takes the entry
+    when the transaction arrives in a block, and drops the checks it
+    vouches for.  Every check the record drops is one that was verified or
+    signed by this organization, byte for byte, so a miss costs only a
+    verification.
+
+    Entries are kept in endorsement order.  Taking one drops every older
+    entry as well: the orderer is FIFO, so a proposal endorsed earlier and
+    not received before this one never reaches this organization (another
+    endorser refused it, or the orderer left it out of this organization's
+    copy of a block).  The record is never shared between organizations.
+    """
+
+    def __init__(self, own_key: bytes):
+        self.own_key = own_key  # the organization's public key bytes
+        self._entries: OrderedDict[tuple[bytes, bytes, bytes], Agreement] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add(self, client_check: tuple[bytes, bytes, bytes], agreement: Agreement):
+        self._entries[client_check] = agreement
+        self._entries.move_to_end(client_check)
+
+    def take(self, client_check: tuple[bytes, bytes, bytes]) -> Agreement | None:
+        """The agreement recorded for client_check, which leaves the record
+        with every older entry; None when there is none."""
+        entries = self._entries
+        if client_check not in entries:
+            return None
+        while True:
+            check, agreement = entries.popitem(last=False)
+            if check == client_check:
+                return agreement
+
+    def clear(self):
+        self._entries.clear()
+
+
 def signature_jobs(
-    ct: ChainedTransaction, registry: keys.KeyRegistry
+    ct: ChainedTransaction,
+    registry: keys.KeyRegistry,
+    endorsed: Endorsements | None = None,
 ) -> tuple[tuple[bytes, bytes, bytes], ...] | None:
     """First half of the execution-time check: the signatures to verify.
 
@@ -390,20 +442,31 @@ def signature_jobs(
     signature fails already: an unknown client or endorser, or an agreement
     on another digest or with a refusing verdict.  A transaction without
     agreements is not digested.
+
+    endorsed is the record of the organization that builds the checks.  It
+    drops the client check when the record holds that check byte for byte,
+    and the organization's own agreement when it equals the one recorded
+    and the registry holds the key it was signed with; the job may then
+    hold no check at all.
     """
     proposal = ct.proposal
     client_key = registry.encoded_key(proposal.client)
     if client_key is None:
         return None
-    jobs = [(client_key, proposal.signature, proposal.signed_payload())]
+    payload = proposal.signed_payload()
+    client_check = (client_key, proposal.signature, payload)
+    own = None if endorsed is None else endorsed.take(client_check)
+    jobs = [] if own is not None else [client_check]
     if ct.agreements:
-        digest = proposal.digest()
+        digest = hashlib.sha256(payload).digest()
         for agreement in ct.agreements:
             if agreement.txn_digest != digest or not agreement.verdict:
                 return None
             org_key = registry.encoded_key(agreement.org)
             if org_key is None:
                 return None
+            if agreement == own and org_key == endorsed.own_key:
+                continue
             jobs.append((org_key, agreement.signature, agreement.signed_payload()))
     return tuple(jobs)
 

@@ -22,6 +22,7 @@ from ..errors import (
     BindError,
     ConstraintViolation,
     EngineFailure,
+    MissingTarget,
     ParseError,
     SchemaMismatch,
 )
@@ -363,12 +364,17 @@ class Database:
     def overwrite_cell(self, name: str, raw_pk, column: str, raw_value):
         """Set one column of the row that row_key finds to a value given as
         for decode_literal, bypassing the column's domain checks: the
-        corruption of faults and `effectledger inject`."""
-        table = self.table(name)
-        key = row_key(table.schema, table.rows, raw_pk)
+        corruption of faults and `effectledger inject`.  MissingTarget when
+        the table or the row does not exist; BindError when the column does
+        not, or the value or the key can never be stored in its column."""
+        if name not in self.tables:
+            raise MissingTarget(f"unknown table {name}")
+        table = self.tables[name]
         idx = table.schema.column_index(column)
+        value = decode_literal(table.schema.columns[idx], raw_value)
+        key = row_key(table.schema, table.rows, raw_pk)
         row = list(table.rows[key])
-        row[idx] = decode_literal(table.schema.columns[idx], raw_value)
+        row[idx] = value
         table.rows[key] = tuple(row)
 
     def dump_table(self, name: str) -> bytes:

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import BindError, ConfigError, ConstraintViolation, SchemaMismatch
+from ..errors import BindError, ConfigError, ConstraintViolation, MissingTarget, SchemaMismatch
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -308,14 +308,16 @@ def row_key(schema: TableSchema, rows: dict, raw_pk) -> bytes:
     """Key of the stored row whose primary key reads raw_pk, one value per
     primary-key column decoded by decode_literal.  A DECIMAL matches at the
     column scale, so 2.5, "2.5" and "2.50" name the same row and 2.505 none.
-    BindError when a value is malformed, the arity is wrong or no such row
-    exists."""
+    BindError when a value is malformed, the arity is wrong or no stored
+    row can have the key; MissingTarget when no such row exists."""
     if len(raw_pk) != len(schema.primary_key):
         raise BindError(f"table {schema.name} has a {len(schema.primary_key)}-column key")
     values = [key_value(c, decode_literal(c, raw)) for c, raw in zip(schema.pk_columns, raw_pk)]
     key = key_bytes(schema, values)
+    if key is None:
+        raise BindError(f"no row can have key {tuple(raw_pk)} in {schema.name}")
     if key not in rows:
-        raise BindError(f"no row with key {tuple(raw_pk)} in {schema.name}")
+        raise MissingTarget(f"no row with key {tuple(raw_pk)} in {schema.name}")
     return key
 
 

@@ -19,6 +19,10 @@ class BindError(EffectLedgerError):
     """Statement references an unknown table/column or mistypes a value."""
 
 
+class MissingTarget(BindError):
+    """A cell to overwrite names a table or row that does not exist."""
+
+
 class ConstraintViolation(EffectLedgerError):
     """Primary-key conflict or value outside its column domain."""
 

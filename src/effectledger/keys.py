@@ -6,22 +6,26 @@ a simulation run signs byte-identical signatures given identical inputs.  Key
 pairs are derived from seed material for the same reason; this is a simulation
 aid, not a production key-management scheme.
 
-Where signatures are verified.  An organization checks the client and
-agreement signatures of a block's transactions when the ordered block reaches
-it: OrgNode.receive_action queues them, one job per transaction, with the one
-SignatureWorker of this process, and OrgNode.execute_action reads the
-verdicts back in block order (it queues the checks itself for an action
-nobody queued).  The pending round keeps the verdicts it read, and recovery
-re-executes the round from those, so recovery queues no check again.  Each job
-is verified exactly once, by the worker process or by this one: requests of
-CHUNK_TRANSACTIONS jobs are sent to the worker from the front of the queue
-while it holds fewer signatures than there are verdicts left to read, and a
-reader that would otherwise wait verifies jobs from the front of the queue
-itself (see SignatureWorker).  Both run verify_jobs.  Each organization queues
-its own checks and reads its own verdicts; nothing is shared between
-organizations, and the worker remembers no verdict across requests.  Effect
-votes and endorsement requests are verified in the calling process, by
-verify.
+Where signatures are verified.  An organization verifies each signature of
+a transaction once.  Endorsing a proposal, it verifies the client signature
+in the calling process, by verify, and records that check with the agreement
+it signs (agreement.Endorsements, one per organization).  When the ordered
+block reaches it, OrgNode.receive_action builds the block's checks, one job
+per transaction, leaving out the client check and the own agreement that the
+record holds byte for byte, and queues them with the one SignatureWorker of
+this process; OrgNode.execute_action reads the verdicts back in block order
+(it queues the checks itself for an action nobody queued).  A job left with
+no signature gets its verdict here, without a request.  The pending round
+keeps the verdicts it read, and recovery re-executes the round from those,
+so recovery queues no check again.  Each queued job is verified exactly
+once, by the worker process or by this one: requests of CHUNK_TRANSACTIONS
+jobs are sent to the worker from the front of the queue while it holds fewer
+signatures than there are verdicts left to read, and a reader that would
+otherwise wait verifies jobs from the front of the queue itself (see
+SignatureWorker).  Both run verify_jobs.  Each organization builds its own
+checks from its own record and reads its own verdicts; nothing is shared
+between organizations, and the worker remembers no verdict across requests.
+Effect votes are verified in the calling process, by verify.
 
 Why a process: verification holds the interpreter lock, so a second thread
 verifies no faster than one.  Why no helper thread in the main process: a
@@ -147,9 +151,6 @@ class KeyRegistry:
             key = load_public_bytes(bytes(key))
         self._keys[identity] = key
         self._encoded[identity] = public_bytes(key)
-
-    def known(self, identity: str) -> bool:
-        return identity in self._keys
 
     def encoded_key(self, identity: str) -> bytes | None:
         """The identity's public key as compressed-point bytes; None if unknown."""
@@ -311,15 +312,20 @@ class SignatureWorker:
 
     def _send_while_behind(self):
         """Send requests from the front of the queue while the worker holds
-        fewer signatures than there are verdicts left to read."""
+        fewer signatures than there are verdicts left to read.  A chunk with
+        no signature to verify is judged here instead: sent, it would add
+        nothing in flight, and the loop would go on sending."""
         left = self._jobs_left()
         while self._in_flight < left and (owner := self._oldest_queued()):
             start, jobs = owner._take(CHUNK_TRANSACTIONS)
+            signatures = sum(len(job) for job in jobs if job)
+            if not signatures:
+                owner._verdicts[start : owner._lo] = verify_jobs(jobs)
+                continue
             try:
                 self._conn.send(jobs)
             except OSError as exc:
                 raise self._gone() from exc
-            signatures = sum(len(job) for job in jobs if job)
             self._waiting.append((weakref.ref(owner), start, signatures))
             self._in_flight += signatures
 

@@ -359,10 +359,16 @@ class Ledger:
 
     @classmethod
     def load(cls, path) -> "Ledger":
+        """The ledger a file holds, not mirrored to it.  CorruptLedgerFile
+        naming the first bad block when the bytes do not parse or the chain
+        does not verify; the head hash is then the last block's own hash."""
         with open(path, "rb") as fh:
             data = fh.read()
         ledger = cls()
         ledger.blocks = parse_ledger_bytes(data)
+        result = verify_ledger(ledger.blocks)
+        if not result:
+            raise CorruptLedgerFile(result.reason, result.first_bad_block)
         if ledger.blocks:
             ledger._head_hash = block_hash(ledger.blocks[-1])
         return ledger

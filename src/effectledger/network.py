@@ -32,6 +32,8 @@ generator's seeded RNG, outside this module.
 Faults are scripted, never emergent: rows or snapshots corrupted at a tick,
 organizations stopped for good, the orderer equivocating one block to one
 victim, and vote traffic dropped or tampered between pairs of organizations.
+A corruption whose table, row or checkpoint does not exist when it fires is
+reported CORRUPT_MISSED, and the run goes on.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .consensus import ConsensusPolicy, ConsensusStatus
 from .engine.database import Database
 from .engine.parser import PlanCache
 from .engine.types import QuirkConfig
-from .errors import BindError, ConfigError
+from .errors import BindError, ConfigError, MissingTarget
 from .org import Action, OrgNode
 from .recovery import CheckpointManager, recover
 
@@ -63,6 +65,7 @@ EXCLUDED = "EXCLUDED"
 KILL = "KILL"
 CORRUPT = "CORRUPT"
 CORRUPT_SNAPSHOT = "CORRUPT_SNAPSHOT"
+CORRUPT_MISSED = "CORRUPT_MISSED"  # a corrupt_* fault whose target does not exist yet
 EQUIVOCATE = "EQUIVOCATE"
 REJECT = "REJECT"
 STALLED = "STALLED"
@@ -109,16 +112,6 @@ class SimulationReport:
         for org in sorted(self.summary):
             out.append(f"# summary: org={org} committed={self.summary[org]}")
         return "\n".join(out) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "SimulationReport":
-        report = cls()
-        for line in text.splitlines():
-            if not line or line.startswith("#"):
-                continue
-            tick, org, event, block = line.split("\t")
-            report.emit(int(tick), org, event, int(block))
-        return report
 
 
 # ---- configuration ----
@@ -474,7 +467,8 @@ class Network:
     def check_fault(self, event: FaultEvent) -> FaultKind:
         """event's kind, once event has the fields the kind needs and names
         organizations of this network; ConfigError naming the kind and the
-        field otherwise.  A corrupt_* target is checked when applied."""
+        field otherwise.  A corrupt_* target is checked when applied: a table,
+        row or checkpoint that does not exist then is a CORRUPT_MISSED line."""
         try:
             kind = FaultKind(event.kind)
         except ValueError:
@@ -494,18 +488,21 @@ class Network:
         if kind is FaultKind.KILL_ORG:
             self._retire(self.runtimes[event.org], KILL)
         elif kind is FaultKind.CORRUPT_ROW:
-            self._overwrite(event, self.node(event.org).db)
-            self.report.emit(self.tick, event.org, CORRUPT)
+            hit = self._overwrite(event, self.node(event.org).db)
+            self.report.emit(self.tick, event.org, CORRUPT if hit else CORRUPT_MISSED)
         elif kind is FaultKind.CORRUPT_SNAPSHOT:
             manager = self.node(event.org).checkpoints
             if not manager or not manager.snapshots:
-                raise ConfigError("corrupt_snapshot: no checkpoint to corrupt")
+                self.report.emit(self.tick, event.org, CORRUPT_MISSED)
+                return
             checkpoint = manager.snapshots[-1]
             copy = Database()
             copy.restore_all(checkpoint.tables)
-            self._overwrite(event, copy)
-            checkpoint.tables[event.table] = copy.table(event.table).snapshot()
-            self.report.emit(self.tick, event.org, CORRUPT_SNAPSHOT, checkpoint.block_id)
+            hit = self._overwrite(event, copy)
+            if hit:
+                checkpoint.tables[event.table] = copy.table(event.table).snapshot()
+            event_name = CORRUPT_SNAPSHOT if hit else CORRUPT_MISSED
+            self.report.emit(self.tick, event.org, event_name, checkpoint.block_id)
         elif kind is FaultKind.EQUIVOCATE_ORDERER:
             self._equivocations.add((event.org, event.block_id))
         elif kind is FaultKind.DROP_VOTES:
@@ -515,19 +512,25 @@ class Network:
 
     def _retire(self, rt: _OrgRuntime, event: str, block: int = 0):
         """Kill (KILL) or exclude (EXCLUDED) rt for good: it no longer steps,
-        votes or receives blocks, and its unread verdicts leave the signature
-        worker's queue."""
+        votes or receives blocks, its unread verdicts leave the signature
+        worker's queue, and its record of endorsed proposals is cleared."""
         rt.live = False
         rt.node.verifying.clear()
+        rt.node.endorsed.clear()
         self.report.emit(self.tick, rt.node.org_id, event, block)
 
     @staticmethod
-    def _overwrite(event: FaultEvent, db: Database):
-        """Overwrite the cell that a corrupt_* fault names in db."""
+    def _overwrite(event: FaultEvent, db: Database) -> bool:
+        """Overwrite the cell that a corrupt_* fault names in db; False when
+        its table or row does not exist (yet).  ConfigError when the column
+        does not exist, or the value or the key can never be stored there."""
         try:
             db.overwrite_cell(event.table, event.pk, event.column, event.value)
+        except MissingTarget:
+            return False
         except BindError as exc:
             raise ConfigError(f"{event.kind}: {exc}") from None
+        return True
 
     # ---- submission ----
 

@@ -12,7 +12,11 @@ Each round has one record at a time: received (self.verifying: the action
 and the verdicts on its signatures), then pending (self.pending: the block
 and the verdicts as read at execution), then committed (the ledger).
 Recovery re-executes the pending round from its recorded verdicts
-(reexecute_pending), so no signature is checked twice.
+(reexecute_pending), so no signature is checked twice.  Nor is one checked
+again that the organization checked or made while endorsing: receiving a
+block takes each transaction's entry from self.endorsed, which holds the
+client check that passed and the agreement signed, and leaves those two
+checks out of the round's verification.
 
 "Parse" means a lookup in the organization's own plan cache (self.plans), as
 a DBMS keeps prepared statements; endorsement, execution and replay all go
@@ -31,6 +35,7 @@ them when the vote goes against us.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from . import agreement as agmt
@@ -101,6 +106,8 @@ class OrgNode:
         self.pending: PendingRound | None = None
         self.checkpoints = None  # attached by recovery.CheckpointManager
         self.plans = PlanCache()
+        # proposals this organization agreed to, until their block arrives
+        self.endorsed = agmt.Endorsements(keys.public_bytes(self.private_key))
 
     # ---- identity / bookkeeping ----
 
@@ -118,9 +125,15 @@ class OrgNode:
     # ---- agreement service ----
 
     def evaluate_agreement(self, proposal: agmt.TransactionProposal) -> agmt.Agreement:
-        """Signed verdict on a proposal, judged against committed state only."""
-        verdict = self.registry.known(proposal.client) and self.registry.verify_as(
-            proposal.client, proposal.signature, proposal.signed_payload()
+        """Signed verdict on a proposal, judged against committed state only.
+
+        An agreement is recorded in self.endorsed with the client check that
+        passed, so that receiving the transaction checks neither again.
+        """
+        payload = proposal.signed_payload()
+        client_key = self.registry.encoded_key(proposal.client)
+        verdict = client_key is not None and self.registry.verify_as(
+            proposal.client, proposal.signature, payload
         )
         if verdict:
             parsed = agmt.parse_transaction(proposal.sql, self.plans)
@@ -132,9 +145,12 @@ class OrgNode:
                 ):
                     verdict = False
                     break
-        return agmt.make_agreement(
-            self.org_id, proposal.digest(), verdict, self.private_key
+        agreement = agmt.make_agreement(
+            self.org_id, hashlib.sha256(payload).digest(), verdict, self.private_key
         )
+        if verdict:
+            self.endorsed.add((client_key, proposal.signature, payload), agreement)
+        return agreement
 
     # ---- action intake ----
 
@@ -151,7 +167,9 @@ class OrgNode:
             self.verifying[round_id] = (action, self._verify_signatures(action))
 
     def _verify_signatures(self, action: Action) -> keys.Verdicts:
-        jobs = (agmt.signature_jobs(ct, self.registry) for ct in action.transactions)
+        jobs = (
+            agmt.signature_jobs(ct, self.registry, self.endorsed) for ct in action.transactions
+        )
         return keys.signature_worker().verify(jobs)
 
     def executable_action(self) -> Action | None:

@@ -108,6 +108,20 @@ def test_run_applies_fault_script(config_file, schedule_file, tmp_path, capsys):
     assert "O2\tKILL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["corrupt_row", "corrupt_snapshot"])
+def test_run_reports_a_fault_on_a_missing_table_and_goes_on(
+    config_file, schedule_file, tmp_path, capsys, kind
+):
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps([{"at_tick": 3, "kind": kind, "org": "O1", "table": "nope",
+                                   "pk": [1], "column": "bal", "value": 1}]))
+    argv = ("run", "--config", config_file, "--schedule", schedule_file, "--faults", str(faults))
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    assert "3\tO1\tCORRUPT_MISSED\t0" in out
+    assert out.endswith("# summary: org=O1 committed=2\n# summary: org=O2 committed=2\n")
+
+
 def test_run_requires_some_workload(config_file):
     with pytest.raises(SystemExit):
         run_cli("run", "--config", config_file)
@@ -367,15 +381,15 @@ BAD_FAULTS = [
       "value": 1.5}, "corrupt_row: column id: 1.5 is not an INT"),
     ({"kind": "corrupt_row", "org": "O1", "table": "acct", "pk": [1], "column": "bal",
       "value": "Infinity"}, "corrupt_row: column bal: 'Infinity' is not a number"),
-    ({"kind": "corrupt_row", "org": "O1", "table": "nope", "pk": [1], "column": "bal",
-      "value": 1}, "corrupt_row: unknown table nope"),
+    ({"kind": "corrupt_row", "org": "O1", "table": "acct", "pk": [1], "column": "nope",
+      "value": 1}, "corrupt_row: table acct: unknown column nope"),
     ({"kind": "corrupt_row", "org": "O9", "table": "acct", "pk": [1], "column": "bal",
       "value": 1}, "fault corrupt_row: org 'O9' is not an organization"),
     ({"kind": "kill_org", "org": "O9"}, "fault kill_org: org 'O9' is not an organization"),
     ({"kind": "drop_votes", "responder": "O9"},
      "fault drop_votes: responder 'O9' is not an organization"),
-    ({"kind": "corrupt_snapshot", "org": "O1", "table": "nope", "pk": [1], "column": "bal",
-      "value": 1}, "corrupt_snapshot: unknown table nope"),
+    ({"kind": "corrupt_snapshot", "org": "O1", "table": "acct", "pk": [1], "column": "nope",
+      "value": 1}, "corrupt_snapshot: table acct: unknown column nope"),
     ({"kind": "corrupt_snapshot", "org": "O1", "table": "acct", "pk": [1, 1], "column": "bal",
       "value": 1}, "corrupt_snapshot: table acct has a 1-column key"),
 ]

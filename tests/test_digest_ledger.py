@@ -321,6 +321,22 @@ def test_file_mirroring_and_load(tmp_path):
     assert verify_ledger(loaded).ok
 
 
+def test_load_verifies_the_chain(tmp_path):
+    path = tmp_path / "d.ledger"
+    ledger = Ledger(path, durable=True)
+    blocks = make_chain(4)
+    for b in blocks:
+        ledger.append(b)
+    ledger.close()
+    data = bytearray(path.read_bytes())
+    end_of_block_3 = sum(len(b.serialize()) for b in blocks[:3])
+    data[end_of_block_3 - 1] ^= 0x01  # the last byte of block 3's hash_previous
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptLedgerFile, match="^block 3: previous-hash mismatch$") as caught:
+        Ledger.load(path)
+    assert caught.value.block_id == 3
+
+
 def test_durable_ledger_appends(tmp_path):
     path = tmp_path / "d.ledger"
     ledger = Ledger(path, durable=True)

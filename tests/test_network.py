@@ -19,6 +19,8 @@ from effectledger.ledger import verify_ledger
 from effectledger.network import (
     COMMIT,
     CORRUPT,
+    CORRUPT_MISSED,
+    CORRUPT_SNAPSHOT,
     CUT,
     EQUIVOCATE,
     EXCLUDED,
@@ -37,7 +39,6 @@ from effectledger.network import (
     NetworkConfig,
     Orderer,
     OrgConfig,
-    SimulationReport,
     load_fault_script,
 )
 from effectledger.smallbank import bootstrap_transactions, build_schedule
@@ -92,14 +93,12 @@ def test_identical_runs_are_byte_identical():
         )
 
 
-def test_report_header_and_round_trip():
+def test_report_header():
     net = make_net()
     report = net.run(basic_schedule(bumps=2))
     lines = report.to_text().splitlines()
     assert lines[0] == REPORT_HEADER
     assert lines[1] == REPORT_COLUMNS
-    parsed = SimulationReport.parse(report.to_text())
-    assert parsed.lines == report.lines
 
 
 def test_out_dir_artifacts(tmp_path):
@@ -523,14 +522,38 @@ def test_corrupt_row_decodes_json_numbers_and_strings(pk, column, raw, stored):
     assert row[table.schema.column_index(column)] == stored
 
 
-@pytest.mark.parametrize("pk", [[2, "5", "2.50"], [1, "6", "2.50"], [1, "5", "2.51"], [1, "5"]])
-def test_corrupt_row_rejects_a_missing_row(pk):
+@pytest.mark.parametrize(
+    "table, pk", [("mixed", [2, "5", "2.50"]), ("mixed", [1, "6", "2.50"]),
+                  ("mixed", [1, "5", "2.51"]), ("nope", [1, "5", "2.50"])]
+)
+def test_corrupt_row_misses_a_missing_row_or_table(table, pk):
     net = make_net()
     net.run([(0, "alice", MIXED_DDL), (0, "alice", MIXED_ROW)])
-    fault = FaultEvent(at_tick=0, kind="corrupt_row", org="O1", table="mixed",
+    state = net.node("O1").db.state_hash()
+    fault = FaultEvent(at_tick=0, kind="corrupt_row", org="O1", table=table,
                        pk=tuple(pk), column="v", value=1)
-    with pytest.raises(ConfigError):
-        net.apply_fault(fault)
+    net.apply_fault(fault)
+    assert net.report.lines[-1].event == CORRUPT_MISSED
+    assert net.node("O1").db.state_hash() == state
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"pk": [1, "5"]}, "corrupt_row: table mixed has a 3-column key"),
+        ({"column": "nope"}, "corrupt_row: table mixed: unknown column nope"),
+        ({"pk": [2, "5", "2.50"], "value": 1.5}, "corrupt_row: column v: 1.5 is not an INT"),
+    ],
+    ids=["arity", "column", "value-of-a-missing-row"],
+)
+def test_corrupt_row_rejects_what_can_never_be_stored(fields, message):
+    net = make_net()
+    net.run([(0, "alice", MIXED_DDL), (0, "alice", MIXED_ROW)])
+    fault = {"at_tick": 0, "kind": "corrupt_row", "org": "O1", "table": "mixed",
+             "pk": (1, "5", "2.50"), "column": "v", "value": 1, **fields}
+    with pytest.raises(ConfigError) as caught:
+        net.apply_fault(FaultEvent(**fault))
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
@@ -567,20 +590,36 @@ def test_corrupt_snapshot_overwrites_the_named_row_of_the_newest_checkpoint():
 
 
 def test_corrupt_snapshot_needs_a_checkpoint_at_interval_zero():
-    """Interval 0 keeps no snapshot, so there is none for the fault to hit."""
+    """Interval 0 keeps no snapshot, so there is none for the fault to hit:
+    it is reported missed, and the run goes on."""
     net = make_net(checkpoint_interval=0)
-    net.run(basic_schedule(bumps=2))
-    fault = FaultEvent(at_tick=0, kind="corrupt_snapshot", org="O1", table="acct",
-                       pk=(1,), column="bal", value="7")
-    with pytest.raises(ConfigError, match="^corrupt_snapshot: no checkpoint to corrupt$"):
-        net.apply_fault(fault)
+    fault = {"at_tick": 3, "kind": "corrupt_snapshot", "org": "O1", "table": "acct",
+             "pk": [1], "column": "bal", "value": "7"}
+    report = net.run(basic_schedule(bumps=2), faults=[fault])
+    missed = report.events("O1", CORRUPT_MISSED)
+    assert [(line.tick, line.block) for line in missed] == [(3, 0)]
     assert net.node("O1").checkpoints.snapshots == []
+    assert len({node.height for node in net.nodes.values()}) == 1
+
+
+def test_corrupt_snapshot_misses_a_table_or_row_the_checkpoint_lacks():
+    net = mixed_net_with_checkpoint()
+    checkpoint = net.node("O1").checkpoints.snapshots[-1]
+    before = dict(checkpoint.tables)
+    for table, pk in (("nope", (1, "5", "2.50")), ("mixed", (3, "5", "2.50"))):
+        net.apply_fault(FaultEvent(at_tick=0, kind="corrupt_snapshot", org="O1", table=table,
+                                   pk=pk, column="v", value=7))
+    assert [(l.event, l.block) for l in net.report.lines[-2:]] == [
+        (CORRUPT_MISSED, checkpoint.block_id)
+    ] * 2
+    assert checkpoint.tables == before
+    assert not net.report.events("O1", CORRUPT_SNAPSHOT)
 
 
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"table": "nope"}, "corrupt_snapshot: unknown table nope"),
+        ({"column": "nope"}, "corrupt_snapshot: table mixed: unknown column nope"),
         ({"pk": (1, "5", "2.50", 1)}, "corrupt_snapshot: table mixed has a 3-column key"),
         ({"pk": ("x", "5", "2.50")}, "corrupt_snapshot: column k: 'x' is not a number"),
         ({"value": 1.5}, "corrupt_snapshot: column v: 1.5 is not an INT"),

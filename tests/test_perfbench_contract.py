@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from effectledger import consensus, ledger, network, org, recovery, scheduler
+from effectledger import agreement, consensus, keys, ledger, network, org, recovery, scheduler
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -78,3 +78,14 @@ def test_workload_config_and_event_names():
     assert all(
         isinstance(getattr(network, name), str) for name in ("EXCLUDED", "RECOVER_FAIL", "REJECT")
     )
+
+
+def test_endorsement_verifies_through_keys_verify(monkeypatch):
+    # the keys.verify span counts endorsement's client checks
+    calls = []
+    verify = keys.verify
+    monkeypatch.setattr(keys, "verify", lambda *args: calls.append(args) or verify(*args))
+    net = network.Network(network.NetworkConfig([network.OrgConfig("O1")], min_matching=1))
+    proposal = agreement.make_proposal("c", "SELECT * FROM t;", net.client_key("c"))
+    assert net.node("O1").evaluate_agreement(proposal).verdict
+    assert len(calls) == 1
