@@ -17,6 +17,12 @@ finish_verification takes the verdict on them; verify_chained_transaction is
 the two together.  An endorsing organization keeps an Endorsements record,
 so that its own list leaves out the checks it made or signed when endorsing.
 
+A client finds the organizations a proposal needs once (endorsers), and
+collect_agreements asks each of them in turn.  Each endorser's client check
+was queued with the signature worker before (OrgNode.queue_client_checks;
+keys tells who queues it and when), and evaluate_agreement reads its
+verdict in submit order before it evaluates predicates and signs.
+
 Each party parses a transaction's SQL once, into a ParsedTransaction: the
 client to find the required organizations (only when policies exist), each
 endorser to evaluate its predicates, and each executing organization in
@@ -350,22 +356,25 @@ class AgreementPolicy:
     required_orgs: tuple[str, ...]
 
 
+def endorsers(sql: str, policies: dict[str, AgreementPolicy], plans: PlanCache | None = None):
+    """The organizations whose agreement a transaction needs, found by the
+    client.  Without policies none is required, and the SQL is not parsed;
+    with them, the client parses it through plans, its own plan cache, when
+    given."""
+    return required_orgs(parse_transaction(sql, plans), policies) if policies else ()
+
+
 def collect_agreements(
     proposal: TransactionProposal,
-    policies: dict[str, AgreementPolicy],
+    needed: tuple[str, ...],
     evaluators: dict[str, object],
-    plans: PlanCache | None = None,
 ) -> Union[ChainedTransaction, Rejected]:
-    """Gather signed agreements from every required organization.
+    """Gather signed agreements from every organization in needed, the ones
+    the client found with endorsers.
 
     evaluators maps org id to a callable(proposal) -> Agreement | None; None
-    models an unreachable organization and refuses conservatively.  Without
-    policies no organization is required, and the SQL is not parsed; with
-    them, the client parses it through plans, its own plan cache, when given.
+    models an unreachable organization and refuses conservatively.
     """
-    needed = (
-        required_orgs(parse_transaction(proposal.sql, plans), policies) if policies else ()
-    )
     agreements = []
     dissenting = []
     reasons = []

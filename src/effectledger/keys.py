@@ -7,25 +7,40 @@ pairs are derived from seed material for the same reason; this is a simulation
 aid, not a production key-management scheme.
 
 Where signatures are verified.  An organization verifies each signature of
-a transaction once.  Endorsing a proposal, it verifies the client signature
-in the calling process, by verify, and records that check with the agreement
-it signs (agreement.Endorsements, one per organization).  When the ordered
-block reaches it, OrgNode.receive_action builds the block's checks, one job
-per transaction, leaving out the client check and the own agreement that the
-record holds byte for byte, and queues them with the one SignatureWorker of
-this process; OrgNode.execute_action reads the verdicts back in block order
-(it queues the checks itself for an action nobody queued).  A job left with
-no signature gets its verdict here, without a request.  The pending round
-keeps the verdicts it read, and recovery re-executes the round from those,
-so recovery queues no check again.  Each queued job is verified exactly
-once, by the worker process or by this one: requests of CHUNK_TRANSACTIONS
-jobs are sent to the worker from the front of the queue while it holds fewer
-signatures than there are verdicts left to read, and a reader that would
-otherwise wait verifies jobs from the front of the queue itself (see
-SignatureWorker).  Both run verify_jobs.  Each organization builds its own
-checks from its own record and reads its own verdicts; nothing is shared
-between organizations, and the worker remembers no verdict across requests.
-Effect votes are verified in the calling process, by verify.
+a transaction once, and all of them, but for effect votes, through the one
+SignatureWorker of this process.
+
+Endorsing.  Network.run prepares the proposals due at a tick
+CHUNK_TRANSACTIONS at a time, at most two chunks ahead of the submit being
+made and never past the tick.  For each chunk, each live organization whose
+agreement some of its proposals need queues their client checks as one
+Verdicts (OrgNode.queue_client_checks), one organization after another, so
+the queue alternates between organizations chunk by chunk.
+OrgNode.evaluate_agreement reads the verdicts in submit order and signs an
+agreement only after its client check passed; a proposal nobody queued has
+its check queued there, as a batch of one.  Checks still unread at the end
+of a tick are dropped.  The organization records the check that passed with
+the agreement it signed (agreement.Endorsements, one per organization).
+
+Receiving.  When the ordered block reaches an organization,
+OrgNode.receive_action builds the block's checks, one job per transaction,
+leaving out the client check and the own agreement that the record holds
+byte for byte, and queues them; OrgNode.execute_action reads the verdicts
+back in block order (it queues the checks itself for an action nobody
+queued).  The pending round keeps the verdicts it read, and recovery
+re-executes the round from those, so recovery queues no check again.
+
+A job left with no signature gets its verdict here, without a request.
+Each queued job is verified exactly once, by the worker process or by this
+one: requests of CHUNK_TRANSACTIONS jobs are sent to the worker from the
+front of the queue while it holds fewer signatures than there are verdicts
+left to read, and a reader that would otherwise wait verifies jobs from the
+front of the queue itself (see SignatureWorker).  Both run verify_jobs.
+Each organization builds its own checks from its own registry and record
+and reads its own verdicts; nothing is shared between organizations, and
+the worker remembers no verdict across requests.  Effect votes are verified
+in the calling process, by verify, so calls to verify count vote checks
+only.
 
 Why a process: verification holds the interpreter lock, so a second thread
 verifies no faster than one.  Why no helper thread in the main process: a
@@ -117,9 +132,9 @@ def verify_jobs(jobs, loaded: dict | None = None) -> list[bool]:
     failed a check needing no signature, and fails.  loaded caches decoded
     public keys across calls; it holds keys, never verdicts.
 
-    Checks call the decoded key, not verify: which process runs a block's
-    checks depends on timing, so calls to verify count vote and endorsement
-    checks only, the same on every run.
+    Checks call the decoded key, not verify: which process runs a queued
+    check depends on timing, so calls to verify count vote checks only, the
+    same on every run.
     """
     loaded = {} if loaded is None else loaded
     verdicts = []

@@ -20,10 +20,16 @@ fetching and verifying every vote itself.  Waiting organizations also poll
 once per tick, which is how a vote dropped by a fault rule is fetched after
 the rule expires.
 
-Block signatures are verified outside the tick clock: when the orderer cuts
-a block, each live organization's receive_action queues its copy's checks,
-and keys tells where and by which process they are verified.  Effect votes
-are verified here, by each organization that fetches them.
+Signatures are verified outside the tick clock, and keys tells where and by
+which process.  Endorsement checks are queued within a tick: run prepares
+the proposals due at the tick in chunks of keys.CHUNK_TRANSACTIONS, at most
+two chunks ahead of the submit being made (_submit_due), and each live
+organization that a chunk's proposals need queues their client checks.
+Each submit then reads its endorsers' verdicts in order; checks still
+unread at the end of the tick are dropped, and a retired organization drops
+its own.  When the orderer cuts a block, each live organization's
+receive_action queues its copy's checks.  Effect votes are verified here,
+by each organization that fetches them.
 
 Identical (config, schedule, fault script) inputs produce identical reports
 and identical ledger bytes.  The only randomness anywhere is the workload
@@ -39,6 +45,7 @@ reported CORRUPT_MISSED, and the run goes on.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -394,6 +401,8 @@ class Network:
             self.runtimes[org_cfg.org_id] = _OrgRuntime(node, org_cfg)
         self._client_keys: dict[str, object] = {}
         self._client_plans: dict[str, PlanCache] = {}
+        # proposals prepared for this tick's submits: (proposal, required orgs)
+        self._prepared: deque = deque()
         self._drop_rules: list[FaultEvent] = []
         self._tamper_rules: list[FaultEvent] = []
         self._equivocations: set[tuple[str, int]] = set()  # (victim, block id)
@@ -512,10 +521,12 @@ class Network:
 
     def _retire(self, rt: _OrgRuntime, event: str, block: int = 0):
         """Kill (KILL) or exclude (EXCLUDED) rt for good: it no longer steps,
-        votes or receives blocks, its unread verdicts leave the signature
-        worker's queue, and its record of endorsed proposals is cleared."""
+        votes, endorses or receives blocks, its unread verdicts and client
+        checks leave the signature worker's queue, and its record of endorsed
+        proposals is cleared."""
         rt.live = False
         rt.node.verifying.clear()
+        rt.node.endorsing.clear()
         rt.node.endorsed.clear()
         self.report.emit(self.tick, rt.node.org_id, event, block)
 
@@ -535,20 +546,61 @@ class Network:
     # ---- submission ----
 
     def submit(self, client: str, sql: str):
-        """Chainify one proposal: gather agreements, then hand to the orderer."""
-        proposal = agmt.make_proposal(client, sql, self.client_key(client))
+        """Chainify one proposal: gather agreements, then hand to the orderer.
+
+        Takes the proposal that run prepared for (client, sql) when it is the
+        next one prepared; prepares it here otherwise, as a batch of one."""
+        prepared = self._prepared
+        if prepared and prepared[0][0].client == client and prepared[0][0].sql == sql:
+            proposal, needed = prepared.popleft()
+        else:
+            [(proposal, needed)] = self._prepare([(client, sql)])
         evaluators = {
             org: (rt.node.evaluate_agreement if rt.live else None)
             for org, rt in self.runtimes.items()
         }
-        result = agmt.collect_agreements(
-            proposal, self.agreement_policies, evaluators, self._client_plans[client]
-        )
+        result = agmt.collect_agreements(proposal, needed, evaluators)
         if isinstance(result, agmt.Rejected):
             self.report.emit(self.tick, result.dissenting[0], REJECT)
             return result
         self.orderer.submit(result, self.tick)
         return result
+
+    def _prepare(self, entries) -> list:
+        """Prepare the proposals of (client, sql) entries for submit: each
+        client signs its proposal and finds the organizations it needs through
+        its plan cache, and each live organization among them queues the
+        client checks of those it is needed for, as one batch.  Returns
+        (proposal, required orgs) pairs in entry order."""
+        prepared = []
+        for client, sql in entries:
+            proposal = agmt.make_proposal(client, sql, self.client_key(client))
+            needed = agmt.endorsers(sql, self.agreement_policies, self._client_plans[client])
+            prepared.append((proposal, needed))
+        for org, rt in self.runtimes.items():
+            mine = [proposal for proposal, needed in prepared if org in needed]
+            if mine and rt.live:
+                rt.node.queue_client_checks(mine)
+        return prepared
+
+    def _submit_due(self, due):
+        """Submit the proposals due at this tick, in order.  They are prepared
+        keys.CHUNK_TRANSACTIONS at a time, at most two chunks ahead of the one
+        being submitted, so the signature worker verifies the client checks
+        of later chunks while the endorsers evaluate earlier ones.  Checks
+        still unread at the end are dropped."""
+        size = keys.CHUNK_TRANSACTIONS
+        ready = 0
+        try:
+            for i, (client, sql) in enumerate(due):
+                while ready < min(len(due), (i // size + 3) * size):
+                    self._prepared.extend(self._prepare(due[ready : ready + size]))
+                    ready += size
+                self.submit(client, sql)
+        finally:
+            self._prepared.clear()
+            for rt in self.runtimes.values():
+                rt.node.endorsing.clear()
 
     def _broadcast(self, action: Action):
         self.report.emit(self.tick, "orderer", CUT, action.round_id)
@@ -660,10 +712,11 @@ class Network:
             while fault_i < len(fault_events) and fault_events[fault_i].at_tick <= self.tick:
                 self.apply_fault(fault_events[fault_i], kinds[fault_i])
                 fault_i += 1
+            due = []
             while sub_i < len(pending_submissions) and pending_submissions[sub_i][0] <= self.tick:
-                _, client, sql = pending_submissions[sub_i]
-                self.submit(client, sql)
+                due.append(pending_submissions[sub_i][1:])
                 sub_i += 1
+            self._submit_due(due)
             for action in self.orderer.tick(self.tick):
                 self._broadcast(action)
             for rt in self.runtimes.values():

@@ -8,6 +8,14 @@ organizations report the same hash and it matches the local one; otherwise
 the round stays pending until consensus arrives late (peers catching up) or
 recovery rebuilds the state.
 
+Endorsing reads its client checks from self.endorsing, a FIFO of
+(proposal, client check, verdicts) entries.  Network.run has each live
+required organization queue a chunk of a tick's proposals at a time
+(queue_client_checks), up to two chunks ahead of the submit being made, and
+evaluate_agreement reads the verdicts in that order, verifying a proposal
+nobody queued as a batch of one.  An agreement is signed only after its
+client check passed.
+
 Each round has one record at a time: received (self.verifying: the action
 and the verdicts on its signatures), then pending (self.pending: the block
 and the verdicts as read at execution), then committed (the ledger).
@@ -36,6 +44,7 @@ them when the vote goes against us.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 
 from . import agreement as agmt
@@ -108,6 +117,9 @@ class OrgNode:
         self.plans = PlanCache()
         # proposals this organization agreed to, until their block arrives
         self.endorsed = agmt.Endorsements(keys.public_bytes(self.private_key))
+        # client checks queued for endorsement, read in order by
+        # evaluate_agreement: (proposal, check or None, its batch's verdicts)
+        self.endorsing: deque = deque()
 
     # ---- identity / bookkeeping ----
 
@@ -124,17 +136,38 @@ class OrgNode:
 
     # ---- agreement service ----
 
+    def queue_client_checks(self, proposals):
+        """Queue the client checks of proposals, in order, with the signature
+        worker as one batch (keys.Verdicts); evaluate_agreement reads their
+        verdicts back in the same order.  A proposal from a client the
+        registry does not know gets no check."""
+        self.endorsing.extend(self._client_checks(proposals))
+
+    def _client_checks(self, proposals) -> list:
+        entries = []
+        for proposal in proposals:
+            client_key = self.registry.encoded_key(proposal.client)
+            check = None
+            if client_key is not None:
+                check = (client_key, proposal.signature, proposal.signed_payload())
+            entries.append((proposal, check))
+        verdicts = iter(keys.signature_worker().verify((check,) for _, check in entries if check))
+        return [(proposal, check, verdicts) for proposal, check in entries]
+
     def evaluate_agreement(self, proposal: agmt.TransactionProposal) -> agmt.Agreement:
         """Signed verdict on a proposal, judged against committed state only.
 
-        An agreement is recorded in self.endorsed with the client check that
-        passed, so that receiving the transaction checks neither again.
+        Reads the client check's verdict from the front of self.endorsing; a
+        proposal nobody queued there has its check queued here, as a batch of
+        one.  An agreement is recorded in self.endorsed with the client check
+        that passed, so that receiving the transaction checks neither again.
         """
-        payload = proposal.signed_payload()
-        client_key = self.registry.encoded_key(proposal.client)
-        verdict = client_key is not None and self.registry.verify_as(
-            proposal.client, proposal.signature, payload
-        )
+        queued = self.endorsing
+        if queued and queued[0][0] == proposal:
+            _, client_check, verdicts = queued.popleft()
+        else:
+            [(_, client_check, verdicts)] = self._client_checks([proposal])
+        verdict = client_check is not None and next(verdicts)
         if verdict:
             parsed = agmt.parse_transaction(proposal.sql, self.plans)
             fields = parsed.fields(self.catalog())
@@ -145,11 +178,12 @@ class OrgNode:
                 ):
                     verdict = False
                     break
+        payload = proposal.signed_payload() if client_check is None else client_check[2]
         agreement = agmt.make_agreement(
             self.org_id, hashlib.sha256(payload).digest(), verdict, self.private_key
         )
         if verdict:
-            self.endorsed.add((client_key, proposal.signature, payload), agreement)
+            self.endorsed.add(client_check, agreement)
         return agreement
 
     # ---- action intake ----

@@ -14,6 +14,7 @@ from effectledger.agreement import (
     Rejected,
     TransactionProposal,
     collect_agreements,
+    endorsers,
     evaluate_predicate,
     make_agreement,
     make_proposal,
@@ -188,7 +189,9 @@ def test_required_orgs_by_table():
 
 def test_collect_agreements_chains(registry):
     p = make_proposal("client", "UPDATE acct SET bal = 1 WHERE id = 1;", CLIENT_KEY)
-    ct = collect_agreements(p, POLICIES, {"O1": evaluator_for("O1"), "O2": evaluator_for("O2")})
+    ct = collect_agreements(
+        p, endorsers(p.sql, POLICIES), {"O1": evaluator_for("O1"), "O2": evaluator_for("O2")}
+    )
     assert isinstance(ct, ChainedTransaction)
     assert ct.agreed_orgs == ("O1", "O2")
     assert verify_chained_transaction(ct, POLICIES, registry)
@@ -197,7 +200,9 @@ def test_collect_agreements_chains(registry):
 def test_collect_agreements_rejects_on_dissent():
     p = make_proposal("client", "UPDATE acct SET bal = 1 WHERE id = 1;", CLIENT_KEY)
     out = collect_agreements(
-        p, POLICIES, {"O1": evaluator_for("O1"), "O2": evaluator_for("O2", verdict=False)}
+        p,
+        endorsers(p.sql, POLICIES),
+        {"O1": evaluator_for("O1"), "O2": evaluator_for("O2", verdict=False)},
     )
     assert isinstance(out, Rejected)
     assert out.dissenting == ("O2",)
@@ -206,14 +211,14 @@ def test_collect_agreements_rejects_on_dissent():
 
 def test_collect_agreements_unreachable_org_rejects():
     p = make_proposal("client", "UPDATE acct SET bal = 1 WHERE id = 1;", CLIENT_KEY)
-    out = collect_agreements(p, POLICIES, {"O1": evaluator_for("O1")})
+    out = collect_agreements(p, endorsers(p.sql, POLICIES), {"O1": evaluator_for("O1")})
     assert isinstance(out, Rejected)
     assert out.dissenting == ("O2",)
 
 
 def test_untouched_tables_need_no_agreements(registry):
     p = make_proposal("client", "SELECT * FROM other;", CLIENT_KEY)
-    ct = collect_agreements(p, POLICIES, {})
+    ct = collect_agreements(p, endorsers(p.sql, POLICIES), {})
     assert isinstance(ct, ChainedTransaction)
     assert ct.agreements == ()
     assert verify_chained_transaction(ct, POLICIES, registry)
@@ -222,7 +227,7 @@ def test_untouched_tables_need_no_agreements(registry):
 def chained(sql="UPDATE acct SET bal = 1 WHERE id = 1;"):
     p = make_proposal("client", sql, CLIENT_KEY)
     return collect_agreements(
-        p, POLICIES, {"O1": evaluator_for("O1"), "O2": evaluator_for("O2")}
+        p, endorsers(sql, POLICIES), {"O1": evaluator_for("O1"), "O2": evaluator_for("O2")}
     )
 
 

@@ -16,6 +16,7 @@ from effectledger.agreement import (
     ChainedTransaction,
     TransactionProposal,
     collect_agreements,
+    endorsers,
     make_agreement,
     make_proposal,
     signature_jobs,
@@ -59,7 +60,8 @@ def transactions(cluster, kind, i):
     cluster.registry.register(client, client_key)
     sql = f"UPDATE acct SET bal = bal + {i} WHERE id = 1;"
     evaluators = {org: node.evaluate_agreement for org, node in cluster.nodes.items()}
-    ct = collect_agreements(make_proposal(client, sql, client_key), POLICIES, evaluators)
+    ct = collect_agreements(make_proposal(client, sql, client_key), endorsers(sql, POLICIES),
+                            evaluators)
     first, second = ct.agreements
     swapped = TransactionProposal(client, f"DELETE FROM acct WHERE id = {i};", ct.proposal.signature)
     return {

@@ -10,6 +10,7 @@ from effectledger.agreement import (
     ChainedTransaction,
     TransactionProposal,
     collect_agreements,
+    endorsers,
     make_proposal,
 )
 from effectledger.consensus import ConsensusStatus
@@ -194,7 +195,7 @@ def failing_transaction(cluster, kind):
 def endorse(cluster, sql):
     proposal = make_proposal(CLIENT, sql, cluster.client_key)
     evaluators = {org: node.evaluate_agreement for org, node in cluster.nodes.items()}
-    return collect_agreements(proposal, BANK_POLICIES, evaluators)
+    return collect_agreements(proposal, endorsers(sql, BANK_POLICIES), evaluators)
 
 
 @settings(max_examples=15, deadline=None)

@@ -12,6 +12,7 @@ from effectledger.agreement import (
     ChainedTransaction,
     TransactionProposal,
     collect_agreements,
+    endorsers,
     make_proposal,
 )
 from effectledger.engine import database, parser
@@ -56,7 +57,7 @@ def endorsed(cluster, sql):
     """A transaction carrying every agreement POLICIES asks for."""
     proposal = make_proposal(CLIENT, sql, cluster.client_key)
     evaluators = {org: node.evaluate_agreement for org, node in cluster.nodes.items()}
-    return collect_agreements(proposal, POLICIES, evaluators)
+    return collect_agreements(proposal, endorsers(sql, POLICIES), evaluators)
 
 
 def commit(cluster, action):
@@ -85,11 +86,10 @@ def test_execute_action_parses_each_transaction_once(parses, policies):
     assert sorted(parses) == sorted(BLOCK)
 
 
-def test_collect_agreements_without_policies_does_not_parse(parses):
-    proposal = make_proposal(CLIENT, BLOCK[0], Cluster().client_key)
-    assert collect_agreements(proposal, {}, {}) == ChainedTransaction(proposal, ())
+def test_finding_endorsers_without_policies_does_not_parse(parses):
+    assert endorsers(BLOCK[0], {}) == ()
     assert parses == []
-    collect_agreements(proposal, POLICIES, {"O2": lambda p: None})
+    endorsers(BLOCK[0], POLICIES)
     assert parses == [BLOCK[0]]
 
 

@@ -80,12 +80,25 @@ def test_workload_config_and_event_names():
     )
 
 
-def test_endorsement_verifies_through_keys_verify(monkeypatch):
-    # the keys.verify span counts endorsement's client checks
-    calls = []
+def test_keys_verify_counts_vote_checks_only(monkeypatch):
+    # endorsement's client checks are verified in signature worker batches,
+    # as block checks are, so the keys.verify span counts vote checks only
+    messages = []
     verify = keys.verify
-    monkeypatch.setattr(keys, "verify", lambda *args: calls.append(args) or verify(*args))
-    net = network.Network(network.NetworkConfig([network.OrgConfig("O1")], min_matching=1))
+    monkeypatch.setattr(
+        keys, "verify", lambda key, signature, message: messages.append(message)
+        or verify(key, signature, message)
+    )
+    net = network.Network(network.NetworkConfig(
+        [network.OrgConfig(org) for org in ("O1", "O2", "O3")],
+        blocksize=1,
+        agreement_policies={"t": ["O1", "O2"]},
+    ))
     proposal = agreement.make_proposal("c", "SELECT * FROM t;", net.client_key("c"))
     assert net.node("O1").evaluate_agreement(proposal).verdict
-    assert len(calls) == 1
+    assert messages == []
+    net.run([(0, "c", "CREATE TABLE t (k INT, PRIMARY KEY (k));"),
+             (1, "c", "INSERT INTO t (k) VALUES (1);")])
+    assert [node.height for node in net.nodes.values()] == [2, 2, 2]
+    votes = {vote.signed_payload() for node in net.nodes.values() for vote in node.votes.values()}
+    assert messages and set(messages) <= votes

@@ -165,7 +165,8 @@ def test_a_client_finds_required_organizations_through_its_plan_cache(agreement_
     for n in (1, 2, 3):
         sql = f"UPDATE acct SET bal = bal + {n} WHERE id = {n};"
         proposal = agreement.make_proposal(CLIENT, sql, key)
-        rejected = agreement.collect_agreements(proposal, policies, {"O2": lambda p: None}, cache)
+        needed = agreement.endorsers(sql, policies, cache)
+        rejected = agreement.collect_agreements(proposal, needed, {"O2": lambda p: None})
         assert rejected.dissenting == ("O2",)
     assert (len(agreement_parses), cache.hits, cache.misses) == (1, 2, 1)
 

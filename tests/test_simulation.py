@@ -6,6 +6,9 @@ fault scripts, with invariants checked on every run.
   byte-identical ledgers.
 - Every run ends with a report: a corrupt fault whose target does not exist
   yet is a CORRUPT_MISSED line, not an error.
+- Some scenarios need an agreement on acct from a random subset of the
+  organizations, and one of them may refuse updates of row 1, so endorsement
+  runs under every fault kind and some proposals are REJECTed.
 - Every run ends quiescent or STALLED before its tick budget.  The last
   input comes by tick 30 (a vote rule's expiry); in 1200 generated
   scenarios the latest end was tick 82.
@@ -30,7 +33,7 @@ AFTER_SEED = 8
 @st.composite
 def scenarios(draw):
     """(NetworkConfig arguments, schedule, fault script)."""
-    count = draw(st.integers(3, 4))
+    count = draw(st.integers(3, 5))
     names = [f"O{i + 1}" for i in range(count)]
     orgs = [OrgConfig(name, engine_delay=draw(st.integers(0, 3))) for name in names]
     truncating = draw(st.sampled_from([None, *names]))
@@ -46,6 +49,14 @@ def scenarios(draw):
         block_timeout=draw(st.integers(1, 3)),
         checkpoint_interval=interval,
     )
+    endorsers = draw(st.one_of(st.none(), st.lists(st.sampled_from(names), min_size=1,
+                                                    unique=True)))
+    if endorsers is not None:
+        config["agreement_policies"] = {"acct": endorsers}
+        # refuses updates of row 1, but not the seed insert, whose id field is 3
+        refusing = draw(st.sampled_from([None, *endorsers]))
+        if refusing is not None:
+            config["predicates"] = {refusing: {"acct": ["T.id >= 2"]}}
     bumps = draw(st.lists(st.tuples(st.integers(1, 12), st.sampled_from(AMOUNTS),
                                     st.integers(1, 3)), min_size=4, max_size=12))
     schedule = [(0, "alice", DDL), (0, "alice", SEED)] + [

@@ -24,6 +24,7 @@ from effectledger.agreement import (
     ChainedTransaction,
     TransactionProposal,
     collect_agreements,
+    endorsers,
     make_agreement,
     make_proposal,
     verify_chained_transaction,
@@ -45,7 +46,7 @@ ORG_KEYS = {org: derive_private_key(f"test:{org}") for org in ("O1", "O2", "O3")
 def endorsed(cluster, sql, client=CLIENT, client_key=None):
     proposal = make_proposal(client, sql, client_key or cluster.client_key)
     evaluators = {org: node.evaluate_agreement for org, node in cluster.nodes.items()}
-    return collect_agreements(proposal, POLICIES, evaluators)
+    return collect_agreements(proposal, endorsers(sql, POLICIES), evaluators)
 
 
 def agreed_by_hand(proposal):
@@ -334,8 +335,8 @@ def test_a_killed_worker_raises_with_jobs_queued():
 
 @pytest.mark.parametrize("sending", ["rule", "never"])
 def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monkeypatch):
-    """keys.verify counts vote and endorsement checks only, whichever process
-    verifies a block's signatures."""
+    """keys.verify counts vote checks only, whichever process verifies a
+    block's signatures or an endorser's client checks."""
     calls = {"pipeline": 0, "elsewhere": 0}
     executing = []
     original_verify = keys.verify
@@ -372,7 +373,8 @@ def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monk
     assert all(net.node("O1").ledger.block(2).successful)
     assert calls["pipeline"] == 0 and calls["elsewhere"] > 0
     if sending == "never":
-        assert sum(verified_here) == 3 * (2 + 40)
+        # each organization's block checks, then O2's and O3's client checks
+        assert sum(verified_here) == 3 * (2 + 40) + 2 * 42
 
 
 # ---- the worker process's lifetime, in separate interpreters ----
