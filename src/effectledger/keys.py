@@ -26,21 +26,25 @@ Receiving.  When the ordered block reaches an organization,
 OrgNode.receive_action builds the block's checks, one job per transaction,
 leaving out the client check and the own agreement that the record holds
 byte for byte, and queues them; OrgNode.execute_action reads the verdicts
-back in block order (it queues the checks itself for an action nobody
-queued).  The pending round keeps the verdicts it read, and recovery
-re-executes the round from those, so recovery queues no check again.
+back in block order and executes each transaction as its verdict arrives
+(it queues the checks itself for an action nobody queued).  The pending
+round keeps the verdicts it read, and recovery re-executes the round from
+those, so recovery queues no check again.
 
-A job left with no signature gets its verdict here, without a request.
-Each queued job is verified exactly once, by the worker process or by this
-one: requests of CHUNK_TRANSACTIONS jobs are sent to the worker from the
-front of the queue while it holds fewer signatures than there are verdicts
-left to read, and a reader that would otherwise wait verifies jobs from the
-front of the queue itself (see SignatureWorker).  Both run verify_jobs.
-Each organization builds its own checks from its own registry and record
-and reads its own verdicts; nothing is shared between organizations, and
-the worker remembers no verdict across requests.  Effect votes are verified
-in the calling process, by verify, so calls to verify count vote checks
-only.
+Who verifies a job.  Each queued job is verified exactly once, by the worker
+process or by its reader in this one; both run verify_jobs.  A Verdicts
+sends the front of its jobs to the worker when it is made, and holds back
+the tail.  Its reader verifies that tail itself: from the back, up to
+CHUNK_TRANSACTIONS jobs at a time, whenever the next verdict is not known
+yet and no answer is ready, and in order once it reaches the tail.  The
+tail is sized from measured costs (see SignatureWorker.verify) so that the
+worker and the reader, started together, reach the end of the jobs
+together.  A job left with no signature gets its verdict here, without a
+request.  Each organization builds its own checks from its own registry and
+record, reads its own verdicts and measures its own reading; nothing is
+shared between organizations, and the worker remembers no verdict across
+requests.  Effect votes are verified in the calling process, by verify, so
+calls to verify count vote checks only.
 
 Why a process: verification holds the interpreter lock, so a second thread
 verifies no faster than one.  Why no helper thread in the main process: a
@@ -62,7 +66,8 @@ import threading
 import weakref
 from collections import deque
 from collections.abc import Iterable
-from itertools import count, islice
+from itertools import count
+from time import perf_counter
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
@@ -76,14 +81,22 @@ _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 _SIGN_ALGO = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
 _VERIFY_ALGO = ec.ECDSA(hashes.SHA256())
 
-# Transactions per request to the worker, and per chunk that a reader verifies
-# itself when that chunk was never sent.  Execution waits for the first chunk
-# of a block only, and parses each chunk while the worker verifies the next.
-# Measured on 2 cores: on bank-corrupt (blocks of 256), chunks of 128 and 256
-# gave about 15% less tps than 16 to 64, because execution then waits for half
-# or all of a block; between 16 and 64 the workloads differed by no more than
-# noise, and 32 lets execution start after 32 verifications.
+# Transactions per request to the worker.  Execution waits for the first
+# request of a block only, and executes each request's transactions while the
+# worker verifies the next.  Measured on 2 cores: on bank-corrupt (blocks of
+# 256), requests of 128 and 256 gave about 15% less tps than 16 to 64, because
+# execution then waits for half or all of a block; between 16 and 64 the
+# workloads differed by no more than noise, and 32 lets execution start after
+# 32 verifications.
 CHUNK_TRANSACTIONS = 32
+
+# A measured cost is an average whose weights halve every this many units
+# (signatures verified, verdicts read): about one block of bank-steady.
+_COST_HALF_LIFE = 1024
+
+# Seconds per signature assumed until the worker's first answer: the order of
+# a P-256 verification.
+_SIGNATURE_S = 1e-4
 
 # How long interpreter exit waits for the worker to end after closing its pipe.
 _STOP_TIMEOUT_S = 5.0
@@ -152,6 +165,10 @@ def verify_jobs(jobs, loaded: dict | None = None) -> list[bool]:
     return verdicts
 
 
+def _signatures(jobs) -> int:
+    return sum(len(job) for job in jobs if job)
+
+
 class KeyRegistry:
     """Identity -> public key map shared by every honest participant."""
 
@@ -182,8 +199,8 @@ class KeyRegistry:
 # ---- the verifying worker process ----
 
 def _serve(conn, parent_end):
-    """Worker main: verify requests and answer them in arrival order until
-    the pipe closes.
+    """Worker main: verify requests and answer them in arrival order, each
+    answer with the seconds its verification took, until the pipe closes.
 
     The worker first closes its inherited copy of the main process's end, so
     that the pipe reads as closed once the main process is gone, however it
@@ -205,77 +222,101 @@ def _serve(conn, parent_end):
     loaded: dict = {}
     try:
         while (jobs := requests.get()) is not None:
-            conn.send(verify_jobs(jobs, loaded))
+            started = perf_counter()
+            verdicts = verify_jobs(jobs, loaded)
+            conn.send((verdicts, perf_counter() - started))
     except OSError:
         pass  # the main process is gone
     finally:
         conn.close()
 
 
+class Cost:
+    """Measured seconds per unit of work (a signature verified, a verdict
+    read), averaged with weights that halve every _COST_HALF_LIFE units."""
+
+    def __init__(self):
+        self._seconds = 0.0
+        self._units = 0.0
+
+    def note(self, seconds: float, units: int):
+        kept = 0.5 ** (units / _COST_HALF_LIFE)
+        self._seconds = self._seconds * kept + seconds
+        self._units = self._units * kept + units
+
+    def per_unit(self, default: float) -> float:
+        """The average, or default before anything was measured."""
+        return self._seconds / self._units if self._units else default
+
+
 class Verdicts:
     """Verdicts of one sequence of jobs, each job verified once, either by the
-    worker or by this process.
+    worker or by its reader in this process.
 
-    self._jobs[self._lo:] are the jobs not yet handed out, this Verdicts'
-    part of the worker's local queue.  Iterating, once, yields one verdict
-    per job in order.  Raises VerifierUnavailable if the worker died.
+    The jobs before the held-back tail were sent to the worker when this was
+    made; self._jobs[self._lo:self._hi] are the held-back jobs not yet
+    verified.  Iterating, once, yields one verdict per job in order and
+    measures the reader's time into reading.  Raises VerifierUnavailable if
+    the worker died.
     """
 
-    def __init__(self, worker: "SignatureWorker", jobs: Iterable):
+    def __init__(self, worker: "SignatureWorker", jobs: Iterable, reading: Cost):
         self._worker = worker
-        self._jobs: list = []
-        self._verdicts: list[bool | None] = []
-        self._lo = 0
+        self._jobs = list(jobs)
+        self._verdicts: list[bool | None] = [None] * len(self._jobs)
+        self._reading = reading
+        self._queued = perf_counter()
+        self._lo = self._hi = len(self._jobs)
         self._read = 0  # verdicts yielded
-        self._open_id = next(worker._open_ids)
-        worker._open[self._open_id] = self
-        jobs = iter(jobs)
-        while chunk := list(islice(jobs, CHUNK_TRANSACTIONS)):
-            self._jobs += chunk
-            self._verdicts += [None] * len(chunk)
-            worker._send_while_behind()
-        if not self._jobs:
-            del worker._open[self._open_id]
+        if self._jobs:
+            self._open_id = next(worker._open_ids)
+            worker._open[self._open_id] = self
+            self._lo = worker._held_back(self._jobs, reading)
+            worker._send(self, self._lo)
 
     def __iter__(self):
         worker, verdicts = self._worker, self._verdicts
+        last = len(verdicts) - 1
+        # The reader's time outside this iterator, from when it could turn to
+        # these verdicts (when they were queued, or when it finished reading
+        # the Verdicts before, whichever is later) to the last one.  So what
+        # this process does between two Verdicts counts too, as the worker
+        # goes straight on to the next one's jobs.
+        away = 0.0
+        resumed = max(self._queued, worker._read_done)
         for i in range(len(verdicts)):
+            away += perf_counter() - resumed
             while verdicts[i] is None:
                 worker._advance(self, i)
             self._read = i + 1
-            if self._read == len(verdicts):
+            if i == last:
                 del worker._open[self._open_id]
+                self._reading.note(away, len(verdicts))
+                worker._read_done = perf_counter()
+            resumed = perf_counter()
             yield verdicts[i]
 
-    def _take(self, count: int) -> tuple[int, list]:
-        """Hand out the next count queued jobs; returns (first index, jobs)."""
-        start = self._lo
-        self._lo = min(start + count, len(self._jobs))
-        return start, self._jobs[start : self._lo]
-
-    def _verify_here(self, count: int):
-        start, jobs = self._take(count)
-        self._verdicts[start : self._lo] = verify_jobs(jobs, self._worker._loaded)
+    def _verify_here(self, start: int, end: int):
+        jobs = self._jobs[start:end]
+        started = perf_counter()
+        self._verdicts[start:end] = verify_jobs(jobs, self._worker._loaded)
+        signatures = _signatures(jobs)
+        if signatures:
+            self._worker.here_cost.note(perf_counter() - started, signatures)
+            self._worker.here_signatures += signatures
 
 
 class SignatureWorker:
     """A process that runs verify_jobs, this process's end of its pipe, and
-    the local queue of jobs not yet sent to it.
+    what each side has verified and what it costs.
 
-    The queue holds the jobs of every open Verdicts, oldest first.  Requests
-    of at most CHUNK_TRANSACTIONS jobs are sent from its front while the
-    worker holds fewer signatures in flight than there are verdicts left to
-    read: once its verdict is read, a job costs this process about one
-    signature's time to parse and execute, so both processes then have about
-    equal work left.  A job with at most one signature is therefore sent as
-    soon as it is queued.  A reader that would wait verifies jobs from the
-    front of the queue itself (see _advance), so every job is verified
-    exactly once, in one of the two processes, and this process reaches the
-    jobs it verified soon after the worker's.  The rule's premise stops
-    holding on bank-steady once parses hit the organizations' plan caches:
-    with one signature per transaction (no agreements), executing a verdict
-    then costs this process less than a signature, so the worker, which
-    verifies almost every job, becomes the slower side.
+    Each Verdicts sends the front of its jobs to the worker when it is made,
+    in requests of at most CHUNK_TRANSACTIONS jobs, and holds back the tail
+    for its reader (see verify).  worker_cost and here_cost are the measured
+    seconds per signature of the worker (as each answer reports it) and of
+    this process; worker_signatures and here_signatures count the signatures
+    each verified.  They are read by tests and benchmarks, never by a report,
+    which must not depend on timing.
 
     The worker is forked.  The spawn and forkserver methods run the main
     module again in the child, which fails in a script without a __main__
@@ -298,80 +339,97 @@ class SignatureWorker:
         child_end.close()  # so that a dead worker reads as EOF here
         self._loaded: dict = {}  # public keys decoded for this process's checks
         # Verdicts with verdicts left to read, oldest first; one dropped
-        # unread leaves on collection, with its jobs not yet sent
+        # unread leaves on collection, with its held-back jobs
         self._open: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._open_ids = count()
         # requests sent and not yet answered, in the order the answers come:
         # (weak reference to the Verdicts, index of its first job, signatures)
         self._waiting: deque = deque()
-        self._in_flight = 0  # signatures of the requests in _waiting
+        self.worker_cost, self.here_cost = Cost(), Cost()
+        self._read_done = 0.0  # when a reader last read a Verdicts' last verdict
+        self.worker_signatures = self.here_signatures = 0
 
     @property
     def pid(self) -> int:
         return self._process.pid
 
-    def verify(self, jobs: Iterable) -> Verdicts:
-        """Queue jobs for verification, building them a chunk at a time and
-        sending what the rule allows as they are built; the verdicts are read
-        when iterated."""
-        return Verdicts(self, jobs)
+    def verify(self, jobs: Iterable, reading: Cost | None = None) -> Verdicts:
+        """Queue jobs for verification; the verdicts are read when iterated.
+
+        reading is the reader's measured time per verdict: what this process
+        does outside the Verdicts from when the reader could turn to these
+        verdicts to its last read.  The held-back tail holds the signatures
+        that make the worker, verifying the rest, and the reader, reading
+        every verdict and verifying the tail, take equal time.  A reader
+        measured no faster than the worker verifies one signature holds back
+        nothing of single-signature jobs; a reader without measurements
+        counts as one.
+        """
+        return Verdicts(self, jobs, Cost() if reading is None else reading)
+
+    def _held_back(self, jobs: list, reading: Cost) -> int:
+        """Index of the first job of the tail to hold back: the shortest
+        tail with at least (S * w - n * r) / (w + h) signatures, for n jobs
+        with S signatures, w and h seconds per signature in the worker and
+        here, and r seconds per verdict read."""
+        worker_s = self.worker_cost.per_unit(_SIGNATURE_S)
+        here_s = self.here_cost.per_unit(worker_s)
+        read_s = reading.per_unit(worker_s)
+        signatures = _signatures(jobs)
+        target = (signatures * worker_s - len(jobs) * read_s) / (worker_s + here_s)
+        start, held = len(jobs), 0
+        while start and held < target:
+            start -= 1
+            held += len(jobs[start] or ())
+        return start
 
     def _jobs_left(self) -> int:
         return sum(len(v._verdicts) - v._read for v in self._open.values())
 
-    def _oldest_queued(self) -> Verdicts | None:
-        for owner in list(self._open.values()):
-            if owner._lo < len(owner._jobs):
-                return owner
-        return None
-
-    def _send_while_behind(self):
-        """Send requests from the front of the queue while the worker holds
-        fewer signatures than there are verdicts left to read.  A chunk with
-        no signature to verify is judged here instead: sent, it would add
-        nothing in flight, and the loop would go on sending."""
-        left = self._jobs_left()
-        while self._in_flight < left and (owner := self._oldest_queued()):
-            start, jobs = owner._take(CHUNK_TRANSACTIONS)
-            signatures = sum(len(job) for job in jobs if job)
+    def _send(self, owner: Verdicts, end: int):
+        """Send owner's jobs before end, CHUNK_TRANSACTIONS to a request.  A
+        chunk with no signature to verify is judged here instead."""
+        for start in range(0, end, CHUNK_TRANSACTIONS):
+            jobs = owner._jobs[start : min(start + CHUNK_TRANSACTIONS, end)]
+            signatures = _signatures(jobs)
             if not signatures:
-                owner._verdicts[start : owner._lo] = verify_jobs(jobs)
+                owner._verdicts[start : start + len(jobs)] = verify_jobs(jobs)
                 continue
             try:
                 self._conn.send(jobs)
             except OSError as exc:
                 raise self._gone() from exc
             self._waiting.append((weakref.ref(owner), start, signatures))
-            self._in_flight += signatures
 
     def _receive(self):
-        """Read the next answer, hand it to the Verdicts that asked for it,
-        and send more if the worker is now behind."""
+        """Read the next answer and hand it to the Verdicts that asked for it."""
         try:
-            verdicts = self._conn.recv()
+            verdicts, seconds = self._conn.recv()
         except (EOFError, OSError) as exc:
             raise self._gone() from exc
         ref, start, signatures = self._waiting.popleft()
-        self._in_flight -= signatures
+        self.worker_cost.note(seconds, signatures)
+        self.worker_signatures += signatures
         owner = ref()
         if owner is not None:  # else dropped unread: discard
             owner._verdicts[start : start + len(verdicts)] = verdicts
-        self._send_while_behind()
 
     def _advance(self, owner: Verdicts, i: int):
         """One step towards owner's verdict i, which is not known yet.
 
-        In order of preference: read an answer that is ready; verify owner's
-        next chunk here if it was never sent; verify the job at the front of
-        the queue if the worker holds more signatures than there are verdicts
-        left to read; otherwise wait for the next answer.
+        In order of preference: read an answer that is ready; verify job i
+        here if it was held back; verify up to CHUNK_TRANSACTIONS of owner's
+        last held-back jobs not yet verified; otherwise wait for the next
+        answer.
         """
         if self._waiting and self._conn.poll():
             self._receive()
         elif i == owner._lo:
-            owner._verify_here(CHUNK_TRANSACTIONS)
-        elif self._in_flight > self._jobs_left() and (oldest := self._oldest_queued()):
-            oldest._verify_here(1)
+            owner._lo += 1
+            owner._verify_here(i, i + 1)
+        elif owner._lo < owner._hi:
+            end, owner._hi = owner._hi, max(owner._lo, owner._hi - CHUNK_TRANSACTIONS)
+            owner._verify_here(owner._hi, end)
         else:
             self._receive()
 

@@ -1,12 +1,17 @@
 """One organization: engine, ledger, votes, and the per-round pipeline.
 
 A round processes exactly one ordered action (a block of chained
-transactions): verify signatures, parse each transaction once, analyze,
-execute stage by stage on the calling thread, assemble the ledger block, then
-seek consensus on its hash.  The block only enters the ledger when enough
-organizations report the same hash and it matches the local one; otherwise
-the round stays pending until consensus arrives late (peers catching up) or
-recovery rebuilds the state.
+transactions) on the calling thread, one transaction at a time in block
+order: read the verdict on its signatures, parse it once, analyze it against
+the catalog as of block start, and execute it.  The block's dependency graph
+is built from the analyses once the block has run; its stages describe the
+block's parallelism (scheduler), and running the block in block order gives
+the same bits, digest and state as running it stage by stage.  Then the
+ledger block is assembled and consensus sought on its hash.  The block only
+enters the ledger when enough organizations report the same hash and it
+matches the local one; otherwise the round stays pending until consensus
+arrives late (peers catching up) or recovery rebuilds the state.  Replaying
+a committed block runs the same per-transaction loop.
 
 Endorsing reads its client checks from self.endorsing, a FIFO of
 (proposal, client check, verdicts) entries.  Network.run has each live
@@ -62,7 +67,9 @@ from .ledger import (
     block_hash,
     build_ledger_block,
 )
-from .scheduler import TxnAccessSet, analyze_transaction, build_dependency_graph, execute_staged
+from .scheduler import TxnAccessSet, analyze_transaction, build_dependency_graph
+# not called here: perfbench's scheduler.execute_staged span patches it in this module
+from .scheduler import execute_staged  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,9 @@ class OrgNode:
         # client checks queued for endorsement, read in order by
         # evaluate_agreement: (proposal, check or None, its batch's verdicts)
         self.endorsing: deque = deque()
+        # this organization's measured time per verdict read, while endorsing
+        # and while executing blocks, for the signature worker (keys.Cost)
+        self.endorse_reading, self.block_reading = keys.Cost(), keys.Cost()
 
     # ---- identity / bookkeeping ----
 
@@ -151,7 +161,8 @@ class OrgNode:
             if client_key is not None:
                 check = (client_key, proposal.signature, proposal.signed_payload())
             entries.append((proposal, check))
-        verdicts = iter(keys.signature_worker().verify((check,) for _, check in entries if check))
+        checks = ((check,) for _, check in entries if check)
+        verdicts = iter(keys.signature_worker().verify(checks, self.endorse_reading))
         return [(proposal, check, verdicts) for proposal, check in entries]
 
     def evaluate_agreement(self, proposal: agmt.TransactionProposal) -> agmt.Agreement:
@@ -204,7 +215,7 @@ class OrgNode:
         jobs = (
             agmt.signature_jobs(ct, self.registry, self.endorsed) for ct in action.transactions
         )
-        return keys.signature_worker().verify(jobs)
+        return keys.signature_worker().verify(jobs, self.block_reading)
 
     def executable_action(self) -> Action | None:
         if self.pending is not None:
@@ -222,7 +233,8 @@ class OrgNode:
         Deterministic in (quirks, committed state, action).  Raises
         OutOfOrderAction/DuplicateRound when the action does not extend the
         committed chain, EngineFailure when the engine is gone and
-        VerifierUnavailable when the signature worker is.
+        VerifierUnavailable when the signature worker is, which leaves the
+        transactions executed before it in the engine.
         """
         if self.db.failed:
             raise EngineFailure(f"{self.org_id}: engine unavailable")
@@ -252,27 +264,24 @@ class OrgNode:
     def _execute(self, action: Action, verdicts) -> bytes:
         """Execute action with one signature verdict per transaction, read in
         block order.  Each transaction is parsed once, through the plan cache,
-        by finish_verification after its signatures check out; analysis and
-        execution read that parse."""
-        catalog = self.catalog()
-        names_before = set(self.db.tables)
-        access_sets: list[TxnAccessSet] = []
+        by finish_verification after its signatures check out, and executed
+        before the next verdict is read."""
         read: list[bool] = []
-        for i, (ct, signatures_ok) in enumerate(zip(action.transactions, verdicts)):
-            read.append(signatures_ok)
-            parsed = agmt.finish_verification(
-                ct, signatures_ok, self.agreement_policies, self.plans
-            )
-            if parsed is None:
-                access_sets.append(TxnAccessSet(i, parse_error="agreement verification failed"))
-            else:
-                access_sets.append(analyze_transaction(i, parsed, catalog))
+
+        def parsed():
+            for ct, signatures_ok in zip(action.transactions, verdicts):
+                read.append(signatures_ok)
+                yield agmt.finish_verification(
+                    ct, signatures_ok, self.agreement_policies, self.plans
+                ) or "agreement verification failed"
+
         records = tuple(
             TransactionRecord(ct.proposal.client, ct.proposal.sql, ct.agreed_orgs)
             for ct in action.transactions
         )
+        names_before = set(self.db.tables)
         digest, block, effect_hash = self._run_block(
-            action.round_id, access_sets, records, self.ledger.head_hash()
+            action.round_id, records, parsed(), self.ledger.head_hash()
         )
         changed = digest.tables_touched() | (set(self.db.tables) - names_before)
         self.pending = PendingRound(action, block, effect_hash, changed, tuple(read))
@@ -281,13 +290,31 @@ class OrgNode:
         )
         return effect_hash
 
-    def _run_block(self, block_id, access_sets, records, hash_previous):
-        """Stage and execute one analyzed block on the engine, then build its
-        ledger block; returns (digest, block, block hash).  Transactions with
-        a parse_error keep bit 0 without executing."""
-        graph = build_dependency_graph(access_sets)
+    def _run_block(self, block_id, records, parsed, hash_previous):
+        """Analyze and execute one block a transaction at a time, in block
+        order, then build its ledger block; returns (digest, block, block
+        hash).
+
+        parsed yields, per transaction, its ParsedTransaction, or why it
+        fails without executing; such a transaction keeps bit 0.  Analysis
+        reads the catalog as of block start, so the dependency graph built
+        from the analyses is the one staged execution would run.
+        """
+        catalog = self.catalog()
         digest = BlockDigest()
-        bits = execute_staged(graph, access_sets, self.db, digest)
+        access_sets: list[TxnAccessSet] = []
+        bits: list[bool] = []
+        for i, txn in enumerate(parsed):
+            if isinstance(txn, str):
+                access = TxnAccessSet(i, parse_error=txn)
+            else:
+                access = analyze_transaction(i, txn, catalog)
+            access_sets.append(access)
+            bits.append(
+                access.analyzable
+                and self.db.execute_transaction(access.statements, digest).success
+            )
+        build_dependency_graph(access_sets)  # its stages: perfbench counts them per block
         block = build_ledger_block(block_id, records, bits, digest, hash_previous)
         return digest, block, block_hash(block)
 
@@ -338,14 +365,11 @@ class OrgNode:
         succeeded historically but fails on replay flips its bit and thereby
         the hash.
         """
-        catalog = self.catalog()
-        access_sets = [
-            analyze_transaction(i, agmt.parse_transaction(rec.sql, self.plans), catalog)
-            if ok
-            else TxnAccessSet(i, parse_error="failed when committed")
-            for i, (rec, ok) in enumerate(zip(block.transactions, block.successful))
-        ]
+        parsed = (
+            agmt.parse_transaction(rec.sql, self.plans) if ok else "failed when committed"
+            for rec, ok in zip(block.transactions, block.successful)
+        )
         _, _, effect_hash = self._run_block(
-            block.block_id, access_sets, block.transactions, block.hash_previous
+            block.block_id, block.transactions, parsed, block.hash_previous
         )
         return effect_hash

@@ -4,11 +4,15 @@ Three phases per block, all on the thread that runs the organization: (1)
 semantic analysis turns each statement into accesses to one table: whether
 it writes, and the interval each column it constrains and does not assign is
 confined to; (2) the dependency graph places each transaction one stage past
-every earlier transaction it conflicts with; (3) the block runs stage by
-stage, each stage's members in block order.  Any order of a stage's
-members gives the same bits, digest and state, so the stages are the
-parallelism of the block; running them one after another costs no more than
-a plain loop.
+every earlier transaction it conflicts with; (3) execution.  Any order of a
+stage's members gives the same bits, digest and state, so the stages
+describe the parallelism of the block, and block order is one of the orders
+that give those results.  An organization therefore executes each
+transaction in block order as soon as it is analyzed (org.OrgNode), and
+builds the graph from the block's analyses afterwards; analysis reads the
+catalog as of block start either way.  execute_staged runs a block stage by
+stage, each stage's members in block order; it is the staged reference that
+tests hold block-order execution to.
 
 The conflict rule.  Two accesses to the same table, at least one of them a
 write, conflict unless a witness column separates them: a column that both

@@ -2,6 +2,13 @@
 fault scripts, with invariants checked on every run.
 
 - No two organizations commit different hashes at one height.
+- Every ledger passes verify_ledger.
+- Every live organization with no pending round has the state a fresh full
+  replay of its own ledger gives, each replayed block hashing as committed:
+  its streamed execution equals replay.  Organizations named by a corrupt
+  fault are left out, since recovery from a corrupted checkpoint may keep
+  damage that no later block touches; their state agreeing with the network
+  is not yet an invariant.
 - A second run of the same scenario gives a byte-identical report and
   byte-identical ledgers.
 - Every run ends with a report: a corrupt fault whose target does not exist
@@ -18,7 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectledger.engine.types import QuirkConfig
+from effectledger.ledger import verify_ledger
 from effectledger.network import STALLED, FaultKind, Network, NetworkConfig, OrgConfig
+from effectledger.org import OrgNode
 
 DDL = "CREATE TABLE acct (id INT, bal DECIMAL(12, 2), PRIMARY KEY (id));"
 SEED = "INSERT INTO acct (id, bal) VALUES (1, 100), (2, 200), (3, 300);"
@@ -113,6 +122,20 @@ def test_generated_scenarios_keep_the_network_invariants(scenario):
     for height in range(1, top + 1):
         assert len({node.ledger.stored_hash(height) for node in net.nodes.values()
                     if node.height >= height}) == 1
+
+    # every ledger verifies, and replaying it gives the organization's state
+    corrupted = {f["org"] for f in scenario[2]
+                 if f["kind"] in (FaultKind.CORRUPT_ROW.value, FaultKind.CORRUPT_SNAPSHOT.value)}
+    for org, node in net.nodes.items():
+        head = node.ledger.head_hash() if node.height else None  # an empty ledger has none
+        assert verify_ledger(node.ledger, expected_head=head)
+        if net.runtimes[org].live and node.pending is None and org not in corrupted:
+            replica = OrgNode(org, quirks=node.db.quirks)
+            for block in node.ledger.blocks:
+                assert replica.replay_committed_block(block) == node.ledger.stored_hash(
+                    block.block_id
+                )
+            assert replica.db.state_hash() == node.db.state_hash()
 
     # a second run gives the same bytes
     again, ledgers_again, _ = run_scenario(*scenario)

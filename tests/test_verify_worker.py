@@ -1,11 +1,9 @@
 """Block signatures are verified once each, by the worker process or by this
-one: queued at receipt, sent to the worker from the front of the queue while
-it is behind, verified here when a reader would wait, read in block order at
-execution, and judged exactly as verify_chained_transaction judges each
-transaction."""
+one: queued at receipt, the front of each block's jobs sent to the worker
+and the tail held back for the reader, read in block order at execution,
+and judged exactly as verify_chained_transaction judges each transaction."""
 
 import gc
-import math
 import os
 import signal
 import subprocess
@@ -250,7 +248,7 @@ def idle_worker():
     worker = keys.signature_worker()
     # answers come in the order requests were sent, so every earlier one is in
     assert list(worker.verify([GOOD])) == [True]
-    assert not worker._open and not worker._waiting and worker._in_flight == 0
+    assert not worker._open and not worker._waiting
     return worker
 
 
@@ -267,68 +265,175 @@ def verified_here(idle_worker, monkeypatch):
     return sizes
 
 
-def never_send(monkeypatch):
-    monkeypatch.setattr(keys.SignatureWorker, "_send_while_behind", lambda worker: None)
+def hold_back_everything(monkeypatch):
+    monkeypatch.setattr(keys.SignatureWorker, "_held_back", lambda worker, jobs, reading: 0)
 
 
-def send_everything(monkeypatch):
-    monkeypatch.setattr(keys.SignatureWorker, "_jobs_left", lambda worker: math.inf)
+def measured(seconds_per_unit):
+    cost = keys.Cost()
+    cost.note(seconds_per_unit * 1000, 1000)
+    return cost
 
 
-@pytest.mark.parametrize("sending", ["rule", "never", "everything"])
+@pytest.mark.parametrize("sending", ["rule", "never"])
 def test_verdicts_equal_serial_verification(sending, verified_here, monkeypatch):
     expected = SERIAL(MIXED)
     assert expected == [True, False, False, True, False, True] * 17
-    if sending == "never":  # queued without being sent: this process verifies
-        never_send(monkeypatch)
-    elif sending == "everything":
-        send_everything(monkeypatch)
+    if sending == "never":  # everything held back: this process verifies
+        hold_back_everything(monkeypatch)
 
     assert list(keys.signature_worker().verify(iter(MIXED))) == expected
     if sending == "never":
-        assert sum(verified_here) == len(MIXED)
-    elif sending == "everything":
-        assert verified_here == []
-    else:  # the first chunk always goes to the worker
-        assert sum(verified_here) <= len(MIXED) - keys.CHUNK_TRANSACTIONS
+        assert verified_here == [1] * len(MIXED)
 
 
-def test_verdicts_dropped_unread_do_not_disturb_later_ones(idle_worker):
+def distinct_jobs(count):
+    """count jobs of one or three signatures, no two alike, some forged."""
+    kinds = [
+        lambda i: (check(b"%d" % i),),
+        lambda i: (check(b"%d" % i, b"forged"),),
+        lambda i: (check(b"%d a" % i), check(b"%d b" % i), check(b"%d c" % i)),
+        lambda i: (check(b"%d a" % i), check(b"%d b" % i), check(b"%d c" % i, b"x")),
+    ]
+    return [kinds[i % len(kinds)](i) for i in range(count)]
+
+
+class RecordingPipe:
+    """The main process's end of the worker's pipe, keeping every job sent."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.sent = []
+
+    def send(self, jobs):
+        self.sent.extend(jobs)
+        self.conn.send(jobs)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+@pytest.mark.parametrize("reader_s", [0.0, 2e-3], ids=["fast", "slow"])
+def test_each_job_is_verified_once_under_a_fast_and_a_slow_reader(
+    reader_s, idle_worker, monkeypatch
+):
+    """A reader that does nothing between verdicts holds back a tail and
+    verifies part of it itself; one slower than the worker holds back
+    nothing.  Either way the verdicts equal serial verification, and every
+    job is verified exactly once, in one of the two processes."""
     worker = idle_worker
-    dropped = worker.verify(MIXED)
-    assert 0 < dropped._lo < len(MIXED)  # some jobs sent, some queued
+    pipe = RecordingPipe(worker._conn)
+    monkeypatch.setattr(worker, "_conn", pipe)
+    here = []
+
+    def recorded(jobs, loaded=None):
+        here.extend(jobs)
+        return SERIAL(jobs, loaded)
+
+    monkeypatch.setattr(keys, "verify_jobs", recorded)
+    jobs = distinct_jobs(3 * keys.CHUNK_TRANSACTIONS + 5)
+    signatures = sum(len(job) for job in jobs)
+    counts = worker.worker_signatures, worker.here_signatures
+    reading = measured(reader_s)
+
+    verdicts = worker.verify(jobs, reading)
+    read = []
+    for verdict in verdicts:
+        read.append(verdict)
+        time.sleep(reader_s)
+
+    assert read == SERIAL(jobs) == [True, False, True, False] * 25 + [True]
+    assert sorted(pipe.sent + here) == sorted(jobs)
+    assert len(set(map(id, pipe.sent + here))) == len(jobs)
+    assert (worker.worker_signatures - counts[0]) + (worker.here_signatures - counts[1]) == (
+        signatures
+    )
+    assert pipe.sent
+    if reader_s:
+        assert here == []
+        assert reading.per_unit(0.0) >= reader_s  # time between verdicts, measured
+    else:
+        assert here and sorted(here) == sorted(jobs[len(jobs) - len(here):])  # the tail
+
+
+@pytest.mark.parametrize(
+    "worker_s, here_s, reader_s, jobs, held",
+    [
+        # single-signature jobs, as on a network without agreement policies
+        (1e-4, 1e-4, 0.0, [GOOD] * 100, 50),
+        (1e-4, 1e-4, 5e-5, [GOOD] * 100, 25),
+        (1e-4, 1e-4, 1e-4, [GOOD] * 100, 0),
+        (1e-4, 1e-4, 3e-4, [GOOD] * 100, 0),
+        (2e-4, 1e-4, 1e-4, [GOOD] * 90, 30),
+        # three signatures a job, as agreements add them
+        (1e-4, 1e-4, 1e-4, [TRIPLE] * 90, 30),
+        # jobs without a signature cost the reader only its reading
+        (1e-4, 1e-4, 0.0, [GOOD, None] * 50, 50),
+    ],
+)
+def test_the_held_back_tail_balances_the_measured_costs(
+    worker_s, here_s, reader_s, jobs, held, idle_worker, monkeypatch
+):
+    """The tail holds the signatures that let the worker, verifying the
+    front, and the reader, reading every verdict and verifying the tail, end
+    together: (S * worker_s - n * reader_s) / (worker_s + here_s)."""
+    monkeypatch.setattr(idle_worker, "worker_cost", measured(worker_s))
+    monkeypatch.setattr(idle_worker, "here_cost", measured(here_s))
+    verdicts = idle_worker.verify(jobs, measured(reader_s))
+    assert len(jobs) - verdicts._lo == held
+    assert list(verdicts) == SERIAL(jobs)
+
+
+def test_an_unmeasured_reader_holds_back_no_single_signature_job(idle_worker):
+    """Until a reader is measured it counts as reading a verdict in the
+    worker's time per signature, which holds back none of an
+    organization's client-signed transactions."""
+    verdicts = idle_worker.verify([GOOD, FORGED] * keys.CHUNK_TRANSACTIONS)
+    assert verdicts._lo == len(verdicts._jobs)
+    assert list(verdicts) == [True, False] * keys.CHUNK_TRANSACTIONS
+
+
+def test_each_organization_reads_with_its_own_measured_costs():
+    """Blocks and client checks are queued with the reading cost of the
+    organization that reads them, measured as it reads; nothing is shared
+    between organizations."""
+    cluster = Cluster(agreement_policies=POLICIES)
+    first = org_module.Action(1, (endorsed(cluster, DDL), endorsed(cluster, ROWS)))
+    for node in cluster.nodes.values():
+        node.receive_action(first)
+        assert node.verifying[1][1]._reading is node.block_reading
+        node.execute_action(first)
+    readings = [node.block_reading for node in cluster.nodes.values()]
+    assert len(set(map(id, readings))) == len(readings)
+    assert all(reading.per_unit(None) is not None for reading in readings)
+    node = cluster["O2"]
+    node.queue_client_checks([make_proposal(CLIENT, ROWS, cluster.client_key)])
+    *_, queued = keys.signature_worker()._open.values()
+    assert queued._reading is node.endorse_reading is not node.block_reading
+
+
+def test_verdicts_dropped_unread_do_not_disturb_later_ones(idle_worker, monkeypatch):
+    """A Verdicts dropped with jobs in flight and a tail held back leaves the
+    queue; the answers to its requests are discarded."""
+    worker = idle_worker
+    dropped = worker.verify(MIXED, measured(0.0))
+    assert 0 < dropped._lo < dropped._hi == len(MIXED)  # some sent, a tail held back
     del dropped
     gc.collect()
-    assert not worker._open  # its queued jobs went with it
+    assert not worker._open  # its held-back jobs went with it
     wanted = worker.verify([GOOD, FORGED, None] * keys.CHUNK_TRANSACTIONS)
     assert list(wanted) == [True, False, False] * keys.CHUNK_TRANSACTIONS
-    assert not worker._open and not worker._waiting and worker._in_flight == 0
+    assert not worker._open and not worker._waiting
 
 
-def test_one_signature_jobs_are_all_sent_at_receipt(idle_worker):
-    jobs = [GOOD, FORGED, None, ()] * keys.CHUNK_TRANSACTIONS
-    verdicts = idle_worker.verify(jobs)
-    assert verdicts._lo == len(jobs)
-    assert list(verdicts) == [True, False, False, True] * keys.CHUNK_TRANSACTIONS
-
-    # an organization's block of client-signed transactions, as on a network
-    # without agreement policies
-    cluster = Cluster()
-    action = cluster.action(1, *[DDL] * (2 * keys.CHUNK_TRANSACTIONS + 11))
-    for node in cluster.nodes.values():
-        node.receive_action(action)
-        assert node.verifying[1][1]._lo == len(action.transactions)
-    for node in cluster.nodes.values():
-        node.execute_action(action)
-
-
-def test_a_killed_worker_raises_with_jobs_queued():
+@pytest.mark.parametrize("reader_s", [0.0, 1.0], ids=["tail held back", "nothing held back"])
+def test_a_killed_worker_raises_with_jobs_queued(reader_s):
     worker = keys.SignatureWorker()  # a worker of its own, not the process's
     try:
         os.kill(worker.pid, signal.SIGKILL)
         worker._process.join()
         with pytest.raises(VerifierUnavailable, match="is gone"):
-            list(worker.verify(MIXED))
+            list(worker.verify(MIXED, measured(reader_s)))
     finally:
         worker.close()
 
@@ -356,7 +461,7 @@ def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monk
     monkeypatch.setattr(keys, "verify", counted_verify)
     monkeypatch.setattr(org_module.OrgNode, "execute_action", marked_execute)
     if sending == "never":
-        never_send(monkeypatch)
+        hold_back_everything(monkeypatch)
     net = Network(NetworkConfig(
         orgs=[OrgConfig(org) for org in ("O1", "O2", "O3")],
         blocksize=40,
