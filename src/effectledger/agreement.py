@@ -38,12 +38,14 @@ import hashlib
 import re
 import struct
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
 
 from . import keys
 from .engine.parser import (
+    Bound,
     CreateTable,
     Delete,
     Insert,
@@ -127,10 +129,12 @@ class ParsedTransaction:
     SQL that does not parse, or holds no statement, keeps no statements and
     sets error instead.  Such a transaction touches no table, so it needs no
     agreement, and execution marks it failed.  Each organization builds its
-    own value and keeps it no longer than the block it belongs to.
+    own value and keeps it no longer than the block it belongs to.  When
+    a plan cache bound the statements from a learned shape, statements is
+    that engine.parser.Bound, which analysis and execution run compiled.
     """
 
-    statements: tuple[Statement, ...] = ()
+    statements: Sequence[Statement] = ()
     error: str | None = None
 
     def __post_init__(self):
@@ -190,7 +194,7 @@ def parse_transaction(sql: str, plans: PlanCache | None = None) -> ParsedTransac
     """
     try:
         statements = parse_script(sql) if plans is None else plans.parse(sql, parse_script)
-        return ParsedTransaction(tuple(statements))
+        return ParsedTransaction(statements if type(statements) is Bound else tuple(statements))
     except ParseError as exc:
         return ParsedTransaction(error=str(exc))
 

@@ -6,10 +6,19 @@ digest tuples.  Successful transactions flush one digest tuple per row change
 to the block's digest sink (INSERT/UPDATE hash the post-change row, DELETE the
 pre-delete row).  SELECT never emits digests.
 
+Statements that a plan cache bound from a learned shape (parser.Bound) run
+on the executor this engine compiled for the shape (compiled.Executor), the
+first time it sees the shape and again whenever a table the shape names has
+another schema than the one compiled against; an executor belongs to the
+engine that compiled it.  The executor looks its tables up on every run,
+so it follows restore_all and reset.  A shape that
+does not compile, or whose table is missing, runs on the interpreter below,
+as do plain statement lists and SQL text; both paths give the same results.
+
 Concurrency model: none.  An organization runs a block's transactions one
-at a time on one thread, stage by stage in the scheduler's order, so the
-tables need no latches.  The scheduler's stages say which transactions could
-run side by side with the same result.
+at a time on one thread, in block order, so the tables need no latches.
+The scheduler's stages say which transactions could run side by side with
+the same result.
 """
 
 from __future__ import annotations
@@ -27,12 +36,15 @@ from ..errors import (
     SchemaMismatch,
 )
 from ..ledger import ChangeType
+from .compiled import Executor
 from .parser import (
+    Bound,
     ColumnRef,
     Condition,
     CreateTable,
     Delete,
     Insert,
+    Plan,
     Select,
     Statement,
     Update,
@@ -131,11 +143,15 @@ class Database:
                 statements = parse_script(statements)
             except ParseError as exc:
                 return TransactionResult(False, str(exc))
+        run = self._compiled(statements.plan) if type(statements) is Bound else None
         ctx = _TxnContext()
         result = TransactionResult(True)
         try:
-            for stmt in statements:
-                result.outputs.append(self._execute(stmt, ctx))
+            if run is None:
+                for stmt in statements:
+                    result.outputs.append(self._execute(stmt, ctx))
+            else:
+                result.outputs = run(self.tables, statements.values, ctx.undo, ctx.pending)
         except (BindError, ConstraintViolation) as exc:
             self._rollback(ctx)
             return TransactionResult(False, str(exc))
@@ -143,6 +159,17 @@ class Database:
             for entry in ctx.pending:
                 digest.record(*entry)
         return result
+
+    def _compiled(self, plan: Plan):
+        """The run compiled from plan against this engine and its current
+        schemas, compiled now if there is none; None when the shape runs on
+        the interpreter."""
+        executor = plan.executor
+        if executor is None or executor.db is not self or not executor.current(self.tables):
+            executor = plan.executor = Executor(self, plan.template)
+        if executor.run is not None:
+            plan.executed += 1
+        return executor.run
 
     def _execute(self, stmt: Statement, ctx: _TxnContext):
         if isinstance(stmt, CreateTable):

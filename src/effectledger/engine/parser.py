@@ -10,13 +10,15 @@ aggregation, no ORDER BY, no NULL.
 PlanCache is one party's plan cache, an organization's or a client's: it
 parses statement texts that differ from a learned shape only in their
 literals by binding the literals, without running the parser (see its
-docstring).
+docstring).  Each learned shape is a Plan, where an organization also keeps
+what it compiled from the shape.
 """
 
 from __future__ import annotations
 
 import decimal
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -429,7 +431,71 @@ _BINDER_NAMES = {
     "_unquote": _unquote,
 }
 
-Binder = Callable[[list], list]
+Binder = Callable[[list], "Bound"]
+
+
+class Bound(Sequence):
+    """A parse that a plan cache bound from a learned shape: the shape's
+    Plan and the literal values in slot order, the order the parser reads
+    them in.  As a sequence it holds the statements parse_script would
+    return, built from the values when first read: a compiled run reads
+    only the values.  It compares equal to a list or tuple of the same
+    statements, and its repr is that of the list."""
+
+    __slots__ = ("plan", "values", "_statements")
+
+    def __init__(self, plan: "Plan", values: tuple):
+        self.plan, self.values, self._statements = plan, values, None
+
+    @property
+    def statements(self) -> tuple[Statement, ...]:
+        if self._statements is None:
+            self._statements = tuple(self.plan.build(self.values))
+        return self._statements
+
+    def __getitem__(self, index):
+        return self.statements[index]
+
+    def __len__(self) -> int:
+        return len(self.plan.template)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Bound, list, tuple)):
+            return NotImplemented
+        return self.statements == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self.statements)
+
+    def __repr__(self) -> str:
+        return repr(list(self.statements))
+
+
+class Slot(NamedTuple):
+    """Literal n of a shape, whose values are of Python type kind."""
+
+    n: int
+    kind: type
+
+
+class Plan:
+    """One learned shape: its binder, and what its owner compiled from it.
+
+    bind turns a text's split into a Bound, and build turns literal values
+    into the shape's statements.  The template is build of the Slots: the
+    shape's parse with each literal a Slot, which compilers read.  The
+    owner's analysis and engine each keep one compiled form here, with how
+    many transactions used it: accesses (scheduler) and executor
+    (engine.compiled).  A plan belongs to one party's cache, so what is
+    compiled here is never shared.
+    """
+
+    __slots__ = ("bind", "build", "template", "accesses", "executor", "analyzed", "executed")
+
+    def __init__(self, bind: Binder, build: Callable[[tuple], list], slots: tuple[Slot, ...]):
+        self.bind, self.build, self.template = bind, build, build(slots)
+        self.accesses = self.executor = None
+        self.analyzed = self.executed = 0
 
 
 class PlanCache:
@@ -439,40 +505,45 @@ class PlanCache:
     A shape is a text's split with the literal texts left out: the runs, the
     tail and each slot's kind.  parse(sql, parse) returns what parse_script
     returns.  On a hit the binder converts the slot texts as the parser does
-    (int, exact Decimal, unquoted string) into statements built by code
-    generated once for the shape.  On a miss, `parse` parses the text, so its
-    errors and their offsets are the parser's, and the cache learns the shape
-    from that parse, unless it is DDL or an INSERT of several rows.  A shape
-    is kept only if binding the text's own literals gives a parse whose repr
-    equals the parser's: repr, unlike ==, tells Decimal('1.5') from
-    Decimal('1.50') and 5 from Decimal(5).  Parties never share one.
+    (int, exact Decimal, unquoted string) into the literal values, returned
+    as a Bound, which builds the statements with code generated once for
+    the shape when they are first read.  On a miss, `parse` parses the
+    text, so its errors and their offsets are the parser's, and the cache
+    learns the shape from that parse, unless it is DDL or an INSERT of
+    several rows.  A shape is kept only if building the text's own literals
+    gives a parse whose repr equals the parser's: repr, unlike ==, tells
+    Decimal('1.5') from Decimal('1.50') and 5 from Decimal(5).  Parties
+    never share one.
     """
 
     def __init__(self):
-        self._binders: dict[tuple, Binder] = {}
+        self._plans: dict[tuple, Plan] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._binders)
+        return len(self._plans)
 
-    def parse(self, sql: str, parse: Callable[[str], list[Statement]]) -> list[Statement]:
+    def plans(self) -> list[Plan]:
+        return list(self._plans.values())
+
+    def parse(self, sql: str, parse: Callable[[str], list[Statement]]) -> Sequence[Statement]:
         if len(sql) > PLAN_TEXT_LIMIT:
             self.misses += 1
             return parse(sql)
         parts = _SLOT_RE.split(sql)
         shape = tuple(parts[::_STRIDE] + parts[1::_STRIDE] + parts[3::_STRIDE]
                       + parts[4::_STRIDE] + parts[6::_STRIDE])
-        binder = self._binders.get(shape)
-        if binder is not None:
+        plan = self._plans.get(shape)
+        if plan is not None:
             self.hits += 1
-            return binder(parts)
+            return plan.bind(parts)
         self.misses += 1
         statements = parse(sql)
-        if len(self._binders) < PLAN_LIMIT:
-            binder = _learn(parts, statements)
-            if binder is not None:
-                self._binders[shape] = binder
+        if len(self._plans) < PLAN_LIMIT:
+            plan = _learn(parts, statements)
+            if plan is not None:
+                self._plans[shape] = plan
         return statements
 
 
@@ -480,8 +551,8 @@ class _NotAPlan(Exception):
     """The parse cannot teach a binder for its shape."""
 
 
-def _learn(parts: list, statements: list[Statement]) -> Binder | None:
-    """A binder for the shape of the split parts, from the text's parse, or
+def _learn(parts: list, statements: list[Statement]) -> Plan | None:
+    """A plan for the shape of the split parts, from the text's parse, or
     None when the text cannot teach one."""
     source = _BinderSource(parts)
     try:
@@ -490,17 +561,29 @@ def _learn(parts: list, statements: list[Statement]) -> Binder | None:
             return None
     except _NotAPlan:
         return None
-    binder = eval(f"lambda p: [{body}]", source.names)
-    return binder if repr(binder(parts)) == repr(statements) else None
+    values = "".join(f"{value}, " for value in source.values)
+    names = dict(source.names, Bound=Bound, plan=None)
+    exec(
+        f"def bind(p):\n    return Bound(plan, ({values}))\n"
+        f"def build(v):\n    return [{body}]\n",
+        names,
+    )
+    bind, build = names["bind"], names["build"]
+    values = bind(parts).values
+    if repr(build(values)) != repr(statements):
+        return None
+    names["plan"] = Plan(bind, build, tuple(Slot(n, type(v)) for n, v in enumerate(values)))
+    return names["plan"]
 
 
 class _BinderSource:
     """Python source that rebuilds a parse from split parts p.
 
     The parser reads literals in text order and puts each into the tree
-    once, so the n-th literal of a pre-order walk is slot n.  A slot is
-    negated when its parsed value is; an int slot that parsed to 0 after a
-    '-' leaves the sign unknown, and the text teaches nothing.  Terms that
+    once, so the n-th literal of a pre-order walk is slot n: values holds
+    the source of each slot's value, which the tree reads as v[n].  A slot
+    is negated when its parsed value is; an int slot that parsed to 0 after
+    a '-' leaves the sign unknown, and the text teaches nothing.  Terms that
     hold no literal are built once and shared: they are frozen.
     """
 
@@ -508,6 +591,7 @@ class _BinderSource:
         self.parts = parts
         self.slots = iter(range(0, len(parts) - 1, _STRIDE))
         self.names = dict(_BINDER_NAMES)
+        self.values: list[str] = []
 
     def const(self, value) -> str:
         name = f"_k{len(self.names)}"
@@ -515,6 +599,10 @@ class _BinderSource:
         return name
 
     def slot(self, value) -> str:
+        self.values.append(self.value(value))
+        return f"v[{len(self.values) - 1}]"
+
+    def value(self, value) -> str:
         parts, at = self.parts, next(self.slots, None)
         if at is None:
             raise _NotAPlan

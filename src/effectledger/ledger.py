@@ -262,7 +262,8 @@ def verify_ledger(ledger, expected_head: bytes | None = None) -> VerificationRes
     Accepts a Ledger, a block list, or raw file bytes.  Checks that blocks
     parse, ids are gapless from 1, every hash_previous equals the predecessor's
     hash (genesis constant for block 1), and, when a trusted head hash is
-    supplied, that the final block hashes to it.  Without a trusted head,
+    supplied, that the final block hashes to it; an empty ledger's head is
+    the genesis constant, as Ledger.head_hash gives.  Without a trusted head,
     damage confined to the last block's non-chained fields is undetectable.
     """
     if isinstance(ledger, Ledger):
@@ -282,12 +283,12 @@ def verify_ledger(ledger, expected_head: bytes | None = None) -> VerificationRes
         if block.hash_previous != previous:
             return VerificationResult(False, len(blocks), i, f"block {i}: previous-hash mismatch")
         previous = block_hash(block)
-    if expected_head is not None and blocks and previous != expected_head:
+    if expected_head is not None and previous != expected_head:
+        if not blocks:
+            return VerificationResult(False, 0, 1, "empty ledger with another expected head")
         return VerificationResult(
             False, len(blocks), len(blocks), f"block {len(blocks)}: head hash mismatch"
         )
-    if expected_head is not None and not blocks:
-        return VerificationResult(False, 0, 1, "empty ledger with expected head")
     return VerificationResult(True, len(blocks))
 
 

@@ -35,6 +35,10 @@ checks out of the round's verification.
 a DBMS keeps prepared statements; endorsement, execution and replay all go
 through it.  A transaction whose text differs from a shape seen before only
 in its literals is bound from that shape; only a new shape runs the parser.
+The organization compiles each bound shape once, into an access function
+that analysis calls (scheduler.analyze_transaction) and an executor for its
+own engine (Database.execute_transaction), and keeps both in the shape's
+plan; shapes that do not compile are analyzed and run by the interpreters.
 The cache is never shared, since each organization stands for its own DBMS.
 
 Where signatures are verified, and by which process, is told in keys.  This

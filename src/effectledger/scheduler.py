@@ -3,7 +3,11 @@
 Three phases per block, all on the thread that runs the organization: (1)
 semantic analysis turns each statement into accesses to one table: whether
 it writes, and the interval each column it constrains and does not assign is
-confined to; (2) the dependency graph places each transaction one stage past
+confined to.  For statements bound from a learned shape, analysis calls a
+function compiled once per shape, in the organization's own plan, against
+the catalog's schemas for the tables the shape names; it gives the accesses
+the interpreter below would give, and is compiled again when those schemas
+change.  (2) the dependency graph places each transaction one stage past
 every earlier transaction it conflicts with; (3) execution.  Any order of a
 stage's members gives the same bits, digest and state, so the stages
 describe the parallelism of the block, and block order is one of the orders
@@ -31,11 +35,13 @@ which serializes it against all other access to that table.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .agreement import ParsedTransaction
 from .engine.parser import (
+    Bound,
     CreateTable,
     Delete,
     Insert,
@@ -141,11 +147,12 @@ class Access:
 
 @dataclass
 class TxnAccessSet:
-    """What one transaction reads and writes, plus its parsed statements."""
+    """What one transaction reads and writes, plus its parsed statements
+    (a Bound when a plan cache bound them)."""
 
     index: int
     accesses: tuple[Access, ...] = ()
-    statements: tuple[Statement, ...] | None = None
+    statements: Sequence[Statement] | None = None
     parse_error: str | None = None
 
     @property
@@ -173,10 +180,92 @@ def analyze_transaction(
             txn = ParsedTransaction(error=str(exc))
     if txn.error is not None:
         return TxnAccessSet(index, parse_error=txn.error)
+    statements = txn.statements
+    if type(statements) is Bound:
+        build = _compiled_accesses(statements.plan, catalog)
+        if build is not None:
+            return TxnAccessSet(index, build(statements.values), statements)
     accesses: list[Access] = []
-    for stmt in txn.statements:
+    for stmt in statements:
         accesses.extend(_statement_accesses(stmt, catalog))
-    return TxnAccessSet(index, tuple(accesses), txn.statements)
+    return TxnAccessSet(index, tuple(accesses), statements)
+
+
+class _CompiledAccesses:
+    """A shape's accesses compiled against the schemas the catalog holds
+    for the tables it names (None for a missing one): build(v) gives what
+    analysis gives the shape bound with literal values v.  build is None
+    when the interpreter analyzes the shape."""
+
+    __slots__ = ("schemas", "build")
+
+    def __init__(self, template, catalog):
+        self.schemas = tuple({stmt.table: catalog.get(stmt.table) for stmt in template}.items())
+        try:
+            sources = "".join(f"{_access_source(stmt, catalog)}, " for stmt in template)
+        except _Uncompiled:
+            self.build = None
+        else:
+            self.build = eval(f"lambda v: ({sources})", {"Access": Access, "Interval": Interval})
+
+    def current(self, catalog) -> bool:
+        for name, schema in self.schemas:
+            now = catalog.get(name)
+            if now is not schema and now != schema:
+                return False
+        return True
+
+
+def _compiled_accesses(plan, catalog):
+    """build of the plan's compiled accesses, compiled on first use and
+    again when the catalog's schemas for its tables change."""
+    compiled = plan.accesses
+    if compiled is None or not compiled.current(catalog):
+        compiled = plan.accesses = _CompiledAccesses(plan.template, catalog)
+    if compiled.build is not None:
+        plan.analyzed += 1
+    return compiled.build
+
+
+class _Uncompiled(Exception):
+    """The interpreter analyzes the shape."""
+
+
+def _access_source(stmt: Statement, catalog) -> str:
+    """Source of what _statement_accesses gives one statement of a template,
+    whose slot n reads v[n]: a coarse access when the table is missing or an
+    INSERT does not fit it, else one access with a point witness per
+    literal that constrains a column.  Raises _Uncompiled for conditions
+    other than equalities on distinct known columns, and for an INSERT key
+    whose witness depends on the literal's digits."""
+    schema = catalog.get(stmt.table)
+    write = not isinstance(stmt, Select)
+    if schema is None:
+        return f"Access({stmt.table!r}, True)"
+    if isinstance(stmt, Insert):
+        (row,) = stmt.rows
+        names = stmt.columns or tuple(c.name for c in schema.columns)
+        if sorted(names) != sorted(c.name for c in schema.columns) or len(row) != len(names):
+            return f"Access({stmt.table!r}, True)"
+        points = {name: row[names.index(name)] for name in schema.primary_key}
+        if any(
+            schema.column(name).type is ColumnType.DECIMAL and slot.kind is Decimal
+            for name, slot in points.items()
+        ):
+            raise _Uncompiled  # stored as given depends on the literal
+    else:
+        points = {}
+        for cond in stmt.where:
+            if cond.op != "=" or cond.column in points or cond.column not in schema._index:
+                raise _Uncompiled
+            points[cond.column] = cond.value
+        if isinstance(stmt, Update):
+            for name, _ in stmt.assignments:
+                points.pop(name, None)
+    witnesses = "".join(
+        f"{name!r}: Interval(v[{slot.n}], v[{slot.n}]), " for name, slot in points.items()
+    )
+    return f"Access({stmt.table!r}, {write}, {{{witnesses}}})"
 
 
 def _statement_accesses(stmt: Statement, catalog) -> list[Access]:

@@ -262,6 +262,19 @@ def test_expected_head_on_intact_ledger():
     assert not verify_ledger([], expected_head=head).ok
 
 
+def test_an_empty_ledger_verifies_against_the_genesis_head():
+    ledger = Ledger()
+    assert ledger.head_hash() == GENESIS_PREVIOUS
+    assert verify_ledger(ledger, expected_head=ledger.head_hash()).ok
+    assert verify_ledger(b"", expected_head=GENESIS_PREVIOUS).ok
+
+
+@given(st.binary(min_size=32, max_size=32).filter(lambda head: head != GENESIS_PREVIOUS))
+def test_an_empty_ledger_fails_against_any_other_head(head):
+    result = verify_ledger(Ledger(), expected_head=head)
+    assert not result.ok and (result.block_count, result.first_bad_block) == (0, 1)
+
+
 # ---- the append-only ledger ----
 
 

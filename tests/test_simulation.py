@@ -127,8 +127,7 @@ def test_generated_scenarios_keep_the_network_invariants(scenario):
     corrupted = {f["org"] for f in scenario[2]
                  if f["kind"] in (FaultKind.CORRUPT_ROW.value, FaultKind.CORRUPT_SNAPSHOT.value)}
     for org, node in net.nodes.items():
-        head = node.ledger.head_hash() if node.height else None  # an empty ledger has none
-        assert verify_ledger(node.ledger, expected_head=head)
+        assert verify_ledger(node.ledger, expected_head=node.ledger.head_hash())
         if net.runtimes[org].live and node.pending is None and org not in corrupted:
             replica = OrgNode(org, quirks=node.db.quirks)
             for block in node.ledger.blocks:
