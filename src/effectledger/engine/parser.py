@@ -456,6 +456,9 @@ class Bound(Sequence):
     def __getitem__(self, index):
         return self.statements[index]
 
+    def __iter__(self):
+        return iter(self.statements)
+
     def __len__(self) -> int:
         return len(self.plan.template)
 
