@@ -19,9 +19,9 @@ so that its own list leaves out the checks it made or signed when endorsing.
 
 A client finds the organizations a proposal needs once (endorsers), and
 collect_agreements asks each of them in turn.  Each endorser's client check
-was queued with the signature worker before (OrgNode.queue_client_checks;
-keys tells who queues it and when), and evaluate_agreement reads its
-verdict in submit order before it evaluates predicates and signs.
+was queued with the signature worker before (network tells who queues it
+and when), and evaluate_agreement reads its verdict before it evaluates
+predicates and signs.
 
 Each party parses a transaction's SQL once, into a ParsedTransaction: the
 client to find the required organizations (only when policies exist), each

@@ -126,9 +126,6 @@ class Database:
         except KeyError:
             raise BindError(f"unknown table {name}") from None
 
-    def schema(self, name: str) -> TableSchema:
-        return self.table(name).schema
-
     def table_names(self) -> set[str]:
         return set(self.tables)
 

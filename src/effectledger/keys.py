@@ -10,17 +10,14 @@ Where signatures are verified.  An organization verifies each signature of
 a transaction once, and all of them, but for effect votes, through the one
 SignatureWorker of this process.
 
-Endorsing.  Network.run prepares the proposals due at a tick
-CHUNK_TRANSACTIONS at a time, at most two chunks ahead of the submit being
-made and never past the tick.  For each chunk, each live organization whose
-agreement some of its proposals need queues their client checks as one
-Verdicts (OrgNode.queue_client_checks), one organization after another, so
-the queue alternates between organizations chunk by chunk.
-OrgNode.evaluate_agreement reads the verdicts in submit order and signs an
-agreement only after its client check passed; a proposal nobody queued has
-its check queued there, as a batch of one.  Checks still unread at the end
-of a tick are dropped.  The organization records the check that passed with
-the agreement it signed (agreement.Endorsements, one per organization).
+Endorsing.  Each organization that a proposal needs checks its client's
+signature before it signs an agreement.  The checks are queued one Verdicts
+per organization and chunk of a tick's proposals; network tells who queues
+them, who reads them and when they are dropped.  A client check is a job of
+one signature, queued with no reading cost, so its Verdicts holds none back
+(see SignatureWorker.verify).  The organization records the check that
+passed with the agreement it signed (agreement.Endorsements, one per
+organization).
 
 Receiving.  When the ordered block reaches an organization,
 OrgNode.receive_action builds the block's checks, one job per transaction,
@@ -66,7 +63,6 @@ import threading
 import weakref
 from collections import deque
 from collections.abc import Iterable
-from itertools import count
 from time import perf_counter
 
 from cryptography.exceptions import InvalidSignature
@@ -267,10 +263,7 @@ class Verdicts:
         self._reading = reading
         self._queued = perf_counter()
         self._lo = self._hi = len(self._jobs)
-        self._read = 0  # verdicts yielded
         if self._jobs:
-            self._open_id = next(worker._open_ids)
-            worker._open[self._open_id] = self
             self._lo = worker._held_back(self._jobs, reading)
             worker._send(self, self._lo)
 
@@ -288,9 +281,7 @@ class Verdicts:
             away += perf_counter() - resumed
             while verdicts[i] is None:
                 worker._advance(self, i)
-            self._read = i + 1
             if i == last:
-                del worker._open[self._open_id]
                 self._reading.note(away, len(verdicts))
                 worker._read_done = perf_counter()
             resumed = perf_counter()
@@ -338,10 +329,6 @@ class SignatureWorker:
         self._process.start()
         child_end.close()  # so that a dead worker reads as EOF here
         self._loaded: dict = {}  # public keys decoded for this process's checks
-        # Verdicts with verdicts left to read, oldest first; one dropped
-        # unread leaves on collection, with its held-back jobs
-        self._open: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        self._open_ids = count()
         # requests sent and not yet answered, in the order the answers come:
         # (weak reference to the Verdicts, index of its first job, signatures)
         self._waiting: deque = deque()
@@ -382,9 +369,6 @@ class SignatureWorker:
             start -= 1
             held += len(jobs[start] or ())
         return start
-
-    def _jobs_left(self) -> int:
-        return sum(len(v._verdicts) - v._read for v in self._open.values())
 
     def _send(self, owner: Verdicts, end: int):
         """Send owner's jobs before end, CHUNK_TRANSACTIONS to a request.  A

@@ -21,15 +21,18 @@ once per tick, which is how a vote dropped by a fault rule is fetched after
 the rule expires.
 
 Signatures are verified outside the tick clock, and keys tells where and by
-which process.  Endorsement checks are queued within a tick: run prepares
-the proposals due at the tick in chunks of keys.CHUNK_TRANSACTIONS, at most
-two chunks ahead of the submit being made (_submit_due), and each live
-organization that a chunk's proposals need queues their client checks.
-Each submit then reads its endorsers' verdicts in order; checks still
-unread at the end of the tick are dropped, and a retired organization drops
-its own.  When the orderer cuts a block, each live organization's
-receive_action queues its copy's checks.  Effect votes are verified here,
-by each organization that fetches them.
+which process.  Endorsement checks have one owner, self._prepared.  run
+prepares the proposals due at a tick in chunks of keys.CHUNK_TRANSACTIONS,
+at most two chunks ahead of the submit being made (_submit_due).  Each live
+organization that a chunk's proposals need queues their client checks as
+one batch (OrgNode.client_checks), and each prepared entry keeps the
+(check, verdicts) pair of each of those organizations.  submit hands each
+live endorser its pair (OrgNode.evaluate_agreement), so every batch is read
+in submit order, and a retired organization's checks are never read.
+Checks still unread at the end of a tick are dropped with _prepared.  When
+the orderer cuts a block, each live organization's receive_action queues
+its copy's checks.  Effect votes are verified here, by each organization
+that fetches them.
 
 Identical (config, schedule, fault script) inputs produce identical reports
 and identical ledger bytes.  The only randomness anywhere is the workload
@@ -48,6 +51,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 from . import agreement as agmt
 from . import keys
@@ -401,7 +405,8 @@ class Network:
             self.runtimes[org_cfg.org_id] = _OrgRuntime(node, org_cfg)
         self._client_keys: dict[str, object] = {}
         self._client_plans: dict[str, PlanCache] = {}
-        # proposals prepared for this tick's submits: (proposal, required orgs)
+        # proposals prepared for this tick's submits: (proposal, required
+        # orgs, live required org -> its queued (check, verdicts) pair)
         self._prepared: deque = deque()
         self._drop_rules: list[FaultEvent] = []
         self._tamper_rules: list[FaultEvent] = []
@@ -521,12 +526,11 @@ class Network:
 
     def _retire(self, rt: _OrgRuntime, event: str, block: int = 0):
         """Kill (KILL) or exclude (EXCLUDED) rt for good: it no longer steps,
-        votes, endorses or receives blocks, its unread verdicts and client
-        checks leave the signature worker's queue, and its record of endorsed
-        proposals is cleared."""
+        votes, endorses or receives blocks, its received blocks' unread
+        verdicts are dropped, and its record of endorsed proposals is
+        cleared."""
         rt.live = False
         rt.node.verifying.clear()
-        rt.node.endorsing.clear()
         rt.node.endorsed.clear()
         self.report.emit(self.tick, rt.node.org_id, event, block)
 
@@ -549,15 +553,18 @@ class Network:
         """Chainify one proposal: gather agreements, then hand to the orderer.
 
         Takes the proposal that run prepared for (client, sql) when it is the
-        next one prepared; prepares it here otherwise, as a batch of one."""
+        next one prepared; prepares it here otherwise, as a batch of one.
+        Each live endorser evaluates it with the client check it queued; a
+        required organization that is not live is unreachable."""
         prepared = self._prepared
         if prepared and prepared[0][0].client == client and prepared[0][0].sql == sql:
-            proposal, needed = prepared.popleft()
+            proposal, needed, queued = prepared.popleft()
         else:
-            [(proposal, needed)] = self._prepare([(client, sql)])
+            [(proposal, needed, queued)] = self._prepare([(client, sql)])
         evaluators = {
-            org: (rt.node.evaluate_agreement if rt.live else None)
-            for org, rt in self.runtimes.items()
+            org: partial(self.runtimes[org].node.evaluate_agreement, queued=check)
+            for org, check in queued.items()
+            if self.runtimes[org].live
         }
         result = agmt.collect_agreements(proposal, needed, evaluators)
         if isinstance(result, agmt.Rejected):
@@ -571,16 +578,19 @@ class Network:
         client signs its proposal and finds the organizations it needs through
         its plan cache, and each live organization among them queues the
         client checks of those it is needed for, as one batch.  Returns
-        (proposal, required orgs) pairs in entry order."""
+        (proposal, required orgs, {org: (check, verdicts)}) entries in entry
+        order."""
         prepared = []
         for client, sql in entries:
             proposal = agmt.make_proposal(client, sql, self.client_key(client))
             needed = agmt.endorsers(sql, self.agreement_policies, self._client_plans[client])
-            prepared.append((proposal, needed))
+            prepared.append((proposal, needed, {}))
         for org, rt in self.runtimes.items():
-            mine = [proposal for proposal, needed in prepared if org in needed]
+            mine = [(proposal, queued) for proposal, needed, queued in prepared if org in needed]
             if mine and rt.live:
-                rt.node.queue_client_checks(mine)
+                checks = rt.node.client_checks([proposal for proposal, _ in mine])
+                for (_, queued), check in zip(mine, checks):
+                    queued[org] = check
         return prepared
 
     def _submit_due(self, due):
@@ -588,7 +598,7 @@ class Network:
         keys.CHUNK_TRANSACTIONS at a time, at most two chunks ahead of the one
         being submitted, so the signature worker verifies the client checks
         of later chunks while the endorsers evaluate earlier ones.  Checks
-        still unread at the end are dropped."""
+        still unread at the end are dropped with _prepared."""
         size = keys.CHUNK_TRANSACTIONS
         ready = 0
         try:
@@ -599,8 +609,6 @@ class Network:
                 self.submit(client, sql)
         finally:
             self._prepared.clear()
-            for rt in self.runtimes.values():
-                rt.node.endorsing.clear()
 
     def _broadcast(self, action: Action):
         self.report.emit(self.tick, "orderer", CUT, action.round_id)

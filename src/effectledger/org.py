@@ -13,13 +13,9 @@ matches the local one; otherwise the round stays pending until consensus
 arrives late (peers catching up) or recovery rebuilds the state.  Replaying
 a committed block runs the same per-transaction loop.
 
-Endorsing reads its client checks from self.endorsing, a FIFO of
-(proposal, client check, verdicts) entries.  Network.run has each live
-required organization queue a chunk of a tick's proposals at a time
-(queue_client_checks), up to two chunks ahead of the submit being made, and
-evaluate_agreement reads the verdicts in that order, verifying a proposal
-nobody queued as a batch of one.  An agreement is signed only after its
-client check passed.
+Endorsing: evaluate_agreement signs an agreement only after the proposal's
+client check passed.  The checks are queued by client_checks and handed to
+it by Network.submit; network tells when.
 
 Each round has one record at a time: received (self.verifying: the action
 and the verdicts on its signatures), then pending (self.pending: the block
@@ -53,7 +49,6 @@ them when the vote goes against us.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 
 from . import agreement as agmt
@@ -128,12 +123,9 @@ class OrgNode:
         self.plans = PlanCache()
         # proposals this organization agreed to, until their block arrives
         self.endorsed = agmt.Endorsements(keys.public_bytes(self.private_key))
-        # client checks queued for endorsement, read in order by
-        # evaluate_agreement: (proposal, check or None, its batch's verdicts)
-        self.endorsing: deque = deque()
-        # this organization's measured time per verdict read, while endorsing
-        # and while executing blocks, for the signature worker (keys.Cost)
-        self.endorse_reading, self.block_reading = keys.Cost(), keys.Cost()
+        # this organization's measured time per verdict read while executing
+        # blocks, for the signature worker (keys.Cost)
+        self.block_reading = keys.Cost()
 
     # ---- identity / bookkeeping ----
 
@@ -150,38 +142,34 @@ class OrgNode:
 
     # ---- agreement service ----
 
-    def queue_client_checks(self, proposals):
-        """Queue the client checks of proposals, in order, with the signature
-        worker as one batch (keys.Verdicts); evaluate_agreement reads their
-        verdicts back in the same order.  A proposal from a client the
-        registry does not know gets no check."""
-        self.endorsing.extend(self._client_checks(proposals))
-
-    def _client_checks(self, proposals) -> list:
-        entries = []
+    def client_checks(self, proposals) -> list:
+        """Queue the client checks of proposals with the signature worker as
+        one batch (keys.Verdicts).  Returns one (check, verdicts) pair per
+        proposal, for evaluate_agreement, which must be given them in the
+        same order: each pair's verdict is the next one read from the
+        batch's verdicts.  A proposal from a client the registry does not
+        know gets no check (None)."""
+        checks = []
         for proposal in proposals:
             client_key = self.registry.encoded_key(proposal.client)
             check = None
             if client_key is not None:
                 check = (client_key, proposal.signature, proposal.signed_payload())
-            entries.append((proposal, check))
-        checks = ((check,) for _, check in entries if check)
-        verdicts = iter(keys.signature_worker().verify(checks, self.endorse_reading))
-        return [(proposal, check, verdicts) for proposal, check in entries]
+            checks.append(check)
+        verdicts = iter(keys.signature_worker().verify((check,) for check in checks if check))
+        return [(check, verdicts) for check in checks]
 
-    def evaluate_agreement(self, proposal: agmt.TransactionProposal) -> agmt.Agreement:
+    def evaluate_agreement(
+        self, proposal: agmt.TransactionProposal, queued: tuple | None = None
+    ) -> agmt.Agreement:
         """Signed verdict on a proposal, judged against committed state only.
 
-        Reads the client check's verdict from the front of self.endorsing; a
-        proposal nobody queued there has its check queued here, as a batch of
-        one.  An agreement is recorded in self.endorsed with the client check
-        that passed, so that receiving the transaction checks neither again.
+        queued is the proposal's (check, verdicts) pair from client_checks;
+        without it the check is queued here, as a batch of one.  An
+        agreement is recorded in self.endorsed with the client check that
+        passed, so that receiving the transaction checks neither again.
         """
-        queued = self.endorsing
-        if queued and queued[0][0] == proposal:
-            _, client_check, verdicts = queued.popleft()
-        else:
-            [(_, client_check, verdicts)] = self._client_checks([proposal])
+        client_check, verdicts = queued or self.client_checks([proposal])[0]
         verdict = client_check is not None and next(verdicts)
         if verdict:
             parsed = agmt.parse_transaction(proposal.sql, self.plans)
@@ -277,7 +265,7 @@ class OrgNode:
                 read.append(signatures_ok)
                 yield agmt.finish_verification(
                     ct, signatures_ok, self.agreement_policies, self.plans
-                ) or "agreement verification failed"
+                ) or agmt.ParsedTransaction(error="agreement verification failed")
 
         records = tuple(
             TransactionRecord(ct.proposal.client, ct.proposal.sql, ct.agreed_orgs)
@@ -299,8 +287,8 @@ class OrgNode:
         order, then build its ledger block; returns (digest, block, block
         hash).
 
-        parsed yields, per transaction, its ParsedTransaction, or why it
-        fails without executing; such a transaction keeps bit 0.  Analysis
+        parsed yields each transaction's ParsedTransaction; one with an error
+        (it did not parse, or fails without executing) keeps bit 0.  Analysis
         reads the catalog as of block start, so the dependency graph built
         from the analyses is the one staged execution would run.
         """
@@ -309,10 +297,7 @@ class OrgNode:
         access_sets: list[TxnAccessSet] = []
         bits: list[bool] = []
         for i, txn in enumerate(parsed):
-            if isinstance(txn, str):
-                access = TxnAccessSet(i, parse_error=txn)
-            else:
-                access = analyze_transaction(i, txn, catalog)
+            access = analyze_transaction(i, txn, catalog)
             access_sets.append(access)
             bits.append(
                 access.analyzable
@@ -370,7 +355,8 @@ class OrgNode:
         the hash.
         """
         parsed = (
-            agmt.parse_transaction(rec.sql, self.plans) if ok else "failed when committed"
+            agmt.parse_transaction(rec.sql, self.plans)
+            if ok else agmt.ParsedTransaction(error="failed when committed")
             for rec, ok in zip(block.transactions, block.successful)
         )
         _, _, effect_hash = self._run_block(

@@ -1,7 +1,10 @@
 """Shared fixtures: engines, multi-org clusters, and round-driving helpers."""
 
+import gc
+
 import pytest
 
+from effectledger import keys
 from effectledger.agreement import ChainedTransaction, make_proposal
 from effectledger.consensus import ConsensusPolicy
 from effectledger.engine.database import Database
@@ -21,6 +24,20 @@ def db():
 def run_sql(database, sql):
     """Parse and execute one transaction, returning its TransactionResult."""
     return database.execute_transaction(parse_script(sql))
+
+
+def unread_verdicts() -> list:
+    """The live keys.Verdicts that still have verdicts to read, after a
+    collection.
+
+    A reader drops a Verdicts with its iterator once it has read the last
+    verdict, and a Verdicts that nobody holds goes with the next collection,
+    held-back jobs and all.  So every one still live after gc.collect() is
+    unread, unless the caller itself keeps one it has read to the end; a
+    caller that does deletes it first.
+    """
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, keys.Verdicts)]
 
 
 @pytest.fixture

@@ -1,11 +1,10 @@
 """Endorsement checks queued in chunks: Network.run prepares each tick's
 proposals keys.CHUNK_TRANSACTIONS at a time, at most two chunks ahead of the
 submit being made, and each required live endorser queues its client checks
-with the signature worker; evaluate_agreement reads the verdicts in order.
-The outcome equals submitting every proposal on its own, and no check is
-left queued behind a tick, a run or a retired organization."""
-
-import gc
+with the signature worker; submit hands each endorser its check, so the
+verdicts are read in order.  The outcome equals submitting every proposal on
+its own, and no check is left queued behind a tick, a run or a retired
+organization."""
 
 import pytest
 
@@ -14,6 +13,8 @@ from effectledger import org as org_module
 from effectledger.engine.parser import PlanCache
 from effectledger.keys import derive_private_key
 from effectledger.network import KILL, REJECT, FaultEvent, Network, NetworkConfig, OrgConfig
+
+from conftest import unread_verdicts
 
 CHUNK = keys.CHUNK_TRANSACTIONS
 DDL = [
@@ -68,13 +69,13 @@ def outcome(net):
 def batches(monkeypatch):
     """Sizes of the batches of proposals whose client checks were queued."""
     sizes = []
-    client_checks = org_module.OrgNode._client_checks
+    client_checks = org_module.OrgNode.client_checks
 
     def counted(node, proposals):
         sizes.append(len(proposals))
         return client_checks(node, proposals)
 
-    monkeypatch.setattr(org_module.OrgNode, "_client_checks", counted)
+    monkeypatch.setattr(org_module.OrgNode, "client_checks", counted)
     return sizes
 
 
@@ -151,32 +152,46 @@ def test_lookahead_stays_within_two_chunks_and_the_tick(monkeypatch):
 
 def test_no_client_check_is_left_queued():
     """After a run with rejected proposals and an endorser killed after it
-    had queued checks, no Verdicts stays open and no node holds a check."""
-    gc.collect()  # Verdicts of earlier tests' collected networks leave the queue
+    had queued checks, no Verdicts is left unread and nothing is prepared."""
     net = network()
     report = net.run(SCHEDULE, [KILL_O3])
     assert report.events("O3", KILL) and report.events(kind=REJECT)
-    worker = keys.signature_worker()
-    assert (len(worker._open), worker._jobs_left()) == (0, 0)
-    assert all(not node.endorsing for node in net.nodes.values())
+    assert not unread_verdicts()
+    assert not net._prepared
 
 
-def test_retiring_an_organization_drops_its_queued_checks():
-    gc.collect()
+def test_checks_prepared_for_a_retired_organization_are_never_read(monkeypatch):
+    """O3 queues the client checks of two proposals, then is killed: submit
+    finds it unreachable and never asks it, and its checks, unread, go once
+    _prepared is cleared."""
     net = network()
     net.run([(0, "alice", sql) for sql in DDL])
-    node = net.node("O3")
-    proposal = agreement.make_proposal("alice", update("sav", 0), net.client_key("alice"))
-    node.queue_client_checks([proposal])
-    worker = keys.signature_worker()
-    assert node.endorsing and worker._jobs_left() == 1
+    assert not unread_verdicts()
+    asked = []
+    evaluate = org_module.OrgNode.evaluate_agreement
+
+    def recorded(node, proposal, queued=None):
+        asked.append(node.org_id)
+        return evaluate(node, proposal, queued)
+
+    monkeypatch.setattr(org_module.OrgNode, "evaluate_agreement", recorded)
+    entries = [("alice", update("sav", i)) for i in (0, 1)]
+    net._prepared.extend(net._prepare(entries))
+    assert [sorted(queued) for _, _, queued in net._prepared] == [["O2", "O3"]] * 2
+    assert len(unread_verdicts()) == 2  # one batch each for O2 and O3
     net.apply_fault(FaultEvent.from_dict(KILL_O3))
-    assert not node.endorsing
-    assert (len(worker._open), worker._jobs_left()) == (0, 0)
+
+    rejected = net.submit(*entries[0])
+    assert isinstance(rejected, agreement.Rejected) and rejected.dissenting == ("O3",)
+    assert asked == ["O2"]
+    # O2's batch has its second check left, O3's both of its own
+    assert len(unread_verdicts()) == 2
+    net._prepared.clear()
+    assert not unread_verdicts()
+    assert asked == ["O2"]
 
 
 def test_a_run_that_raises_drops_the_checks_it_queued(monkeypatch):
-    gc.collect()
     net = network()
     submit = Network.submit
     calls = []
@@ -190,7 +205,5 @@ def test_a_run_that_raises_drops_the_checks_it_queued(monkeypatch):
     monkeypatch.setattr(Network, "submit", failing)
     with pytest.raises(RuntimeError):
         net.run(SCHEDULE)
-    worker = keys.signature_worker()
-    assert (len(worker._open), worker._jobs_left()) == (0, 0)
-    assert all(not node.endorsing for node in net.nodes.values())
+    assert not unread_verdicts()
     assert not net._prepared

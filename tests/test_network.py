@@ -1,6 +1,5 @@
 """Deterministic multi-org simulation: ordering, faults, and the report."""
 
-import gc
 import hashlib
 import json
 import random
@@ -8,7 +7,6 @@ from decimal import Decimal
 
 import pytest
 
-from effectledger import keys
 from effectledger import ledger as ledger_module
 from effectledger import org as org_module
 from effectledger.agreement import ChainedTransaction, Rejected, make_proposal
@@ -42,6 +40,8 @@ from effectledger.network import (
     load_fault_script,
 )
 from effectledger.smallbank import bootstrap_transactions, build_schedule
+
+from conftest import unread_verdicts
 
 DDL = "CREATE TABLE acct (id INT, bal DECIMAL(12, 2), PRIMARY KEY (id));"
 SEED = "INSERT INTO acct (id, bal) VALUES (1, 100), (2, 200), (3, 300);"
@@ -305,16 +305,13 @@ def test_kill_org_halts_it_but_not_survivors():
 
 
 def test_a_killed_organization_leaves_no_unread_verdicts():
-    """Its received blocks' signature checks are dropped with it, so the
-    worker's queue neither keeps nor counts them."""
-    gc.collect()  # Verdicts of earlier tests' collected networks leave the queue
+    """Its received blocks' signature checks are dropped with it, unread."""
     net = make_net(orgs=[OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", engine_delay=3)],
                    blocksize=64, block_timeout=4)
     schedule = build_schedule(bootstrap_transactions(200, random.Random(0)))
     net.run(schedule, faults=[{"at_tick": 6, "kind": "kill_org", "org": "O3"}])
     assert [net.node(org).height for org in ("O1", "O2", "O3")] == [1, 1, 0]
-    worker = keys.signature_worker()
-    assert (len(worker._open), worker._jobs_left()) == (0, 0)
+    assert not unread_verdicts()
 
 
 TRUNCATE = QuirkConfig.from_dict({"decimal_rounding": "truncate"}, "test")
@@ -323,8 +320,7 @@ TRUNCATE = QuirkConfig.from_dict({"decimal_rounding": "truncate"}, "test")
 def test_an_excluded_organization_leaves_no_unread_verdicts():
     """O3 rounds a third fractional digit down and may not recover, so it is
     excluded at block 2 with later blocks received; their signature checks
-    leave the worker's queue with it, as a killed organization's do."""
-    gc.collect()
+    are dropped with it, as a killed organization's are."""
     orgs = [OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", quirks=TRUNCATE, engine_delay=3)]
     net = make_net(orgs=orgs)
     bumps = [
@@ -334,8 +330,7 @@ def test_an_excluded_organization_leaves_no_unread_verdicts():
     report = net.run([(0, "alice", DDL), (0, "alice", SEED)] + bumps)
     assert report.first("O3", EXCLUDED).block == 2
     assert [net.node(org).height for org in ("O1", "O2", "O3")] == [9, 9, 1]
-    worker = keys.signature_worker()
-    assert (len(worker._open), worker._jobs_left()) == (0, 0)
+    assert not unread_verdicts()
 
 
 def fault_matrix_run(checkpoint_interval):

@@ -3,7 +3,6 @@ one: queued at receipt, the front of each block's jobs sent to the worker
 and the tail held back for the reader, read in block order at execution,
 and judged exactly as verify_chained_transaction judges each transaction."""
 
-import gc
 import os
 import signal
 import subprocess
@@ -31,7 +30,7 @@ from effectledger.errors import VerifierUnavailable
 from effectledger.keys import derive_private_key
 from effectledger.network import Network, NetworkConfig, OrgConfig
 
-from conftest import CLIENT, Cluster
+from conftest import CLIENT, Cluster, unread_verdicts
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DDL = "CREATE TABLE acct (id INT, bal DECIMAL(12, 2), PRIMARY KEY (id));"
@@ -197,7 +196,6 @@ def test_signatures_are_sent_once_at_receipt(monkeypatch):
 def test_a_round_received_again_queues_nothing(state):
     """An action for a committed or pending round is ignored: it opens no
     Verdicts that nobody would read."""
-    gc.collect()  # Verdicts of earlier tests' collected nodes leave the queue
     cluster = seeded_cluster()
     node = cluster["O1"]
     action = org_module.Action(2, mixed_transactions(cluster, 5))
@@ -210,9 +208,8 @@ def test_a_round_received_again_queues_nothing(state):
         assert node.height == 2
     for round_id in (1, 2):
         node.receive_action(org_module.Action(round_id, action.transactions))
-    worker = keys.signature_worker()
     assert node.verifying == {}
-    assert (len(worker._open), worker._jobs_left()) == (0, 0)
+    assert not unread_verdicts()
 
 
 def test_verify_jobs_checks_every_signature_of_a_job():
@@ -243,12 +240,11 @@ SERIAL = keys.verify_jobs
 
 @pytest.fixture
 def idle_worker():
-    """The worker, with no Verdicts open and nothing in flight."""
-    gc.collect()
+    """The worker, with no Verdicts unread and nothing in flight."""
     worker = keys.signature_worker()
     # answers come in the order requests were sent, so every earlier one is in
     assert list(worker.verify([GOOD])) == [True]
-    assert not worker._open and not worker._waiting
+    assert not unread_verdicts() and not worker._waiting
     return worker
 
 
@@ -394,9 +390,9 @@ def test_an_unmeasured_reader_holds_back_no_single_signature_job(idle_worker):
 
 
 def test_each_organization_reads_with_its_own_measured_costs():
-    """Blocks and client checks are queued with the reading cost of the
-    organization that reads them, measured as it reads; nothing is shared
-    between organizations."""
+    """Blocks are queued with the reading cost of the organization that
+    reads them, measured as it reads; nothing is shared between
+    organizations."""
     cluster = Cluster(agreement_policies=POLICIES)
     first = org_module.Action(1, (endorsed(cluster, DDL), endorsed(cluster, ROWS)))
     for node in cluster.nodes.values():
@@ -406,10 +402,38 @@ def test_each_organization_reads_with_its_own_measured_costs():
     readings = [node.block_reading for node in cluster.nodes.values()]
     assert len(set(map(id, readings))) == len(readings)
     assert all(reading.per_unit(None) is not None for reading in readings)
-    node = cluster["O2"]
-    node.queue_client_checks([make_proposal(CLIENT, ROWS, cluster.client_key)])
-    *_, queued = keys.signature_worker()._open.values()
-    assert queued._reading is node.endorse_reading is not node.block_reading
+
+
+def test_client_checks_hold_back_no_job_while_a_block_holds_back_a_tail(
+    idle_worker, monkeypatch
+):
+    """With measured costs that make a block's Verdicts hold back a tail for
+    a fast reader, a batch of client checks holds back none: each is a job of
+    one signature, queued with no reading cost."""
+    monkeypatch.setattr(idle_worker, "worker_cost", measured(1e-4))
+    monkeypatch.setattr(idle_worker, "here_cost", measured(1e-4))
+    made = []
+    verify = keys.SignatureWorker.verify
+    monkeypatch.setattr(
+        keys.SignatureWorker, "verify",
+        lambda worker, jobs, reading=None: made.append(verify(worker, jobs, reading)) or made[-1],
+    )
+    cluster = seeded_cluster()
+    node = cluster["O1"]
+    node.block_reading = measured(0.0)
+    action = org_module.Action(2, mixed_transactions(cluster, 3 * keys.CHUNK_TRANSACTIONS))
+    node.receive_action(action)
+    proposals = [
+        make_proposal(CLIENT, f"UPDATE acct SET bal = bal + 1 WHERE id = {i % 10 + 1};",
+                      cluster.client_key)
+        for i in range(3 * keys.CHUNK_TRANSACTIONS)
+    ]
+    checks = node.client_checks(proposals)
+    block, clients = made[-2:]
+    assert block is node.verifying[2][1]
+    assert 0 < block._lo < len(block._jobs)  # a tail held back
+    assert clients._lo == len(clients._jobs) == len(proposals)  # nothing held back
+    assert [next(verdicts) for _, verdicts in checks] == [True] * len(proposals)
 
 
 def test_verdicts_dropped_unread_do_not_disturb_later_ones(idle_worker, monkeypatch):
@@ -419,11 +443,11 @@ def test_verdicts_dropped_unread_do_not_disturb_later_ones(idle_worker, monkeypa
     dropped = worker.verify(MIXED, measured(0.0))
     assert 0 < dropped._lo < dropped._hi == len(MIXED)  # some sent, a tail held back
     del dropped
-    gc.collect()
-    assert not worker._open  # its held-back jobs went with it
+    assert not unread_verdicts()  # its held-back jobs went with it
     wanted = worker.verify([GOOD, FORGED, None] * keys.CHUNK_TRANSACTIONS)
     assert list(wanted) == [True, False, False] * keys.CHUNK_TRANSACTIONS
-    assert not worker._open and not worker._waiting
+    del wanted  # read to the end
+    assert not unread_verdicts() and not worker._waiting
 
 
 @pytest.mark.parametrize("reader_s", [0.0, 1.0], ids=["tail held back", "nothing held back"])
