@@ -1,24 +1,27 @@
 """Deterministic multi-organization simulator.
 
-Everything runs in one process on a logical tick clock: clients submit
-proposals on schedule, an untrusted FIFO orderer cuts blocks at blocksize or
-timeout, and each organization steps a small state machine per tick
+Everything runs in one process on a logical tick clock that never rewinds:
+clients submit proposals on schedule, an untrusted FIFO orderer cuts blocks
+at blocksize or timeout, and each organization steps a small state machine
 (execute -> seek consensus -> commit / recover).  Its state is derived from
 the few facts _OrgRuntime stores; a kill and an exclusion after failed
-recovery are one way out (Network._retire).  A run ends when it is
-quiescent, when it has stalled (organizations wait on rounds that can no
-longer commit; each is reported STALLED), or at its tick budget.  Execution latency is modeled
-by an engine delay in ticks; a "slow" organization simply finishes blocks
-later, which is what produces the catch-up and halting timelines.
+recovery are one way out (Network._retire).  One agenda holds what falls due
+(_Due), and Network.run steps the network only at those ticks: faults,
+submissions, cuts, then each organization in org order.  A run ends when
+nothing on the agenda can change state, quiescent or stalled (organizations
+wait on rounds that can no longer commit; each is reported STALLED), or at
+its tick budget.  Execution latency is modeled by an engine delay in ticks;
+a "slow" organization simply finishes blocks later, which is what produces
+the catch-up and halting timelines.
 
 A vote reaches waiting peers when it is published, not at their next poll.  It
 is published when its execution finishes and, for a recovering organization,
 when the recovery window ends (a recovered organization committed at the
 window's start).  The publisher decides first; then each other live
 organization waiting on consensus makes one attempt in the same tick,
-fetching and verifying every vote itself.  Waiting organizations also poll
-once per tick, which is how a vote dropped by a fault rule is fetched after
-the rule expires.
+fetching and verifying every vote itself.  Waiting organizations poll again
+at each tick the network steps, which is how a vote dropped by a fault rule
+is fetched in the tick the rule expires.
 
 Signatures are verified outside the tick clock, and keys tells where and by
 which process.  Endorsement checks have one owner, self._prepared.  run
@@ -47,11 +50,13 @@ reported CORRUPT_MISSED, and the run goes on.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import count
 
 from . import agreement as agmt
 from . import keys
@@ -344,15 +349,25 @@ class Orderer:
         return not self.queue
 
 
+class _Due(Enum):
+    """What falls due at an agenda entry's tick, and the entry's item."""
+
+    INPUT = "input"  # the run's own: a fault's apply_fault, a schedule entry's (client, sql)
+    EXPIRE = "expire"  # a vote rule's removal
+    STEP = "step"  # _OrgRuntime whose window ends or that can start a block; None: a poll
+    CUT = "cut"  # None: the orderer's queue head times out
+
+
 # ---- per-org runtime wrapper ----
 
 @dataclass
 class _OrgRuntime:
     """The facts of one organization's lifecycle that cannot be derived:
     the block it is executing, or its open recovery window as (failing
-    block, recovered), either of which ends at busy_until; and whether it is
-    live, not yet retired by a kill or an exclusion.  It waits on consensus
-    while it has a pending round and no recovery window is open."""
+    block, recovered), either of which ends at busy_until on the network's
+    clock; and whether it is live, not yet retired by a kill or an
+    exclusion.  It waits on consensus while it has a pending round and no
+    recovery window is open."""
 
     node: OrgNode
     config: OrgConfig
@@ -408,10 +423,19 @@ class Network:
         # proposals prepared for this tick's submits: (proposal, required
         # orgs, live required org -> its queued (check, verdicts) pair)
         self._prepared: deque = deque()
-        self._drop_rules: list[FaultEvent] = []
-        self._tamper_rules: list[FaultEvent] = []
+        self._rules = {FaultKind.DROP_VOTES: [], FaultKind.TAMPER_VOTE: []}  # in force now
         self._equivocations: set[tuple[str, int]] = set()  # (victim, block id)
-        self.tick = 0
+        self._agenda: list = []  # heap of (tick, sequence, _Due, item)
+        self._sequence = count()
+        self._now = self._origin = 0  # the clock, and the current run's tick 0 on it
+
+    @property
+    def tick(self) -> int:
+        """The run's current tick; after a run, one past its last tick."""
+        return self._now - self._origin
+
+    def _due_at(self, tick: int, what: _Due, item=None):
+        heapq.heappush(self._agenda, (tick, next(self._sequence), what, item))
 
     # ---- keys ----
 
@@ -440,14 +464,11 @@ class Network:
 
     # ---- transport (in-process, fault-filtered) ----
 
-    def _rule_active(self, rule: FaultEvent, requester: str, responder: str, block_id: int) -> bool:
+    @staticmethod
+    def _rule_matches(rule: FaultEvent, requester: str, responder: str, block_id: int) -> bool:
         if rule.requester is not None and rule.requester != requester:
             return False
         if rule.responder is not None and rule.responder != responder:
-            return False
-        if self.tick < rule.at_tick:
-            return False
-        if rule.until_tick is not None and self.tick >= rule.until_tick:
             return False
         if rule.block_from is not None and block_id < rule.block_from:
             return False
@@ -460,16 +481,14 @@ class Network:
                 return None
             if rt.recovery is not None and block_id >= rt.recovery[0]:
                 return None  # recovering: not ready for this block yet
-            if rt.executing is not None and block_id >= rt.node.next_round:
-                return None  # still executing: vote not published
-            for rule in self._drop_rules:
-                if self._rule_active(rule, requester, responder, block_id):
+            for rule in self._rules[FaultKind.DROP_VOTES]:
+                if self._rule_matches(rule, requester, responder, block_id):
                     return None
             vote = rt.node.serve_hash_request(block_id)
             if vote is None:
                 return None
-            for rule in self._tamper_rules:
-                if self._rule_active(rule, requester, responder, block_id):
+            for rule in self._rules[FaultKind.TAMPER_VOTE]:
+                if self._rule_matches(rule, requester, responder, block_id):
                     flipped = bytes([vote.effect_hash[0] ^ 0xFF]) + vote.effect_hash[1:]
                     return type(vote)(vote.org, vote.block_id, flipped, vote.signature)
             return vote
@@ -481,8 +500,9 @@ class Network:
     def check_fault(self, event: FaultEvent) -> FaultKind:
         """event's kind, once event has the fields the kind needs and names
         organizations of this network; ConfigError naming the kind and the
-        field otherwise.  A corrupt_* target is checked when applied: a table,
-        row or checkpoint that does not exist then is a CORRUPT_MISSED line."""
+        field otherwise, or a negative at_tick or an until_tick not after it.
+        A corrupt_* target is checked when applied: a table, row or checkpoint
+        that does not exist then is a CORRUPT_MISSED line."""
         try:
             kind = FaultKind(event.kind)
         except ValueError:
@@ -494,10 +514,16 @@ class Network:
         for name in kind.needs:
             if getattr(event, name) is None:
                 raise ConfigError(f"fault {kind.value}: missing {name}")
+        if event.at_tick < 0:
+            raise ConfigError(f"fault {kind.value}: at_tick {event.at_tick} is negative")
+        if event.until_tick is not None and event.until_tick <= event.at_tick:
+            ticks = f"until_tick {event.until_tick} is not after at_tick {event.at_tick}"
+            raise ConfigError(f"fault {kind.value}: {ticks}")
         return kind
 
     def apply_fault(self, event: FaultEvent, kind: FaultKind | None = None):
-        """Apply event now; kind, when given, is check_fault's answer for it."""
+        """Apply event now; kind, when given, is check_fault's answer for it.
+        A vote rule is in force until its until_tick of the current run."""
         kind = kind or self.check_fault(event)
         if kind is FaultKind.KILL_ORG:
             self._retire(self.runtimes[event.org], KILL)
@@ -519,10 +545,11 @@ class Network:
             self.report.emit(self.tick, event.org, event_name, checkpoint.block_id)
         elif kind is FaultKind.EQUIVOCATE_ORDERER:
             self._equivocations.add((event.org, event.block_id))
-        elif kind is FaultKind.DROP_VOTES:
-            self._drop_rules.append(replace(event))  # a copy: _restart_clock shifts it
-        elif kind is FaultKind.TAMPER_VOTE:
-            self._tamper_rules.append(replace(event))
+        elif kind in self._rules:
+            self._rules[kind].append(event)
+            if event.until_tick is not None:
+                end = partial(self._rules[kind].remove, event)
+                self._due_at(self._origin + event.until_tick, _Due.EXPIRE, end)
 
     def _retire(self, rt: _OrgRuntime, event: str, block: int = 0):
         """Kill (KILL) or exclude (EXCLUDED) rt for good: it no longer steps,
@@ -570,7 +597,7 @@ class Network:
         if isinstance(result, agmt.Rejected):
             self.report.emit(self.tick, result.dissenting[0], REJECT)
             return result
-        self.orderer.submit(result, self.tick)
+        self.orderer.submit(result, self._now)
         return result
 
     def _prepare(self, entries) -> list:
@@ -629,7 +656,7 @@ class Network:
         is published, waiting peers attempt consensus (_wake_waiting_peers).
         """
         tick = self.tick
-        if not rt.live or tick < rt.busy_until:
+        if not rt.live or self._now < rt.busy_until:
             return
         org_id = rt.node.org_id
         if rt.recovery is not None:
@@ -650,8 +677,9 @@ class Network:
 
     def _start_next_execution(self, rt: _OrgRuntime):
         """Start executing the next received block if rt is past its busy
-        time and not waiting on consensus."""
-        if self.tick < rt.busy_until:
+        time and not waiting on consensus.  One that is left free to start
+        another steps at the next tick."""
+        if self._now < rt.busy_until:
             return
         action = rt.node.executable_action()
         if action is None:
@@ -659,9 +687,12 @@ class Network:
         self.report.emit(self.tick, rt.node.org_id, EXEC_START, action.round_id)
         if rt.config.engine_delay > 0:
             rt.executing = action
-            rt.busy_until = self.tick + rt.config.engine_delay
+            rt.busy_until = self._now + rt.config.engine_delay
+            self._due_at(rt.busy_until, _Due.STEP, rt)
             return
         self._finish_execution(rt, action)
+        if rt.node.executable_action() is not None:
+            self._due_at(self._now + 1, _Due.STEP, rt)
 
     def _finish_execution(self, rt: _OrgRuntime, action: Action):
         rt.node.execute_action(action)
@@ -672,11 +703,11 @@ class Network:
 
     def _wake_waiting_peers(self, publisher: _OrgRuntime):
         """publisher's vote just became visible: each other live organization
-        waiting on consensus past its busy time makes one attempt, in org
-        order, fetching and verifying the votes itself.  One that commits
-        starts its next received block at once, as it would in its own step."""
+        waiting on consensus makes one attempt, in org order, fetching and
+        verifying the votes itself.  One that commits starts its next
+        received block at once, as it would in its own step."""
         for rt in self.runtimes.values():
-            if rt is not publisher and rt.live and rt.waiting and self.tick >= rt.busy_until:
+            if rt is not publisher and rt.live and rt.waiting:
                 self._attempt_consensus(rt)
                 self._start_next_execution(rt)
 
@@ -688,7 +719,7 @@ class Network:
         elif transcript.status is ConsensusStatus.NON_CONSENTING:
             self.report.emit(self.tick, org_id, NONCONSENT, transcript.block_id)
             self._run_recovery(rt, transcript.block_id)
-        # NO_CONSENSUS: keep polling on later ticks
+        # NO_CONSENSUS: poll again at a later tick the network steps
 
     def _run_recovery(self, rt: _OrgRuntime, failing_block: int):
         """Recover rt now; _step_org reports the outcome when its window ends."""
@@ -696,44 +727,62 @@ class Network:
         self.report.emit(self.tick, org_id, RECOVER_START, failing_block)
         report = recover(rt.node, self.peers_of(org_id), self.fetch_vote(org_id))
         cost = max(1, report.blocks_replayed_total) * max(1, rt.config.engine_delay)
-        rt.busy_until = self.tick + cost
+        rt.busy_until = self._now + cost
         rt.recovery = (failing_block, report.recovered)
+        self._due_at(rt.busy_until, _Due.STEP, rt)
 
     # ---- main loop ----
 
     def run(self, schedule, faults=(), max_ticks: int = 10_000) -> SimulationReport:
-        """Drive the network to quiescence, a stall or the tick budget.
+        """Step the network at each tick its agenda holds, until nothing there
+        can change state or to the tick budget.
 
         schedule: iterable of (tick, client, sql), pre-sorted or not.
-        faults: FaultEvents or dicts.  Ticks count from 0 in every run.
+        faults: FaultEvents or dicts.  Ticks count from 0 in every run, and
+        tick 0 is one past the last tick the previous run stepped.  State
+        events still due carry into the next run at their ticks; a run's
+        inputs do not: a run stopped at its budget drops its schedule entries
+        and faults still to come.
         """
-        pending_submissions = sorted(
-            ((int(t), c, s) for t, c, s in schedule), key=lambda e: e[0]
-        )
+        entries = sorted(((int(t), c, s) for t, c, s in schedule), key=lambda e: e[0])
+        if entries and entries[0][0] < 0:
+            raise ConfigError(f"schedule: tick {entries[0][0]} is negative")
         fault_events = sorted(load_fault_script(list(faults)), key=lambda e: e.at_tick)
         kinds = [self.check_fault(e) for e in fault_events]  # refused before tick 0
-        self._restart_clock()
-        sub_i = 0
-        fault_i = 0
+        self._origin = self._now
+        for event, kind in zip(fault_events, kinds):
+            fault = partial(self.apply_fault, event, kind)
+            self._due_at(self._origin + event.at_tick, _Due.INPUT, fault)
+        for tick, client, sql in entries:
+            self._due_at(self._origin + tick, _Due.INPUT, (client, sql))
         while self.tick <= max_ticks:
             lines_before = len(self.report.lines)
-            while fault_i < len(fault_events) and fault_events[fault_i].at_tick <= self.tick:
-                self.apply_fault(fault_events[fault_i], kinds[fault_i])
-                fault_i += 1
             due = []
-            while sub_i < len(pending_submissions) and pending_submissions[sub_i][0] <= self.tick:
-                due.append(pending_submissions[sub_i][1:])
-                sub_i += 1
+            while self._agenda and self._agenda[0][0] <= self._now:
+                _, _, what, item = heapq.heappop(self._agenda)
+                if callable(item):
+                    item()  # a fault applies, or a vote rule ends
+                elif what is _Due.INPUT:
+                    due.append(item)
             self._submit_due(due)
-            for action in self.orderer.tick(self.tick):
+            for action in self.orderer.tick(self._now):
                 self._broadcast(action)
+            if not self.orderer.empty:
+                self._due_at(self.orderer.queue[0][0] + self.config.block_timeout, _Due.CUT)
             for rt in self.runtimes.values():
                 self._step_org(rt)
-            inputs_done = sub_i == len(pending_submissions) and fault_i == len(fault_events)
-            done = inputs_done and self._quiescent_or_stalled(len(self.report.lines) > lines_before)
-            self.tick += 1  # after the loop: one past the last tick stepped
-            if done:
+            waiting = [rt for rt in self.runtimes.values() if rt.live and rt.waiting]
+            if waiting and len(self.report.lines) > lines_before:
+                self._due_at(self._now + 1, _Due.STEP)  # a vote may have gone after a poll
+            if not any(self._can_change(what, item, waiting) for _, _, what, item in self._agenda):
+                for rt in waiting:
+                    self.report.emit(self.tick, rt.node.org_id, STALLED, rt.node.next_round)
+                self._now += 1
                 break
+            self._now = min(self._agenda[0][0], self._origin + max_ticks + 1)
+        else:  # stopped at the budget
+            self._agenda = [e for e in self._agenda if e[2] is not _Due.INPUT]
+            heapq.heapify(self._agenda)
 
         for org_id, rt in self.runtimes.items():
             self.report.summary[org_id] = rt.node.height
@@ -742,37 +791,12 @@ class Network:
                 fh.write(self.report.to_text())
         return self.report
 
-    def _restart_clock(self):
-        """Tick 0 for a new run: shift the ticks that state kept from the
-        previous run holds by one past the last tick that run stepped."""
-        shift, self.tick = self.tick, 0
-        for rt in self.runtimes.values():
-            rt.busy_until -= shift
-        self.orderer.queue = [(tick - shift, ct) for tick, ct in self.orderer.queue]
-        for rule in self._drop_rules + self._tamper_rules:
-            rule.at_tick -= shift
-            rule.until_tick = None if rule.until_tick is None else rule.until_tick - shift
-
-    def _quiescent_or_stalled(self, tick_changed: bool) -> bool:
-        """Whether a run with every input consumed is over after this tick.
-        Nothing may be queued at the orderer, and no live organization may be
-        executing, recovering or able to start a block.  Then the run is
-        quiescent when no live organization waits on consensus, and stalled
-        when some do but this tick emitted no line and no vote rule has yet
-        to expire: their polls read the same votes at every later tick.
-        Each waiting organization of a stalled run is reported STALLED."""
-        live = [rt for rt in self.runtimes.values() if rt.live]
-        if not self.orderer.empty or any(
-            rt.recovery is not None or rt.executing is not None
-            or rt.node.executable_action() is not None for rt in live
-        ):
-            return False
-        waiting = [rt for rt in live if rt.waiting]
-        if waiting and (tick_changed or any(
-            rule.until_tick is not None and rule.until_tick > self.tick
-            for rule in self._drop_rules + self._tamper_rules
-        )):
-            return False
-        for rt in waiting:
-            self.report.emit(self.tick, rt.node.org_id, STALLED, rt.node.pending.action.round_id)
-        return True
+    def _can_change(self, what: _Due, item, waiting: list) -> bool:
+        """Whether an agenda entry can still change state: every input, a vote
+        rule's end while organizations wait on consensus, a step while its
+        organization is live, a cut while transactions are queued."""
+        if what is _Due.EXPIRE:
+            return bool(waiting)
+        if what is _Due.CUT:
+            return not self.orderer.empty
+        return what is _Due.INPUT or item is None or item.live

@@ -406,6 +406,17 @@ def test_run_rejects_a_fault_with_a_bad_target(tmp_path, schedule_file, capsys, 
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_run_refuses_a_vote_rule_that_ends_before_it_starts(
+    config_file, schedule_file, tmp_path, capsys
+):
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps([{"at_tick": 3, "kind": "drop_votes", "until_tick": 1}]))
+    argv = ("run", "--config", config_file, "--schedule", schedule_file, "--faults", str(faults))
+    assert run_cli(*argv) == 2
+    message = "fault drop_votes: until_tick 1 is not after at_tick 3"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_schedule_rejects_a_non_integer_tick(config_file, tmp_path):
     schedule = tmp_path / "schedule.tsv"
     schedule.write_text(SCHEDULE_LINES[1] + "\nx\tbob\tSELECT * FROM acct;\n")

@@ -242,6 +242,14 @@ def test_orderer_cuts_on_timeout():
     assert orderer.empty
 
 
+def test_orderer_cuts_a_timed_out_remainder_in_the_tick_of_a_blocksize_cut():
+    orderer = Orderer(blocksize=2, block_timeout=2)
+    for i in range(3):
+        orderer.submit(ct(i), tick=0)
+    assert [len(a.transactions) for a in orderer.tick(2)] == [2, 1]
+    assert orderer.empty
+
+
 # ---- faults ----
 
 
@@ -457,8 +465,13 @@ def test_tamper_vote_is_discarded_not_believed():
     assert tainted  # the forged votes were seen and rejected
 
 
-def test_rule_activation_window_and_block_range():
+def test_rule_activation_window_and_block_range(monkeypatch):
+    """A second run applies the rule at its tick 2 and ends it at tick 5;
+    the votes it filters, on blocks 1-4, were published by the first run.
+    Submissions at ticks 1, 3 and 5 make the network step at those ticks,
+    and each probe fetches after that tick's faults."""
     net = make_net()
+    net.run(basic_schedule(bumps=6))
     rule = FaultEvent(
         at_tick=2,
         kind="drop_votes",
@@ -468,16 +481,27 @@ def test_rule_activation_window_and_block_range():
         block_from=2,
         block_to=3,
     )
-    net.tick = 3
-    assert net._rule_active(rule, "O1", "O2", 2)
-    assert not net._rule_active(rule, "O3", "O2", 2)  # other requester
-    assert not net._rule_active(rule, "O1", "O3", 2)  # other responder
-    assert not net._rule_active(rule, "O1", "O2", 1)  # below block range
-    assert not net._rule_active(rule, "O1", "O2", 4)  # above block range
-    net.tick = 1
-    assert not net._rule_active(rule, "O1", "O2", 2)  # before window
-    net.tick = 5
-    assert not net._rule_active(rule, "O1", "O2", 2)  # window closed
+    probes = [("O1", "O2", 2), ("O3", "O2", 2), ("O1", "O3", 2), ("O1", "O2", 1), ("O1", "O2", 4)]
+    dropped = {}
+    submit_due = Network._submit_due
+
+    def probe(network, due):
+        dropped[network.tick] = {
+            (requester, responder, block): network.fetch_vote(requester)(responder, block) is None
+            for requester, responder, block in probes
+        }
+        submit_due(network, due)
+
+    monkeypatch.setattr(Network, "_submit_due", probe)
+    look = "SELECT * FROM acct WHERE id = 1;"
+    net.run([(tick, "carol", look) for tick in (1, 3, 5)], faults=[rule])
+    assert dropped[3][("O1", "O2", 2)]
+    assert not dropped[3][("O3", "O2", 2)]  # other requester
+    assert not dropped[3][("O1", "O3", 2)]  # other responder
+    assert not dropped[3][("O1", "O2", 1)]  # below block range
+    assert not dropped[3][("O1", "O2", 4)]  # above block range
+    assert not dropped[1][("O1", "O2", 2)]  # before window
+    assert not dropped[5][("O1", "O2", 2)]  # window closed
 
 
 def test_unknown_fault_kind_rejected():
@@ -827,3 +851,117 @@ def test_a_vote_rule_that_ends_one_past_a_quiet_run_stays_expired():
     bump = "UPDATE acct SET bal = bal + 1 WHERE id = 1;"
     net.run([(0, "bob", bump), (0, "bob", bump)])
     assert report.commits("O1") == [(1, 0), (2, 0)]
+
+
+def test_a_second_run_ends_a_carried_recovery_window_at_its_relative_tick():
+    """O1's recovery window opens at tick 6 and ends at tick 12.  The first
+    run stops after tick 9, so the second run ends the window at its tick 2
+    and O1's next execution, 3 ticks long, at its tick 5."""
+    orgs = [OrgConfig("O1", engine_delay=3), OrgConfig("O2"), OrgConfig("O3")]
+    net = make_net(orgs=orgs, checkpoint_interval=2)
+    report = net.run(basic_schedule(bumps=8), faults=[corrupt_fault(6)], max_ticks=9)
+    assert report.first("O1", RECOVER_START).tick == 6
+    assert report.first("O1", RECOVER_DONE) is None and net.tick == 10
+    first_run = len(report.lines)
+    net.run([])
+    second = [(l.tick, l.event, l.block) for l in report.lines[first_run:] if l.org == "O1"]
+    assert second[:5] == [
+        (2, RECOVER_DONE, 2), (2, COMMIT, 2), (2, EXEC_START, 3), (5, EXEC_DONE, 3), (5, COMMIT, 3)
+    ]
+
+
+def test_a_vote_rule_carried_into_the_second_run_expires_at_its_relative_tick():
+    """The rule ends at tick 12 of the first run, which stops after tick 5:
+    O1 commits at tick 12 - 6 of the second."""
+    net = make_net()
+    gag = {"at_tick": 0, "kind": "drop_votes", "requester": "O1", "until_tick": 12}
+    report = net.run([(0, "alice", DDL), (0, "alice", SEED)], faults=[gag], max_ticks=5)
+    assert report.commits("O1") == [] and net.tick == 6
+    net.run([])
+    assert report.commits("O1") == [(1, 6)]
+    assert report.events(kind=STALLED) == []
+
+
+def test_a_run_stopped_by_its_budget_drops_its_unused_inputs():
+    """A fault at tick 40 and a submission at tick 50 of a run stopped after
+    tick 10 happen neither in that run nor in the next."""
+    net = make_net()
+    late = "UPDATE acct SET bal = bal + 1000 WHERE id = 3;"
+    schedule = basic_schedule(bumps=2) + [(50, "carol", late)]
+    report = net.run(schedule, faults=[corrupt_fault(40)], max_ticks=10)
+    assert net.tick == 11
+    net.run([])
+    assert net.tick == 1
+    assert report.events(kind=CORRUPT) == [] and report.events(kind=CORRUPT_MISSED) == []
+    committed = [rec.sql for block in net.node("O1").ledger.blocks for rec in block.transactions]
+    assert committed == [sql for _, _, sql in schedule[:-1]]
+    assert {node.height for node in net.nodes.values()} == {2}
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"at_tick": -1, "kind": "kill_org", "org": "O2"},
+         "fault kill_org: at_tick -1 is negative"),
+        ({"at_tick": 4, "kind": "drop_votes", "until_tick": 4},
+         "fault drop_votes: until_tick 4 is not after at_tick 4"),
+        ({"at_tick": 4, "kind": "tamper_vote", "until_tick": 2},
+         "fault tamper_vote: until_tick 2 is not after at_tick 4"),
+    ],
+)
+def test_run_refuses_malformed_ticks_before_tick_0(fault, message):
+    net = make_net()
+    with pytest.raises(ConfigError) as caught:
+        net.run(basic_schedule(), faults=[fault])
+    assert str(caught.value) == message
+    with pytest.raises(ConfigError) as caught:
+        net.run(basic_schedule() + [(-3, "bob", SEED)])
+    assert str(caught.value) == "schedule: tick -3 is negative"
+    assert net.report.events() == [] and net.node("O1").height == 0
+
+
+# ---- when a run ends ----
+
+
+def test_a_blocksize_cut_that_empties_the_queue_ends_the_run_in_its_tick():
+    """The DDL waits alone in the queue from tick 0, so it would time out at
+    tick 3; the seed fills the block at tick 1 and every organization
+    commits there, so the run ends at tick 1."""
+    net = make_net(block_timeout=3)
+    report = net.run([(0, "alice", DDL), (1, "alice", SEED)])
+    assert report.commits("O1") == [(1, 1)]
+    assert net.tick == 2
+
+
+def test_a_vote_rule_still_to_end_does_not_keep_a_quiet_run_going():
+    """O1 hears no vote from O2 until tick 30, but O3's vote gives it its
+    quorum at tick 0: nobody waits, so the run ends there."""
+    net = make_net()
+    gag = {"at_tick": 0, "kind": "drop_votes", "requester": "O1", "responder": "O2",
+           "until_tick": 30}
+    report = net.run([(0, "alice", DDL), (0, "alice", SEED)], faults=[gag])
+    assert [report.commits(org) for org in ("O1", "O2", "O3")] == [[(1, 0)]] * 3
+    assert net.tick == 1
+
+
+def test_a_killed_organization_s_open_window_does_not_keep_the_run_going():
+    """O3 would finish block 1 at tick 5, but it is killed at tick 2, when
+    O1 and O2 have committed everything: the run ends at tick 2."""
+    orgs = [OrgConfig("O1"), OrgConfig("O2"), OrgConfig("O3", engine_delay=5)]
+    net = make_net(orgs=orgs)
+    report = net.run([(0, "alice", DDL), (0, "alice", SEED)],
+                     faults=[{"at_tick": 2, "kind": "kill_org", "org": "O3"}])
+    assert report.events("O3", EXEC_DONE) == [] and report.lines[-1].event == KILL
+    assert net.tick == 3
+
+
+def test_an_organization_behind_its_peers_catches_up_one_block_a_tick():
+    """O1 recovers by full replay from tick 4 to tick 9 while its peers
+    commit blocks 6-10.  Each block it then executes commits at once, and
+    it starts the next one at the next tick: the run ends at tick 13."""
+    net = make_net(checkpoint_interval=0, blocksize=1)
+    report = net.run(basic_schedule(bumps=8), faults=[corrupt_fault(4)])
+    assert report.first("O1", RECOVER_DONE).tick == 9
+    starts = [(l.block, l.tick) for l in report.events("O1", EXEC_START) if l.block > 5]
+    assert starts == [(6, 9), (7, 10), (8, 11), (9, 12), (10, 13)]
+    assert net.tick == 14

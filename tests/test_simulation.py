@@ -19,9 +19,14 @@ fault scripts, with invariants checked on every run.
 - Every run ends quiescent or STALLED before its tick budget.  The last
   input comes by tick 30 (a vote rule's expiry); in 1200 generated
   scenarios the latest end was tick 82.
+
+The pinned examples are scenarios whose end of run moved when a part of
+Network.run's end decision was left out: a stale orderer timeout, a vote
+rule's end counted while nobody waits, and no step at the tick after a
+change while organizations wait.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effectledger.engine.types import QuirkConfig
@@ -105,6 +110,22 @@ def fault(kind: FaultKind, names):
     }))
 
 
+def pinned(delays, bumps, faults=(), truncating=None, **config):
+    """A scenario as scenarios() draws it: organizations O1, O2, ... with
+    these engine delays, one of them truncating, and bob's (tick, amount,
+    row) bumps after the seed."""
+    orgs = [OrgConfig(f"O{i + 1}", engine_delay=delay) for i, delay in enumerate(delays)]
+    if truncating is not None:
+        orgs[int(truncating[1:]) - 1].quirks = QuirkConfig.from_dict(
+            {"decimal_rounding": "truncate"}, "scenario"
+        )
+    schedule = [(0, "alice", DDL), (0, "alice", SEED)] + [
+        (tick, "bob", f"UPDATE acct SET bal = bal + {amount} WHERE id = {row};")
+        for tick, amount, row in bumps
+    ]
+    return dict(orgs=orgs, **config), schedule, list(faults)
+
+
 def run_scenario(config, schedule, faults):
     """(report text, {org: ledger bytes}, network)."""
     net = Network(NetworkConfig(**config))
@@ -114,6 +135,29 @@ def run_scenario(config, schedule, faults):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(scenarios())
+@example(pinned(
+    [2, 0, 0, 0], [(2, "0.006", 3), (1, "1", 3), (8, "0.004", 2), (10, "1", 2), (9, "1", 2),
+                   (8, "2.5", 1)],
+    [{"kind": "tamper_vote", "at_tick": 11, "requester": "O3", "responder": "O2",
+      "until_tick": 26, "block_from": 6}],
+    truncating="O1", min_matching=3, blocksize=2, block_timeout=3, checkpoint_interval=3,
+))
+@example(pinned(
+    [1, 1, 0], [(1, "1", 1), (2, "1", 1), (1, "1", 1), (3, "1", 1)],
+    min_matching=2, blocksize=2, block_timeout=3, checkpoint_interval=2,
+))
+@example(pinned(
+    [1, 3, 1], [(9, "1", 2), (6, "0.006", 2), (12, "0.006", 2), (7, "1", 2), (9, "0.004", 2),
+                (3, "2.5", 1), (10, "2.5", 3), (2, "0.004", 1), (6, "1", 1), (12, "0.006", 1),
+                (12, "0.006", 1)],
+    [{"kind": "equivocate_orderer", "at_tick": 1, "org": "O1", "block_id": 3},
+     {"kind": "corrupt_row", "at_tick": 13, "org": "O3", "table": "acct", "pk": [1],
+      "column": "bal", "value": "999.99"},
+     {"kind": "tamper_vote", "at_tick": 11, "requester": "O3", "responder": "O3",
+      "until_tick": None, "block_from": 4}],
+    truncating="O2", min_matching=2, blocksize=3, block_timeout=2, checkpoint_interval=2,
+    agreement_policies={"acct": ["O3"]},
+))
 def test_generated_scenarios_keep_the_network_invariants(scenario):
     outcome, ledgers, net = run_scenario(*scenario)
 
