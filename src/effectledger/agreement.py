@@ -142,21 +142,32 @@ class ParsedTransaction:
             object.__setattr__(self, "error", "empty transaction")
 
     @property
-    def tables(self) -> set[str]:
-        return {
+    def tables(self) -> frozenset[str]:
+        """Tables the transaction names; a Bound's come from its plan, which
+        builds no statement."""
+        statements = self.statements
+        if type(statements) is Bound:
+            return statements.plan.tables
+        return frozenset(
             stmt.schema.name if isinstance(stmt, CreateTable) else stmt.table
-            for stmt in self.statements
-        }
+            for stmt in statements
+        )
 
     @property
-    def dml_tables(self) -> set[str]:
+    def dml_tables(self) -> frozenset[str]:
         """Tables the transaction operates on with data statements.
 
         Creating a table is the act that installs its policy, not an operation
         against existing rows, so DDL never triggers predicate evaluation (the
         predicates' transaction fields would be vacuously unresolvable anyway).
+        A Bound holds no DDL, so its tables are its plan's.
         """
-        return {stmt.table for stmt in self.statements if not isinstance(stmt, CreateTable)}
+        statements = self.statements
+        if type(statements) is Bound:
+            return statements.plan.tables
+        return frozenset(
+            stmt.table for stmt in statements if not isinstance(stmt, CreateTable)
+        )
 
     def fields(self, catalog) -> dict[str, object]:
         """Literal fields visible to predicates: inserted values, SET literals,

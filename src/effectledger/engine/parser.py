@@ -486,17 +486,22 @@ class Plan:
 
     bind turns a text's split into a Bound, and build turns literal values
     into the shape's statements.  The template is build of the Slots: the
-    shape's parse with each literal a Slot, which compilers read.  The
+    shape's parse with each literal a Slot, which compilers read.  tables
+    are the tables its statements name; a shape holds no DDL, so each is
+    one its data statements operate on.  The
     owner's analysis and engine each keep one compiled form here, with how
     many transactions used it: accesses (scheduler) and executor
     (engine.compiled).  A plan belongs to one party's cache, so what is
     compiled here is never shared.
     """
 
-    __slots__ = ("bind", "build", "template", "accesses", "executor", "analyzed", "executed")
+    __slots__ = (
+        "bind", "build", "template", "tables", "accesses", "executor", "analyzed", "executed",
+    )
 
     def __init__(self, bind: Binder, build: Callable[[tuple], list], slots: tuple[Slot, ...]):
         self.bind, self.build, self.template = bind, build, build(slots)
+        self.tables = frozenset(stmt.table for stmt in self.template)
         self.accesses = self.executor = None
         self.analyzed = self.executed = 0
 

@@ -14,29 +14,41 @@ Endorsing.  Each organization that a proposal needs checks its client's
 signature before it signs an agreement.  The checks are queued one Verdicts
 per organization and chunk of a tick's proposals; network tells who queues
 them, who reads them and when they are dropped.  A client check is a job of
-one signature, queued with no reading cost, so its Verdicts holds none back
-(see SignatureWorker.verify).  The organization records the check that
+one signature, queued with no reading cost, so its Verdicts sends every job
+at once and holds none back (see SignatureWorker.verify).  The organization records the check that
 passed with the agreement it signed (agreement.Endorsements, one per
 organization).
 
-Receiving.  When the ordered block reaches an organization,
-OrgNode.receive_action builds the block's checks, one job per transaction,
-leaving out the client check and the own agreement that the record holds
-byte for byte, and queues them; OrgNode.execute_action reads the verdicts
-back in block order and executes each transaction as its verdict arrives
-(it queues the checks itself for an action nobody queued).  The pending
-round keeps the verdicts it read, and recovery re-executes the round from
-those, so recovery queues no check again.
+Receiving.  The orderer delivers a forming block to each organization a
+chunk of CHUNK_TRANSACTIONS transactions at a time, and the rest when it
+cuts the block; network tells when.  For each delivery,
+OrgNode.receive_action builds the checks of the new transactions, one job
+per transaction, leaving out the client check and the own agreement that
+the record holds byte for byte, and adds them to the round's one Verdicts
+(Verdicts.extend).  So the worker verifies a block's checks while this
+process still submits and endorses the rest of the block.  Once the block
+is cut, OrgNode.execute_action reads the verdicts back in block order and
+executes each transaction as its verdict arrives (it queues the checks
+itself for an action nobody queued).  The pending round keeps the verdicts
+it read, and recovery re-executes the round from those, so recovery queues
+no check again.
 
 Who verifies a job.  Each queued job is verified exactly once, by the worker
-process or by its reader in this one; both run verify_jobs.  A Verdicts
-sends the front of its jobs to the worker when it is made, and holds back
-the tail.  Its reader verifies that tail itself: from the back, up to
-CHUNK_TRANSACTIONS jobs at a time, whenever the next verdict is not known
-yet and no answer is ready, and in order once it reaches the tail.  The
-tail is sized from measured costs (see SignatureWorker.verify) so that the
-worker and the reader, started together, reach the end of the jobs
-together.  A job left with no signature gets its verdict here, without a
+process or by its reader in this one; both run verify_jobs.  The worker is
+kept a few requests ahead: whenever this process queues jobs, reads an
+answer or reads a few verdicts, it sends the next requests from the front
+of the oldest share not yet sent.  So the worker goes through the chunks of the
+forming blocks as they come, and through the cut blocks in the order their
+organizations read them.  When a sequence's last jobs come, the tail of
+those not yet sent is held back for the reader, sized from measured costs
+and from what the worker has ahead of it (SignatureWorker._held_back), so
+that the worker and the readers, going on together, reach the end
+together; the rest is the worker's share.  A reader verifies its tail
+itself: from the back, up to CHUNK_TRANSACTIONS jobs at a time, whenever
+the next verdict is not known yet and no answer is ready, and in order once
+it reaches the tail.  Once it has caught up with the worker, it also
+verifies the last jobs of its share not yet sent, one at a time, instead of
+waiting.  A job left with no signature gets its verdict here, without a
 request.  Each organization builds its own checks from its own registry and
 record, reads its own verdicts and measures its own reading; nothing is
 shared between organizations, and the worker remembers no verdict across
@@ -48,7 +60,8 @@ verifies no faster than one.  Why no helper thread in the main process: a
 thread there that collects results contends for the lock with execution (a
 ProcessPoolExecutor, which has such a thread, lowered tps on bank-corrupt).
 So the main process only writes requests to a pipe and reads results from it
-when a reader needs them, and verifies in the time it would spend waiting.
+when it queues jobs or reads verdicts, and verifies in the time it would
+spend waiting.
 The reader thread sits inside the worker: it drains requests as they come, so
 the main process never waits on a send.
 """
@@ -59,6 +72,7 @@ import atexit
 import hashlib
 import multiprocessing
 import queue
+import select
 import threading
 import weakref
 from collections import deque
@@ -77,13 +91,14 @@ _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 _SIGN_ALGO = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
 _VERIFY_ALGO = ec.ECDSA(hashes.SHA256())
 
-# Transactions per request to the worker.  Execution waits for the first
-# request of a block only, and executes each request's transactions while the
-# worker verifies the next.  Measured on 2 cores: on bank-corrupt (blocks of
-# 256), requests of 128 and 256 gave about 15% less tps than 16 to 64, because
-# execution then waits for half or all of a block; between 16 and 64 the
-# workloads differed by no more than noise, and 32 lets execution start after
-# 32 verifications.
+# Transactions per request to the worker, and per chunk of a forming block
+# that the orderer delivers before the cut: a chunk once a later transaction of
+# its block is queued, so a block's last transaction always comes at the cut.
+# Execution executes each request's transactions while the worker verifies
+# the next.  Measured on 2 cores: on bank-corrupt (blocks of 256), requests of
+# 128 and 256 gave about 15% less tps than 16 to 64, because execution then
+# waits for half or all of a block; between 16 and 64 the workloads differed
+# by no more than noise, and 32 lets execution start after 32 verifications.
 CHUNK_TRANSACTIONS = 32
 
 # A measured cost is an average whose weights halve every this many units
@@ -93,6 +108,14 @@ _COST_HALF_LIFE = 1024
 # Seconds per signature assumed until the worker's first answer: the order of
 # a P-256 verification.
 _SIGNATURE_S = 1e-4
+
+# Requests the worker is kept ahead by (SignatureWorker._top_up), and how
+# many verdicts a reader reads between two top-ups.  Four requests last the
+# worker through what this process does between two organizations' blocks
+# (consensus, the block's graph and ledger entry); with two, bank-steady tps
+# was about 4% lower, measured on 2 cores.
+_REQUESTS_AHEAD = 4
+_TOP_UP_VERDICTS = 8
 
 # How long interpreter exit waits for the worker to end after closing its pipe.
 _STOP_TIMEOUT_S = 5.0
@@ -249,41 +272,65 @@ class Verdicts:
     """Verdicts of one sequence of jobs, each job verified once, either by the
     worker or by its reader in this process.
 
-    The jobs before the held-back tail were sent to the worker when this was
-    made; self._jobs[self._lo:self._hi] are the held-back jobs not yet
-    verified.  Iterating, once, yields one verdict per job in order and
-    measures the reader's time into reading.  Raises VerifierUnavailable if
-    the worker died.
+    The jobs come all at once, or a chunk at a time while the sequence is
+    forming (extend).  self._jobs[:self._sent] were sent to the worker, or
+    verified or judged here; self._jobs[self._hi:] were verified here by the
+    reader, from the back; the jobs between are not verified yet.  Of these,
+    the ones before self._lo are the worker's share, sent as the worker
+    takes them, and the rest the tail held back for the reader (see
+    SignatureWorker._held_back).  Iterating, once, after the last jobs came,
+    yields one verdict per job in order and measures the reader's time into
+    reading.  Raises VerifierUnavailable if the worker died.
     """
 
-    def __init__(self, worker: "SignatureWorker", jobs: Iterable, reading: Cost):
+    def __init__(self, worker: "SignatureWorker", reading: Cost | None):
         self._worker = worker
-        self._jobs = list(jobs)
-        self._verdicts: list[bool | None] = [None] * len(self._jobs)
+        self._jobs: list = []
+        self._verdicts: list[bool | None] = []
         self._reading = reading
+        self._queued = perf_counter()  # when the last jobs came
+        self._sent = self._lo = self._hi = 0
+        self._read = 0  # verdicts read
+        self.forming = True
+        if reading is not None:
+            worker._open.append(weakref.ref(self))
+
+    def extend(self, jobs: Iterable, forming: bool = False):
+        """Queue jobs after the ones queued before; forming: more will come."""
+        jobs = list(jobs)
+        self._jobs += jobs
+        self._verdicts += [None] * len(jobs)
+        self._hi = len(self._jobs)
         self._queued = perf_counter()
-        self._lo = self._hi = len(self._jobs)
-        if self._jobs:
-            self._lo = worker._held_back(self._jobs, reading)
+        self.forming = forming
+        worker = self._worker
+        worker._drain()
+        self._lo = max(self._sent, worker._held_back(self))
+        if self._reading is None:
             worker._send(self, self._lo)
+        worker._top_up()
 
     def __iter__(self):
         worker, verdicts = self._worker, self._verdicts
         last = len(verdicts) - 1
         # The reader's time outside this iterator, from when it could turn to
-        # these verdicts (when they were queued, or when it finished reading
-        # the Verdicts before, whichever is later) to the last one.  So what
-        # this process does between two Verdicts counts too, as the worker
-        # goes straight on to the next one's jobs.
+        # these verdicts (when the last of them were queued, or when it
+        # finished reading the Verdicts before, whichever is later) to the
+        # last one.  So what this process does between two Verdicts counts
+        # too, as the worker goes straight on to the next one's jobs.
         away = 0.0
         resumed = max(self._queued, worker._read_done)
         for i in range(len(verdicts)):
             away += perf_counter() - resumed
+            if i % _TOP_UP_VERDICTS == 0:
+                worker._top_up()
             while verdicts[i] is None:
                 worker._advance(self, i)
             if i == last:
-                self._reading.note(away, len(verdicts))
+                if self._reading is not None:
+                    self._reading.note(away, len(verdicts))
                 worker._read_done = perf_counter()
+            self._read += 1
             resumed = perf_counter()
             yield verdicts[i]
 
@@ -301,12 +348,16 @@ class SignatureWorker:
     """A process that runs verify_jobs, this process's end of its pipe, and
     what each side has verified and what it costs.
 
-    Each Verdicts sends the front of its jobs to the worker when it is made,
-    in requests of at most CHUNK_TRANSACTIONS jobs, and holds back the tail
-    for its reader (see verify).  worker_cost and here_cost are the measured
-    seconds per signature of the worker (as each answer reports it) and of
-    this process; worker_signatures and here_signatures count the signatures
-    each verified.  They are read by tests and benchmarks, never by a report,
+    Jobs go to the worker in requests of at most CHUNK_TRANSACTIONS jobs.
+    A Verdicts queued without a reading cost sends all its jobs at once.
+    The others take turns in the order they were made: the worker is kept
+    _REQUESTS_AHEAD requests ahead (_top_up), from the front of the oldest
+    Verdicts' share, while readers verify their tails, and more of the jobs
+    before them when they would wait, from the back (_advance).
+    worker_cost and here_cost are the measured seconds per signature of the
+    worker (as each answer reports it) and of this process;
+    worker_signatures and here_signatures count the signatures each
+    verified.  They are read by tests and benchmarks, never by a report,
     which must not depend on timing.
 
     The worker is forked.  The spawn and forkserver methods run the main
@@ -328,10 +379,17 @@ class SignatureWorker:
         )
         self._process.start()
         child_end.close()  # so that a dead worker reads as EOF here
+        # tells whether an answer, or the pipe's end, can be read without
+        # waiting, for a tenth of the cost of Connection.poll
+        self._answers = select.poll()
+        self._answers.register(self._conn.fileno(), select.POLLIN)
         self._loaded: dict = {}  # public keys decoded for this process's checks
         # requests sent and not yet answered, in the order the answers come:
         # (weak reference to the Verdicts, index of its first job, signatures)
         self._waiting: deque = deque()
+        # weak references to the Verdicts queued with a reading cost and not
+        # yet read to the end, in the order they were made
+        self._open: deque = deque()
         self.worker_cost, self.here_cost = Cost(), Cost()
         self._read_done = 0.0  # when a reader last read a Verdicts' last verdict
         self.worker_signatures = self.here_signatures = 0
@@ -340,40 +398,98 @@ class SignatureWorker:
     def pid(self) -> int:
         return self._process.pid
 
-    def verify(self, jobs: Iterable, reading: Cost | None = None) -> Verdicts:
+    def verify(
+        self, jobs: Iterable, reading: Cost | None = None, forming: bool = False
+    ) -> Verdicts:
         """Queue jobs for verification; the verdicts are read when iterated.
 
-        reading is the reader's measured time per verdict: what this process
-        does outside the Verdicts from when the reader could turn to these
-        verdicts to its last read.  The held-back tail holds the signatures
-        that make the worker, verifying the rest, and the reader, reading
-        every verdict and verifying the tail, take equal time.  A reader
-        measured no faster than the worker verifies one signature holds back
-        nothing of single-signature jobs; a reader without measurements
-        counts as one.
+        forming: more jobs will come, through the Verdicts' extend.  reading
+        is the reader's measured time per verdict: what this process does
+        outside the Verdicts from when the reader could turn to these
+        verdicts to its last read.  Without it, every job is sent at once
+        and none is held back: a client check is read while its endorser is
+        busy with its own work.
         """
-        return Verdicts(self, jobs, Cost() if reading is None else reading)
+        verdicts = Verdicts(self, reading)
+        verdicts.extend(jobs, forming)
+        return verdicts
 
-    def _held_back(self, jobs: list, reading: Cost) -> int:
-        """Index of the first job of the tail to hold back: the shortest
-        tail with at least (S * w - n * r) / (w + h) signatures, for n jobs
-        with S signatures, w and h seconds per signature in the worker and
-        here, and r seconds per verdict read."""
+    def _ahead(self, owner: Verdicts) -> list:
+        """The Verdicts made before owner, complete and not yet read to the
+        end, whose readers read before owner's; dropped and read ones leave
+        self._open."""
+        ahead = []
+        for ref in list(self._open):
+            other = ref()
+            if other is None or (not other.forming and other._read == len(other._jobs)):
+                self._open.remove(ref)
+            elif other is owner:
+                break
+            elif not other.forming:
+                ahead.append(other)
+        return ahead
+
+    def _held_back(self, owner: Verdicts) -> int:
+        """Where the tail held back for owner's reader starts: owner's jobs
+        from owner._sent up to it are the worker's share.
+
+        While owner is forming, or without a reading cost, nothing is held
+        back.  Once the last jobs came, the tail is the shortest with at
+        least ((B + S) * w - (U + n) * r - H * h) / (w + h) signatures, so
+        that the worker, verifying what is ahead of it and the rest of
+        owner's jobs, and the reader, reading the verdicts before owner's
+        and owner's own and verifying the tails, end together.  B is the
+        signatures in flight and in the shares of the Verdicts before
+        owner, H those in their tails, and U their verdicts not read yet; S
+        is the signatures of owner's jobs not verified yet and n owner's
+        verdicts not read yet; w and h are the seconds per signature in the
+        worker and here, and r the reader's seconds per verdict read.  A
+        reader measured no faster than the worker verifies one signature
+        holds back nothing of single-signature jobs; a reader without
+        measurements counts as one.
+        """
+        jobs, start = owner._jobs, owner._sent
+        if owner.forming or owner._reading is None:
+            return len(jobs)
         worker_s = self.worker_cost.per_unit(_SIGNATURE_S)
         here_s = self.here_cost.per_unit(worker_s)
-        read_s = reading.per_unit(worker_s)
-        signatures = _signatures(jobs)
-        target = (signatures * worker_s - len(jobs) * read_s) / (worker_s + here_s)
-        start, held = len(jobs), 0
-        while start and held < target:
-            start -= 1
-            held += len(jobs[start] or ())
-        return start
+        read_s = owner._reading.per_unit(worker_s)
+        ahead = self._ahead(owner)
+        backlog = sum(signatures for *_, signatures in self._waiting) + sum(
+            _signatures(other._jobs[other._sent : other._lo]) for other in ahead
+        )
+        held = sum(_signatures(other._jobs[other._lo : other._hi]) for other in ahead)
+        unread = sum(len(other._jobs) - other._read for other in ahead)
+        target = (
+            (backlog + _signatures(jobs[start : owner._hi])) * worker_s
+            - (unread + len(jobs) - owner._read) * read_s
+            - held * here_s
+        ) / (worker_s + here_s)
+        end, held = owner._hi, 0
+        while end > start and held < target:
+            end -= 1
+            held += len(jobs[end] or ())
+        return end
+
+    def _top_up(self):
+        """Take the answers that are ready, then send requests while fewer
+        than _REQUESTS_AHEAD are in flight, from the front of the oldest
+        share not yet sent."""
+        self._drain()
+        while len(self._waiting) < _REQUESTS_AHEAD:
+            for ref in self._open:
+                owner = ref()
+                if owner is not None and owner._sent < owner._lo:
+                    self._send(owner, min(owner._sent + CHUNK_TRANSACTIONS, owner._lo))
+                    break
+            else:
+                return
 
     def _send(self, owner: Verdicts, end: int):
-        """Send owner's jobs before end, CHUNK_TRANSACTIONS to a request.  A
-        chunk with no signature to verify is judged here instead."""
-        for start in range(0, end, CHUNK_TRANSACTIONS):
+        """Send owner's jobs from owner._sent to end, CHUNK_TRANSACTIONS to a
+        request.  A chunk with no signature to verify is judged here
+        instead."""
+        for start in range(owner._sent, end, CHUNK_TRANSACTIONS):
             jobs = owner._jobs[start : min(start + CHUNK_TRANSACTIONS, end)]
             signatures = _signatures(jobs)
             if not signatures:
@@ -384,6 +500,12 @@ class SignatureWorker:
             except OSError as exc:
                 raise self._gone() from exc
             self._waiting.append((weakref.ref(owner), start, signatures))
+        owner._sent = end
+
+    def _drain(self):
+        """Take every answer that is ready, without waiting."""
+        while self._waiting and self._answers.poll(0):
+            self._receive()
 
     def _receive(self):
         """Read the next answer and hand it to the Verdicts that asked for it."""
@@ -402,20 +524,28 @@ class SignatureWorker:
         """One step towards owner's verdict i, which is not known yet.
 
         In order of preference: read an answer that is ready; verify job i
-        here if it was held back; verify up to CHUNK_TRANSACTIONS of owner's
-        last held-back jobs not yet verified; otherwise wait for the next
-        answer.
+        here if it was not sent; verify up to CHUNK_TRANSACTIONS of the last
+        jobs of owner's tail; once the reader has caught up with the worker
+        (it waits after its first verdict), verify the last job of its share
+        not sent yet; otherwise wait for the next answer.  The worker is
+        topped up after each answer.
         """
-        if self._waiting and self._conn.poll():
+        if self._waiting and self._answers.poll(0):
             self._receive()
-        elif i == owner._lo:
-            owner._lo += 1
+            self._top_up()
+        elif i == owner._sent:
+            owner._sent += 1
+            owner._lo = max(owner._lo, owner._sent)
             owner._verify_here(i, i + 1)
         elif owner._lo < owner._hi:
             end, owner._hi = owner._hi, max(owner._lo, owner._hi - CHUNK_TRANSACTIONS)
             owner._verify_here(owner._hi, end)
+        elif i and owner._sent < owner._hi:
+            owner._hi = owner._lo = owner._hi - 1
+            owner._verify_here(owner._hi, owner._hi + 1)
         else:
             self._receive()
+            self._top_up()
 
     def _gone(self) -> VerifierUnavailable:
         global _worker

@@ -32,10 +32,15 @@ one batch (OrgNode.client_checks), and each prepared entry keeps the
 (check, verdicts) pair of each of those organizations.  submit hands each
 live endorser its pair (OrgNode.evaluate_agreement), so every batch is read
 in submit order, and a retired organization's checks are never read.
-Checks still unread at the end of a tick are dropped with _prepared.  When
-the orderer cuts a block, each live organization's receive_action queues
-its copy's checks.  Effect votes are verified here, by each organization
-that fetches them.
+Checks still unread at the end of a tick are dropped with _prepared.  The
+orderer streams each forming block to every live organization a
+keys.CHUNK_TRANSACTIONS chunk at a time, as submit queues it (a chunk once
+a later transaction of its block is queued), and each organization's
+receive_action queues that chunk's checks at once; when the orderer cuts
+the block, at the tick it would anyway, it delivers the rest, and an
+equivocation victim's copy without the last transaction, which was never
+streamed.  Effect votes are verified here, by each organization that
+fetches them.
 
 Identical (config, schedule, fault script) inputs produce identical reports
 and identical ledger bytes.  The only randomness anywhere is the workload
@@ -319,6 +324,7 @@ class Orderer:
 
     Cuts a block when blocksize transactions are queued or when block_timeout
     ticks passed since the first still-queued transaction, whichever first.
+    Before the cut, submit hands over the forming block a chunk at a time.
     """
 
     def __init__(self, blocksize: int, block_timeout: int):
@@ -327,8 +333,20 @@ class Orderer:
         self.queue: list[tuple[int, agmt.ChainedTransaction]] = []
         self.next_block_id = 1
 
-    def submit(self, ct: agmt.ChainedTransaction, tick: int):
+    def submit(self, ct: agmt.ChainedTransaction, tick: int) -> Action | None:
+        """Queue ct.  When ct starts a keys.CHUNK_TRANSACTIONS chunk of the
+        block it will be cut in, other than its first, returns that block's
+        transactions queued before ct, for delivery while the block forms;
+        None otherwise.  So a chunk is delivered once a later transaction of
+        its block is queued, and the block's last transaction only when the
+        block is cut."""
         self.queue.append((tick, ct))
+        index = len(self.queue) - 1
+        position = index % self.blocksize
+        if position == 0 or position % keys.CHUNK_TRANSACTIONS:
+            return None
+        queued = self.queue[index - position : index]
+        return Action(self.next_block_id + index // self.blocksize, tuple(c for _, c in queued))
 
     def _cut(self) -> Action:
         batch, self.queue = self.queue[: self.blocksize], self.queue[self.blocksize:]
@@ -582,7 +600,10 @@ class Network:
         Takes the proposal that run prepared for (client, sql) when it is the
         next one prepared; prepares it here otherwise, as a batch of one.
         Each live endorser evaluates it with the client check it queued; a
-        required organization that is not live is unreachable."""
+        required organization that is not live is unreachable.  When the
+        transaction starts a new chunk of its block, the block as formed so
+        far goes to every live organization (Orderer.submit).  Returns the
+        ChainedTransaction that the block will hold, or the Rejected."""
         prepared = self._prepared
         if prepared and prepared[0][0].client == client and prepared[0][0].sql == sql:
             proposal, needed, queued = prepared.popleft()
@@ -597,7 +618,11 @@ class Network:
         if isinstance(result, agmt.Rejected):
             self.report.emit(self.tick, result.dissenting[0], REJECT)
             return result
-        self.orderer.submit(result, self._now)
+        forming = self.orderer.submit(result, self._now)
+        if forming is not None:
+            for rt in self.runtimes.values():
+                if rt.live:
+                    rt.node.receive_action(forming, forming=True)
         return result
 
     def _prepare(self, entries) -> list:

@@ -19,7 +19,10 @@ it by Network.submit; network tells when.
 
 Each round has one record at a time: received (self.verifying: the action
 and the verdicts on its signatures), then pending (self.pending: the block
-and the verdicts as read at execution), then committed (the ledger).
+and the verdicts as read at execution), then committed (the ledger).  A
+round is received from the first chunk of it that the orderer streams while
+the block forms, and grows with each chunk; it can be executed once the
+block is cut and the rest delivered.
 Recovery re-executes the pending round from its recorded verdicts
 (reexecute_pending), so no signature is checked twice.  Nor is one checked
 again that the organization checked or made while endorsing: receiving a
@@ -116,7 +119,8 @@ class OrgNode:
         # lagging peer can finish old rounds); recovery replaces a divergent one
         self.votes: dict[int, cns.HashVote] = {}
         self.transcripts: dict[int, cns.ConsensusTranscript] = {}
-        # round -> (received action, verdicts on its signatures), until executed
+        # round -> (action received so far, verdicts on its signatures), from
+        # the round's first delivery until it executes
         self.verifying: dict[int, tuple[Action, keys.Verdicts]] = {}
         self.pending: PendingRound | None = None
         self.checkpoints = None  # attached by recovery.CheckpointManager
@@ -191,29 +195,44 @@ class OrgNode:
 
     # ---- action intake ----
 
-    def receive_action(self, action: Action):
-        """Record an ordered action and queue its signatures for verification,
-        with the keys the registry holds now.  An action for a round that is
-        committed, pending or already received is ignored."""
-        round_id = action.round_id
-        if (
-            round_id >= self.next_round
-            and round_id not in self.verifying
-            and (self.pending is None or self.pending.action.round_id != round_id)
-        ):
-            self.verifying[round_id] = (action, self._verify_signatures(action))
+    def receive_action(self, action: Action, forming: bool = False):
+        """Record an ordered round's transactions and queue the checks of
+        those not received before, with the keys the registry holds now.
 
-    def _verify_signatures(self, action: Action) -> keys.Verdicts:
-        jobs = (
-            agmt.signature_jobs(ct, self.registry, self.endorsed) for ct in action.transactions
+        The orderer delivers a round while it forms, a chunk at a time
+        (forming), each time as every transaction it has queued for the
+        round so far, and the rest when it cuts the block: action is then
+        the block.  A round is received from its first delivery; it can be
+        executed once cut.  An action for a round that is committed, pending
+        or already cut is ignored."""
+        round_id = action.round_id
+        received = self.verifying.get(round_id)
+        if received is not None:
+            if received[1].forming:
+                received[1].extend(self._jobs(action, len(received[0].transactions)), forming)
+                self.verifying[round_id] = (action, received[1])
+        elif round_id >= self.next_round and (
+            self.pending is None or self.pending.action.round_id != round_id
+        ):
+            self.verifying[round_id] = (action, self._verify_signatures(action, forming))
+
+    def _jobs(self, action: Action, start: int = 0):
+        """The checks of action's transactions from start on."""
+        return (
+            agmt.signature_jobs(ct, self.registry, self.endorsed)
+            for ct in action.transactions[start:]
         )
-        return keys.signature_worker().verify(jobs, self.block_reading)
+
+    def _verify_signatures(self, action: Action, forming: bool = False) -> keys.Verdicts:
+        return keys.signature_worker().verify(self._jobs(action), self.block_reading, forming)
 
     def executable_action(self) -> Action | None:
         if self.pending is not None:
             return None
         received = self.verifying.get(self.next_round)
-        return None if received is None else received[0]
+        if received is None or received[1].forming:
+            return None
+        return received[0]
 
     # ---- the W phase: order is given, execute and hash ----
 
@@ -240,7 +259,7 @@ class OrgNode:
             )
 
         received = self.verifying.pop(action.round_id, None)
-        if received is not None and received[0] is action:
+        if received is not None and received[0] is action and not received[1].forming:
             verdicts = received[1]
         else:
             verdicts = self._verify_signatures(action)

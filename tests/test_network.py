@@ -3,10 +3,13 @@
 import hashlib
 import json
 import random
+import weakref
 from decimal import Decimal
 
 import pytest
 
+from effectledger import agreement as agreement_module
+from effectledger import keys
 from effectledger import ledger as ledger_module
 from effectledger import org as org_module
 from effectledger.agreement import ChainedTransaction, Rejected, make_proposal
@@ -965,3 +968,144 @@ def test_an_organization_behind_its_peers_catches_up_one_block_a_tick():
     starts = [(l.block, l.tick) for l in report.events("O1", EXEC_START) if l.block > 5]
     assert starts == [(6, 9), (7, 10), (8, 11), (9, 12), (10, 13)]
     assert net.tick == 14
+
+
+# ---- forming blocks delivered a chunk at a time ----
+
+# Blocks of ten are cut at tick 4 (blocksize) or 7 (block_timeout 3); the seed
+# block is cut at tick 3.
+STREAMED = dict(blocksize=10, block_timeout=3)
+
+
+def bumps(count, tick=4):
+    return [
+        (tick, "bob", f"UPDATE acct SET bal = bal + {i + 1} WHERE id = {i % 3 + 1};")
+        for i in range(count)
+    ]
+
+
+def run_bytes(net, schedule, faults=()):
+    text = net.run(schedule, faults).to_text()
+    return text, {org: node.ledger.to_bytes() for org, node in net.nodes.items()}
+
+
+@pytest.fixture
+def deliveries(monkeypatch):
+    """Every delivery to an organization, as (org, round, transactions,
+    forming), with forming blocks streamed three transactions to a chunk."""
+    seen = []
+    receive = org_module.OrgNode.receive_action
+
+    def recorded(node, action, forming=False):
+        seen.append((node.org_id, action.round_id, action.transactions, forming))
+        return receive(node, action, forming)
+
+    monkeypatch.setattr(keys, "CHUNK_TRANSACTIONS", 3)
+    monkeypatch.setattr(org_module.OrgNode, "receive_action", recorded)
+    return seen
+
+
+def unstreamed(schedule, faults=()):
+    """The report and ledgers of a run whose blocks of at most ten
+    transactions are never streamed: each is delivered whole at its cut."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(keys, "CHUNK_TRANSACTIONS", STREAMED["blocksize"])
+        return run_bytes(make_net(**STREAMED), schedule, faults)
+
+
+def test_orderer_hands_over_a_chunk_once_a_later_transaction_of_its_block_is_queued(
+    monkeypatch,
+):
+    monkeypatch.setattr(keys, "CHUNK_TRANSACTIONS", 2)
+    orderer = Orderer(blocksize=5, block_timeout=100)
+    queued, handed = [ct(i) for i in range(12)], []
+    for transaction in queued:
+        forming = orderer.submit(transaction, tick=0)
+        handed.append(forming and (forming.round_id, forming.transactions))
+    # in blocks of five, the transactions at 2 and 4 start a later chunk
+    assert handed == [
+        None, None, (1, tuple(queued[:2])), None, (1, tuple(queued[:4])),
+        None, None, (2, tuple(queued[5:7])), None, (2, tuple(queued[5:9])),
+        None, None,
+    ]
+    first, second = orderer.tick(0)
+    assert (first.transactions, second.transactions) == (tuple(queued[:5]), tuple(queued[5:10]))
+    # block 3 holds what is still queued, so it goes on from there
+    assert orderer.submit(ct(12), tick=0) == org_module.Action(3, tuple(queued[10:12]))
+
+
+def test_an_equivocation_victim_never_gets_the_last_transaction_before_the_cut(deliveries):
+    schedule = [(0, "alice", DDL), (0, "alice", SEED), *bumps(10)]
+    faults = [{"at_tick": 1, "kind": "equivocate_orderer", "org": "O3", "block_id": 2}]
+    expected = unstreamed(schedule, faults)
+    deliveries.clear()
+
+    assert run_bytes(make_net(**STREAMED), schedule, faults) == expected
+    [block] = {txns for org, round_id, txns, forming in deliveries
+               if round_id == 2 and not forming and org == "O1"}
+    streamed = [(org, txns) for org, round_id, txns, forming in deliveries
+                if round_id == 2 and forming]
+    assert sorted({len(txns) for _, txns in streamed}) == [3, 6, 9]
+    assert all(txns == block[: len(txns)] for _, txns in streamed)
+    assert all(all(ct is not block[-1] for ct in txns) for _, txns in streamed)
+    [victim_cut] = [txns for org, round_id, txns, forming in deliveries
+                    if round_id == 2 and not forming and org == "O3"]
+    assert victim_cut == block[:-1]  # everything it has was streamed already
+
+
+def test_a_block_cut_by_timeout_is_delivered_whole(deliveries):
+    schedule = [(0, "alice", DDL), (0, "alice", SEED), *bumps(7)]
+    expected = unstreamed(schedule)
+    deliveries.clear()
+
+    net = make_net(**STREAMED)
+    assert run_bytes(net, schedule) == expected
+    assert [l.tick for l in net.report.events("orderer", CUT)] == [3, 7]
+    for org in net.nodes:
+        mine = [(len(txns), forming) for o, round_id, txns, forming in deliveries
+                if o == org and round_id == 2]
+        assert mine == [(3, True), (6, True), (7, False)]
+        assert len(net.node(org).ledger.block(2).transactions) == 7
+
+
+def test_a_kill_drops_the_streamed_checks_of_a_forming_round(deliveries):
+    net = make_net(**STREAMED)
+    net.run([(0, "alice", DDL), (0, "alice", SEED), *bumps(7)], max_ticks=4)
+    victim = net.node("O3")
+    action, verdicts = victim.verifying[2]
+    assert verdicts.forming and len(action.transactions) == 6
+    assert victim.executable_action() is None  # a forming round never executes
+    streamed = weakref.ref(verdicts)
+    del action, verdicts
+
+    net.run([], [{"at_tick": 0, "kind": "kill_org", "org": "O3"}])
+    assert streamed() is None and victim.verifying == {}
+    assert not unread_verdicts()
+    assert [node.height for node in net.nodes.values()] == [2, 2, 1]
+    assert [l.block for l in net.report.events("O3", EXEC_START)] == [1]
+
+
+def test_every_queued_signature_is_verified_exactly_once(monkeypatch):
+    """Without policies each organization checks the client signature of
+    each transaction: three signatures a transaction, each verified once, by
+    the worker or here, whether its block was streamed or not."""
+    built = []
+    signature_jobs = agreement_module.signature_jobs
+
+    def counted(*args):
+        job = signature_jobs(*args)
+        built.append(len(job or ()))
+        return job
+
+    monkeypatch.setattr(org_module.agmt, "signature_jobs", counted)
+    worker = keys.signature_worker()
+    assert list(worker.verify([()])) == [True] and not worker._waiting
+    before = worker.worker_signatures + worker.here_signatures
+    size = 2 * keys.CHUNK_TRANSACTIONS + 7
+    net = make_net(blocksize=size, block_timeout=3)
+    schedule = [(0, "alice", DDL), (0, "alice", SEED), *bumps(2 * size)]
+    net.run(schedule)
+    assert [node.height for node in net.nodes.values()] == [3, 3, 3]
+    assert not worker._waiting
+    verified = worker.worker_signatures + worker.here_signatures - before
+    assert verified == sum(built) == 3 * len(schedule)

@@ -102,3 +102,31 @@ def test_keys_verify_counts_vote_checks_only(monkeypatch):
     assert [node.height for node in net.nodes.values()] == [2, 2, 2]
     votes = {vote.signed_payload() for node in net.nodes.values() for vote in node.votes.values()}
     assert messages and set(messages) <= votes
+
+
+def test_committed_actions_hold_the_transactions_submit_returned(monkeypatch):
+    # spans.LatencyProbe matches each transaction of node.pending.action at
+    # commit to the result of the Network.submit call that made it, by id();
+    # blocks above keys.CHUNK_TRANSACTIONS are delivered a chunk at a time
+    submitted, committed = set(), []
+    submit, commit_pending = network.Network.submit, org.OrgNode.commit_pending
+
+    def recorded_submit(net, client, sql):
+        result = submit(net, client, sql)
+        submitted.add(id(result))
+        return result
+
+    def recorded_commit(node, transcript):
+        committed.extend(id(ct) for ct in node.pending.action.transactions)
+        return commit_pending(node, transcript)
+
+    monkeypatch.setattr(network.Network, "submit", recorded_submit)
+    monkeypatch.setattr(org.OrgNode, "commit_pending", recorded_commit)
+    size = 2 * keys.CHUNK_TRANSACTIONS + 5
+    net = network.Network(network.NetworkConfig(
+        [network.OrgConfig(org) for org in ("O1", "O2", "O3")], blocksize=size,
+    ))
+    rows = [(1, "c", f"INSERT INTO t (k) VALUES ({k});") for k in range(size)]
+    net.run([(0, "c", "CREATE TABLE t (k INT, PRIMARY KEY (k));"), *rows])
+    assert [node.height for node in net.nodes.values()] == [2, 2, 2]
+    assert len(committed) == 3 * (1 + size) and set(committed) == submitted

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from effectledger import agreement
 from effectledger import org as org_module
-from effectledger.engine.parser import PLAN_LIMIT, PlanCache, parse_script
+from effectledger.engine.parser import PLAN_LIMIT, Bound, PlanCache, parse_script
 from effectledger.errors import ParseError
 from effectledger.smallbank import bootstrap_transactions
 
@@ -96,6 +96,31 @@ def test_a_cached_parse_is_the_parsers(texts):
     cache = PlanCache()
     for sql in texts:
         assert outcome(cached(cache), sql) == outcome(parse_script, sql)
+
+
+# policies on some of the identifiers near_misses draws as table names
+POLICIES = {
+    table: agreement.AgreementPolicy(table, orgs)
+    for table, orgs in (("a", ("O1",)), ("t1", ("O2", "O3")), ("bal", ("O1", "O3")))
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_misses())
+@example(["UPDATE t1 SET bal = bal - 5 WHERE a = 1; DELETE FROM bal WHERE n0 = 2",
+          "UPDATE t1 SET bal = bal - 7 WHERE a = 3; DELETE FROM bal WHERE n0 = 4"])
+def test_a_bound_reads_its_tables_from_its_plan(texts):
+    """A plan-cache hit answers tables, dml_tables and required_orgs as its
+    built statements do, without building them."""
+    cache = PlanCache()
+    for sql in texts:
+        parsed = agreement.parse_transaction(sql, cache)
+        if type(parsed.statements) is not Bound:
+            continue
+        answers = (parsed.tables, parsed.dml_tables, agreement.required_orgs(parsed, POLICIES))
+        assert parsed.statements._statements is None  # nothing built
+        built = agreement.ParsedTransaction(tuple(parsed.statements))
+        assert answers == (built.tables, built.dml_tables, agreement.required_orgs(built, POLICIES))
 
 
 def test_texts_of_one_shape_hit_after_the_first():

@@ -19,6 +19,10 @@ fault scripts, with invariants checked on every run.
 - Every run ends quiescent or STALLED before its tick budget.  The last
   input comes by tick 30 (a vote rule's expiry); in 1200 generated
   scenarios the latest end was tick 82.
+- With keys.CHUNK_TRANSACTIONS at 1 and blocks of 2 or 3, every
+  organization receives each forming block a transaction at a time, under
+  every fault kind; the invariants hold, and the report and ledgers equal
+  those of a run whose blocks are never streamed.
 
 The pinned examples are scenarios whose end of run moved when a part of
 Network.run's end decision was left out: a stale orderer timeout, a vote
@@ -26,9 +30,11 @@ rule's end counted while nobody waits, and no step at the tick after a
 change while organizations wait.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from effectledger import keys
 from effectledger.engine.types import QuirkConfig
 from effectledger.ledger import verify_ledger
 from effectledger.network import STALLED, FaultKind, Network, NetworkConfig, OrgConfig
@@ -160,6 +166,34 @@ def run_scenario(config, schedule, faults):
 ))
 def test_generated_scenarios_keep_the_network_invariants(scenario):
     outcome, ledgers, net = run_scenario(*scenario)
+    check_invariants(scenario, net)
+
+    # a second run gives the same bytes
+    again, ledgers_again, _ = run_scenario(*scenario)
+    assert ledgers_again == ledgers
+    assert again == outcome
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(scenarios())
+def test_blocks_streamed_a_transaction_at_a_time_keep_the_invariants(scenario):
+    config, schedule, faults = scenario
+    scenario = dict(config, blocksize=max(2, config["blocksize"])), schedule, faults
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(keys, "CHUNK_TRANSACTIONS", 1)
+        outcome, ledgers, net = run_scenario(*scenario)
+    check_invariants(scenario, net)
+
+    # streaming moves no byte: blocks of at most 3 are never streamed in
+    # chunks of keys.CHUNK_TRANSACTIONS
+    assert keys.CHUNK_TRANSACTIONS > 3
+    whole, ledgers_whole, _ = run_scenario(*scenario)
+    assert ledgers_whole == ledgers
+    assert whole == outcome
+
+
+def check_invariants(scenario, net):
+    """Invariants 1-3 and 6 on a network that ran scenario."""
 
     # one hash per height across every organization's ledger
     top = max(node.height for node in net.nodes.values())
@@ -179,11 +213,6 @@ def test_generated_scenarios_keep_the_network_invariants(scenario):
                     block.block_id
                 )
             assert replica.db.state_hash() == node.db.state_hash()
-
-    # a second run gives the same bytes
-    again, ledgers_again, _ = run_scenario(*scenario)
-    assert ledgers_again == ledgers
-    assert again == outcome
 
     # it ended quiescent or stalled, not at the tick budget: every live
     # organization left with a pending round is reported STALLED on it

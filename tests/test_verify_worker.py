@@ -1,7 +1,8 @@
 """Block signatures are verified once each, by the worker process or by this
-one: queued at receipt, the front of each block's jobs sent to the worker
-and the tail held back for the reader, read in block order at execution,
-and judged exactly as verify_chained_transaction judges each transaction."""
+one: queued as the block is delivered, the worker's share of each block's
+jobs sent to the worker and the tail held back for the reader, read in
+block order at execution, and judged exactly as verify_chained_transaction
+judges each transaction."""
 
 import os
 import signal
@@ -175,9 +176,9 @@ def test_signatures_are_sent_once_at_receipt(monkeypatch):
     sent = []
     original = org_module.OrgNode._verify_signatures
 
-    def counted(node, act):
+    def counted(node, act, *forming):
         sent.append((node.org_id, act.round_id))
-        return original(node, act)
+        return original(node, act, *forming)
 
     monkeypatch.setattr(org_module.OrgNode, "_verify_signatures", counted)
     node = cluster["O1"]
@@ -262,7 +263,7 @@ def verified_here(idle_worker, monkeypatch):
 
 
 def hold_back_everything(monkeypatch):
-    monkeypatch.setattr(keys.SignatureWorker, "_held_back", lambda worker, jobs, reading: 0)
+    monkeypatch.setattr(keys.SignatureWorker, "_held_back", lambda worker, owner: 0)
 
 
 def measured(seconds_per_unit):
@@ -380,6 +381,36 @@ def test_the_held_back_tail_balances_the_measured_costs(
     assert list(verdicts) == SERIAL(jobs)
 
 
+class Unanswered:
+    """A poller that reports no answer ready, so that what was sent stays
+    in the worker's backlog."""
+
+    def poll(self, timeout):
+        return []
+
+
+def test_a_backlog_ahead_makes_a_new_verdicts_hold_back_more(idle_worker, monkeypatch):
+    """The tail is sized from the worker's backlog as well as from the
+    costs: with signatures queued ahead of it and not yet verified, a
+    sequence holds back more than it would on an idle worker."""
+    monkeypatch.setattr(idle_worker, "worker_cost", measured(1e-4))
+    monkeypatch.setattr(idle_worker, "here_cost", measured(1e-4))
+    jobs = [GOOD] * 100
+    idle = idle_worker.verify(jobs, measured(5e-5))
+    assert len(jobs) - idle._lo == 25  # (100 * 1e-4 - 100 * 5e-5) / 2e-4
+    assert list(idle) == SERIAL(jobs)
+    del idle
+
+    answers = idle_worker._answers
+    monkeypatch.setattr(idle_worker, "_answers", Unanswered())
+    ahead = idle_worker.verify([TRIPLE] * 60)  # 180 signatures, all sent at once
+    busy = idle_worker.verify(jobs, measured(5e-5))
+    monkeypatch.setattr(idle_worker, "_answers", answers)
+    # (180 + 100) * 1e-4 - 100 * 5e-5 is more than 100 * 2e-4: all held back
+    assert busy._lo == 0
+    assert list(ahead) == SERIAL([TRIPLE] * 60) and list(busy) == SERIAL(jobs)
+
+
 def test_an_unmeasured_reader_holds_back_no_single_signature_job(idle_worker):
     """Until a reader is measured it counts as reading a verdict in the
     worker's time per signature, which holds back none of an
@@ -416,7 +447,7 @@ def test_client_checks_hold_back_no_job_while_a_block_holds_back_a_tail(
     verify = keys.SignatureWorker.verify
     monkeypatch.setattr(
         keys.SignatureWorker, "verify",
-        lambda worker, jobs, reading=None: made.append(verify(worker, jobs, reading)) or made[-1],
+        lambda worker, jobs, *rest: made.append(verify(worker, jobs, *rest)) or made[-1],
     )
     cluster = seeded_cluster()
     node = cluster["O1"]
