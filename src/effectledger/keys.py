@@ -14,10 +14,9 @@ Endorsing.  Each organization that a proposal needs checks its client's
 signature before it signs an agreement.  The checks are queued one Verdicts
 per organization and chunk of a tick's proposals; network tells who queues
 them, who reads them and when they are dropped.  A client check is a job of
-one signature, queued with no reading cost, so its Verdicts sends every job
-at once and holds none back (see SignatureWorker.verify).  The organization records the check that
-passed with the agreement it signed (agreement.Endorsements, one per
-organization).
+one signature, and its Verdicts sends every job at once (see
+SignatureWorker.verify).  The organization records the check that passed
+with the agreement it signed (agreement.Endorsements, one per organization).
 
 Receiving.  The orderer delivers a forming block to each organization a
 chunk of CHUNK_TRANSACTIONS transactions at a time, and the rest when it
@@ -34,26 +33,22 @@ it read, and recovery re-executes the round from those, so recovery queues
 no check again.
 
 Who verifies a job.  Each queued job is verified exactly once, by the worker
-process or by its reader in this one; both run verify_jobs.  The worker is
-kept a few requests ahead: whenever this process queues jobs, reads an
-answer or reads a few verdicts, it sends the next requests from the front
-of the oldest share not yet sent.  So the worker goes through the chunks of the
+process or by a reader in this one; both run verify_jobs.  Every job of a
+block's Verdicts is the worker's: the worker is kept a few requests ahead,
+and whenever this process queues jobs, reads an answer or reads a few
+verdicts, it sends the next requests from the front of the oldest Verdicts
+with jobs not yet sent.  So the worker goes through the chunks of the
 forming blocks as they come, and through the cut blocks in the order their
-organizations read them.  When a sequence's last jobs come, the tail of
-those not yet sent is held back for the reader, sized from measured costs
-and from what the worker has ahead of it (SignatureWorker._held_back), so
-that the worker and the readers, going on together, reach the end
-together; the rest is the worker's share.  A reader verifies its tail
-itself: from the back, up to CHUNK_TRANSACTIONS jobs at a time, whenever
-the next verdict is not known yet and no answer is ready, and in order once
-it reaches the tail.  Once it has caught up with the worker, it also
-verifies the last jobs of its share not yet sent, one at a time, instead of
-waiting.  A job left with no signature gets its verdict here, without a
-request.  Each organization builds its own checks from its own registry and
-record, reads its own verdicts and measures its own reading; nothing is
-shared between organizations, and the worker remembers no verdict across
-requests.  Effect votes are verified in the calling process, by verify, so
-calls to verify count vote checks only.
+organizations read them.  A reader whose next verdict is in flight, with no
+answer ready, verifies the job that would be sent next, whichever
+organization's it is, one at a time, and waits only when no job is left
+unsent; an endorser waiting on a client check does the same.  So neither
+process idles while a job is left, and no cost needs measuring.  A job
+left with no signature gets its verdict here, without a request.  Each
+organization builds its own checks from its own registry and record and
+reads its own verdicts; the worker remembers no verdict across requests.
+Effect votes are verified in the calling process, by verify, so calls to
+verify count vote checks only.
 
 Why a process: verification holds the interpreter lock, so a second thread
 verifies no faster than one.  Why no helper thread in the main process: a
@@ -100,14 +95,6 @@ _VERIFY_ALGO = ec.ECDSA(hashes.SHA256())
 # waits for half or all of a block; between 16 and 64 the workloads differed
 # by no more than noise, and 32 lets execution start after 32 verifications.
 CHUNK_TRANSACTIONS = 32
-
-# A measured cost is an average whose weights halve every this many units
-# (signatures verified, verdicts read): about one block of bank-steady.
-_COST_HALF_LIFE = 1024
-
-# Seconds per signature assumed until the worker's first answer: the order of
-# a P-256 verification.
-_SIGNATURE_S = 1e-4
 
 # Requests the worker is kept ahead by (SignatureWorker._top_up), and how
 # many verdicts a reader reads between two top-ups.  Four requests last the
@@ -250,49 +237,25 @@ def _serve(conn, parent_end):
         conn.close()
 
 
-class Cost:
-    """Measured seconds per unit of work (a signature verified, a verdict
-    read), averaged with weights that halve every _COST_HALF_LIFE units."""
-
-    def __init__(self):
-        self._seconds = 0.0
-        self._units = 0.0
-
-    def note(self, seconds: float, units: int):
-        kept = 0.5 ** (units / _COST_HALF_LIFE)
-        self._seconds = self._seconds * kept + seconds
-        self._units = self._units * kept + units
-
-    def per_unit(self, default: float) -> float:
-        """The average, or default before anything was measured."""
-        return self._seconds / self._units if self._units else default
-
-
 class Verdicts:
     """Verdicts of one sequence of jobs, each job verified once, either by the
-    worker or by its reader in this process.
+    worker or by a reader in this process.
 
     The jobs come all at once, or a chunk at a time while the sequence is
     forming (extend).  self._jobs[:self._sent] were sent to the worker, or
-    verified or judged here; self._jobs[self._hi:] were verified here by the
-    reader, from the back; the jobs between are not verified yet.  Of these,
-    the ones before self._lo are the worker's share, sent as the worker
-    takes them, and the rest the tail held back for the reader (see
-    SignatureWorker._held_back).  Iterating, once, after the last jobs came,
-    yields one verdict per job in order and measures the reader's time into
-    reading.  Raises VerifierUnavailable if the worker died.
+    verified or judged here; the rest are not yet.  Iterating, once, after
+    the last jobs came, yields one verdict per job in order.  Raises
+    VerifierUnavailable if the worker died.
     """
 
-    def __init__(self, worker: "SignatureWorker", reading: Cost | None):
+    def __init__(self, worker: "SignatureWorker", at_once: bool):
         self._worker = worker
         self._jobs: list = []
         self._verdicts: list[bool | None] = []
-        self._reading = reading
-        self._queued = perf_counter()  # when the last jobs came
-        self._sent = self._lo = self._hi = 0
-        self._read = 0  # verdicts read
+        self._sent = 0
+        self._at_once = at_once
         self.forming = True
-        if reading is not None:
+        if not at_once:
             worker._open.append(weakref.ref(self))
 
     def extend(self, jobs: Iterable, forming: bool = False):
@@ -300,65 +263,40 @@ class Verdicts:
         jobs = list(jobs)
         self._jobs += jobs
         self._verdicts += [None] * len(jobs)
-        self._hi = len(self._jobs)
-        self._queued = perf_counter()
         self.forming = forming
-        worker = self._worker
-        worker._drain()
-        self._lo = max(self._sent, worker._held_back(self))
-        if self._reading is None:
-            worker._send(self, self._lo)
-        worker._top_up()
+        if self._at_once:
+            self._worker._send(self, len(self._jobs))
+        self._worker._top_up()
 
     def __iter__(self):
         worker, verdicts = self._worker, self._verdicts
         last = len(verdicts) - 1
-        # The reader's time outside this iterator, from when it could turn to
-        # these verdicts (when the last of them were queued, or when it
-        # finished reading the Verdicts before, whichever is later) to the
-        # last one.  So what this process does between two Verdicts counts
-        # too, as the worker goes straight on to the next one's jobs.
-        away = 0.0
-        resumed = max(self._queued, worker._read_done)
         for i in range(len(verdicts)):
-            away += perf_counter() - resumed
             if i % _TOP_UP_VERDICTS == 0:
                 worker._top_up()
             while verdicts[i] is None:
                 worker._advance(self, i)
             if i == last:
-                if self._reading is not None:
-                    self._reading.note(away, len(verdicts))
-                worker._read_done = perf_counter()
-            self._read += 1
-            resumed = perf_counter()
+                # so that the worker has the next jobs while the reader turns
+                # away, and this Verdicts, with none left to send, leaves _open
+                worker._top_up()
             yield verdicts[i]
-
-    def _verify_here(self, start: int, end: int):
-        jobs = self._jobs[start:end]
-        started = perf_counter()
-        self._verdicts[start:end] = verify_jobs(jobs, self._worker._loaded)
-        signatures = _signatures(jobs)
-        if signatures:
-            self._worker.here_cost.note(perf_counter() - started, signatures)
-            self._worker.here_signatures += signatures
 
 
 class SignatureWorker:
     """A process that runs verify_jobs, this process's end of its pipe, and
-    what each side has verified and what it costs.
+    what each side has verified.
 
     Jobs go to the worker in requests of at most CHUNK_TRANSACTIONS jobs.
-    A Verdicts queued without a reading cost sends all its jobs at once.
-    The others take turns in the order they were made: the worker is kept
-    _REQUESTS_AHEAD requests ahead (_top_up), from the front of the oldest
-    Verdicts' share, while readers verify their tails, and more of the jobs
-    before them when they would wait, from the back (_advance).
-    worker_cost and here_cost are the measured seconds per signature of the
-    worker (as each answer reports it) and of this process;
-    worker_signatures and here_signatures count the signatures each
-    verified.  They are read by tests and benchmarks, never by a report,
-    which must not depend on timing.
+    A Verdicts queued at_once sends all its jobs at once.  The others take
+    turns in the order they were made: the worker is kept _REQUESTS_AHEAD
+    requests ahead (_top_up), from the front of the oldest Verdicts with
+    jobs not yet sent, and a reader that would wait verifies the next of
+    those jobs itself (_advance).  worker_signatures and here_signatures
+    count the signatures each side verified, and worker_seconds and
+    here_seconds the seconds each spent on them (the worker's as each
+    answer reports them).  They are read by tests and benchmarks, never by
+    a report, which must not depend on timing.
 
     The worker is forked.  The spawn and forkserver methods run the main
     module again in the child, which fails in a script without a __main__
@@ -387,103 +325,49 @@ class SignatureWorker:
         # requests sent and not yet answered, in the order the answers come:
         # (weak reference to the Verdicts, index of its first job, signatures)
         self._waiting: deque = deque()
-        # weak references to the Verdicts queued with a reading cost and not
-        # yet read to the end, in the order they were made
+        # weak references to the Verdicts not queued at_once, in the order
+        # they were made, until they are dropped or have nothing left to send
         self._open: deque = deque()
-        self.worker_cost, self.here_cost = Cost(), Cost()
-        self._read_done = 0.0  # when a reader last read a Verdicts' last verdict
         self.worker_signatures = self.here_signatures = 0
+        self.worker_seconds = self.here_seconds = 0.0
 
     @property
     def pid(self) -> int:
         return self._process.pid
 
-    def verify(
-        self, jobs: Iterable, reading: Cost | None = None, forming: bool = False
-    ) -> Verdicts:
+    def verify(self, jobs: Iterable, forming: bool = False, at_once: bool = False) -> Verdicts:
         """Queue jobs for verification; the verdicts are read when iterated.
 
-        forming: more jobs will come, through the Verdicts' extend.  reading
-        is the reader's measured time per verdict: what this process does
-        outside the Verdicts from when the reader could turn to these
-        verdicts to its last read.  Without it, every job is sent at once
-        and none is held back: a client check is read while its endorser is
-        busy with its own work.
+        forming: more jobs will come, through the Verdicts' extend.  at_once
+        sends every job now, ahead of the turns of the others: a client
+        check is read while its endorser is busy with its own work.
         """
-        verdicts = Verdicts(self, reading)
+        verdicts = Verdicts(self, at_once)
         verdicts.extend(jobs, forming)
         return verdicts
 
-    def _ahead(self, owner: Verdicts) -> list:
-        """The Verdicts made before owner, complete and not yet read to the
-        end, whose readers read before owner's; dropped and read ones leave
-        self._open."""
-        ahead = []
-        for ref in list(self._open):
-            other = ref()
-            if other is None or (not other.forming and other._read == len(other._jobs)):
-                self._open.remove(ref)
-            elif other is owner:
+    def _unsent(self) -> Verdicts | None:
+        """The oldest Verdicts in self._open with a job not yet sent.  The
+        ones at its front that were dropped, or have nothing left to send
+        and no more jobs to come, leave it."""
+        while self._open:
+            owner = self._open[0]()
+            if owner is not None and (owner.forming or owner._sent < len(owner._jobs)):
                 break
-            elif not other.forming:
-                ahead.append(other)
-        return ahead
-
-    def _held_back(self, owner: Verdicts) -> int:
-        """Where the tail held back for owner's reader starts: owner's jobs
-        from owner._sent up to it are the worker's share.
-
-        While owner is forming, or without a reading cost, nothing is held
-        back.  Once the last jobs came, the tail is the shortest with at
-        least ((B + S) * w - (U + n) * r - H * h) / (w + h) signatures, so
-        that the worker, verifying what is ahead of it and the rest of
-        owner's jobs, and the reader, reading the verdicts before owner's
-        and owner's own and verifying the tails, end together.  B is the
-        signatures in flight and in the shares of the Verdicts before
-        owner, H those in their tails, and U their verdicts not read yet; S
-        is the signatures of owner's jobs not verified yet and n owner's
-        verdicts not read yet; w and h are the seconds per signature in the
-        worker and here, and r the reader's seconds per verdict read.  A
-        reader measured no faster than the worker verifies one signature
-        holds back nothing of single-signature jobs; a reader without
-        measurements counts as one.
-        """
-        jobs, start = owner._jobs, owner._sent
-        if owner.forming or owner._reading is None:
-            return len(jobs)
-        worker_s = self.worker_cost.per_unit(_SIGNATURE_S)
-        here_s = self.here_cost.per_unit(worker_s)
-        read_s = owner._reading.per_unit(worker_s)
-        ahead = self._ahead(owner)
-        backlog = sum(signatures for *_, signatures in self._waiting) + sum(
-            _signatures(other._jobs[other._sent : other._lo]) for other in ahead
-        )
-        held = sum(_signatures(other._jobs[other._lo : other._hi]) for other in ahead)
-        unread = sum(len(other._jobs) - other._read for other in ahead)
-        target = (
-            (backlog + _signatures(jobs[start : owner._hi])) * worker_s
-            - (unread + len(jobs) - owner._read) * read_s
-            - held * here_s
-        ) / (worker_s + here_s)
-        end, held = owner._hi, 0
-        while end > start and held < target:
-            end -= 1
-            held += len(jobs[end] or ())
-        return end
+            self._open.popleft()
+        for ref in self._open:
+            owner = ref()
+            if owner is not None and owner._sent < len(owner._jobs):
+                return owner
+        return None
 
     def _top_up(self):
         """Take the answers that are ready, then send requests while fewer
         than _REQUESTS_AHEAD are in flight, from the front of the oldest
-        share not yet sent."""
+        Verdicts with jobs not yet sent."""
         self._drain()
-        while len(self._waiting) < _REQUESTS_AHEAD:
-            for ref in self._open:
-                owner = ref()
-                if owner is not None and owner._sent < owner._lo:
-                    self._send(owner, min(owner._sent + CHUNK_TRANSACTIONS, owner._lo))
-                    break
-            else:
-                return
+        while (owner := self._unsent()) is not None and len(self._waiting) < _REQUESTS_AHEAD:
+            self._send(owner, min(owner._sent + CHUNK_TRANSACTIONS, len(owner._jobs)))
 
     def _send(self, owner: Verdicts, end: int):
         """Send owner's jobs from owner._sent to end, CHUNK_TRANSACTIONS to a
@@ -514,8 +398,8 @@ class SignatureWorker:
         except (EOFError, OSError) as exc:
             raise self._gone() from exc
         ref, start, signatures = self._waiting.popleft()
-        self.worker_cost.note(seconds, signatures)
         self.worker_signatures += signatures
+        self.worker_seconds += seconds
         owner = ref()
         if owner is not None:  # else dropped unread: discard
             owner._verdicts[start : start + len(verdicts)] = verdicts
@@ -524,28 +408,28 @@ class SignatureWorker:
         """One step towards owner's verdict i, which is not known yet.
 
         In order of preference: read an answer that is ready; verify job i
-        here if it was not sent; verify up to CHUNK_TRANSACTIONS of the last
-        jobs of owner's tail; once the reader has caught up with the worker
-        (it waits after its first verdict), verify the last job of its share
-        not sent yet; otherwise wait for the next answer.  The worker is
-        topped up after each answer.
+        here if it was not sent; verify here the job _top_up would send
+        next; only when no job is left unsent, wait for the next answer.
+        The worker is topped up after each answer.
         """
         if self._waiting and self._answers.poll(0):
             self._receive()
             self._top_up()
-        elif i == owner._sent:
-            owner._sent += 1
-            owner._lo = max(owner._lo, owner._sent)
-            owner._verify_here(i, i + 1)
-        elif owner._lo < owner._hi:
-            end, owner._hi = owner._hi, max(owner._lo, owner._hi - CHUNK_TRANSACTIONS)
-            owner._verify_here(owner._hi, end)
-        elif i and owner._sent < owner._hi:
-            owner._hi = owner._lo = owner._hi - 1
-            owner._verify_here(owner._hi, owner._hi + 1)
+        elif (next_owner := owner if i == owner._sent else self._unsent()) is not None:
+            self._verify_here(next_owner)
         else:
             self._receive()
             self._top_up()
+
+    def _verify_here(self, owner: Verdicts):
+        """Verify owner's next job not yet sent, in this process."""
+        i = owner._sent
+        owner._sent += 1
+        job = owner._jobs[i]
+        started = perf_counter()
+        owner._verdicts[i] = verify_jobs((job,), self._loaded)[0]
+        self.here_seconds += perf_counter() - started
+        self.here_signatures += len(job or ())
 
     def _gone(self) -> VerifierUnavailable:
         global _worker

@@ -127,9 +127,6 @@ class OrgNode:
         self.plans = PlanCache()
         # proposals this organization agreed to, until their block arrives
         self.endorsed = agmt.Endorsements(keys.public_bytes(self.private_key))
-        # this organization's measured time per verdict read while executing
-        # blocks, for the signature worker (keys.Cost)
-        self.block_reading = keys.Cost()
 
     # ---- identity / bookkeeping ----
 
@@ -160,7 +157,8 @@ class OrgNode:
             if client_key is not None:
                 check = (client_key, proposal.signature, proposal.signed_payload())
             checks.append(check)
-        verdicts = iter(keys.signature_worker().verify((check,) for check in checks if check))
+        jobs = ((check,) for check in checks if check)
+        verdicts = iter(keys.signature_worker().verify(jobs, at_once=True))
         return [(check, verdicts) for check in checks]
 
     def evaluate_agreement(
@@ -224,7 +222,7 @@ class OrgNode:
         )
 
     def _verify_signatures(self, action: Action, forming: bool = False) -> keys.Verdicts:
-        return keys.signature_worker().verify(self._jobs(action), self.block_reading, forming)
+        return keys.signature_worker().verify(self._jobs(action), forming)
 
     def executable_action(self) -> Action | None:
         if self.pending is not None:

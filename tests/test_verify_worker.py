@@ -1,8 +1,8 @@
 """Block signatures are verified once each, by the worker process or by this
-one: queued as the block is delivered, the worker's share of each block's
-jobs sent to the worker and the tail held back for the reader, read in
-block order at execution, and judged exactly as verify_chained_transaction
-judges each transaction."""
+one: queued as the block is delivered, sent to the worker in turn, verified
+here by a reader that would otherwise wait, read in block order at
+execution, and judged exactly as verify_chained_transaction judges each
+transaction."""
 
 import os
 import signal
@@ -262,24 +262,21 @@ def verified_here(idle_worker, monkeypatch):
     return sizes
 
 
-def hold_back_everything(monkeypatch):
-    monkeypatch.setattr(keys.SignatureWorker, "_held_back", lambda worker, owner: 0)
-
-
-def measured(seconds_per_unit):
-    cost = keys.Cost()
-    cost.note(seconds_per_unit * 1000, 1000)
-    return cost
+def send_nothing(monkeypatch):
+    """Keep the worker no request ahead: readers verify every paced job."""
+    monkeypatch.setattr(keys, "_REQUESTS_AHEAD", 0)
 
 
 @pytest.mark.parametrize("sending", ["rule", "never"])
 def test_verdicts_equal_serial_verification(sending, verified_here, monkeypatch):
     expected = SERIAL(MIXED)
     assert expected == [True, False, False, True, False, True] * 17
-    if sending == "never":  # everything held back: this process verifies
-        hold_back_everything(monkeypatch)
+    if sending == "never":  # nothing sent: this process verifies
+        send_nothing(monkeypatch)
 
-    assert list(keys.signature_worker().verify(iter(MIXED))) == expected
+    worker = keys.signature_worker()
+    assert list(worker.verify(iter(MIXED))) == expected
+    assert not worker._open  # read to the end: nothing left to send
     if sending == "never":
         assert verified_here == [1] * len(MIXED)
 
@@ -310,185 +307,169 @@ class RecordingPipe:
         return getattr(self.conn, name)
 
 
-@pytest.mark.parametrize("reader_s", [0.0, 2e-3], ids=["fast", "slow"])
-def test_each_job_is_verified_once_under_a_fast_and_a_slow_reader(
-    reader_s, idle_worker, monkeypatch
-):
-    """A reader that does nothing between verdicts holds back a tail and
-    verifies part of it itself; one slower than the worker holds back
-    nothing.  Either way the verdicts equal serial verification, and every
-    job is verified exactly once, in one of the two processes."""
-    worker = idle_worker
-    pipe = RecordingPipe(worker._conn)
-    monkeypatch.setattr(worker, "_conn", pipe)
-    here = []
-
-    def recorded(jobs, loaded=None):
-        here.extend(jobs)
-        return SERIAL(jobs, loaded)
-
-    monkeypatch.setattr(keys, "verify_jobs", recorded)
-    jobs = distinct_jobs(3 * keys.CHUNK_TRANSACTIONS + 5)
-    signatures = sum(len(job) for job in jobs)
-    counts = worker.worker_signatures, worker.here_signatures
-    reading = measured(reader_s)
-
-    verdicts = worker.verify(jobs, reading)
-    read = []
-    for verdict in verdicts:
-        read.append(verdict)
-        time.sleep(reader_s)
-
-    assert read == SERIAL(jobs) == [True, False, True, False] * 25 + [True]
-    assert sorted(pipe.sent + here) == sorted(jobs)
-    assert len(set(map(id, pipe.sent + here))) == len(jobs)
-    assert (worker.worker_signatures - counts[0]) + (worker.here_signatures - counts[1]) == (
-        signatures
-    )
-    assert pipe.sent
-    if reader_s:
-        assert here == []
-        assert reading.per_unit(0.0) >= reader_s  # time between verdicts, measured
-    else:
-        assert here and sorted(here) == sorted(jobs[len(jobs) - len(here):])  # the tail
-
-
-@pytest.mark.parametrize(
-    "worker_s, here_s, reader_s, jobs, held",
-    [
-        # single-signature jobs, as on a network without agreement policies
-        (1e-4, 1e-4, 0.0, [GOOD] * 100, 50),
-        (1e-4, 1e-4, 5e-5, [GOOD] * 100, 25),
-        (1e-4, 1e-4, 1e-4, [GOOD] * 100, 0),
-        (1e-4, 1e-4, 3e-4, [GOOD] * 100, 0),
-        (2e-4, 1e-4, 1e-4, [GOOD] * 90, 30),
-        # three signatures a job, as agreements add them
-        (1e-4, 1e-4, 1e-4, [TRIPLE] * 90, 30),
-        # jobs without a signature cost the reader only its reading
-        (1e-4, 1e-4, 0.0, [GOOD, None] * 50, 50),
-    ],
-)
-def test_the_held_back_tail_balances_the_measured_costs(
-    worker_s, here_s, reader_s, jobs, held, idle_worker, monkeypatch
-):
-    """The tail holds the signatures that let the worker, verifying the
-    front, and the reader, reading every verdict and verifying the tail, end
-    together: (S * worker_s - n * reader_s) / (worker_s + here_s)."""
-    monkeypatch.setattr(idle_worker, "worker_cost", measured(worker_s))
-    monkeypatch.setattr(idle_worker, "here_cost", measured(here_s))
-    verdicts = idle_worker.verify(jobs, measured(reader_s))
-    assert len(jobs) - verdicts._lo == held
-    assert list(verdicts) == SERIAL(jobs)
-
-
 class Unanswered:
     """A poller that reports no answer ready, so that what was sent stays
-    in the worker's backlog."""
+    in flight until a reader waits for it."""
 
     def poll(self, timeout):
         return []
 
 
-def test_a_backlog_ahead_makes_a_new_verdicts_hold_back_more(idle_worker, monkeypatch):
-    """The tail is sized from the worker's backlog as well as from the
-    costs: with signatures queued ahead of it and not yet verified, a
-    sequence holds back more than it would on an idle worker."""
-    monkeypatch.setattr(idle_worker, "worker_cost", measured(1e-4))
-    monkeypatch.setattr(idle_worker, "here_cost", measured(1e-4))
-    jobs = [GOOD] * 100
-    idle = idle_worker.verify(jobs, measured(5e-5))
-    assert len(jobs) - idle._lo == 25  # (100 * 1e-4 - 100 * 5e-5) / 2e-4
-    assert list(idle) == SERIAL(jobs)
-    del idle
+@pytest.fixture
+def recorded(idle_worker, monkeypatch):
+    """The jobs sent to the worker and the jobs verified here, in order."""
+    pipe = RecordingPipe(idle_worker._conn)
+    monkeypatch.setattr(idle_worker, "_conn", pipe)
+    here = []
 
-    answers = idle_worker._answers
+    def verified(jobs, loaded=None):
+        here.extend(jobs)
+        return SERIAL(jobs, loaded)
+
+    monkeypatch.setattr(keys, "verify_jobs", verified)
+    return pipe.sent, here
+
+
+# more chunks than the worker is kept requests ahead by
+PACED_CHUNKS = keys._REQUESTS_AHEAD + 2
+
+
+@pytest.mark.parametrize("reader_s", [0.0, 2e-3], ids=["fast", "slow"])
+def test_each_job_is_verified_once_under_a_fast_and_a_slow_reader(
+    reader_s, idle_worker, recorded
+):
+    """A reader that would wait verifies jobs not yet sent; one slower than
+    the worker mostly finds its verdicts ready.  Either way the verdicts
+    equal serial verification, and every job is verified exactly once, in
+    one of the two processes."""
+    worker, (sent, here) = idle_worker, recorded
+    jobs = distinct_jobs(PACED_CHUNKS * keys.CHUNK_TRANSACTIONS + 5)
+    signatures = sum(len(job) for job in jobs)
+    counts = worker.worker_signatures, worker.here_signatures
+    seconds = worker.worker_seconds, worker.here_seconds
+
+    read = []
+    for verdict in worker.verify(jobs):
+        read.append(verdict)
+        time.sleep(reader_s)
+
+    assert read == SERIAL(jobs) == [True, False] * (len(jobs) // 2) + [True]
+    assert sorted(sent + here) == sorted(jobs)
+    assert len(set(map(id, sent + here))) == len(jobs)
+    assert (worker.worker_signatures - counts[0]) + (worker.here_signatures - counts[1]) == (
+        signatures
+    )
+    assert sent and worker.worker_seconds > seconds[0]
+    if here:
+        assert worker.here_seconds > seconds[1]
+
+
+def test_a_reader_that_would_wait_verifies_the_next_job_not_yet_sent(
+    idle_worker, recorded, monkeypatch
+):
+    """With no answer ready, the reader of a Verdicts whose verdicts are in
+    flight verifies, one at a time, the jobs _top_up would send next, from
+    the front of the oldest Verdicts with jobs not yet sent, whichever
+    Verdicts they belong to; never a job already sent.  It waits only once
+    none is left."""
+    worker, (sent, here) = idle_worker, recorded
+    monkeypatch.setattr(worker, "_answers", Unanswered())
+    chunk = keys.CHUNK_TRANSACTIONS
+    jobs = distinct_jobs((PACED_CHUNKS + 3) * chunk)
+    first, second, third = jobs[: 2 * chunk], jobs[2 * chunk : -chunk], jobs[-chunk:]
+    read_first = worker.verify(first)
+    read_second = worker.verify(second)
+    read_third = worker.verify(third)
+    ahead = keys._REQUESTS_AHEAD * chunk
+    assert sent == jobs[:ahead] and here == []
+
+    assert list(read_first) == SERIAL(first)
+    assert here == jobs[ahead:]  # in order, none of them sent
+    assert sent == jobs[:ahead]
+    assert list(read_second) == SERIAL(second) and list(read_third) == SERIAL(third)
+    assert sent == jobs[:ahead] and not worker._waiting
+
+
+@pytest.mark.parametrize("chunks", [1, keys._REQUESTS_AHEAD, PACED_CHUNKS])
+def test_the_worker_is_kept_requests_ahead(chunks, idle_worker, monkeypatch):
+    """After _top_up, min(_REQUESTS_AHEAD, requests not yet sent) requests
+    are in flight."""
     monkeypatch.setattr(idle_worker, "_answers", Unanswered())
-    ahead = idle_worker.verify([TRIPLE] * 60)  # 180 signatures, all sent at once
-    busy = idle_worker.verify(jobs, measured(5e-5))
-    monkeypatch.setattr(idle_worker, "_answers", answers)
-    # (180 + 100) * 1e-4 - 100 * 5e-5 is more than 100 * 2e-4: all held back
-    assert busy._lo == 0
-    assert list(ahead) == SERIAL([TRIPLE] * 60) and list(busy) == SERIAL(jobs)
+    jobs = [GOOD, TRIPLE] * (chunks * keys.CHUNK_TRANSACTIONS // 2)
+    verdicts = idle_worker.verify(jobs)
+    idle_worker._top_up()
+    assert len(idle_worker._waiting) == min(keys._REQUESTS_AHEAD, chunks)
+    assert list(verdicts) == SERIAL(jobs)
 
 
-def test_an_unmeasured_reader_holds_back_no_single_signature_job(idle_worker):
-    """Until a reader is measured it counts as reading a verdict in the
-    worker's time per signature, which holds back none of an
-    organization's client-signed transactions."""
-    verdicts = idle_worker.verify([GOOD, FORGED] * keys.CHUNK_TRANSACTIONS)
-    assert verdicts._lo == len(verdicts._jobs)
-    assert list(verdicts) == [True, False] * keys.CHUNK_TRANSACTIONS
-
-
-def test_each_organization_reads_with_its_own_measured_costs():
-    """Blocks are queued with the reading cost of the organization that
-    reads them, measured as it reads; nothing is shared between
-    organizations."""
-    cluster = Cluster(agreement_policies=POLICIES)
-    first = org_module.Action(1, (endorsed(cluster, DDL), endorsed(cluster, ROWS)))
-    for node in cluster.nodes.values():
-        node.receive_action(first)
-        assert node.verifying[1][1]._reading is node.block_reading
-        node.execute_action(first)
-    readings = [node.block_reading for node in cluster.nodes.values()]
-    assert len(set(map(id, readings))) == len(readings)
-    assert all(reading.per_unit(None) is not None for reading in readings)
-
-
-def test_client_checks_hold_back_no_job_while_a_block_holds_back_a_tail(
+def test_client_checks_are_sent_at_once_and_their_endorser_verifies_block_jobs(
     idle_worker, monkeypatch
 ):
-    """With measured costs that make a block's Verdicts hold back a tail for
-    a fast reader, a batch of client checks holds back none: each is a job of
-    one signature, queued with no reading cost."""
-    monkeypatch.setattr(idle_worker, "worker_cost", measured(1e-4))
-    monkeypatch.setattr(idle_worker, "here_cost", measured(1e-4))
-    made = []
-    verify = keys.SignatureWorker.verify
-    monkeypatch.setattr(
-        keys.SignatureWorker, "verify",
-        lambda worker, jobs, *rest: made.append(verify(worker, jobs, *rest)) or made[-1],
-    )
+    """A batch of client checks is sent whole, behind the requests in
+    flight and ahead of a block's jobs not yet sent; an endorser waiting on
+    its check, with no answer ready, verifies those block jobs instead."""
     cluster = seeded_cluster()
     node = cluster["O1"]
-    node.block_reading = measured(0.0)
-    action = org_module.Action(2, mixed_transactions(cluster, 3 * keys.CHUNK_TRANSACTIONS))
+    chunk = keys.CHUNK_TRANSACTIONS
+    action = org_module.Action(2, mixed_transactions(cluster, PACED_CHUNKS * chunk))
+    monkeypatch.setattr(idle_worker, "_answers", Unanswered())
     node.receive_action(action)
+    block = node.verifying[2][1]
+    assert block._sent == keys._REQUESTS_AHEAD * chunk < len(block._jobs)
     proposals = [
         make_proposal(CLIENT, f"UPDATE acct SET bal = bal + 1 WHERE id = {i % 10 + 1};",
                       cluster.client_key)
-        for i in range(3 * keys.CHUNK_TRANSACTIONS)
+        for i in range(chunk)
     ]
     checks = node.client_checks(proposals)
-    block, clients = made[-2:]
-    assert block is node.verifying[2][1]
-    assert 0 < block._lo < len(block._jobs)  # a tail held back
-    assert clients._lo == len(clients._jobs) == len(proposals)  # nothing held back
+    assert len(idle_worker._waiting) == keys._REQUESTS_AHEAD + 1
+    assert block._sent < len(block._jobs)
+
     assert [next(verdicts) for _, verdicts in checks] == [True] * len(proposals)
+    assert block._sent == len(block._jobs)  # verified while the endorser waited
+    assert list(block) == SERIAL(block._jobs)
 
 
 def test_verdicts_dropped_unread_do_not_disturb_later_ones(idle_worker, monkeypatch):
-    """A Verdicts dropped with jobs in flight and a tail held back leaves the
-    queue; the answers to its requests are discarded."""
+    """A Verdicts dropped with jobs in flight and jobs not yet sent leaves
+    the queue; the answers to its requests are discarded."""
     worker = idle_worker
-    dropped = worker.verify(MIXED, measured(0.0))
-    assert 0 < dropped._lo < dropped._hi == len(MIXED)  # some sent, a tail held back
+    dropped = worker.verify(MIXED * 2)
+    assert 0 < dropped._sent < len(dropped._jobs)  # some sent, some not
     del dropped
-    assert not unread_verdicts()  # its held-back jobs went with it
+    assert not unread_verdicts()  # its unsent jobs went with it
     wanted = worker.verify([GOOD, FORGED, None] * keys.CHUNK_TRANSACTIONS)
     assert list(wanted) == [True, False, False] * keys.CHUNK_TRANSACTIONS
     del wanted  # read to the end
-    assert not unread_verdicts() and not worker._waiting
+    assert not unread_verdicts() and not worker._waiting and not worker._open
 
 
-@pytest.mark.parametrize("reader_s", [0.0, 1.0], ids=["tail held back", "nothing held back"])
-def test_a_killed_worker_raises_with_jobs_queued(reader_s):
+def test_a_network_run_leaves_nothing_queued(idle_worker):
+    """Once every block of a run is read, no Verdicts is left to send from
+    and no request is in flight."""
+    net = Network(NetworkConfig(
+        orgs=[OrgConfig(org) for org in ("O1", "O2", "O3")],
+        blocksize=40,
+        agreement_policies={"acct": ["O2", "O3"]},
+    ))
+    updates = [(tick, "alice", f"UPDATE acct SET bal = bal + 1 WHERE id = {i % 10 + 1};")
+               for tick in (1, 2) for i in range(40)]
+    try:
+        net.run([(0, "alice", DDL), (0, "alice", ROWS), *updates])
+    finally:
+        net.close()
+    assert [node.height for node in net.nodes.values()] == [3, 3, 3]
+    assert not idle_worker._open and not idle_worker._waiting
+
+
+@pytest.mark.parametrize("at_once", [False, True], ids=["paced", "at once"])
+def test_a_killed_worker_raises_with_jobs_queued(at_once):
     worker = keys.SignatureWorker()  # a worker of its own, not the process's
     try:
         os.kill(worker.pid, signal.SIGKILL)
         worker._process.join()
         with pytest.raises(VerifierUnavailable, match="is gone"):
-            list(worker.verify(MIXED, measured(reader_s)))
+            list(worker.verify(MIXED, at_once=at_once))
     finally:
         worker.close()
 
@@ -516,7 +497,7 @@ def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monk
     monkeypatch.setattr(keys, "verify", counted_verify)
     monkeypatch.setattr(org_module.OrgNode, "execute_action", marked_execute)
     if sending == "never":
-        hold_back_everything(monkeypatch)
+        send_nothing(monkeypatch)
     net = Network(NetworkConfig(
         orgs=[OrgConfig(org) for org in ("O1", "O2", "O3")],
         blocksize=40,
@@ -533,8 +514,9 @@ def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monk
     assert all(net.node("O1").ledger.block(2).successful)
     assert calls["pipeline"] == 0 and calls["elsewhere"] > 0
     if sending == "never":
-        # each organization's block checks, then O2's and O3's client checks
-        assert sum(verified_here) == 3 * (2 + 40) + 2 * 42
+        # each organization's block checks; O2's and O3's client checks are
+        # sent at once
+        assert sum(verified_here) == 3 * (2 + 40)
 
 
 # ---- the worker process's lifetime, in separate interpreters ----
