@@ -29,7 +29,7 @@ from effectledger.agreement import (
 )
 from effectledger.errors import VerifierUnavailable
 from effectledger.keys import derive_private_key
-from effectledger.network import Network, NetworkConfig, OrgConfig
+from effectledger.network import RECOVER_DONE, Network, NetworkConfig, OrgConfig
 
 from conftest import CLIENT, Cluster, unread_verdicts
 
@@ -390,7 +390,9 @@ def test_a_reader_that_would_wait_verifies_the_next_job_not_yet_sent(
     assert sent == jobs[:ahead] and not worker._waiting
 
 
-@pytest.mark.parametrize("chunks", [1, keys._REQUESTS_AHEAD, PACED_CHUNKS])
+@pytest.mark.parametrize(
+    "chunks", [1, 2, keys._REQUESTS_AHEAD, keys._REQUESTS_AHEAD + 1, PACED_CHUNKS]
+)
 def test_the_worker_is_kept_requests_ahead(chunks, idle_worker, monkeypatch):
     """After _top_up, min(_REQUESTS_AHEAD, requests not yet sent) requests
     are in flight."""
@@ -400,6 +402,44 @@ def test_the_worker_is_kept_requests_ahead(chunks, idle_worker, monkeypatch):
     idle_worker._top_up()
     assert len(idle_worker._waiting) == min(keys._REQUESTS_AHEAD, chunks)
     assert list(verdicts) == SERIAL(jobs)
+
+
+@pytest.mark.parametrize("sending", ["paced", "at once", "never"])
+def test_the_signature_counts_grow_by_the_signatures_queued(sending, idle_worker, monkeypatch):
+    """worker_signatures + here_signatures grows by exactly the signatures
+    of the jobs read; jobs sent at once are all verified by the worker, and
+    with nothing sent, all here."""
+    worker = idle_worker
+    if sending == "never":
+        send_nothing(monkeypatch)
+    jobs = distinct_jobs(PACED_CHUNKS * keys.CHUNK_TRANSACTIONS + 5) + [None, ()]
+    signatures = sum(len(job or ()) for job in jobs)
+    counts = worker.worker_signatures, worker.here_signatures
+
+    assert list(worker.verify(jobs, at_once=sending == "at once")) == SERIAL(jobs)
+    by_worker = worker.worker_signatures - counts[0]
+    by_here = worker.here_signatures - counts[1]
+    assert by_worker + by_here == signatures
+    if sending == "at once":
+        assert by_here == 0
+    if sending == "never":
+        assert by_worker == 0
+
+
+def test_a_forming_verdicts_stays_open_until_its_last_jobs_are_read(idle_worker):
+    """A Verdicts with every job so far sent, but more to come, keeps its
+    turn in _open; once its last jobs came and were read, it leaves."""
+    worker = idle_worker
+    chunk = keys.CHUNK_TRANSACTIONS
+    first, rest = distinct_jobs(chunk), distinct_jobs(2 * chunk)[chunk:]
+    forming = worker.verify(first, forming=True)
+    assert forming._sent == len(first)
+    worker._top_up()
+    assert [ref() for ref in worker._open] == [forming]
+
+    forming.extend(rest)
+    assert list(forming) == SERIAL(first + rest)
+    assert not worker._open and not worker._waiting
 
 
 def test_client_checks_are_sent_at_once_and_their_endorser_verifies_block_jobs(
@@ -444,9 +484,10 @@ def test_verdicts_dropped_unread_do_not_disturb_later_ones(idle_worker, monkeypa
     assert not unread_verdicts() and not worker._waiting and not worker._open
 
 
-def test_a_network_run_leaves_nothing_queued(idle_worker):
+@pytest.mark.parametrize("corrupted", [False, True], ids=["steady", "O3 corrupted"])
+def test_a_network_run_leaves_nothing_queued(corrupted, idle_worker):
     """Once every block of a run is read, no Verdicts is left to send from
-    and no request is in flight."""
+    and no request is in flight, also after an organization recovers."""
     net = Network(NetworkConfig(
         orgs=[OrgConfig(org) for org in ("O1", "O2", "O3")],
         blocksize=40,
@@ -454,11 +495,14 @@ def test_a_network_run_leaves_nothing_queued(idle_worker):
     ))
     updates = [(tick, "alice", f"UPDATE acct SET bal = bal + 1 WHERE id = {i % 10 + 1};")
                for tick in (1, 2) for i in range(40)]
+    faults = [{"kind": "corrupt_row", "at_tick": 2, "org": "O3", "table": "acct", "pk": [1],
+               "column": "bal", "value": "999.99"}] if corrupted else []
     try:
-        net.run([(0, "alice", DDL), (0, "alice", ROWS), *updates])
+        report = net.run([(0, "alice", DDL), (0, "alice", ROWS), *updates], faults)
     finally:
         net.close()
     assert [node.height for node in net.nodes.values()] == [3, 3, 3]
+    assert bool(report.events("O3", RECOVER_DONE)) == corrupted
     assert not idle_worker._open and not idle_worker._waiting
 
 
