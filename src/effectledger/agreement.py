@@ -171,31 +171,48 @@ class ParsedTransaction:
 
     def fields(self, catalog) -> dict[str, object]:
         """Literal fields visible to predicates: inserted values, SET literals,
-        and WHERE equality literals.  Later statements win on name clashes."""
+        and WHERE equality literals.  Later statements, and later rows of an
+        INSERT, win on name clashes.  A Bound's come from the slots its plan
+        learned once (Plan.fields), and build no statement."""
+        statements = self.statements
+        if type(statements) is Bound:
+            plan = statements.plan
+            if plan.fields is None:
+                plan.fields = tuple(
+                    (names, tuple(slot.n for slot in slots))
+                    for names, slots in _field_steps(plan.template)
+                )
+            bound = statements.values[-1] if plan.rows else statements.values
+            steps = ((names, [bound[n] for n in slots]) for names, slots in plan.fields)
+        else:
+            steps = _field_steps(statements)
         fields: dict[str, object] = {}
-        for stmt in self.statements:
-            if isinstance(stmt, Insert):
-                names = stmt.columns
-                if names is None:
-                    schema = catalog.get(stmt.table)
-                    if schema is None:
-                        continue
-                    names = tuple(c.name for c in schema.columns)
-                for row in stmt.rows:
-                    for name, value in zip(names, row):
-                        fields[name] = value
-            elif isinstance(stmt, Update):
+        for names, values in steps:
+            if type(names) is str:
+                schema = catalog.get(names)
+                if schema is None:
+                    continue
+                names = [c.name for c in schema.columns]
+            fields.update(zip(names, values))
+        return fields
+
+
+def _field_steps(statements):
+    """(names, values) pairs whose zips give the literal fields, in the
+    order the statements hold them.  An INSERT without a column list gives
+    its table's name, for the catalog to name its columns."""
+    for stmt in statements:
+        if isinstance(stmt, Insert):
+            for row in stmt.rows:
+                yield stmt.columns or stmt.table, row
+        elif isinstance(stmt, (Update, Delete, Select)):
+            if isinstance(stmt, Update):
                 for name, expr in stmt.assignments:
                     if expr.is_literal:
-                        fields[name] = expr.terms[0][1]
-                for cond in stmt.where:
-                    if cond.op == "=":
-                        fields[cond.column] = cond.value
-            elif isinstance(stmt, (Delete, Select)):
-                for cond in stmt.where:
-                    if cond.op == "=":
-                        fields[cond.column] = cond.value
-        return fields
+                        yield (name,), (expr.terms[0][1],)
+            for cond in stmt.where:
+                if cond.op == "=":
+                    yield (cond.column,), (cond.value,)
 
 
 def parse_transaction(sql: str, plans: PlanCache | None = None) -> ParsedTransaction:

@@ -9,13 +9,17 @@ probe, each assigned column's coercion under the engine's quirks, whether a
 no-op update emits a digest tuple, and the digest row encoder; a run then
 skips the interpreter's per-statement dispatch and bind checks.
 
-Only single-row shapes compile: UPDATE, DELETE and SELECT whose conditions
-are equalities on distinct columns that pin every primary-key column, and
-INSERT of one row.  A shape compiles only if its bind checks pass whatever
-literals it is bound with; they can, since a shape fixes each literal's
-kind.  DDL, multi-row INSERT, range predicates and shapes that would fail
-those checks run on the interpreter, which gives the same results and is
-the oracle the tests hold compiled runs to.
+UPDATE, DELETE and SELECT compile when their conditions are equalities on
+distinct columns that pin every primary-key column, so each touches at
+most one row.  An INSERT compiles whatever its row count: an INSERT row
+shape (parser.Plan.rows) runs every bound row through one generated loop,
+which does per row what the interpreter does, in its order (coerce, key,
+duplicate check against the table, rows inserted earlier by the statement
+included, undo entry, digest tuple).  A shape compiles only if its bind
+checks pass whatever literals it is bound with; they can, since a shape
+fixes each literal's kind.  DDL, range predicates and shapes that would
+fail those checks run on the interpreter, which gives the same results and
+is the oracle the tests hold compiled runs to.
 """
 
 from __future__ import annotations
@@ -43,23 +47,24 @@ _STORED = {ColumnType.INT: int, ColumnType.DECIMAL: decimal.Decimal, ColumnType.
 
 
 class Executor:
-    """One shape compiled against one engine and the schemas of the tables
+    """One plan compiled against one engine and the schemas of the tables
     it names; run is None when the shape does not compile against them.
 
     run(tables, v, undo, pending) executes a transaction bound with literal
-    values v, with the engine's undo log and pending digest tuples, and
-    returns its outputs; it raises what the interpreter would.
+    values v (a Bound's values), with the engine's undo log and pending
+    digest tuples, and returns its outputs; it raises what the interpreter
+    would.
     """
 
     __slots__ = ("db", "schemas", "run")
 
-    def __init__(self, db, template):
+    def __init__(self, db, plan):
         self.db = db
-        tables = {stmt.table: db.tables.get(stmt.table) for stmt in template}
+        tables = {stmt.table: db.tables.get(stmt.table) for stmt in plan.template}
         self.schemas = tuple((name, t and t.schema) for name, t in tables.items())
         self.run = None
         if None not in tables.values():
-            self.run = _compile(template, dict(self.schemas), db.quirks)
+            self.run = _compile(plan, dict(self.schemas), db.quirks)
 
     def current(self, tables) -> bool:
         """Whether the tables still hold the schemas compiled against, or
@@ -76,10 +81,10 @@ class _Uncompiled(Exception):
     """The shape runs on the interpreter."""
 
 
-def _compile(template, schemas, quirks):
-    source = _ExecutorSource(schemas, quirks)
+def _compile(plan, schemas, quirks):
+    source = _ExecutorSource(schemas, quirks, plan.rows)
     try:
-        body = "".join(map(source.statement, template))
+        body = "".join(map(source.statement, plan.template))
     except _Uncompiled:
         return None
     tables = "".join(
@@ -92,11 +97,12 @@ def _compile(template, schemas, quirks):
 
 class _ExecutorSource:
     """Python source of a run, statement by statement; slot n of the
-    template reads v[n]."""
+    template reads v[n], or r[n] of each row r of v for a row shape."""
 
-    def __init__(self, schemas, quirks):
+    def __init__(self, schemas, quirks, row_shape: bool):
         self.schemas = schemas
         self.quirks = quirks
+        self.row_shape = row_shape
         self.rows: dict[str, int] = {}
         self.names = {
             "_sha256": hashlib.sha256,
@@ -119,10 +125,9 @@ class _ExecutorSource:
         self.names[name] = value
         return name
 
-    @staticmethod
-    def slot(slot: Slot) -> tuple[str, type]:
+    def slot(self, slot: Slot) -> tuple[str, type]:
         """Source and type of a slot's value."""
-        return f"v[{slot.n}]", slot.kind
+        return f"{'r' if self.row_shape else 'v'}[{slot.n}]", slot.kind
 
     def table(self, name: str):
         schema = self.schemas[name]
@@ -145,7 +150,7 @@ class _ExecutorSource:
     def insert(self, stmt: Insert) -> str:
         schema, rows = self.table(stmt.table)
         names = stmt.columns or tuple(c.name for c in schema.columns)
-        (values,) = stmt.rows  # a plan cache learns no INSERT of several rows
+        (values,) = stmt.rows  # a template INSERT holds one row; a row shape runs it per row
         if sorted(names) != sorted(c.name for c in schema.columns) or len(values) != len(names):
             raise _Uncompiled
         lines = []
@@ -163,9 +168,10 @@ class _ExecutorSource:
             f"{rows}[k] = new",
             f"undo.append(('insert', {name!r}, k, None))",
             f"pending.append(({name!r}, k, {_row_hash(schema, 'new')}, _INSERT))",
-            "o.append(1)",
         ]
-        return _block(lines)
+        if self.row_shape:
+            return _block(["for r in v:", *map(_indent, lines), "o.append(len(v))"])
+        return _block(lines + ["o.append(1)"])
 
     def update(self, stmt: Update) -> str:
         schema, rows = self.table(stmt.table)

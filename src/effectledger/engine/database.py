@@ -75,8 +75,13 @@ def row_hash(schema: TableSchema, row: tuple) -> bytes:
 
 @dataclass(frozen=True)
 class TableSnapshot:
+    """A table's rows.  keys, when given, are the rows' primary-key
+    encodings in the same order, which a restore reuses; a snapshot made
+    without them has each row's key encoded from its values."""
+
     schema: TableSchema
     rows: tuple[tuple, ...]
+    keys: tuple[bytes, ...] | None = field(default=None, compare=False, repr=False)
 
 
 class Table:
@@ -85,12 +90,15 @@ class Table:
         self.rows: dict[bytes, tuple] = {}
 
     def snapshot(self) -> TableSnapshot:
-        return TableSnapshot(self.schema, tuple(self.rows.values()))
+        return TableSnapshot(self.schema, tuple(self.rows.values()), tuple(self.rows))
 
     def restore(self, snapshot: TableSnapshot):
         if snapshot.schema != self.schema:
             raise SchemaMismatch(f"table {self.schema.name}: snapshot schema differs")
-        self.rows = {pk_bytes(self.schema, row): row for row in snapshot.rows}
+        if snapshot.keys is None:
+            self.rows = {pk_bytes(self.schema, row): row for row in snapshot.rows}
+        else:
+            self.rows = dict(zip(snapshot.keys, snapshot.rows))
 
 
 @dataclass
@@ -163,7 +171,7 @@ class Database:
         the interpreter."""
         executor = plan.executor
         if executor is None or executor.db is not self or not executor.current(self.tables):
-            executor = plan.executor = Executor(self, plan.template)
+            executor = plan.executor = Executor(self, plan)
         if executor.run is not None:
             plan.executed += 1
         return executor.run

@@ -10,13 +10,15 @@ aggregation, no ORDER BY, no NULL.
 PlanCache is one party's plan cache, an organization's or a client's: it
 parses statement texts that differ from a learned shape only in their
 literals by binding the literals, without running the parser (see its
-docstring).  Each learned shape is a Plan, where an organization also keeps
-what it compiled from the shape.
+docstring).  An INSERT's shape is its one-row shape, so a bulk load of any
+row count binds from it.  Each learned shape is a Plan, where an
+organization also keeps what it compiled from the shape.
 """
 
 from __future__ import annotations
 
 import decimal
+import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -413,10 +415,11 @@ _SLOT_RE = re.compile(
 _STRIDE = 8
 _STRING, _DECIMAL, _INT = 2, 5, 7  # offsets of a slot's literal text
 
-# Learning stops at PLAN_LIMIT shapes, since clients choose the SQL text.  A
-# text longer than PLAN_TEXT_LIMIT is parsed without a lookup, which bounds
-# the size of a shape and spares bulk loads the split: each of their row
-# counts would be a shape of its own.
+# Learning stops at PLAN_LIMIT shapes, since clients choose the SQL text.
+# PLAN_TEXT_LIMIT bounds the size of a shape: a text longer than it is
+# looked up only among INSERT row shapes, whose size does not grow with the
+# row count, and an INSERT teaches no row shape whose text without literals
+# is longer than it.
 PLAN_LIMIT = 64
 PLAN_TEXT_LIMIT = 1024
 
@@ -437,10 +440,12 @@ Binder = Callable[[list], "Bound"]
 class Bound(Sequence):
     """A parse that a plan cache bound from a learned shape: the shape's
     Plan and the literal values in slot order, the order the parser reads
-    them in.  As a sequence it holds the statements parse_script would
-    return, built from the values when first read: a compiled run reads
-    only the values.  It compares equal to a list or tuple of the same
-    statements, and its repr is that of the list."""
+    them in; for an INSERT row shape (Plan.rows), the rows of values, each
+    in the slot order of the template's one row.  As a sequence it holds
+    the statements parse_script would return, built from the values when
+    first read: a compiled run reads only the values.  It compares equal to
+    a list or tuple of the same statements, and its repr is that of the
+    list."""
 
     __slots__ = ("plan", "values", "_statements")
 
@@ -475,7 +480,8 @@ class Bound(Sequence):
 
 
 class Slot(NamedTuple):
-    """Literal n of a shape, whose values are of Python type kind."""
+    """Literal n of a shape (of each row, for a row shape), whose values
+    are of Python type kind."""
 
     n: int
     kind: type
@@ -486,23 +492,29 @@ class Plan:
 
     bind turns a text's split into a Bound, and build turns literal values
     into the shape's statements.  The template is build of the Slots: the
-    shape's parse with each literal a Slot, which compilers read.  tables
-    are the tables its statements name; a shape holds no DDL, so each is
-    one its data statements operate on.  The
-    owner's analysis and engine each keep one compiled form here, with how
-    many transactions used it: accesses (scheduler) and executor
-    (engine.compiled).  A plan belongs to one party's cache, so what is
-    compiled here is never shared.
+    shape's parse with each literal a Slot, which compilers read.  For an
+    INSERT row shape, rows is True: the template holds one row, and a
+    Bound's values hold any number of rows, each bound like that one.
+    tables are the tables its statements name; a shape holds no DDL, so
+    each is one its data statements operate on.  The owner's analysis and
+    engine each keep one compiled form here, with how many transactions
+    used it: accesses (scheduler) and executor (engine.compiled); its
+    predicate checks keep fields (agreement).  A plan belongs to one
+    party's cache, so what is compiled here is never shared.
     """
 
     __slots__ = (
-        "bind", "build", "template", "tables", "accesses", "executor", "analyzed", "executed",
+        "bind", "build", "template", "rows", "tables", "fields", "accesses", "executor",
+        "analyzed", "executed",
     )
 
-    def __init__(self, bind: Binder, build: Callable[[tuple], list], slots: tuple[Slot, ...]):
-        self.bind, self.build, self.template = bind, build, build(slots)
+    def __init__(
+        self, bind: Binder, build: Callable[[tuple], list], slots: tuple, rows: bool = False
+    ):
+        self.bind, self.build, self.rows = bind, build, rows
+        self.template = build(slots)
         self.tables = frozenset(stmt.table for stmt in self.template)
-        self.accesses = self.executor = None
+        self.fields = self.accesses = self.executor = None
         self.analyzed = self.executed = 0
 
 
@@ -511,47 +523,64 @@ class PlanCache:
     binder that rebuilds the parse from a text's literals.
 
     A shape is a text's split with the literal texts left out: the runs, the
-    tail and each slot's kind.  parse(sql, parse) returns what parse_script
-    returns.  On a hit the binder converts the slot texts as the parser does
-    (int, exact Decimal, unquoted string) into the literal values, returned
-    as a Bound, which builds the statements with code generated once for
-    the shape when they are first read.  On a miss, `parse` parses the
-    text, so its errors and their offsets are the parser's, and the cache
-    learns the shape from that parse, unless it is DDL or an INSERT of
-    several rows.  A shape is kept only if building the text's own literals
-    gives a parse whose repr equals the parser's: repr, unlike ==, tells
-    Decimal('1.5') from Decimal('1.50') and 5 from Decimal(5).  Parties
-    never share one.
+    tail and each slot's kind.  A text that is one INSERT has a row shape
+    instead: the runs and kinds of its first row, the separator run between
+    rows (unknown when it had one row) and the tail.  Any text whose rows
+    all have the first row's runs and kinds, and whose separators and tail
+    are the shape's, binds from it, whatever its row count; a row shape is
+    looked up by its first run, which names the table and columns.
+    parse(sql, parse) returns what parse_script returns.  On a hit the
+    binder converts the slot texts as the parser does (int, exact Decimal,
+    unquoted string) into the literal values, returned as a Bound, which
+    builds the statements with code generated once for the shape when they
+    are first read.  On a miss, `parse` parses the text, so its errors and
+    their offsets are the parser's, and the cache learns the shape from
+    that parse, unless it is DDL, holds an INSERT of several rows among
+    other statements, or is an INSERT whose rows differ in shape.  A shape
+    is kept only if building the text's own literals gives a parse whose
+    repr equals the parser's: repr, unlike ==, tells Decimal('1.5') from
+    Decimal('1.50') and 5 from Decimal(5).  Parties never share one.
     """
 
     def __init__(self):
         self._plans: dict[tuple, Plan] = {}
+        self._rows: dict[str, list[Plan]] = {}  # INSERT row shapes by first run
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self._plans) + sum(map(len, self._rows.values()))
 
     def plans(self) -> list[Plan]:
-        return list(self._plans.values())
+        return [*self._plans.values(), *(plan for plans in self._rows.values() for plan in plans)]
 
     def parse(self, sql: str, parse: Callable[[str], list[Statement]]) -> Sequence[Statement]:
-        if len(sql) > PLAN_TEXT_LIMIT:
-            self.misses += 1
-            return parse(sql)
         parts = _SLOT_RE.split(sql)
-        shape = tuple(parts[::_STRIDE] + parts[1::_STRIDE] + parts[3::_STRIDE]
-                      + parts[4::_STRIDE] + parts[6::_STRIDE])
-        plan = self._plans.get(shape)
-        if plan is not None:
-            self.hits += 1
-            return plan.bind(parts)
+        if len(parts) > 1:
+            for plan in self._rows.get(parts[1], ()):
+                bound = plan.bind(parts)
+                if bound is not None:
+                    self.hits += 1
+                    return bound
+        shape = None
+        if len(sql) <= PLAN_TEXT_LIMIT:
+            shape = tuple(parts[::_STRIDE] + parts[1::_STRIDE] + parts[3::_STRIDE]
+                          + parts[4::_STRIDE] + parts[6::_STRIDE])
+            plan = self._plans.get(shape)
+            if plan is not None:
+                self.hits += 1
+                return plan.bind(parts)
         self.misses += 1
         statements = parse(sql)
-        if len(self._plans) < PLAN_LIMIT:
-            plan = _learn(parts, statements)
-            if plan is not None:
-                self._plans[shape] = plan
+        if len(self) < PLAN_LIMIT:
+            if len(statements) == 1 and isinstance(statements[0], Insert):
+                plan = _learn_rows(parts, statements)
+                if plan is not None:
+                    self._rows.setdefault(parts[1], []).append(plan)
+            elif shape is not None:
+                plan = _learn(parts, statements)
+                if plan is not None:
+                    self._plans[shape] = plan
         return statements
 
 
@@ -584,15 +613,96 @@ def _learn(parts: list, statements: list[Statement]) -> Plan | None:
     return names["plan"]
 
 
+def _learn_rows(parts: list, statements: list[Statement]) -> Plan | None:
+    """A row shape for the split parts of a text that is one INSERT, from
+    its parse, or None when the text cannot teach one: its rows differ in
+    shape, its first row's sign is unknown, or the shape is too long.
+
+    A text of n rows fits the shape when its runs after the first, each
+    followed by the separator, are the first row's n times over, and so are
+    its slot kinds and skipped texts (none); the tail comes last.  A row
+    shape learned from one row has no separator, so only one-row texts fit
+    it.  The binder converts each column's literal texts, every width-th
+    slot, with one map, and zips the columns into rows."""
+    (insert,) = statements
+    width = len(insert.rows[0])
+    if width * len(insert.rows) != len(parts) >> 3:
+        return None
+    stride = width * _STRIDE
+    runs = parts[1::_STRIDE]
+    if sum(map(len, runs[:width + 1])) + len(parts[-1]) > PLAN_TEXT_LIMIT:
+        return None
+    cycle = [*runs[1:width], runs[width] if len(insert.rows) > 1 else None]
+    skip, quotes, doubles, points = (parts[at:stride:_STRIDE] for at in (0, 3, 4, 6))
+    tail = [parts[-1]]
+    columns = []
+    try:
+        for at, value in zip(range(0, stride, _STRIDE), insert.rows[0]):
+            offset, negated = _literal(parts, at, value)
+            columns.append((at + offset, _CONVERT[offset], negated))
+    except _NotAPlan:
+        return None
+    plan = None
+
+    def bind(p: list) -> Bound | None:
+        n, extra = divmod(len(p) >> 3, width)
+        if (
+            extra
+            or p[9::_STRIDE] + cycle[-1:] != cycle * n
+            or p[3::_STRIDE] != quotes * n
+            or p[4::_STRIDE] != doubles * n
+            or p[6::_STRIDE] != points * n
+            or p[::_STRIDE] != skip * n + tail
+        ):
+            return None
+        values = []
+        for at, convert, negated in columns:
+            column = map(convert, p[at::stride])
+            values.append(map(_NEGATE[convert], column) if negated else column)
+        return Bound(plan, tuple(zip(*values)))
+
+    table, names = insert.table, insert.columns  # the parse's rows are not kept
+
+    def build(v: tuple) -> list[Statement]:
+        return [Insert(table, names, v)]
+
+    bound = bind(parts)
+    if bound is None or repr(build(bound.values)) != repr(statements):
+        return None
+    row = tuple(Slot(n, type(value)) for n, value in enumerate(bound.values[0]))
+    plan = Plan(bind, build, (row,), rows=True)
+    return plan
+
+
+# how the parser converts a literal's text, by the text's offset in its slot
+_CONVERT = {_STRING: _unquote, _DECIMAL: decimal.Decimal, _INT: int}
+_NEGATE = {int: operator.neg, decimal.Decimal: decimal.Decimal.copy_negate}
+
+
+def _literal(parts: list, at: int, value) -> tuple[int, bool]:
+    """Where the slot at `at` of the split holds the text of the parsed
+    literal value, and whether the parser negated it.  Raises _NotAPlan
+    when the kinds differ, or when an int that parsed to 0 after a '-'
+    leaves the sign unknown."""
+    if parts[at + _STRING] is not None and isinstance(value, str):
+        return _STRING, False
+    if parts[at + _DECIMAL] is not None and isinstance(value, decimal.Decimal):
+        return _DECIMAL, value.is_signed()
+    if parts[at + _INT] is not None and type(value) is int:
+        if value == 0 and parts[at + 1].rstrip().endswith("-"):
+            raise _NotAPlan
+        return _INT, value < 0
+    raise _NotAPlan
+
+
 class _BinderSource:
     """Python source that rebuilds a parse from split parts p.
 
     The parser reads literals in text order and puts each into the tree
     once, so the n-th literal of a pre-order walk is slot n: values holds
     the source of each slot's value, which the tree reads as v[n].  A slot
-    is negated when its parsed value is; an int slot that parsed to 0 after
-    a '-' leaves the sign unknown, and the text teaches nothing.  Terms that
-    hold no literal are built once and shared: they are frozen.
+    is negated when its parsed value is (see _literal).  Terms that hold no
+    literal are built once and shared: they are frozen.
     """
 
     def __init__(self, parts: list):
@@ -611,19 +721,14 @@ class _BinderSource:
         return f"v[{len(self.values) - 1}]"
 
     def value(self, value) -> str:
-        parts, at = self.parts, next(self.slots, None)
+        at = next(self.slots, None)
         if at is None:
             raise _NotAPlan
-        if parts[at + _STRING] is not None and isinstance(value, str):
-            return f"_unquote(p[{at + _STRING}])"
-        if parts[at + _DECIMAL] is not None and isinstance(value, decimal.Decimal):
-            text = f"Decimal(p[{at + _DECIMAL}])"
-            return f"{text}.copy_negate()" if value.is_signed() else text
-        if parts[at + _INT] is not None and type(value) is int:
-            if value == 0 and parts[at + 1].rstrip().endswith("-"):
-                raise _NotAPlan
-            return f"-int(p[{at + _INT}])" if value < 0 else f"int(p[{at + _INT}])"
-        raise _NotAPlan
+        offset, negated = _literal(self.parts, at, value)
+        text = f"{_CONVERT[offset].__name__}(p[{at + offset}])"
+        if not negated:
+            return text
+        return f"-{text}" if offset == _INT else f"{text}.copy_negate()"
 
     def statement(self, stmt: Statement) -> str:
         if isinstance(stmt, Insert):

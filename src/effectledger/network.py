@@ -66,7 +66,7 @@ from itertools import count
 from . import agreement as agmt
 from . import keys
 from .consensus import ConsensusPolicy, ConsensusStatus
-from .engine.database import Database
+from .engine.database import Database, TableSnapshot
 from .engine.parser import PlanCache
 from .engine.types import QuirkConfig
 from .errors import BindError, ConfigError, MissingTarget
@@ -558,7 +558,10 @@ class Network:
             copy.restore_all(checkpoint.tables)
             hit = self._overwrite(event, copy)
             if hit:
-                checkpoint.tables[event.table] = copy.table(event.table).snapshot()
+                # without keys: a rewritten key column moves the row to the key it encodes
+                table = copy.table(event.table)
+                rows = tuple(table.rows.values())
+                checkpoint.tables[event.table] = TableSnapshot(table.schema, rows)
             event_name = CORRUPT_SNAPSHOT if hit else CORRUPT_MISSED
             self.report.emit(self.tick, event.org, event_name, checkpoint.block_id)
         elif kind is FaultKind.EQUIVOCATE_ORDERER:

@@ -33,7 +33,9 @@ checks out of the round's verification.
 "Parse" means a lookup in the organization's own plan cache (self.plans), as
 a DBMS keeps prepared statements; endorsement, execution and replay all go
 through it.  A transaction whose text differs from a shape seen before only
-in its literals is bound from that shape; only a new shape runs the parser.
+in its literals is bound from that shape; only a new shape, and DDL, runs
+the parser.  A bulk INSERT binds from its one-row shape whatever its row
+count, so a bulk load, and its replay, parses once per table and row shape.
 The organization compiles each bound shape once, into an access function
 that analysis calls (scheduler.analyze_transaction) and an executor for its
 own engine (Database.execute_transaction), and keeps both in the shape's

@@ -192,17 +192,20 @@ def analyze_transaction(
 
 
 class _CompiledAccesses:
-    """A shape's accesses compiled against the schemas the catalog holds
+    """A plan's accesses compiled against the schemas the catalog holds
     for the tables it names (None for a missing one): build(v) gives what
     analysis gives the shape bound with literal values v.  build is None
     when the interpreter analyzes the shape."""
 
     __slots__ = ("schemas", "build")
 
-    def __init__(self, template, catalog):
+    def __init__(self, plan, catalog):
+        template = plan.template
         self.schemas = tuple({stmt.table: catalog.get(stmt.table) for stmt in template}.items())
         try:
-            sources = "".join(f"{_access_source(stmt, catalog)}, " for stmt in template)
+            sources = "".join(
+                f"{_access_source(stmt, catalog, plan.rows)}, " for stmt in template
+            )
         except _Uncompiled:
             self.build = None
         else:
@@ -221,7 +224,7 @@ def _compiled_accesses(plan, catalog):
     again when the catalog's schemas for its tables change."""
     compiled = plan.accesses
     if compiled is None or not compiled.current(catalog):
-        compiled = plan.accesses = _CompiledAccesses(plan.template, catalog)
+        compiled = plan.accesses = _CompiledAccesses(plan, catalog)
     if compiled.build is not None:
         plan.analyzed += 1
     return compiled.build
@@ -231,13 +234,15 @@ class _Uncompiled(Exception):
     """The interpreter analyzes the shape."""
 
 
-def _access_source(stmt: Statement, catalog) -> str:
+def _access_source(stmt: Statement, catalog, rows: bool = False) -> str:
     """Source of what _statement_accesses gives one statement of a template,
     whose slot n reads v[n]: a coarse access when the table is missing or an
     INSERT does not fit it, else one access with a point witness per
-    literal that constrains a column.  Raises _Uncompiled for conditions
-    other than equalities on distinct known columns, and for an INSERT key
-    whose witness depends on the literal's digits."""
+    literal that constrains a column.  The one INSERT of a row shape (rows)
+    has one such access per row r of v, whose slot n reads r[n].  Raises
+    _Uncompiled for conditions other than equalities on distinct known
+    columns, and for an INSERT key whose witness depends on the literal's
+    digits."""
     schema = catalog.get(stmt.table)
     write = not isinstance(stmt, Select)
     if schema is None:
@@ -262,10 +267,13 @@ def _access_source(stmt: Statement, catalog) -> str:
         if isinstance(stmt, Update):
             for name, _ in stmt.assignments:
                 points.pop(name, None)
+    values = "r" if rows else "v"
     witnesses = "".join(
-        f"{name!r}: Interval(v[{slot.n}], v[{slot.n}]), " for name, slot in points.items()
+        f"{name!r}: Interval({values}[{slot.n}], {values}[{slot.n}]), "
+        for name, slot in points.items()
     )
-    return f"Access({stmt.table!r}, {write}, {{{witnesses}}})"
+    access = f"Access({stmt.table!r}, {write}, {{{witnesses}}})"
+    return f"*({access} for r in v)" if rows else access
 
 
 def _statement_accesses(stmt: Statement, catalog) -> list[Access]:

@@ -6,15 +6,16 @@ engine, into an access function (scheduler) and an executor
 property below runs texts of one shape through a plan cache and a compiled
 engine, and through the parser and a twin engine that only interprets, and
 compares success bits, outputs, errors, digest tuples, state after each
-transaction (rollbacks included) and accesses.  The other tests pin when a
-compiled form must not be used: after the engine's tables were replaced,
-after a CREATE TABLE rolled back, and for a table created earlier in the
-same block.
+transaction (rollbacks included) and accesses.  Bulk loads run the same
+comparison on INSERT row shapes.  The other tests pin when a compiled form
+must not be used: after the engine's tables were replaced, after a CREATE
+TABLE rolled back, and for a table created earlier in the same block.
 """
 
 import random
 import re
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -251,6 +252,56 @@ def test_a_create_table_that_rolled_back_leaves_no_table_to_run_on():
     assert compiled_runs(plans) == 2
 
 
+# column lists a bulk load may name, and the order its values take
+BULK_COLUMNS = {
+    "in order": (" (a, b, c, n, d, s)", "abcnds"),
+    "reordered": (" (s, d, n, c, b, a)", "sdncba"),
+    "no column list": ("", "abcnds"),
+}
+
+
+def bulk(order, *rows):
+    """A bulk load of rows, each a dict of literal texts by column."""
+    columns, names = BULK_COLUMNS[order]
+    values = ", ".join("(" + ", ".join(row[name] for name in names) + ")" for row in rows)
+    return f"INSERT INTO t{columns} VALUES {values};"
+
+
+def row(a, n="1", c="1.5", d="2.675"):
+    return {"a": str(a), "b": f"'k{a}'", "c": c, "n": n, "d": d, "s": "'it''s'"}
+
+
+@pytest.mark.parametrize("order", sorted(BULK_COLUMNS))
+@pytest.mark.parametrize("pk", [("a",), ("c", "a")])
+@pytest.mark.parametrize("rounding", list(DecimalRounding))
+def test_a_compiled_bulk_load_gives_what_the_interpreter_gives(order, pk, rounding):
+    """Success bits, outputs, error text, digest tuples and state after each
+    bulk load, compiled from its row shape and interpreted; the values
+    round differently under each decimal_rounding quirk."""
+    quirks = QuirkConfig(decimal_rounding=rounding)
+    compiled, twin, plans = seeded(pk, quirks), seeded(pk, quirks), PlanCache()
+    cases = [
+        ([row(10), row(11, d="0.015")], None),  # teaches the row shape
+        ([row(12, c="0.005"), row(13, d="2.665"), row(14, n="9223372036854775807")], None),
+        ([row(20), row(21), row(20)], "table t: duplicate primary key"),  # within the load
+        ([row(30), row(1)], "table t: duplicate primary key"),  # an existing row
+        ([row(40), row(41, n="9223372036854775808")], "column n: INT out of range"),
+        ([row(50, c=LONG)], "column c: DECIMAL out of range"),
+        ([row(n, d=f"{n}.125") for n in range(60, 360)], None),
+    ]
+    for rows, error in cases:
+        before = compiled.state_hash()
+        success, outputs, text, tuples = run_both(compiled, plans, twin, bulk(order, *rows))
+        assert (success, text) == (error is None, error)
+        assert compiled.state_hash() == twin.state_hash()
+        if error is None:
+            assert outputs == [len(rows)] and len(tuples) == len(rows)
+        else:
+            assert compiled.state_hash() == before  # the whole load rolled back
+    [plan] = plans.plans()
+    assert plan.rows and plan.executed == len(cases) - 1
+
+
 def test_a_table_created_earlier_in_the_block_is_analyzed_coarsely(monkeypatch):
     from effectledger import org as org_module
 
@@ -294,6 +345,45 @@ def test_a_table_created_earlier_in_the_block_is_analyzed_coarsely(monkeypatch):
     assert (plans["Insert"].analyzed, plans["Update"].analyzed) == (2, 2)
 
 
+def test_a_bulk_load_into_a_table_created_earlier_in_the_block_runs_compiled(monkeypatch):
+    """The block's second bulk load binds and runs compiled on the table the
+    block created, with the coarse access of a table missing at block
+    start; in the next block it has one access per row."""
+    from effectledger import org as org_module
+
+    cluster = Cluster(count=1, min_matching=1)
+    node = cluster["O1"]
+    analyses = []
+
+    def recorded(index, txn, catalog, analyze=org_module.analyze_transaction):
+        access = analyze(index, txn, catalog)
+        analyses.append(access.accesses)
+        return access
+
+    monkeypatch.setattr(org_module, "analyze_transaction", recorded)
+    loads = [
+        "INSERT INTO u (k, v) VALUES (1, 1.5), (2, 2.5);",
+        "INSERT INTO u (k, v) VALUES (3, 3.5), (4, 4.5), (5, 5.5);",
+        "INSERT INTO u (k, v) VALUES (6, 6.5), (7, 7.5);",
+    ]
+    block = ["CREATE TABLE u (k INT, v DECIMAL(6, 2), PRIMARY KEY (k));", *loads[:2]]
+    cluster.round(1, *block)
+    assert node.ledger.block(1).successful == (True,) * 3
+    assert analyses[1:] == [(Access("u", True),)] * 2
+    [plan] = node.plans.plans()
+    assert (plan.rows, plan.executed, plan.analyzed) == (True, 1, 1)
+
+    analyses.clear()
+    cluster.round(2, loads[2])
+    assert analyses == [(Access("u", True, {"k": Interval(6, 6)}),
+                         Access("u", True, {"k": Interval(7, 7)}))]
+    assert (plan.executed, plan.analyzed) == (2, 2)
+    twin = Database()
+    for sql in block + loads[2:]:
+        assert twin.execute_transaction(sql).success
+    assert node.db.state_hash() == twin.state_hash()
+
+
 def test_each_organization_compiles_every_smallbank_shape_for_itself():
     # a bank-steady block: 1024 Smallbank transactions over 1000 accounts
     bootstrap = bootstrap_transactions(1000, random.Random(1))
@@ -305,10 +395,14 @@ def test_each_organization_compiles_every_smallbank_shape_for_itself():
     for node in cluster.nodes.values():
         assert node.ledger.height == 2 and all(node.ledger.block(2).successful)
         plans = node.plans.plans()
-        assert len(plans) == 4  # transact_savings, deposit_checking, send_payment, write_check
-        assert node.plans.hits == len(block) - 4
-        assert sum(plan.executed for plan in plans) == len(block) - 4
-        assert sum(plan.analyzed for plan in plans) == len(block) - 4
+        # transact_savings, deposit_checking, send_payment, write_check, and
+        # the row shapes of the checking and savings bulk loads
+        assert len(plans) == 6
+        # the first bulk load of each table and the first text of each
+        # Smallbank shape miss; the other six bulk loads bind and compile
+        assert node.plans.hits == len(block) - 4 + 6
+        assert sum(plan.executed for plan in plans) == len(block) - 4 + 6
+        assert sum(plan.analyzed for plan in plans) == len(block) - 4 + 6
         assert all(plan.executor.db is node.db for plan in plans)
         executors += [plan.executor for plan in plans]
     assert len({id(executor) for executor in executors}) == len(executors)
@@ -326,4 +420,4 @@ def test_each_organization_compiles_every_smallbank_shape_for_itself():
     cluster.round(3, *generate_workload(SmallbankConfig(num_users=1000, zipf_s=1.1), 2, 256))
     assert built == []
     for node in cluster.nodes.values():
-        assert sum(plan.executed for plan in node.plans.plans()) == len(block) - 4 + 256
+        assert sum(plan.executed for plan in node.plans.plans()) == len(block) - 4 + 6 + 256

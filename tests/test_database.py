@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from effectledger.engine.database import Database
-from effectledger.engine.types import INT64_MAX, INT64_MIN, QuirkConfig, row_key
+from effectledger.engine.database import Database, TableSnapshot
+from effectledger.engine.types import INT64_MAX, INT64_MIN, QuirkConfig, pk_bytes, row_key
 
 from conftest import run_sql
 
@@ -142,6 +142,20 @@ def test_snapshot_restore_round_trip(bank_db):
     bank_db.restore_all(snap)
     assert bank_db.table_names() == {"acct"}
     assert len(bank_db.table("acct").rows) == 2
+
+
+def test_a_restore_reuses_the_keys_a_snapshot_took(bank_db):
+    """Restoring a snapshot gives the rows, keys and order that encoding
+    every key again gives, as it does for a snapshot made without keys."""
+    snap = bank_db.snapshot_all()
+    keyless = {name: TableSnapshot(s.schema, s.rows) for name, s in snap.items()}
+    assert keyless == snap and all(s.keys is None for s in keyless.values())
+    restored, encoded = Database(), Database()
+    restored.restore_all(snap)
+    encoded.restore_all(keyless)
+    rows = restored.table("acct").rows
+    assert list(rows.items()) == list(encoded.table("acct").rows.items())
+    assert all(key == pk_bytes(s.schema, row) for s in snap.values() for key, row in rows.items())
 
 
 def test_dump_round_trip(bank_db):

@@ -11,9 +11,11 @@ import pytest
 from effectledger import agreement as agreement_module
 from effectledger import keys
 from effectledger import ledger as ledger_module
+from effectledger import network as network_module
 from effectledger import org as org_module
 from effectledger.agreement import ChainedTransaction, Rejected, make_proposal
-from effectledger.engine.types import QuirkConfig
+from effectledger.engine.database import Database
+from effectledger.engine.types import QuirkConfig, pk_bytes
 from effectledger.errors import ConfigError
 from effectledger.keys import derive_private_key
 from effectledger.ledger import verify_ledger
@@ -292,6 +294,40 @@ def test_corrupt_row_recovers_by_full_replay_at_interval_zero():
     states = {node.db.state_hash() for node in net.nodes.values()}
     heads = {node.ledger.head_hash() for node in net.nodes.values()}
     assert len(states) == 1 and len(heads) == 1
+
+
+def test_a_full_replay_binds_every_data_statement(monkeypatch):
+    """At interval 0 a corrupt row makes O1 replay its whole ledger: every
+    bulk load and update replayed binds from a plan O1 learned before, so
+    the recovery parses only the DDL, which is never planned."""
+    parsed, recoveries = [], []
+
+    def counted(sql, parse=agreement_module.parse_script):
+        parsed.append(sql)
+        return parse(sql)
+
+    def recorded(node, peers, fetch_vote, recover=network_module.recover):
+        start = len(parsed), node.plans.misses
+        report = recover(node, peers, fetch_vote)
+        recoveries.append((node.org_id, parsed[start[0]:], node.plans.misses - start[1], report))
+        return report
+
+    monkeypatch.setattr(agreement_module, "parse_script", counted)
+    monkeypatch.setattr(network_module, "recover", recorded)
+    loads = [
+        "INSERT INTO acct (id, bal) VALUES (1, 100), (2, 200), (3, 300);",
+        "INSERT INTO acct (id, bal) VALUES (4, 400), (5, 500);",
+        "INSERT INTO acct (id, bal) VALUES (6, 600), (7, 700), (8, 800), (9, 900);",
+    ]
+    schedule = [(0, "alice", DDL), *((1, "alice", sql) for sql in loads)]
+    schedule += [(3 + i, "bob", f"UPDATE acct SET bal = bal + {i} WHERE id = 1;") for i in range(6)]
+    net = make_net(checkpoint_interval=0)
+    net.run(schedule, faults=[corrupt_fault(6)])
+    [(org, replay_parsed, misses, report)] = recoveries
+    assert org == "O1" and report.recovered
+    assert [it.source for it in report.iterations] == ["full_replay"]
+    assert (replay_parsed, misses) == ([DDL], 1)
+    assert len({node.db.state_hash() for node in net.nodes.values()}) == 1
 
 
 def test_fault_free_peers_commit_during_recovery():
@@ -609,6 +645,18 @@ def test_corrupt_snapshot_overwrites_the_named_row_of_the_newest_checkpoint():
                                pk=(2, "5", "2.5"), column="v", value="7"))
     rows = net.node("O1").checkpoints.snapshots[-1].tables["mixed"].rows
     assert [row[:4] for row in rows] == [(1, "5", Decimal("2.50"), 0), (2, "5", Decimal("2.50"), 7)]
+
+
+def test_corrupt_snapshot_on_a_key_column_moves_the_row_to_its_new_key():
+    net = mixed_net_with_checkpoint()
+    net.apply_fault(FaultEvent(at_tick=0, kind="corrupt_snapshot", org="O1", table="mixed",
+                               pk=(2, "5", "2.5"), column="k", value="7"))
+    snapshot = net.node("O1").checkpoints.snapshots[-1].tables["mixed"]
+    restored = Database()
+    restored.restore_all({"mixed": snapshot})
+    rows = restored.table("mixed").rows
+    assert sorted(row[0] for row in rows.values()) == [1, 7]
+    assert all(key == pk_bytes(snapshot.schema, row) for key, row in rows.items())
 
 
 def test_corrupt_snapshot_needs_a_checkpoint_at_interval_zero():

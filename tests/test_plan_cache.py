@@ -1,21 +1,23 @@
 """Each organization's plan cache returns exactly what the parser returns.
 
 A hit binds a text's literals into a shape learned from an earlier parse; the
-property below checks it against parse_script on texts built to be near
+properties below check it against parse_script on texts built to be near
 misses of each other: digits inside identifiers, literals next to
 identifiers, signs, quote escapes, 5 against 5.0 against 5.00, and strings
-that hold digits, quotes or ';'.
+that hold digits, quotes or ';'; and on bulk loads of 1 to 300 rows that
+bind from one row shape, with rows whose separators or kinds differ.
 """
 
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from effectledger import agreement
 from effectledger import org as org_module
 from effectledger.engine.parser import PLAN_LIMIT, Bound, PlanCache, parse_script
+from effectledger.engine.types import Column, ColumnType, TableSchema
 from effectledger.errors import ParseError
 from effectledger.smallbank import bootstrap_transactions
 
@@ -98,6 +100,105 @@ def test_a_cached_parse_is_the_parsers(texts):
         assert outcome(cached(cache), sql) == outcome(parse_script, sql)
 
 
+# literal texts a bulk-load column may hold, by kind; a number may carry a sign
+BULK_LITERALS = {
+    "int": ["0", "7", "42", "9223372036854775808"],
+    "dec": ["1.5", "1.50", "0.0", "12.345", "0.005"],
+    "str": ["'a'", "'it''s'", "''", '"say ""5"""', "'5;'", "'-1'"],
+}
+SEPARATORS = ["), (", "),(", ") ,\n  (", ")\t,("]
+
+
+@st.composite
+def bulk_loads(draw):
+    """Three or four INSERT texts into table t, with one column list or
+    none, of 1 to 300 rows.  The texts mostly share a separator, a tail and
+    a sign per numeric column, and their rows the kinds drawn for the
+    columns; about one text in five has one row with another separator
+    before it or a literal of another kind."""
+    rng = draw(st.randoms(use_true_random=False))
+    kinds = [rng.choice(sorted(BULK_LITERALS)) for _ in range(rng.randint(1, 4))]
+    columns = rng.choice(["", f" ({', '.join('abcd'[:len(kinds)])})"])
+    texts = []
+    for i in range(draw(st.integers(3, 4))):
+        if i == 0 or rng.random() < 0.1:
+            separator, tail = rng.choice(SEPARATORS), rng.choice([")", ");", ") ;", ")  "])
+            signs = [rng.choice(["", "", "-", "- "]) for _ in kinds]
+        count = draw(st.integers(1, 300))
+        odd = rng.randrange(count) if rng.random() < 0.2 else None
+        rows = []
+        for n in range(count):
+            row_kinds, before = list(kinds), separator
+            if n == odd and rng.random() < 0.5:
+                before = rng.choice(SEPARATORS)
+            elif n == odd:
+                row_kinds[rng.randrange(len(kinds))] = rng.choice(sorted(BULK_LITERALS))
+            values = (
+                (sign if kind != "str" else "") + rng.choice(BULK_LITERALS[kind])
+                for kind, sign in zip(row_kinds, signs)
+            )
+            rows.append((before if n else "") + ", ".join(values))
+        texts.append(f"INSERT INTO t{columns} VALUES (" + "".join(rows) + tail)
+    return texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(bulk_loads())
+@example(["INSERT INTO t VALUES (-7, 'x'), (-0, 'y')", "INSERT INTO t VALUES (-0, 'x')",
+          "INSERT INTO t VALUES (-3, 'z'), (-0, 'it''s'), (-5, '')"])
+def test_a_bulk_load_binds_what_the_parser_parses(texts):
+    cache = PlanCache()
+    for sql in texts:
+        assert outcome(cached(cache), sql) == outcome(parse_script, sql)
+    event(f"bulk loads bound: {min(cache.hits, 2)}")
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [
+        "INSERT INTO t (a, b) VALUES (3, 'z'), (4, 5);",  # an int where a string was
+        "INSERT INTO t (a, b) VALUES (3, 'z'), (4.5, 'w');",  # a decimal where an int was
+        "INSERT INTO t (a, b) VALUES (3, 'z'), (-4, 'w');",  # a sign the first row lacks
+        "INSERT INTO t (a, b) VALUES (3, 'z'),(4, 'w');",  # another separator
+        "INSERT INTO t (a, b) VALUES (3, 'z'), (4, 'w'), (5);",  # a row too short
+    ],
+)
+def test_a_row_unlike_the_first_misses(odd):
+    cache = PlanCache()
+    for sql in ("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y');", odd):
+        assert outcome(cached(cache), sql) == outcome(parse_script, sql)
+    assert (cache.hits, cache.misses) == (0, 2)
+
+
+@st.composite
+def catalogs(draw):
+    """Schemas for some of the table names the texts use."""
+    catalog = {}
+    for table in draw(st.lists(st.sampled_from(["t", "a", "t1", "bal"]), unique=True)):
+        names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+        columns = tuple(Column(name, ColumnType.INT) for name in names)
+        catalog[table] = TableSchema(table, columns, (names[0],))
+    return catalog
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_misses() | bulk_loads(), catalogs())
+@example(["INSERT INTO t VALUES (1, 2), (3, 4)", "INSERT INTO t VALUES (5, 6), (7, 8), (9, 0)"],
+         {"t": TableSchema("t", (Column("a", ColumnType.INT),), ("a",))})
+def test_a_bound_reads_its_fields_from_its_plan(texts, catalog):
+    """A plan-cache hit answers fields as its built statements do, in the
+    same order, without building them."""
+    cache = PlanCache()
+    for sql in texts:
+        parsed = agreement.parse_transaction(sql, cache)
+        if type(parsed.statements) is not Bound:
+            continue
+        fields = parsed.fields(catalog)
+        assert parsed.statements._statements is None  # nothing built
+        built = agreement.ParsedTransaction(tuple(parsed.statements))
+        assert repr(list(fields.items())) == repr(list(built.fields(catalog).items()))
+
+
 # policies on some of the identifiers near_misses draws as table names
 POLICIES = {
     table: agreement.AgreementPolicy(table, orgs)
@@ -142,11 +243,17 @@ def test_texts_of_one_shape_hit_after_the_first():
     ],
     ids=["ddl", "multi-row insert", "bulk load"],
 )
-def test_ddl_and_multi_row_inserts_are_not_templated(texts):
+def test_ddl_is_not_templated_and_a_multi_row_insert_binds_from_its_row_shape(texts):
+    """DDL is parsed every time.  The first INSERT teaches its row shape, and
+    the second, of another row count in the bulk load, binds from it."""
     cache = PlanCache()
     for sql in texts:
         assert outcome(cached(cache), sql) == outcome(parse_script, sql)
-    assert (len(cache), cache.hits, cache.misses) == (0, 0, len(texts))
+    if texts[0].startswith("CREATE"):
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, len(texts))
+    else:
+        assert (len(cache), cache.hits, cache.misses) == (1, 1, 1)
+        assert type(cache.parse(texts[1], parse_script)) is Bound
 
 
 def test_the_cache_stays_bounded_under_unique_shapes():
