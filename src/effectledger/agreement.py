@@ -9,7 +9,11 @@ deterministic and side-effect free; anything unresolvable (missing field, row
 not found, unreachable organization) conservatively refuses.
 
 A fully endorsed proposal becomes a ChainedTransaction carrying the client
-signature plus one signed agreement per required organization; execution later
+signature plus one signed agreement per required organization.  A client
+signs its proposals one at a time (make_proposal) or as a batch
+(make_proposals), whose signatures share one ECDSA signature of a Merkle
+root but each verify alone, in the one format keys describes; an agreement
+and a vote are signed one at a time.  Execution later
 re-verifies the whole bundle and marks transactions with missing or invalid
 agreements failed.  That check has two halves, so that the signatures can be
 verified elsewhere in between: signature_jobs lists them, and
@@ -85,8 +89,16 @@ class TransactionProposal:
         return hashlib.sha256(self.signed_payload()).digest()
 
 
+def make_proposals(client: str, sqls, private_key) -> list[TransactionProposal]:
+    """The client's proposals of sqls, signed as one batch (keys.sign_batch)."""
+    payloads = [proposal_payload(client, sql) for sql in sqls]
+    signatures = keys.sign_batch(private_key, payloads)
+    return [TransactionProposal(client, sql, sig) for sql, sig in zip(sqls, signatures)]
+
+
 def make_proposal(client: str, sql: str, private_key) -> TransactionProposal:
-    return TransactionProposal(client, sql, keys.sign(private_key, proposal_payload(client, sql)))
+    """A proposal signed alone: a batch of one."""
+    return make_proposals(client, [sql], private_key)[0]
 
 
 @dataclass(frozen=True)

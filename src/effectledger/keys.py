@@ -1,10 +1,34 @@
-"""ECDSA P-256 signatures over SHA-256 with deterministic nonces, and the
-worker process that verifies the signatures of ordered blocks.
+"""ECDSA P-256 signatures over SHA-256 with deterministic nonces, signed one
+message or one batch at a time, and the worker process that verifies the
+signatures of ordered blocks.
 
 Nonce derivation is deterministic (RFC 6979 style via the backing library), so
 a simulation run signs byte-identical signatures given identical inputs.  Key
 pairs are derived from seed material for the same reason; this is a simulation
 aid, not a production key-management scheme.
+
+What a signature is.  sign_batch signs a batch of messages with one ECDSA
+signature: it builds a Merkle hash tree over them (Merkle, CRYPTO 1987),
+with leaves H(0x00||message) and nodes H(0x01||left||right) and the split of
+RFC 6962, and signs the tagged root ROOT_TAG||u32 leaf count||root once.
+A message's signature is that DER signature followed by its proof: u32
+index, u32 leaf count (at least 2) and exactly the siblings its path needs,
+bottom up.  A batch of one is the DER signature of the message itself,
+byte for byte what sign gives.  So each signature stands alone and can be
+passed on, and there is one format and one way to verify it, which verify,
+KeyRegistry.verify_as and verify_jobs share (_signed, then _ecdsa).  The
+tag starts with 0xFFFFFFFF, which no length-prefixed payload starts with,
+and a signature without a proof never verifies a message that starts with
+it: a root signature never passes for a payload's.
+
+The memo.  verify_jobs keeps the verdict of each (key, DER signature, signed
+message) it verified, so a batch root is verified once per memo, and
+worker_signatures and here_signatures count the verifications run.  The
+worker makes a new memo for each request, and each Verdicts keeps one for
+the jobs its readers verify here; both belong to the one organization whose
+jobs they are.  So an organization verifies each batch root it meets once
+per request, no verdict passes between organizations, and the worker
+remembers no verdict across requests.
 
 Where signatures are verified.  An organization verifies each signature of
 a transaction once, and all of them, but for effect votes, through the one
@@ -68,10 +92,11 @@ import hashlib
 import multiprocessing
 import queue
 import select
+import struct
 import threading
 import weakref
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from time import perf_counter
 
 from cryptography.exceptions import InvalidSignature
@@ -85,6 +110,12 @@ _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 _SIGN_ALGO = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
 _VERIFY_ALGO = ec.ECDSA(hashes.SHA256())
+
+# The first bytes of the message a batch's signature signs.  No length-prefixed
+# payload starts with 0xFFFFFFFF, a length of 4 GiB.
+ROOT_TAG = b"\xff\xff\xff\xffeffectledger batch root"
+_PROOF_HEAD = struct.Struct(">II")  # index, leaf count
+_HASH_SIZE = 32
 
 # Transactions per request to the worker, and per chunk of a forming block
 # that the orderer delivers before the cut: a chunk once a later transaction of
@@ -132,47 +163,136 @@ def sign(private_key: ec.EllipticCurvePrivateKey, message: bytes) -> bytes:
     return private_key.sign(message, _SIGN_ALGO)
 
 
-def verify(public_key, signature: bytes, message: bytes) -> bool:
-    if isinstance(public_key, (bytes, bytearray)):
-        public_key = load_public_bytes(bytes(public_key))
+def _leaf(message: bytes) -> bytes:
+    return hashlib.sha256(b"\x00" + message).digest()
+
+
+def _node(left: bytes, right: bytes) -> bytes:
+    return hashlib.sha256(b"\x01" + left + right).digest()
+
+
+def _root_message(count: int, root: bytes) -> bytes:
+    return ROOT_TAG + struct.pack(">I", count) + root
+
+
+def _tree(hashes: list[bytes]) -> tuple[bytes, list[list[bytes]]]:
+    """The Merkle root over leaf hashes, and each leaf's siblings bottom up.
+    The left subtree holds the largest power of two of leaves below their
+    count, as in RFC 6962."""
+    if len(hashes) == 1:
+        return hashes[0], [[]]
+    split = 1 << (len(hashes) - 1).bit_length() - 1
+    left, left_paths = _tree(hashes[:split])
+    right, right_paths = _tree(hashes[split:])
+    for path in left_paths:
+        path.append(right)
+    for path in right_paths:
+        path.append(left)
+    return _node(left, right), left_paths + right_paths
+
+
+def sign_batch(private_key: ec.EllipticCurvePrivateKey, messages: Sequence[bytes]) -> list[bytes]:
+    """One signature per message, all from one ECDSA signature of the
+    tagged root of their Merkle tree; a batch of one is sign's."""
+    if len(messages) < 2:
+        return [sign(private_key, message) for message in messages]
+    root, paths = _tree([_leaf(message) for message in messages])
+    der = sign(private_key, _root_message(len(messages), root))
+    return [
+        der + _PROOF_HEAD.pack(index, len(messages)) + b"".join(path)
+        for index, path in enumerate(paths)
+    ]
+
+
+def _signed(signature: bytes, message: bytes) -> tuple[bytes, bytes] | None:
+    """The DER signature that signature holds and the message it must sign
+    for signature to sign message: message itself, or the tagged root that
+    the proof after the DER signature leads to.  None when signature can
+    sign no such message: a proof that is malformed or has a sibling too
+    many or too few, or no proof for a message that starts with the tag.
+
+    The path is walked as RFC 9162 (section 2.1.3.2) verifies an inclusion
+    proof."""
+    end = 2 + signature[1] if len(signature) > 1 else len(signature)
+    if end >= len(signature):
+        return None if message.startswith(ROOT_TAG[:4]) else (signature, message)
+    proof = signature[end:]
+    if len(proof) < _PROOF_HEAD.size or (len(proof) - _PROOF_HEAD.size) % _HASH_SIZE:
+        return None
+    index, count = _PROOF_HEAD.unpack_from(proof)
+    if count < 2 or index >= count:
+        return None
+    node, last = _leaf(message), count - 1
+    for at in range(_PROOF_HEAD.size, len(proof), _HASH_SIZE):
+        if last == 0:
+            return None
+        sibling = proof[at : at + _HASH_SIZE]
+        if index & 1 or index == last:
+            node = _node(sibling, node)
+            while index and not index & 1:
+                index, last = index >> 1, last >> 1
+        else:
+            node = _node(node, sibling)
+        index, last = index >> 1, last >> 1
+    if last:
+        return None
+    return signature[:end], _root_message(count, node)
+
+
+def _ecdsa(public_key: ec.EllipticCurvePublicKey, der: bytes, message: bytes) -> bool:
     try:
-        public_key.verify(signature, message, _VERIFY_ALGO)
+        public_key.verify(der, message, _VERIFY_ALGO)
         return True
     except InvalidSignature:
         return False
 
 
-def verify_jobs(jobs, loaded: dict | None = None) -> list[bool]:
+def verify(public_key, signature: bytes, message: bytes) -> bool:
+    if isinstance(public_key, (bytes, bytearray)):
+        public_key = load_public_bytes(bytes(public_key))
+    signed = _signed(signature, message)
+    return signed is not None and _ecdsa(public_key, *signed)
+
+
+def verify_jobs(jobs, loaded: dict | None = None, memo: dict | None = None) -> list[bool]:
     """One verdict per job.
 
     A job is a sequence of checks, each a (public key bytes, signature,
     message) tuple, and passes when every check passes; checking stops at the
     first that fails.  A job of None stands for a transaction that already
     failed a check needing no signature, and fails.  loaded caches decoded
-    public keys across calls; it holds keys, never verdicts.
+    public keys across calls; it holds keys, never verdicts.  memo maps
+    each (public key bytes, DER signature, signed message) verified to its
+    verdict, so each of them is verified once, and its growth is the number
+    of verifications run; its scope is the caller's (see the module
+    docstring).
 
     Checks call the decoded key, not verify: which process runs a queued
     check depends on timing, so calls to verify count vote checks only, the
     same on every run.
     """
     loaded = {} if loaded is None else loaded
+    memo = {} if memo is None else memo
     verdicts = []
     for job in jobs:
         ok = job is not None
-        try:
-            for raw, signature, message in job or ():
+        for raw, signature, message in job or ():
+            signed = _signed(signature, message)
+            if signed is None:
+                ok = False
+                break
+            seen = (raw, *signed)
+            verdict = memo.get(seen)
+            if verdict is None:
                 key = loaded.get(raw)
                 if key is None:
                     key = loaded[raw] = load_public_bytes(raw)
-                key.verify(signature, message, _VERIFY_ALGO)
-        except InvalidSignature:
-            ok = False
+                verdict = memo[seen] = _ecdsa(key, *signed)
+            if not verdict:
+                ok = False
+                break
         verdicts.append(ok)
     return verdicts
-
-
-def _signatures(jobs) -> int:
-    return sum(len(job) for job in jobs if job)
 
 
 class KeyRegistry:
@@ -206,7 +326,8 @@ class KeyRegistry:
 
 def _serve(conn, parent_end):
     """Worker main: verify requests and answer them in arrival order, each
-    answer with the seconds its verification took, until the pipe closes.
+    answer with the seconds its verification took and the verifications it
+    ran, until the pipe closes.  Each request has its own memo.
 
     The worker first closes its inherited copy of the main process's end, so
     that the pipe reads as closed once the main process is gone, however it
@@ -229,8 +350,9 @@ def _serve(conn, parent_end):
     try:
         while (jobs := requests.get()) is not None:
             started = perf_counter()
-            verdicts = verify_jobs(jobs, loaded)
-            conn.send((verdicts, perf_counter() - started))
+            memo: dict = {}
+            verdicts = verify_jobs(jobs, loaded, memo)
+            conn.send((verdicts, perf_counter() - started, len(memo)))
     except OSError:
         pass  # the main process is gone
     finally:
@@ -245,13 +367,15 @@ class Verdicts:
     forming (extend).  self._jobs[:self._sent] were sent to the worker, or
     verified or judged here; the rest are not yet.  Iterating, once, after
     the last jobs came, yields one verdict per job in order.  Raises
-    VerifierUnavailable if the worker died.
+    VerifierUnavailable if the worker died.  self._memo is verify_jobs'
+    memo for the jobs verified here.
     """
 
     def __init__(self, worker: "SignatureWorker", at_once: bool):
         self._worker = worker
         self._jobs: list = []
         self._verdicts: list[bool | None] = []
+        self._memo: dict = {}
         self._sent = 0
         self._at_once = at_once
         self.forming = True
@@ -293,10 +417,11 @@ class SignatureWorker:
     requests ahead (_top_up), from the front of the oldest Verdicts with
     jobs not yet sent, and a reader that would wait verifies the next of
     those jobs itself (_advance).  worker_signatures and here_signatures
-    count the signatures each side verified, and worker_seconds and
-    here_seconds the seconds each spent on them (the worker's as each
-    answer reports them).  They are read by tests and benchmarks, never by
-    a report, which must not depend on timing.
+    count the ECDSA verifications each side ran, which are verify_jobs'
+    memo misses, and worker_seconds and here_seconds the seconds each spent
+    on its jobs (the worker's as each answer reports them).  They are read
+    by tests and benchmarks, never by a report, which must not depend on
+    timing.
 
     The worker is forked.  The spawn and forkserver methods run the main
     module again in the child, which fails in a script without a __main__
@@ -323,7 +448,7 @@ class SignatureWorker:
         self._answers.register(self._conn.fileno(), select.POLLIN)
         self._loaded: dict = {}  # public keys decoded for this process's checks
         # requests sent and not yet answered, in the order the answers come:
-        # (weak reference to the Verdicts, index of its first job, signatures)
+        # (weak reference to the Verdicts, index of its first job)
         self._waiting: deque = deque()
         # weak references to the Verdicts not queued at_once, in the order
         # they were made, until they are dropped or have nothing left to send
@@ -375,15 +500,14 @@ class SignatureWorker:
         instead."""
         for start in range(owner._sent, end, CHUNK_TRANSACTIONS):
             jobs = owner._jobs[start : min(start + CHUNK_TRANSACTIONS, end)]
-            signatures = _signatures(jobs)
-            if not signatures:
+            if not any(jobs):
                 owner._verdicts[start : start + len(jobs)] = verify_jobs(jobs)
                 continue
             try:
                 self._conn.send(jobs)
             except OSError as exc:
                 raise self._gone() from exc
-            self._waiting.append((weakref.ref(owner), start, signatures))
+            self._waiting.append((weakref.ref(owner), start))
         owner._sent = end
 
     def _drain(self):
@@ -394,10 +518,10 @@ class SignatureWorker:
     def _receive(self):
         """Read the next answer and hand it to the Verdicts that asked for it."""
         try:
-            verdicts, seconds = self._conn.recv()
+            verdicts, seconds, signatures = self._conn.recv()
         except (EOFError, OSError) as exc:
             raise self._gone() from exc
-        ref, start, signatures = self._waiting.popleft()
+        ref, start = self._waiting.popleft()
         self.worker_signatures += signatures
         self.worker_seconds += seconds
         owner = ref()
@@ -425,11 +549,12 @@ class SignatureWorker:
         """Verify owner's next job not yet sent, in this process."""
         i = owner._sent
         owner._sent += 1
-        job = owner._jobs[i]
+        memo = owner._memo
+        before = len(memo)
         started = perf_counter()
-        owner._verdicts[i] = verify_jobs((job,), self._loaded)[0]
+        owner._verdicts[i] = verify_jobs((owner._jobs[i],), self._loaded, memo)[0]
         self.here_seconds += perf_counter() - started
-        self.here_signatures += len(job or ())
+        self.here_signatures += len(memo) - before
 
     def _gone(self) -> VerifierUnavailable:
         global _worker

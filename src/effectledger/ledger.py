@@ -152,9 +152,10 @@ class LedgerBlock:
         return b"".join(out)
 
 
-def block_hash(block: LedgerBlock) -> bytes:
-    """The block's effect hash: SHA-256 of its canonical serialization."""
-    return hashlib.sha256(block.serialize()).digest()
+def block_hash(block: LedgerBlock | bytes) -> bytes:
+    """The block's effect hash: SHA-256 of its canonical serialization,
+    which block may be already."""
+    return hashlib.sha256(block if isinstance(block, bytes) else block.serialize()).digest()
 
 
 def build_ledger_block(
@@ -318,9 +319,12 @@ class Ledger:
     def head_hash(self) -> bytes:
         return self._head_hash
 
-    def append(self, block: LedgerBlock, effect_hash: bytes | None = None):
+    def append(
+        self, block: LedgerBlock, effect_hash: bytes | None = None, serialized: bytes | None = None
+    ):
         """Append the next block.  `effect_hash` is block_hash(block) when the
-        caller already holds it; it becomes the head hash unchecked."""
+        caller already holds it; it becomes the head hash unchecked.  So is
+        `serialized` block.serialize(), written to the file as it is."""
         if block.block_id != len(self.blocks) + 1:
             raise ChainGap(
                 f"expected block {len(self.blocks) + 1}, got {block.block_id}"
@@ -328,9 +332,11 @@ class Ledger:
         if block.hash_previous != self._head_hash:
             raise ChainGap(f"block {block.block_id}: previous-hash mismatch")
         self.blocks.append(block)
-        self._head_hash = block_hash(block) if effect_hash is None else effect_hash
+        if serialized is None:
+            serialized = block.serialize()
+        self._head_hash = block_hash(serialized) if effect_hash is None else effect_hash
         if self._fh is not None:
-            self._fh.write(block.serialize())
+            self._fh.write(serialized)
             self._fh.flush()
             if self.durable:
                 os.fsync(self._fh.fileno())

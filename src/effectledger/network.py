@@ -26,9 +26,12 @@ is fetched in the tick the rule expires.
 Signatures are verified outside the tick clock, and keys tells where and by
 which process.  Endorsement checks have one owner, self._prepared.  run
 prepares the proposals due at a tick in chunks of keys.CHUNK_TRANSACTIONS,
-at most two chunks ahead of the submit being made (_submit_due).  Each live
-organization that a chunk's proposals need queues their client checks as
-one batch (OrgNode.client_checks), and each prepared entry keeps the
+at most two chunks ahead of the submit being made (_submit_due).  Each
+client signs its proposals of a chunk as one batch, with one ECDSA
+signature (keys.sign_batch), so an organization verifies that signature
+once per request of the chunk's checks.  Each live organization that a
+chunk's proposals need queues their client checks as one batch
+(OrgNode.client_checks), and each prepared entry keeps the
 (check, verdicts) pair of each of those organizations.  submit hands each
 live endorser its pair (OrgNode.evaluate_agreement), so every batch is read
 in submit order, and a retired organization's checks are never read.
@@ -630,16 +633,20 @@ class Network:
 
     def _prepare(self, entries) -> list:
         """Prepare the proposals of (client, sql) entries for submit: each
-        client signs its proposal and finds the organizations it needs through
-        its plan cache, and each live organization among them queues the
-        client checks of those it is needed for, as one batch.  Returns
-        (proposal, required orgs, {org: (check, verdicts)}) entries in entry
-        order."""
+        client signs all of its proposals among them as one batch
+        (agmt.make_proposals: one ECDSA signature per client and chunk) and
+        finds the organizations each needs through its plan cache, and each
+        live organization among them queues the client checks of those it
+        is needed for, as one batch.  Returns (proposal, required orgs,
+        {org: (check, verdicts)}) entries in entry order."""
+        signed = {}
+        for client in dict.fromkeys(client for client, _ in entries):
+            sqls = [sql for of, sql in entries if of == client]
+            signed[client] = iter(agmt.make_proposals(client, sqls, self.client_key(client)))
         prepared = []
         for client, sql in entries:
-            proposal = agmt.make_proposal(client, sql, self.client_key(client))
             needed = agmt.endorsers(sql, self.agreement_policies, self._client_plans[client])
-            prepared.append((proposal, needed, {}))
+            prepared.append((next(signed[client]), needed, {}))
         for org, rt in self.runtimes.items():
             mine = [(proposal, queued) for proposal, needed, queued in prepared if org in needed]
             if mine and rt.live:

@@ -86,11 +86,14 @@ class Action:
 
 @dataclass
 class PendingRound:
-    """An executed round awaiting consensus: its block and the signature
-    verdicts read at first execution (one bool per transaction)."""
+    """An executed round awaiting consensus: its block, with the block's
+    serialization that its hash was taken of and that the ledger appends,
+    and the signature verdicts read at first execution (one bool per
+    transaction)."""
 
     action: Action
     block: LedgerBlock
+    serialized: bytes
     effect_hash: bytes
     changed_tables: set[str]
     verdicts: tuple[bool, ...]
@@ -291,11 +294,11 @@ class OrgNode:
             for ct in action.transactions
         )
         names_before = set(self.db.tables)
-        digest, block, effect_hash = self._run_block(
+        digest, block, serialized, effect_hash = self._run_block(
             action.round_id, records, parsed(), self.ledger.head_hash()
         )
         changed = digest.tables_touched() | (set(self.db.tables) - names_before)
-        self.pending = PendingRound(action, block, effect_hash, changed, tuple(read))
+        self.pending = PendingRound(action, block, serialized, effect_hash, changed, tuple(read))
         self.votes[action.round_id] = cns.make_vote(
             self.org_id, action.round_id, effect_hash, self.private_key
         )
@@ -303,8 +306,8 @@ class OrgNode:
 
     def _run_block(self, block_id, records, parsed, hash_previous):
         """Analyze and execute one block a transaction at a time, in block
-        order, then build its ledger block; returns (digest, block, block
-        hash).
+        order, then build its ledger block; returns (digest, block, its
+        serialization, block hash).
 
         parsed yields each transaction's ParsedTransaction; one with an error
         (it did not parse, or fails without executing) keeps bit 0.  Analysis
@@ -324,7 +327,8 @@ class OrgNode:
             )
         build_dependency_graph(access_sets)  # its stages: perfbench counts them per block
         block = build_ledger_block(block_id, records, bits, digest, hash_previous)
-        return digest, block, block_hash(block)
+        serialized = block.serialize()
+        return digest, block, serialized, block_hash(serialized)
 
     # ---- the LC phase: consensus then commit ----
 
@@ -349,7 +353,7 @@ class OrgNode:
 
     def commit_pending(self, transcript: cns.ConsensusTranscript):
         pending = self.pending
-        self.ledger.append(pending.block, pending.effect_hash)
+        self.ledger.append(pending.block, pending.effect_hash, pending.serialized)
         self.transcripts[pending.block.block_id] = transcript
         self.pending = None
         if self.checkpoints is not None:
@@ -378,7 +382,7 @@ class OrgNode:
             if ok else agmt.ParsedTransaction(error="failed when committed")
             for rec, ok in zip(block.transactions, block.successful)
         )
-        _, _, effect_hash = self._run_block(
+        *_, effect_hash = self._run_block(
             block.block_id, block.transactions, parsed, block.hash_previous
         )
         return effect_hash

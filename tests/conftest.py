@@ -40,6 +40,12 @@ def unread_verdicts() -> list:
     return [obj for obj in gc.get_objects() if isinstance(obj, keys.Verdicts)]
 
 
+def block_id_of(block) -> int:
+    """The id of a LedgerBlock or of its serialization, which starts with it
+    as a u64: ledger.block_hash takes either."""
+    return int.from_bytes(block[:8], "big") if isinstance(block, bytes) else block.block_id
+
+
 @pytest.fixture
 def bank_db():
     """Engine with a two-row accounts table, handy for predicate tests."""

@@ -131,20 +131,21 @@ def test_lookahead_stays_within_two_chunks_and_the_tick(monkeypatch):
     submitted, and never before its tick."""
     net = network()
     signed, submitted = [], []
-    make_proposal = agreement.make_proposal
+    make_proposals = agreement.make_proposals
     submit = Network.submit
 
-    def signing(client, sql, private_key):
-        ahead = signed.count(net.tick) - submitted.count(net.tick)
-        assert ahead < 3 * CHUNK - submitted.count(net.tick) % CHUNK
-        signed.append(net.tick)
-        return make_proposal(client, sql, private_key)
+    def signing(client, sqls, private_key):
+        for _ in sqls:
+            ahead = signed.count(net.tick) - submitted.count(net.tick)
+            assert ahead < 3 * CHUNK - submitted.count(net.tick) % CHUNK
+            signed.append(net.tick)
+        return make_proposals(client, sqls, private_key)
 
     def submitting(network, client, sql):
         submitted.append(network.tick)
         return submit(network, client, sql)
 
-    monkeypatch.setattr(agreement, "make_proposal", signing)
+    monkeypatch.setattr(agreement, "make_proposals", signing)
     monkeypatch.setattr(Network, "submit", submitting)
     net.run(SCHEDULE, [KILL_O3])
     assert signed == submitted == [tick for tick, _, _ in SCHEDULE]

@@ -46,7 +46,7 @@ from effectledger.network import (
 )
 from effectledger.smallbank import bootstrap_transactions, build_schedule
 
-from conftest import unread_verdicts
+from conftest import block_id_of, unread_verdicts
 
 DDL = "CREATE TABLE acct (id INT, bal DECIMAL(12, 2), PRIMARY KEY (id));"
 SEED = "INSERT INTO acct (id, bal) VALUES (1, 100), (2, 200), (3, 300);"
@@ -207,7 +207,7 @@ def test_each_org_hashes_each_committed_block_once(monkeypatch):
     hashed = []
     for module in (ledger_module, org_module):
         def counted(block, original=module.block_hash):
-            hashed.append(block.block_id)
+            hashed.append(block_id_of(block))
             return original(block)
 
         monkeypatch.setattr(module, "block_hash", counted)
@@ -215,6 +215,31 @@ def test_each_org_hashes_each_committed_block_once(monkeypatch):
     net.run(basic_schedule())
     heights = [node.height for node in net.nodes.values()]
     assert sorted(hashed) == sorted(b for h in heights for b in range(1, h + 1))
+
+
+def test_each_org_serializes_each_committed_block_once(monkeypatch, tmp_path):
+    """The bytes a block's hash is taken of are the bytes its ledger file
+    gets: one serialization per organization and block, written ones too."""
+    serialized = []
+    serialize = ledger_module.LedgerBlock.serialize
+
+    def counted(block):
+        serialized.append(block.block_id)
+        return serialize(block)
+
+    monkeypatch.setattr(ledger_module.LedgerBlock, "serialize", counted)
+    net = make_net(out_dir=str(tmp_path), durable=True)
+    try:
+        net.run(basic_schedule())
+    finally:
+        net.close()
+    heights = [node.height for node in net.nodes.values()]
+    assert min(heights) > 2
+    assert sorted(serialized) == sorted(b for h in heights for b in range(1, h + 1))
+    for org_id, node in net.nodes.items():
+        assert (tmp_path / f"{org_id}.ledger").read_bytes() == b"".join(
+            serialize(block) for block in node.ledger.blocks
+        )
 
 
 # ---- the orderer ----
@@ -1136,7 +1161,9 @@ def test_a_kill_drops_the_streamed_checks_of_a_forming_round(deliveries):
 def test_every_queued_signature_is_verified_exactly_once(monkeypatch):
     """Without policies each organization checks the client signature of
     each transaction: three signatures a transaction, each verified once, by
-    the worker or here, whether its block was streamed or not."""
+    the worker or here, whether its block was streamed or not.  Each client
+    here submits one proposal a tick, a batch of one, so no two signatures
+    share a batch root (tests/test_batch_sign.py counts those)."""
     built = []
     signature_jobs = agreement_module.signature_jobs
 
@@ -1151,7 +1178,9 @@ def test_every_queued_signature_is_verified_exactly_once(monkeypatch):
     before = worker.worker_signatures + worker.here_signatures
     size = 2 * keys.CHUNK_TRANSACTIONS + 7
     net = make_net(blocksize=size, block_timeout=3)
-    schedule = [(0, "alice", DDL), (0, "alice", SEED), *bumps(2 * size)]
+    schedule = [(0, "alice", DDL), (1, "alice", SEED)] + [
+        (tick, f"client {i}", sql) for i, (tick, _, sql) in enumerate(bumps(2 * size))
+    ]
     net.run(schedule)
     assert [node.height for node in net.nodes.values()] == [3, 3, 3]
     assert not worker._waiting

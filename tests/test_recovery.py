@@ -11,7 +11,7 @@ from effectledger.engine.types import QuirkConfig
 from effectledger.errors import HistoryUnavailable, VerifierUnavailable
 from effectledger.recovery import CheckpointManager, recover
 
-from conftest import Cluster
+from conftest import Cluster, block_id_of
 
 DDL = "CREATE TABLE acct (id INT, bal DECIMAL(12, 2), PRIMARY KEY (id));"
 SEED = "INSERT INTO acct (id, bal) VALUES (1, 100), (2, 200), (3, 300);"
@@ -150,7 +150,7 @@ def test_checkpoint_replay_reads_stored_hashes(monkeypatch):
     hashed = []
     for module in (ledger_module, org_module, recovery_module):
         def counted(block, original=module.block_hash):
-            hashed.append(block.block_id)
+            hashed.append(block_id_of(block))
             return original(block)
 
         monkeypatch.setattr(module, "block_hash", counted)

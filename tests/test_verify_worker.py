@@ -254,9 +254,9 @@ def verified_here(idle_worker, monkeypatch):
     """Sizes of the batches of jobs verified in this process."""
     sizes = []
 
-    def counted(jobs, loaded=None):
+    def counted(jobs, *caches):
         sizes.append(len(jobs))
-        return SERIAL(jobs, loaded)
+        return SERIAL(jobs, *caches)
 
     monkeypatch.setattr(keys, "verify_jobs", counted)
     return sizes
@@ -322,9 +322,9 @@ def recorded(idle_worker, monkeypatch):
     monkeypatch.setattr(idle_worker, "_conn", pipe)
     here = []
 
-    def verified(jobs, loaded=None):
+    def verified(jobs, *caches):
         here.extend(jobs)
-        return SERIAL(jobs, loaded)
+        return SERIAL(jobs, *caches)
 
     monkeypatch.setattr(keys, "verify_jobs", verified)
     return pipe.sent, here
