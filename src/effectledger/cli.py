@@ -20,7 +20,7 @@ from .engine.database import Database
 from .errors import EffectLedgerError
 from .ledger import verify_ledger
 from .network import Network, NetworkConfig, load_fault_script
-from .scheduler import analyze_transaction, build_dependency_graph
+from .scheduler import access_set, build_dependency_graph
 from .smallbank import (
     SmallbankConfig,
     bootstrap_transactions,
@@ -113,7 +113,7 @@ def cmd_graph(args) -> int:
         with open(args.schema, "rb") as fh:
             db = Database.load_dump(fh.read())
         catalog = {name: t.schema for name, t in db.tables.items()}
-    access = [analyze_transaction(i, sql, catalog) for i, sql in enumerate(lines)]
+    access = [access_set(i, sql, catalog) for i, sql in enumerate(lines)]
     print(build_dependency_graph(access).to_dot())
     return 0
 

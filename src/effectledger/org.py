@@ -3,15 +3,16 @@
 A round processes exactly one ordered action (a block of chained
 transactions) on the calling thread, one transaction at a time in block
 order: read the verdict on its signatures, parse it once, analyze it against
-the catalog as of block start, and execute it.  The block's dependency graph
-is built from the analyses once the block has run; its stages describe the
-block's parallelism (scheduler), and running the block in block order gives
-the same bits, digest and state as running it stage by stage.  Then the
-ledger block is assembled and consensus sought on its hash.  The block only
-enters the ledger when enough organizations report the same hash and it
-matches the local one; otherwise the round stays pending until consensus
-arrives late (peers catching up) or recovery rebuilds the state.  Replaying
-a committed block runs the same per-transaction loop.
+the catalog as of block start, place it in its stage, and execute it.  The
+stages describe the block's parallelism (scheduler), and running the block
+in block order gives the same bits, digest and state as running it stage by
+stage; no dependency graph is built, and the round keeps only the size of
+each stage.  Then the ledger block is assembled and consensus sought on its
+hash.  The block only enters the ledger when enough organizations report the
+same hash and it matches the local one; otherwise the round stays pending
+until consensus arrives late (peers catching up) or recovery rebuilds the
+state.  Replaying a committed block runs the same per-transaction loop and
+discards the stage sizes.
 
 Endorsing: evaluate_agreement signs an agreement only after the proposal's
 client check passed.  The checks are queued by client_checks and handed to
@@ -71,9 +72,7 @@ from .ledger import (
     block_hash,
     build_ledger_block,
 )
-from .scheduler import TxnAccessSet, analyze_transaction, build_dependency_graph
-# not called here: perfbench's scheduler.execute_staged span patches it in this module
-from .scheduler import execute_staged  # noqa: F401
+from .scheduler import StageTracker, analyze_transaction
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,8 @@ class Action:
 class PendingRound:
     """An executed round awaiting consensus: its block, with the block's
     serialization that its hash was taken of and that the ledger appends,
-    and the signature verdicts read at first execution (one bool per
-    transaction)."""
+    the signature verdicts read at first execution (one bool per
+    transaction) and the number of transactions placed in each stage."""
 
     action: Action
     block: LedgerBlock
@@ -97,6 +96,7 @@ class PendingRound:
     effect_hash: bytes
     changed_tables: set[str]
     verdicts: tuple[bool, ...]
+    stages: tuple[int, ...]
 
 
 class OrgNode:
@@ -294,41 +294,42 @@ class OrgNode:
             for ct in action.transactions
         )
         names_before = set(self.db.tables)
-        digest, block, serialized, effect_hash = self._run_block(
+        stages, digest, block, serialized, effect_hash = self._run_block(
             action.round_id, records, parsed(), self.ledger.head_hash()
         )
         changed = digest.tables_touched() | (set(self.db.tables) - names_before)
-        self.pending = PendingRound(action, block, serialized, effect_hash, changed, tuple(read))
+        self.pending = PendingRound(
+            action, block, serialized, effect_hash, changed, tuple(read), stages
+        )
         self.votes[action.round_id] = cns.make_vote(
             self.org_id, action.round_id, effect_hash, self.private_key
         )
         return effect_hash
 
     def _run_block(self, block_id, records, parsed, hash_previous):
-        """Analyze and execute one block a transaction at a time, in block
-        order, then build its ledger block; returns (digest, block, its
-        serialization, block hash).
+        """Analyze, place and execute one block a transaction at a time, in
+        block order, then build its ledger block; returns (stage sizes,
+        digest, block, its serialization, block hash).
 
         parsed yields each transaction's ParsedTransaction; one with an error
-        (it did not parse, or fails without executing) keeps bit 0.  Analysis
-        reads the catalog as of block start, so the dependency graph built
-        from the analyses is the one staged execution would run.
+        (it did not parse, or fails without executing) keeps bit 0 and is
+        neither analyzed nor placed.  Analysis reads the catalog as of block
+        start, so each transaction lands in the stage that
+        build_dependency_graph gives it.
         """
         catalog = self.catalog()
         digest = BlockDigest()
-        access_sets: list[TxnAccessSet] = []
+        tracker = StageTracker()
         bits: list[bool] = []
         for i, txn in enumerate(parsed):
-            access = analyze_transaction(i, txn, catalog)
-            access_sets.append(access)
-            bits.append(
-                access.analyzable
-                and self.db.execute_transaction(access.statements, digest).success
-            )
-        build_dependency_graph(access_sets)  # its stages: perfbench counts them per block
+            ok = txn.error is None
+            if ok:
+                tracker.add(analyze_transaction(txn.statements, catalog), i)
+                ok = self.db.execute_transaction(txn.statements, digest).success
+            bits.append(ok)
         block = build_ledger_block(block_id, records, bits, digest, hash_previous)
         serialized = block.serialize()
-        return digest, block, serialized, block_hash(serialized)
+        return tuple(map(len, tracker.stages)), digest, block, serialized, block_hash(serialized)
 
     # ---- the LC phase: consensus then commit ----
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from .consensus import ConsensusStatus
 from .engine.database import TableSnapshot
 from .errors import HistoryUnavailable
-from .ledger import block_hash  # noqa: F401  perfbench's ledger.block_hash span patches it here
 from .org import OrgNode
 
 

@@ -7,16 +7,18 @@ confined to.  For statements bound from a learned shape, analysis calls a
 function compiled once per shape, in the organization's own plan, against
 the catalog's schemas for the tables the shape names; it gives the accesses
 the interpreter below would give, and is compiled again when those schemas
-change.  (2) the dependency graph places each transaction one stage past
-every earlier transaction it conflicts with; (3) execution.  Any order of a
-stage's members gives the same bits, digest and state, so the stages
+change.  (2) placement puts each transaction one stage past every earlier
+transaction it conflicts with (StageTracker.add); (3) execution.  Any order
+of a stage's members gives the same bits, digest and state, so the stages
 describe the parallelism of the block, and block order is one of the orders
-that give those results.  An organization therefore executes each
-transaction in block order as soon as it is analyzed (org.OrgNode), and
-builds the graph from the block's analyses afterwards; analysis reads the
-catalog as of block start either way.  execute_staged runs a block stage by
-stage, each stage's members in block order; it is the staged reference that
-tests hold block-order execution to.
+that give those results.  An organization (org.OrgNode) therefore takes each
+transaction in block order, analyzes it, places it and executes it before
+the next, keeping only the members of each stage; analysis reads the catalog
+as of block start.  The dependency graph (build_dependency_graph, placing
+through the same StageTracker.add) and execute_staged, which runs a block
+stage by stage, each stage's members in block order, are the staged
+reference that tests hold block-order execution to; `effectledger graph`
+prints the graph.
 
 The conflict rule.  Two accesses to the same table, at least one of them a
 write, conflict unless a witness column separates them: a column that both
@@ -50,7 +52,7 @@ from .engine.parser import (
     Update,
     parse_script,
 )
-from .engine.types import Column, ColumnType, TableSchema
+from .engine.types import Column, ColumnType
 from .errors import BindError, ParseError
 
 
@@ -160,18 +162,30 @@ class TxnAccessSet:
         return self.parse_error is None
 
 
-def analyze_transaction(
-    index: int, txn: ParsedTransaction | str, catalog: dict[str, TableSchema]
-) -> TxnAccessSet:
-    """Extract one transaction's accesses from its parsed statements.
+def analyze_transaction(statements: Sequence[Statement], catalog) -> tuple[Access, ...]:
+    """One parsed transaction's accesses, read against catalog.
 
-    An organization passes the ParsedTransaction it verified, or in replay
-    the one its plan cache gives, so the SQL is not parsed again.  SQL text,
-    as `effectledger graph` reads it from a file, is parsed here once.
-    Unparseable SQL yields parse_error set and no accesses; the transaction
-    is pre-marked failed and never joins the graph.  Analysis never consults
-    quirk settings, so organizations build the same graph from the same
+    Statements bound from a shape whose accesses compile are analyzed by the
+    compiled function; the rest by the interpreter.  Analysis never consults
+    quirk settings, so organizations place the same stages from the same
     block and catalog.
+    """
+    if type(statements) is Bound:
+        build = _compiled_accesses(statements.plan, catalog)
+        if build is not None:
+            return build(statements.values)
+    accesses: list[Access] = []
+    for stmt in statements:
+        accesses.extend(_statement_accesses(stmt, catalog))
+    return tuple(accesses)
+
+
+def access_set(index: int, txn: ParsedTransaction | str, catalog) -> TxnAccessSet:
+    """Transaction index's TxnAccessSet, for the graph.
+
+    SQL text, as `effectledger graph` reads it from a file, is parsed here
+    once.  Unparseable SQL yields parse_error set and no accesses; the
+    transaction is pre-marked failed and never joins the graph.
     """
     if isinstance(txn, str):
         try:
@@ -180,15 +194,7 @@ def analyze_transaction(
             txn = ParsedTransaction(error=str(exc))
     if txn.error is not None:
         return TxnAccessSet(index, parse_error=txn.error)
-    statements = txn.statements
-    if type(statements) is Bound:
-        build = _compiled_accesses(statements.plan, catalog)
-        if build is not None:
-            return TxnAccessSet(index, build(statements.values), statements)
-    accesses: list[Access] = []
-    for stmt in statements:
-        accesses.extend(_statement_accesses(stmt, catalog))
-    return TxnAccessSet(index, tuple(accesses), statements)
+    return TxnAccessSet(index, analyze_transaction(txn.statements, catalog), txn.statements)
 
 
 class _CompiledAccesses:
@@ -401,9 +407,7 @@ class DependencyGraph:
         return sorted(i for i, k in self.edges if k == j)
 
     def stage_of(self, index: int) -> int:
-        if index not in self._stage_of:
-            raise KeyError(index)
-        return self._stage_of[index]
+        return self._stage_of[index]  # KeyError for a parse-failed index
 
     def to_dot(self) -> str:
         lines = ["digraph block {"]
@@ -422,7 +426,7 @@ def _sets_conflict(a: TxnAccessSet, b: TxnAccessSet) -> bool:
     return any(x.conflicts_with(y) for x in a.accesses for y in b.accesses)
 
 
-class _StageTracker:
+class StageTracker:
     """Highest stages placed so far on each table, as [read, write] pairs.
 
     `every` covers all accesses to a table.  Per witness column some access
@@ -431,11 +435,25 @@ class _StageTracker:
     A query bounds, through each of the access's witness columns, the highest
     stage among earlier accesses it may conflict with, and keeps the lowest
     bound.  The bound is exact when accesses have one witness column each, as
-    Smallbank's do.
+    Smallbank's do.  `stages` lists the members placed in each stage.
     """
 
     def __init__(self):
         self.tables: dict[str, _TableStages] = {}
+        self.stages: list[list[int]] = []
+
+    def add(self, accesses: tuple[Access, ...], member: int) -> int:
+        """Place member, a transaction with these accesses, one stage past
+        every earlier one it conflicts with; returns its stage."""
+        stage = 0
+        for access in accesses:
+            stage = max(stage, self.query(access) + 1)
+        for access in accesses:
+            self.place(access, stage)
+        if stage == len(self.stages):
+            self.stages.append([])
+        self.stages[stage].append(member)
+        return stage
 
     def query(self, access: Access) -> int:
         table = self.tables.get(access.table)
@@ -514,23 +532,17 @@ class _ColumnStages:
 
 
 def build_dependency_graph(access_sets: list[TxnAccessSet]) -> DependencyGraph:
-    """Stage each transaction past every earlier transaction it conflicts with."""
+    """Stage each transaction past every earlier transaction it conflicts
+    with, through the StageTracker.add that an organization places with."""
     graph = DependencyGraph(access_sets)
-    tracker = _StageTracker()
+    tracker = StageTracker()
     for acc in access_sets:
-        if not acc.analyzable:
+        if acc.analyzable:
+            graph.nodes.append(acc.index)
+            graph._stage_of[acc.index] = tracker.add(acc.accesses, acc.index)
+        else:
             graph.parse_failed.append(acc.index)
-            continue
-        graph.nodes.append(acc.index)
-        stage = 0
-        for access in acc.accesses:
-            stage = max(stage, tracker.query(access) + 1)
-        for access in acc.accesses:
-            tracker.place(access, stage)
-        graph._stage_of[acc.index] = stage
-        while len(graph.stages) <= stage:
-            graph.stages.append([])
-        graph.stages[stage].append(acc.index)
+    graph.stages = tracker.stages
     return graph
 
 

@@ -47,6 +47,28 @@ def block_id_of(block) -> int:
 
 
 @pytest.fixture
+def block_errors(monkeypatch):
+    """Per block an organization runs, the error of each transaction's
+    ParsedTransaction (None for one that parsed), read as the block runs."""
+    blocks = []
+    run_block = OrgNode._run_block
+
+    def recorded(node, block_id, records, parsed, hash_previous):
+        errors = []
+        blocks.append(errors)
+
+        def read():
+            for txn in parsed:
+                errors.append(txn.error)
+                yield txn
+
+        return run_block(node, block_id, records, read(), hash_previous)
+
+    monkeypatch.setattr(OrgNode, "_run_block", recorded)
+    return blocks
+
+
+@pytest.fixture
 def bank_db():
     """Engine with a two-row accounts table, handy for predicate tests."""
     database = Database()

@@ -19,12 +19,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from effectledger.agreement import ParsedTransaction, parse_transaction
+from effectledger.agreement import parse_transaction
 from effectledger.engine.database import Database
 from effectledger.engine.parser import PlanCache
 from effectledger.engine.types import DecimalRounding, QuirkConfig
 from effectledger.ledger import BlockDigest
-from effectledger.scheduler import Access, Interval, analyze_transaction
+from effectledger.scheduler import Access, Interval, access_set, analyze_transaction
 from effectledger.smallbank import SmallbankConfig, bootstrap_transactions, generate_workload
 
 from conftest import Cluster
@@ -135,8 +135,8 @@ def outcome(db, statements):
 def run_both(compiled, plans, twin, sql):
     """Analyze and execute sql on the engine that compiles, through its plan
     cache, and on the twin through the parser; assert they agree."""
-    mine = analyze_transaction(0, parse_transaction(sql, plans), catalog(compiled))
-    theirs = analyze_transaction(0, parse_transaction(sql), catalog(twin))
+    mine = access_set(0, parse_transaction(sql, plans), catalog(compiled))
+    theirs = access_set(0, parse_transaction(sql), catalog(twin))
     assert (mine.parse_error, mine.accesses) == (theirs.parse_error, theirs.accesses)
     if theirs.parse_error is not None:
         return None
@@ -309,8 +309,8 @@ def test_a_table_created_earlier_in_the_block_is_analyzed_coarsely(monkeypatch):
     node = cluster["O1"]
     analyses = []
 
-    def recorded(index, txn, catalog, analyze=org_module.analyze_transaction):
-        analyses.append((txn, dict(catalog), analyze(index, txn, catalog)))
+    def recorded(statements, catalog, analyze=org_module.analyze_transaction):
+        analyses.append((statements, dict(catalog), analyze(statements, catalog)))
         return analyses[-1][2]
 
     monkeypatch.setattr(org_module, "analyze_transaction", recorded)
@@ -323,11 +323,10 @@ def test_a_table_created_earlier_in_the_block_is_analyzed_coarsely(monkeypatch):
     ]
     cluster.round(1, *block)
     assert node.ledger.block(1).successful == (True,) * 5
-    for txn, block_start, access in analyses:
+    for statements, block_start, accesses in analyses:
         assert block_start == {}
-        assert access.accesses == (Access("u", True),)
-        interpreted = analyze_transaction(0, ParsedTransaction(tuple(txn.statements)), block_start)
-        assert access.accesses == interpreted.accesses
+        assert accesses == (Access("u", True),)
+        assert accesses == analyze_transaction(tuple(statements), block_start)  # interpreted
     plans = {type(plan.template[0]).__name__: plan for plan in node.plans.plans()}
     assert (plans["Insert"].executed, plans["Update"].executed) == (1, 1)
     assert (plans["Insert"].analyzed, plans["Update"].analyzed) == (1, 1)
@@ -339,7 +338,7 @@ def test_a_table_created_earlier_in_the_block_is_analyzed_coarsely(monkeypatch):
 
     analyses.clear()
     cluster.round(2, "INSERT INTO u (k, v) VALUES (3, 3.5);", "UPDATE u SET v = v + 3 WHERE k = 3;")
-    assert [access.accesses[0].witnesses for _, _, access in analyses] == [
+    assert [accesses[0].witnesses for _, _, accesses in analyses] == [
         {"k": Interval(3, 3)}, {"k": Interval(3, 3)}
     ]
     assert (plans["Insert"].analyzed, plans["Update"].analyzed) == (2, 2)
@@ -355,10 +354,9 @@ def test_a_bulk_load_into_a_table_created_earlier_in_the_block_runs_compiled(mon
     node = cluster["O1"]
     analyses = []
 
-    def recorded(index, txn, catalog, analyze=org_module.analyze_transaction):
-        access = analyze(index, txn, catalog)
-        analyses.append(access.accesses)
-        return access
+    def recorded(statements, catalog, analyze=org_module.analyze_transaction):
+        analyses.append(analyze(statements, catalog))
+        return analyses[-1]
 
     monkeypatch.setattr(org_module, "analyze_transaction", recorded)
     loads = [

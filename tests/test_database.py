@@ -252,7 +252,7 @@ def test_wide_scale_decimals_hash_alike_staged_or_direct():
     import threading
 
     from effectledger.ledger import BlockDigest
-    from effectledger.scheduler import analyze_transaction, build_dependency_graph, execute_staged
+    from effectledger.scheduler import access_set, build_dependency_graph, execute_staged
 
     def wide_tables():
         db = Database()
@@ -266,7 +266,7 @@ def test_wide_scale_decimals_hash_alike_staged_or_direct():
     ]
     staged = wide_tables()
     catalog = {name: t.schema for name, t in staged.tables.items()}
-    block = [analyze_transaction(i, sql, catalog) for i, sql in enumerate(sqls)]
+    block = [access_set(i, sql, catalog) for i, sql in enumerate(sqls)]
     graph = build_dependency_graph(block)
     assert len(graph.stages) == 1
     assert execute_staged(graph, block, staged, BlockDigest()) == [True] * len(block)

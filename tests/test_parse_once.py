@@ -119,7 +119,7 @@ def test_forged_client_signature_is_not_parsed(parses):
     assert parses == [BLOCK[0]]
 
 
-def test_failed_transactions_keep_their_bits_and_hash(monkeypatch):
+def test_failed_transactions_keep_their_bits_and_hash(block_errors):
     """Unparseable SQL passes the agreement check and fails as parse-failed; a
     stripped agreement fails verification.  An equal-quirk organization that
     replays the committed block, running only its bit-1 transactions, must
@@ -136,19 +136,13 @@ def test_failed_transactions_keep_their_bits_and_hash(monkeypatch):
             endorsed(cluster, BLOCK[3]),
         ),
     )
-    graphs = []
-
-    def captured(access_sets):
-        graphs.append([acc.parse_error for acc in access_sets])
-        return scheduler.build_dependency_graph(access_sets)
-
-    monkeypatch.setattr(org_module, "build_dependency_graph", captured)
+    block_errors.clear()
     outcomes = commit(cluster, action)
-    errors = graphs[0]
+    errors = block_errors[0]
     assert errors[0] is None and errors[3] is None
     assert errors[1].startswith("unexpected end")
     assert errors[2] == "agreement verification failed"
-    assert all(e == errors for e in graphs)
+    assert all(e == errors for e in block_errors)
 
     block = cluster["O1"].ledger.block(2)
     assert block.successful == (True, False, False, True)

@@ -29,16 +29,35 @@ def _load_spans():
 
 spans = _load_spans()
 
+# Targets the program no longer has, each printed as "span target missing"
+# by a traced run until perfbench drops it: org builds no dependency graph
+# and calls no execute_staged, and recovery no longer calls block_hash.
+RETIRED = [
+    (org, "build_dependency_graph"),
+    (org, "execute_staged"),
+    (recovery, "block_hash"),
+]
 TARGETS = [(owner, attr) for targets in spans.SPAN_TARGETS.values() for owner, attr in targets]
 TARGETS += [(owner, attr) for owner, attr, _ in spans.LatencyProbe(1).replacements()]
+LIVE = [target for target in TARGETS if target not in RETIRED]
 
 
 @pytest.mark.parametrize(
-    "owner, attr", TARGETS, ids=[f"{owner.__name__}.{attr}" for owner, attr in TARGETS]
+    "owner, attr", LIVE, ids=[f"{owner.__name__}.{attr}" for owner, attr in LIVE]
 )
 def test_span_target_exists(owner, attr):
     # spans.patched looks each target up in the owner's own namespace
     assert attr in vars(owner)
+
+
+@pytest.mark.parametrize(
+    "owner, attr", RETIRED, ids=[f"{owner.__name__}.{attr}" for owner, attr in RETIRED]
+)
+def test_retired_span_target_is_absent(owner, attr):
+    # a retired target that perfbench dropped, or the program brought back,
+    # leaves the list
+    assert (owner, attr) in TARGETS
+    assert attr not in vars(owner)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import pytest
 from effectledger import keys
 from effectledger import ledger as ledger_module
 from effectledger import org as org_module
-from effectledger import recovery as recovery_module
 from effectledger.consensus import ConsensusStatus
 from effectledger.engine.types import QuirkConfig
 from effectledger.errors import HistoryUnavailable, VerifierUnavailable
@@ -148,7 +147,7 @@ def test_checkpoint_replay_reads_stored_hashes(monkeypatch):
     for org, peer in cluster.nodes.items():
         peer.complete_round(cluster.peers_of(org), cluster.fetch_vote)
     hashed = []
-    for module in (ledger_module, org_module, recovery_module):
+    for module in (ledger_module, org_module):
         def counted(block, original=module.block_hash):
             hashed.append(block_id_of(block))
             return original(block)

@@ -13,7 +13,7 @@ from effectledger.ledger import BlockDigest, compute_hash_digest
 from effectledger.scheduler import (
     Access,
     Interval,
-    analyze_transaction,
+    access_set,
     build_dependency_graph,
     execute_staged,
 )
@@ -44,7 +44,7 @@ def catalog_of(db):
 
 def analyze_all(db, sqls):
     catalog = catalog_of(db)
-    return [analyze_transaction(i, sql, catalog) for i, sql in enumerate(sqls)]
+    return [access_set(i, sql, catalog) for i, sql in enumerate(sqls)]
 
 
 # ---- interval extraction ----
@@ -275,7 +275,7 @@ def test_stage_soundness_no_intra_stage_conflicts_randomized():
                     ]
                 )
             )
-        sets = [analyze_transaction(i, sql, catalog) for i, sql in enumerate(sqls)]
+        sets = [access_set(i, sql, catalog) for i, sql in enumerate(sqls)]
         graph = build_dependency_graph(sets)
         for members in graph.stages:
             for i in members:
@@ -296,7 +296,7 @@ def test_stage_is_one_plus_max_conflicting_predecessor_randomized():
             else f"SELECT * FROM acct WHERE id <= {rng.randint(1, 6)};"
             for _ in range(rng.randint(1, 18))
         ]
-        sets = [analyze_transaction(i, sql, catalog) for i, sql in enumerate(sqls)]
+        sets = [access_set(i, sql, catalog) for i, sql in enumerate(sqls)]
         graph = build_dependency_graph(sets)
         for j in graph.nodes:
             preds = graph.predecessors(j)

@@ -10,7 +10,7 @@ from scipy import stats
 from effectledger.engine.database import Database
 from effectledger.engine.parser import parse_script
 from effectledger.errors import ConfigError
-from effectledger.scheduler import analyze_transaction, build_dependency_graph
+from effectledger.scheduler import access_set, build_dependency_graph
 from effectledger.smallbank import (
     CHECKING_DDL,
     MAX_BALANCE,
@@ -156,7 +156,7 @@ def test_uniform_workload_parallelizes_better_than_zipf():
         cfg = SmallbankConfig(num_users=2000, distribution=distribution, zipf_s=1.4)
         txns = list(generate_workload(cfg, seed=5, count=64))
         graph = build_dependency_graph(
-            [analyze_transaction(i, sql, catalog) for i, sql in enumerate(txns)]
+            [access_set(i, sql, catalog) for i, sql in enumerate(txns)]
         )
         return len(graph.stages)
 

@@ -1,18 +1,22 @@
 """An organization executes each transaction of a block as its verdict
-arrives, in block order.  That must give what staged execution gives: the
-dependency graph of the block's analyses, run stage by stage on a twin
-engine by scheduler.execute_staged.  Same bits, digest hash, block hash and
-state hash, over random blocks with DDL mid-block, failing statements, parse
-errors and transactions that fail verification, under each rounding quirk
-and with no-op updates emitting digest tuples or not."""
+arrives, in block order, placing it in its stage first.  That must give what
+staged execution gives: the dependency graph of the block's analyses, run
+stage by stage on a twin engine by scheduler.execute_staged.  Same bits,
+digest hash, block hash, state hash and stage sizes, over random blocks with
+DDL mid-block, failing statements, parse errors and transactions that fail
+verification, under each rounding quirk and with no-op updates emitting
+digest tuples or not.  An organization with other quirks, whose plan cache
+already knows every shape of the block, so that it analyzes them compiled,
+places the same stages."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effectledger.agreement import (
     ChainedTransaction,
     TransactionProposal,
     make_proposal,
+    parse_transaction,
     verify_chained_transaction,
 )
 from effectledger.engine.database import Database
@@ -28,7 +32,7 @@ from effectledger.ledger import (
 from effectledger.org import Action, OrgNode
 from effectledger.scheduler import (
     TxnAccessSet,
-    analyze_transaction,
+    access_set,
     build_dependency_graph,
     execute_staged,
 )
@@ -87,8 +91,8 @@ def seeded(database):
 
 
 def staged(quirks, action, registry, hash_previous):
-    """bits, digest hash, block hash and state hash of action run stage by
-    stage on a fresh engine seeded like the organization's."""
+    """bits, digest hash, block hash, state hash and stage sizes of action
+    run stage by stage on a fresh engine seeded like the organization's."""
     db = seeded(Database(quirks))
     catalog = {name: table.schema for name, table in db.tables.items()}
     access_sets = []
@@ -97,16 +101,30 @@ def staged(quirks, action, registry, hash_previous):
         if parsed is None:
             access_sets.append(TxnAccessSet(i, parse_error="agreement verification failed"))
         else:
-            access_sets.append(analyze_transaction(i, parsed, catalog))
+            access_sets.append(access_set(i, parsed, catalog))
     digest = BlockDigest()
-    bits = execute_staged(build_dependency_graph(access_sets), access_sets, db, digest)
+    graph = build_dependency_graph(access_sets)
+    bits = execute_staged(graph, access_sets, db, digest)
     records = [TransactionRecord(ct.proposal.client, ct.proposal.sql) for ct in action.transactions]
     block = build_ledger_block(action.round_id, records, bits, digest, hash_previous)
-    return bits, compute_hash_digest(digest), block_hash(block), db.state_hash()
+    stages = tuple(len(members) for members in graph.stages)
+    return bits, compute_hash_digest(digest), block_hash(block), db.state_hash(), stages
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(blocks, quirk_sets)
+@example(  # a table created mid-block is missing from the catalog analysis reads
+    [
+        ("CREATE TABLE u (k INT, v DECIMAL(6, 1), PRIMARY KEY (k));", True),
+        ("INSERT INTO u (k, v) VALUES (1, 1);", True),
+        ("INSERT INTO u (k, v) VALUES (2, 2);", True),
+        ("UPDATE t SET", True),
+        ("UPDATE u SET v = v + 1 WHERE k = 1;", False),
+        ("UPDATE u SET v = v + 1 WHERE k = 2;", True),
+        ("UPDATE t SET n = n + 1 WHERE id = 1;", True),
+    ],
+    QuirkConfig(),
+)
 def test_streaming_execution_equals_staged_execution(block, quirks):
     registry = KeyRegistry()
     registry.register(CLIENT, CLIENT_KEY)
@@ -115,7 +133,22 @@ def test_streaming_execution_equals_staged_execution(block, quirks):
     action = Action(1, tuple(chained(sql, genuine) for sql, genuine in block))
 
     effect_hash = node.execute_action(action)
-    pending = node.pending.block
-    streamed = (list(pending.successful), pending.hash_digest, effect_hash, node.db.state_hash())
+    pending = node.pending
+    streamed = (
+        list(pending.block.successful), pending.block.hash_digest, effect_hash,
+        node.db.state_hash(), pending.stages,
+    )
     assert streamed == staged(quirks, action, registry, node.ledger.head_hash())
-    assert node.pending.verdicts == tuple(genuine for _, genuine in block)
+    assert pending.verdicts == tuple(genuine for _, genuine in block)
+
+    roundings = list(DecimalRounding)
+    other = QuirkConfig(
+        decimal_rounding=roundings[roundings.index(quirks.decimal_rounding) - 1],
+        update_noop_emits_digest=not quirks.update_noop_emits_digest,
+    )
+    twin = OrgNode("O2", quirks=other, registry=registry)
+    seeded(twin.db)
+    for sql, _ in block:
+        parse_transaction(sql, twin.plans)
+    twin.execute_action(action)
+    assert twin.pending.stages == pending.stages

@@ -16,7 +16,6 @@ import pytest
 
 from effectledger import keys
 from effectledger import org as org_module
-from effectledger import scheduler
 from effectledger.agreement import (
     AgreementPolicy,
     ChainedTransaction,
@@ -107,17 +106,9 @@ def seeded_cluster():
     return cluster
 
 
-@pytest.fixture
-def verification_failures(monkeypatch):
+def verification_failures(block_errors):
     """Per executed block, which transactions failed verification."""
-    seen = []
-
-    def captured(access_sets):
-        seen.append([acc.parse_error == "agreement verification failed" for acc in access_sets])
-        return scheduler.build_dependency_graph(access_sets)
-
-    monkeypatch.setattr(org_module, "build_dependency_graph", captured)
-    return seen
+    return [[e == "agreement verification failed" for e in errors] for errors in block_errors]
 
 
 # more transactions than two chunks, and not a whole number of chunks
@@ -126,7 +117,7 @@ BLOCK_SIZE = 2 * keys.CHUNK_TRANSACTIONS + 11
 
 @pytest.mark.parametrize("equivocated", [False, True])
 def test_receipt_and_direct_execution_judge_like_verify_chained_transaction(
-    verification_failures, equivocated
+    block_errors, equivocated
 ):
     cluster = seeded_cluster()
     transactions = mixed_transactions(cluster, BLOCK_SIZE)
@@ -138,21 +129,21 @@ def test_receipt_and_direct_execution_judge_like_verify_chained_transaction(
     ]
     assert 0 < sum(expected) < len(expected)
 
-    verification_failures.clear()
+    block_errors.clear()
     received, direct = cluster["O1"], cluster["O2"]
     received.receive_action(action)
     assert received.executable_action() is action
     received.execute_action(action)
     direct.execute_action(action)
 
-    assert verification_failures == [expected, expected]
+    assert verification_failures(block_errors) == [expected, expected]
     assert received.pending.block.successful == direct.pending.block.successful
     assert received.pending.effect_hash == direct.pending.effect_hash
     # unparseable SQL passes verification and fails to parse
     assert not direct.pending.block.successful[8]
 
 
-def test_a_different_action_for_a_received_round_is_verified_anew(verification_failures):
+def test_a_different_action_for_a_received_round_is_verified_anew(block_errors):
     """The signatures sent at receipt belong to the received action; executing
     another action for that round (the shortened one of an equivocation)
     verifies that action's own signatures."""
@@ -160,10 +151,10 @@ def test_a_different_action_for_a_received_round_is_verified_anew(verification_f
     full = org_module.Action(2, mixed_transactions(cluster, 12))
     short = org_module.Action(2, full.transactions[:-2])
     node = cluster["O1"]
-    verification_failures.clear()
+    block_errors.clear()
     node.receive_action(full)
     node.execute_action(short)
-    assert verification_failures == [
+    assert verification_failures(block_errors) == [
         [verify_chained_transaction(ct, POLICIES, cluster.registry) is None
          for ct in short.transactions]
     ]
