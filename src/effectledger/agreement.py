@@ -22,10 +22,9 @@ the two together.  An endorsing organization keeps an Endorsements record,
 so that its own list leaves out the checks it made or signed when endorsing.
 
 A client finds the organizations a proposal needs once (endorsers), and
-collect_agreements asks each of them in turn.  Each endorser's client check
-was queued with the signature worker before (network tells who queues it
-and when), and evaluate_agreement reads its verdict before it evaluates
-predicates and signs.
+collect_agreements asks each of them in turn.  Each endorser verifies the
+client check in place, in evaluate_agreement, before it evaluates
+predicates and signs (network tells with which memo).
 
 Each party parses a transaction's SQL once, into a ParsedTransaction: the
 client to find the required organizations (only when policies exist), each

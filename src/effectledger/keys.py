@@ -24,23 +24,23 @@ it: a root signature never passes for a payload's.
 The memo.  verify_jobs keeps the verdict of each (key, DER signature, signed
 message) it verified, so a batch root is verified once per memo, and
 worker_signatures and here_signatures count the verifications run.  The
-worker makes a new memo for each request, and each Verdicts keeps one for
-the jobs its readers verify here; both belong to the one organization whose
-jobs they are.  So an organization verifies each batch root it meets once
-per request, no verdict passes between organizations, and the worker
+worker makes a new memo for each request, each Verdicts keeps one for the
+jobs its readers verify here, and an endorser keeps one per prepared chunk
+(network tells whose); each belongs to the one organization whose jobs
+they are.  So an organization verifies each batch root it meets once per
+request or chunk, no verdict passes between organizations, and the worker
 remembers no verdict across requests.
 
 Where signatures are verified.  An organization verifies each signature of
 a transaction once, and all of them, but for effect votes, through the one
-SignatureWorker of this process.
+SignatureWorker of this process, the client checks it makes when
+endorsing included.
 
 Endorsing.  Each organization that a proposal needs checks its client's
-signature before it signs an agreement.  The checks are queued one Verdicts
-per organization and chunk of a tick's proposals; network tells who queues
-them, who reads them and when they are dropped.  A client check is a job of
-one signature, and its Verdicts sends every job at once (see
-SignatureWorker.verify).  The organization records the check that passed
-with the agreement it signed (agreement.Endorsements, one per organization).
+signature in place, in this process, before it signs an agreement
+(SignatureWorker.verify_here); network tells who and with which memo.  The
+organization records the check that passed with the agreement it signed
+(agreement.Endorsements, one per organization).
 
 Receiving.  The orderer delivers a forming block to each organization a
 chunk of CHUNK_TRANSACTIONS transactions at a time, and the rest when it
@@ -66,11 +66,11 @@ forming blocks as they come, and through the cut blocks in the order their
 organizations read them.  A reader whose next verdict is in flight, with no
 answer ready, verifies the job that would be sent next, whichever
 organization's it is, one at a time, and waits only when no job is left
-unsent; an endorser waiting on a client check does the same.  So neither
-process idles while a job is left, and no cost needs measuring.  A job
-left with no signature gets its verdict here, without a request.  Each
-organization builds its own checks from its own registry and record and
-reads its own verdicts; the worker remembers no verdict across requests.
+unsent.  So neither process idles while a job is left, and no cost needs
+measuring.  A job left with no signature gets its verdict here, without a
+request.  Each organization builds its own checks from its own registry
+and record and reads its own verdicts; the worker remembers no verdict
+across requests.
 Effect votes are verified in the calling process, by verify, so calls to
 verify count vote checks only.
 
@@ -130,8 +130,8 @@ CHUNK_TRANSACTIONS = 32
 # Requests the worker is kept ahead by (SignatureWorker._top_up), and how
 # many verdicts a reader reads between two top-ups.  Four requests last the
 # worker through what this process does between two organizations' blocks
-# (consensus, the block's graph and ledger entry); with two, bank-steady tps
-# was about 4% lower, measured on 2 cores.
+# (consensus and the block's ledger entry); with two, bank-steady tps was
+# about 4% lower, measured on 2 cores.
 _REQUESTS_AHEAD = 4
 _TOP_UP_VERDICTS = 8
 
@@ -371,16 +371,14 @@ class Verdicts:
     memo for the jobs verified here.
     """
 
-    def __init__(self, worker: "SignatureWorker", at_once: bool):
+    def __init__(self, worker: "SignatureWorker"):
         self._worker = worker
         self._jobs: list = []
         self._verdicts: list[bool | None] = []
         self._memo: dict = {}
         self._sent = 0
-        self._at_once = at_once
         self.forming = True
-        if not at_once:
-            worker._open.append(weakref.ref(self))
+        worker._open.append(weakref.ref(self))
 
     def extend(self, jobs: Iterable, forming: bool = False):
         """Queue jobs after the ones queued before; forming: more will come."""
@@ -388,8 +386,6 @@ class Verdicts:
         self._jobs += jobs
         self._verdicts += [None] * len(jobs)
         self.forming = forming
-        if self._at_once:
-            self._worker._send(self, len(self._jobs))
         self._worker._top_up()
 
     def __iter__(self):
@@ -412,16 +408,16 @@ class SignatureWorker:
     what each side has verified.
 
     Jobs go to the worker in requests of at most CHUNK_TRANSACTIONS jobs.
-    A Verdicts queued at_once sends all its jobs at once.  The others take
-    turns in the order they were made: the worker is kept _REQUESTS_AHEAD
-    requests ahead (_top_up), from the front of the oldest Verdicts with
-    jobs not yet sent, and a reader that would wait verifies the next of
-    those jobs itself (_advance).  worker_signatures and here_signatures
-    count the ECDSA verifications each side ran, which are verify_jobs'
-    memo misses, and worker_seconds and here_seconds the seconds each spent
-    on its jobs (the worker's as each answer reports them).  They are read
-    by tests and benchmarks, never by a report, which must not depend on
-    timing.
+    The Verdicts take turns in the order they were made: the worker is kept
+    _REQUESTS_AHEAD requests ahead (_top_up), from the front of the oldest
+    Verdicts with jobs not yet sent, and a reader that would wait verifies
+    the next of those jobs itself (_advance).  An endorser's client check
+    is verified here as well (verify_here).  worker_signatures and
+    here_signatures count the ECDSA verifications each side ran, which are
+    verify_jobs' memo misses, and worker_seconds and here_seconds the
+    seconds each spent on its jobs (the worker's as each answer reports
+    them).  They are read by tests and benchmarks, never by a report, which
+    must not depend on timing.
 
     The worker is forked.  The spawn and forkserver methods run the main
     module again in the child, which fails in a script without a __main__
@@ -450,8 +446,8 @@ class SignatureWorker:
         # requests sent and not yet answered, in the order the answers come:
         # (weak reference to the Verdicts, index of its first job)
         self._waiting: deque = deque()
-        # weak references to the Verdicts not queued at_once, in the order
-        # they were made, until they are dropped or have nothing left to send
+        # weak references to the Verdicts in the order they were made, until
+        # they are dropped or have nothing left to send
         self._open: deque = deque()
         self.worker_signatures = self.here_signatures = 0
         self.worker_seconds = self.here_seconds = 0.0
@@ -460,15 +456,24 @@ class SignatureWorker:
     def pid(self) -> int:
         return self._process.pid
 
-    def verify(self, jobs: Iterable, forming: bool = False, at_once: bool = False) -> Verdicts:
+    def verify(self, jobs: Iterable, forming: bool = False) -> Verdicts:
         """Queue jobs for verification; the verdicts are read when iterated.
 
-        forming: more jobs will come, through the Verdicts' extend.  at_once
-        sends every job now, ahead of the turns of the others: a client
-        check is read while its endorser is busy with its own work.
+        forming: more jobs will come, through the Verdicts' extend.
         """
-        verdicts = Verdicts(self, at_once)
+        verdicts = Verdicts(self)
         verdicts.extend(jobs, forming)
+        return verdicts
+
+    def verify_here(self, jobs, memo: dict | None = None) -> list[bool]:
+        """verify_jobs in this process, with memo, counted in here_signatures
+        and here_seconds."""
+        memo = {} if memo is None else memo
+        before = len(memo)
+        started = perf_counter()
+        verdicts = verify_jobs(jobs, self._loaded, memo)
+        self.here_seconds += perf_counter() - started
+        self.here_signatures += len(memo) - before
         return verdicts
 
     def _unsent(self) -> Verdicts | None:
@@ -492,23 +497,23 @@ class SignatureWorker:
         Verdicts with jobs not yet sent."""
         self._drain()
         while (owner := self._unsent()) is not None and len(self._waiting) < _REQUESTS_AHEAD:
-            self._send(owner, min(owner._sent + CHUNK_TRANSACTIONS, len(owner._jobs)))
+            self._send(owner)
 
-    def _send(self, owner: Verdicts, end: int):
-        """Send owner's jobs from owner._sent to end, CHUNK_TRANSACTIONS to a
+    def _send(self, owner: Verdicts):
+        """Send owner's next CHUNK_TRANSACTIONS jobs not yet sent as one
         request.  A chunk with no signature to verify is judged here
         instead."""
-        for start in range(owner._sent, end, CHUNK_TRANSACTIONS):
-            jobs = owner._jobs[start : min(start + CHUNK_TRANSACTIONS, end)]
-            if not any(jobs):
-                owner._verdicts[start : start + len(jobs)] = verify_jobs(jobs)
-                continue
+        start = owner._sent
+        jobs = owner._jobs[start : start + CHUNK_TRANSACTIONS]
+        if any(jobs):
             try:
                 self._conn.send(jobs)
             except OSError as exc:
                 raise self._gone() from exc
             self._waiting.append((weakref.ref(owner), start))
-        owner._sent = end
+        else:
+            owner._verdicts[start : start + len(jobs)] = verify_jobs(jobs)
+        owner._sent = start + len(jobs)
 
     def _drain(self):
         """Take every answer that is ready, without waiting."""
@@ -549,12 +554,7 @@ class SignatureWorker:
         """Verify owner's next job not yet sent, in this process."""
         i = owner._sent
         owner._sent += 1
-        memo = owner._memo
-        before = len(memo)
-        started = perf_counter()
-        owner._verdicts[i] = verify_jobs((owner._jobs[i],), self._loaded, memo)[0]
-        self.here_seconds += perf_counter() - started
-        self.here_signatures += len(memo) - before
+        [owner._verdicts[i]] = self.verify_here((owner._jobs[i],), owner._memo)
 
     def _gone(self) -> VerifierUnavailable:
         global _worker

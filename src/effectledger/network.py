@@ -24,26 +24,25 @@ at each tick the network steps, which is how a vote dropped by a fault rule
 is fetched in the tick the rule expires.
 
 Signatures are verified outside the tick clock, and keys tells where and by
-which process.  Endorsement checks have one owner, self._prepared.  run
-prepares the proposals due at a tick in chunks of keys.CHUNK_TRANSACTIONS,
-at most two chunks ahead of the submit being made (_submit_due).  Each
-client signs its proposals of a chunk as one batch, with one ECDSA
-signature (keys.sign_batch), so an organization verifies that signature
-once per request of the chunk's checks.  Each live organization that a
-chunk's proposals need queues their client checks as one batch
-(OrgNode.client_checks), and each prepared entry keeps the
-(check, verdicts) pair of each of those organizations.  submit hands each
-live endorser its pair (OrgNode.evaluate_agreement), so every batch is read
-in submit order, and a retired organization's checks are never read.
-Checks still unread at the end of a tick are dropped with _prepared.  The
-orderer streams each forming block to every live organization a
-keys.CHUNK_TRANSACTIONS chunk at a time, as submit queues it (a chunk once
-a later transaction of its block is queued), and each organization's
-receive_action queues that chunk's checks at once; when the orderer cuts
-the block, at the tick it would anyway, it delivers the rest, and an
-equivocation victim's copy without the last transaction, which was never
-streamed.  Effect votes are verified here, by each organization that
-fetches them.
+which process.  run submits the proposals due at a tick a
+keys.CHUNK_TRANSACTIONS chunk at a time: it prepares a chunk, then submits
+each of its proposals (_submit_due).  Each client signs its proposals of a
+chunk as one batch, with one ECDSA signature (keys.sign_batch).  Endorsers
+verify client checks in place: submit asks each live organization that a
+proposal needs to endorse it, and that organization verifies the
+proposal's client check in this process before it signs
+(OrgNode.evaluate_agreement).  It verifies with a keys.verify_jobs memo
+that belongs to it and to the proposal's chunk alone (each prepared chunk
+has one {org: memo} dict), so it verifies each client's batch root once per
+chunk, and no verdict passes between organizations.  A required
+organization that is not live is never asked.  The orderer streams each
+forming block to every live organization a keys.CHUNK_TRANSACTIONS chunk at
+a time, as submit queues it (a chunk once a later transaction of its block
+is queued), and each organization's receive_action queues that chunk's
+checks at once; when the orderer cuts the block, at the tick it would
+anyway, it delivers the rest, and an equivocation victim's copy without the
+last transaction, which was never streamed.  Effect votes are verified
+here, by each organization that fetches them.
 
 Identical (config, schedule, fault script) inputs produce identical reports
 and identical ledger bytes.  The only randomness anywhere is the workload
@@ -442,7 +441,7 @@ class Network:
         self._client_keys: dict[str, object] = {}
         self._client_plans: dict[str, PlanCache] = {}
         # proposals prepared for this tick's submits: (proposal, required
-        # orgs, live required org -> its queued (check, verdicts) pair)
+        # orgs, the chunk's org -> keys.verify_jobs memo)
         self._prepared: deque = deque()
         self._rules = {FaultKind.DROP_VOTES: [], FaultKind.TAMPER_VOTE: []}  # in force now
         self._equivocations: set[tuple[str, int]] = set()  # (victim, block id)
@@ -604,20 +603,21 @@ class Network:
         """Chainify one proposal: gather agreements, then hand to the orderer.
 
         Takes the proposal that run prepared for (client, sql) when it is the
-        next one prepared; prepares it here otherwise, as a batch of one.
-        Each live endorser evaluates it with the client check it queued; a
+        next one prepared; prepares it here otherwise, as a chunk of one.
+        Each live endorser evaluates it and verifies its client check, with
+        its memo for the proposal's chunk (see the module docstring); a
         required organization that is not live is unreachable.  When the
         transaction starts a new chunk of its block, the block as formed so
         far goes to every live organization (Orderer.submit).  Returns the
         ChainedTransaction that the block will hold, or the Rejected."""
         prepared = self._prepared
         if prepared and prepared[0][0].client == client and prepared[0][0].sql == sql:
-            proposal, needed, queued = prepared.popleft()
+            proposal, needed, memos = prepared.popleft()
         else:
-            [(proposal, needed, queued)] = self._prepare([(client, sql)])
+            [(proposal, needed, memos)] = self._prepare([(client, sql)])
         evaluators = {
-            org: partial(self.runtimes[org].node.evaluate_agreement, queued=check)
-            for org, check in queued.items()
+            org: partial(self.runtimes[org].node.evaluate_agreement, memo=memos.setdefault(org, {}))
+            for org in needed
             if self.runtimes[org].live
         }
         result = agmt.collect_agreements(proposal, needed, evaluators)
@@ -632,43 +632,36 @@ class Network:
         return result
 
     def _prepare(self, entries) -> list:
-        """Prepare the proposals of (client, sql) entries for submit: each
-        client signs all of its proposals among them as one batch
-        (agmt.make_proposals: one ECDSA signature per client and chunk) and
-        finds the organizations each needs through its plan cache, and each
-        live organization among them queues the client checks of those it
-        is needed for, as one batch.  Returns (proposal, required orgs,
-        {org: (check, verdicts)}) entries in entry order."""
+        """Prepare the proposals of (client, sql) entries, one chunk, for
+        submit: each client signs all of its proposals among them as one
+        batch (agmt.make_proposals: one ECDSA signature per client and chunk)
+        and finds the organizations each needs through its plan cache.
+        Returns (proposal, required orgs, memos) entries in entry order,
+        where memos is the chunk's one {org: memo} dict (see the module
+        docstring)."""
         signed = {}
         for client in dict.fromkeys(client for client, _ in entries):
             sqls = [sql for of, sql in entries if of == client]
             signed[client] = iter(agmt.make_proposals(client, sqls, self.client_key(client)))
+        memos: dict[str, dict] = {}
         prepared = []
         for client, sql in entries:
             needed = agmt.endorsers(sql, self.agreement_policies, self._client_plans[client])
-            prepared.append((next(signed[client]), needed, {}))
-        for org, rt in self.runtimes.items():
-            mine = [(proposal, queued) for proposal, needed, queued in prepared if org in needed]
-            if mine and rt.live:
-                checks = rt.node.client_checks([proposal for proposal, _ in mine])
-                for (_, queued), check in zip(mine, checks):
-                    queued[org] = check
+            prepared.append((next(signed[client]), needed, memos))
         return prepared
 
     def _submit_due(self, due):
-        """Submit the proposals due at this tick, in order.  They are prepared
-        keys.CHUNK_TRANSACTIONS at a time, at most two chunks ahead of the one
-        being submitted, so the signature worker verifies the client checks
-        of later chunks while the endorsers evaluate earlier ones.  Checks
-        still unread at the end are dropped with _prepared."""
+        """Submit the proposals due at this tick, in order, a
+        keys.CHUNK_TRANSACTIONS chunk at a time: prepare the chunk, then
+        submit each of its proposals.  What a raising submit left prepared
+        is dropped."""
         size = keys.CHUNK_TRANSACTIONS
-        ready = 0
         try:
-            for i, (client, sql) in enumerate(due):
-                while ready < min(len(due), (i // size + 3) * size):
-                    self._prepared.extend(self._prepare(due[ready : ready + size]))
-                    ready += size
-                self.submit(client, sql)
+            for start in range(0, len(due), size):
+                chunk = due[start : start + size]
+                self._prepared.extend(self._prepare(chunk))
+                for client, sql in chunk:
+                    self.submit(client, sql)
         finally:
             self._prepared.clear()
 

@@ -14,9 +14,9 @@ until consensus arrives late (peers catching up) or recovery rebuilds the
 state.  Replaying a committed block runs the same per-transaction loop and
 discards the stage sizes.
 
-Endorsing: evaluate_agreement signs an agreement only after the proposal's
-client check passed.  The checks are queued by client_checks and handed to
-it by Network.submit; network tells when.
+Endorsing: evaluate_agreement verifies the proposal's client check in
+place and signs an agreement only after it passed; network tells with which
+memo.
 
 Each round has one record at a time: received (self.verifying: the action
 and the verdicts on its signatures), then pending (self.pending: the block
@@ -148,36 +148,24 @@ class OrgNode:
 
     # ---- agreement service ----
 
-    def client_checks(self, proposals) -> list:
-        """Queue the client checks of proposals with the signature worker as
-        one batch (keys.Verdicts).  Returns one (check, verdicts) pair per
-        proposal, for evaluate_agreement, which must be given them in the
-        same order: each pair's verdict is the next one read from the
-        batch's verdicts.  A proposal from a client the registry does not
-        know gets no check (None)."""
-        checks = []
-        for proposal in proposals:
-            client_key = self.registry.encoded_key(proposal.client)
-            check = None
-            if client_key is not None:
-                check = (client_key, proposal.signature, proposal.signed_payload())
-            checks.append(check)
-        jobs = ((check,) for check in checks if check)
-        verdicts = iter(keys.signature_worker().verify(jobs, at_once=True))
-        return [(check, verdicts) for check in checks]
-
     def evaluate_agreement(
-        self, proposal: agmt.TransactionProposal, queued: tuple | None = None
+        self, proposal: agmt.TransactionProposal, memo: dict | None = None
     ) -> agmt.Agreement:
         """Signed verdict on a proposal, judged against committed state only.
 
-        queued is the proposal's (check, verdicts) pair from client_checks;
-        without it the check is queued here, as a batch of one.  An
-        agreement is recorded in self.endorsed with the client check that
-        passed, so that receiving the transaction checks neither again.
+        The client check is verified first, in place, with memo: this
+        organization's keys.verify_jobs memo for the proposal's chunk,
+        which network passes; without it, with a memo of its own.  A client
+        the registry does not know is refused.  An agreement is recorded in
+        self.endorsed with the client check that passed, so that receiving
+        the transaction checks neither again.
         """
-        client_check, verdicts = queued or self.client_checks([proposal])[0]
-        verdict = client_check is not None and next(verdicts)
+        client_key = self.registry.encoded_key(proposal.client)
+        payload = proposal.signed_payload()
+        client_check = (client_key, proposal.signature, payload)
+        verdict = client_key is not None and keys.signature_worker().verify_here(
+            ((client_check,),), memo
+        )[0]
         if verdict:
             parsed = agmt.parse_transaction(proposal.sql, self.plans)
             fields = parsed.fields(self.catalog())
@@ -188,7 +176,6 @@ class OrgNode:
                 ):
                     verdict = False
                     break
-        payload = proposal.signed_payload() if client_check is None else client_check[2]
         agreement = agmt.make_agreement(
             self.org_id, hashlib.sha256(payload).digest(), verdict, self.private_key
         )

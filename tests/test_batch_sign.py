@@ -2,7 +2,8 @@
 signature of a Merkle root, and each proposal's signature, the DER signature
 followed by its proof, verifies alone, through keys.verify and
 keys.verify_jobs alike; a batch of one is a plain signature.  Each memo,
-one per worker request or per Verdicts, verifies a batch root once."""
+one per worker request, per Verdicts or per endorser and chunk, verifies a
+batch root once."""
 
 import struct
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectledger import agreement, consensus, keys
+from effectledger import org as org_module
 from effectledger.agreement import ChainedTransaction, TransactionProposal
 from effectledger.keys import derive_private_key
 from effectledger.network import Network, NetworkConfig, OrgConfig, Orderer
@@ -273,17 +275,19 @@ def counts(worker):
     return worker.worker_signatures, worker.here_signatures
 
 
-def test_one_request_of_a_chunk_runs_one_verification_per_client(idle_worker):
-    """An organization's request of the chunk's 32 client checks runs 3
-    ECDSA verifications in the worker, and another organization's request
-    of the same checks 3 more: no verdict passes between them."""
+def endorse(node, proposals, memo):
+    return [node.evaluate_agreement(proposal, memo).verdict for proposal in proposals]
+
+
+def test_an_endorser_verifies_a_chunk_with_one_verification_per_client(idle_worker):
+    """An organization that endorses the chunk's 32 proposals with its memo
+    for the chunk runs 3 ECDSA verifications, in place, and another
+    organization with its own memo 3 more: no verdict passes between them."""
     net, proposals = signed_chunk()
     for org in ("O1", "O2"):
         before = counts(idle_worker)
-        pairs = net.node(org).client_checks(proposals)
-        assert [next(verdicts) for _, verdicts in pairs] == [True] * CHUNK
-        after = counts(idle_worker)
-        assert (after[0] - before[0], after[1] - before[1]) == (3, 0)
+        assert endorse(net.node(org), proposals, {}) == [True] * CHUNK
+        assert counts(idle_worker) == (before[0], before[1] + 3)
 
 
 def test_a_forged_member_costs_one_more_verification(idle_worker):
@@ -291,10 +295,36 @@ def test_a_forged_member_costs_one_more_verification(idle_worker):
     forged = proposals[4]
     proposals[4] = TransactionProposal(forged.client, "DELETE FROM acct;", forged.signature)
     before = counts(idle_worker)
-    pairs = net.node("O1").client_checks(proposals)
-    verdicts = [next(verdicts) for _, verdicts in pairs]
-    assert verdicts == [i != 4 for i in range(CHUNK)]
-    assert idle_worker.worker_signatures - before[0] == 4
+    assert endorse(net.node("O1"), proposals, {}) == [i != 4 for i in range(CHUNK)]
+    assert counts(idle_worker) == (before[0], before[1] + 4)
+
+
+def test_each_endorser_of_a_run_verifies_each_client_root_once_per_chunk(
+    idle_worker, monkeypatch
+):
+    """Through Network.run, each endorser of a chunk from three clients runs
+    3 ECDSA verifications, with one memo of its own: no two organizations
+    share a memo, so no verdict passes between them."""
+    net = network(agreement_policies={"acct": ["O1", "O2"]})
+    net.run([(0, "alice", DDL), (0, "alice", ROWS)])
+    memos, verified = {}, {"O1": 0, "O2": 0}
+    evaluate = org_module.OrgNode.evaluate_agreement
+
+    def recorded(node, proposal, memo=None):
+        memos.setdefault(node.org_id, []).append(memo)
+        before = idle_worker.here_signatures
+        agreement = evaluate(node, proposal, memo)
+        verified[node.org_id] += idle_worker.here_signatures - before
+        return agreement
+
+    monkeypatch.setattr(org_module.OrgNode, "evaluate_agreement", recorded)
+    net.run(chunk_of_updates())
+    assert [node.height for node in net.nodes.values()] == [2, 2, 2]
+    assert verified == {"O1": 3, "O2": 3}
+    first, second = memos["O1"][0], memos["O2"][0]
+    assert first is not second
+    assert all(memo is first for memo in memos["O1"]) and len(memos["O1"]) == CHUNK
+    assert all(memo is second for memo in memos["O2"]) and len(memos["O2"]) == CHUNK
 
 
 def test_a_reader_verifies_each_root_once_per_verdicts(idle_worker, monkeypatch):

@@ -1,10 +1,9 @@
-"""Endorsement checks queued in chunks: Network.run prepares each tick's
-proposals keys.CHUNK_TRANSACTIONS at a time, at most two chunks ahead of the
-submit being made, and each required live endorser queues its client checks
-with the signature worker; submit hands each endorser its check, so the
-verdicts are read in order.  The outcome equals submitting every proposal on
-its own, and no check is left queued behind a tick, a run or a retired
-organization."""
+"""Endorsement in chunks: Network.run prepares each tick's proposals
+keys.CHUNK_TRANSACTIONS at a time, then submits the chunk, and each required
+live endorser verifies its client check in place, with its memo for the
+chunk.  The outcome equals submitting every proposal on its own, a retired
+organization is never asked, and nothing is left prepared behind a tick or
+a run."""
 
 import pytest
 
@@ -67,15 +66,15 @@ def outcome(net):
 
 @pytest.fixture
 def batches(monkeypatch):
-    """Sizes of the batches of proposals whose client checks were queued."""
+    """Sizes of the chunks of proposals prepared."""
     sizes = []
-    client_checks = org_module.OrgNode.client_checks
+    prepare = Network._prepare
 
-    def counted(node, proposals):
-        sizes.append(len(proposals))
-        return client_checks(node, proposals)
+    def counted(net, entries):
+        sizes.append(len(entries))
+        return prepare(net, entries)
 
-    monkeypatch.setattr(org_module.OrgNode, "client_checks", counted)
+    monkeypatch.setattr(Network, "_prepare", counted)
     return sizes
 
 
@@ -126,18 +125,38 @@ def test_each_endorser_verifies_before_it_signs(monkeypatch):
     assert not any(verdict for digest, verdict in signed if digest in bad_digests)
 
 
-def test_lookahead_stays_within_two_chunks_and_the_tick(monkeypatch):
-    """A proposal is signed at most two chunks ahead of the chunk being
-    submitted, and never before its tick."""
+def test_an_endorser_verifies_in_place_with_the_memo_it_is_given():
+    """An unknown client is refused on its proposal's digest with no ECDSA
+    run; a known client's check is verified once per memo, and at each
+    call that passes none."""
+    net = network()
+    net.run([(0, "alice", sql) for sql in DDL])
+    node, worker = net.node("O2"), keys.signature_worker()
+    ghost = agreement.make_proposal("ghost", update("sav", 0), net.client_key("ghost"))
+    alice = agreement.make_proposal("alice", update("sav", 1), net.client_key("alice"))
+    before, recorded = worker.here_signatures, len(node.endorsed)
+    refused = node.evaluate_agreement(ghost, {})
+    assert not refused.verdict and refused.txn_digest == ghost.digest()
+    assert worker.here_signatures == before and len(node.endorsed) == recorded
+
+    memo = {}
+    for given in (memo, memo, None, None):
+        assert node.evaluate_agreement(alice, given).verdict
+    assert worker.here_signatures == before + 3 and len(memo) == 1
+
+
+def test_each_proposal_is_signed_in_the_chunk_being_submitted(monkeypatch):
+    """A chunk is signed once every proposal signed before it at its tick
+    was submitted, and a proposal is never signed before its tick."""
     net = network()
     signed, submitted = [], []
     make_proposals = agreement.make_proposals
     submit = Network.submit
 
     def signing(client, sqls, private_key):
+        done = submitted.count(net.tick)
         for _ in sqls:
-            ahead = signed.count(net.tick) - submitted.count(net.tick)
-            assert ahead < 3 * CHUNK - submitted.count(net.tick) % CHUNK
+            assert done % CHUNK == 0 and signed.count(net.tick) - done < CHUNK
             signed.append(net.tick)
         return make_proposals(client, sqls, private_key)
 
@@ -153,7 +172,7 @@ def test_lookahead_stays_within_two_chunks_and_the_tick(monkeypatch):
 
 def test_no_client_check_is_left_queued():
     """After a run with rejected proposals and an endorser killed after it
-    had queued checks, no Verdicts is left unread and nothing is prepared."""
+    had endorsed, no Verdicts is left unread and nothing is prepared."""
     net = network()
     report = net.run(SCHEDULE, [KILL_O3])
     assert report.events("O3", KILL) and report.events(kind=REJECT)
@@ -161,38 +180,35 @@ def test_no_client_check_is_left_queued():
     assert not net._prepared
 
 
-def test_checks_prepared_for_a_retired_organization_are_never_read(monkeypatch):
-    """O3 queues the client checks of two proposals, then is killed: submit
-    finds it unreachable and never asks it, and its checks, unread, go once
-    _prepared is cleared."""
+def test_a_retired_endorser_is_never_asked(monkeypatch):
+    """O3 is killed after a chunk of two proposals that need it was
+    prepared: submit finds it unreachable and never asks it, and O2
+    endorses both with its one memo for the chunk."""
     net = network()
     net.run([(0, "alice", sql) for sql in DDL])
-    assert not unread_verdicts()
     asked = []
     evaluate = org_module.OrgNode.evaluate_agreement
 
-    def recorded(node, proposal, queued=None):
-        asked.append(node.org_id)
-        return evaluate(node, proposal, queued)
+    def recorded(node, proposal, memo=None):
+        asked.append((node.org_id, id(memo)))
+        return evaluate(node, proposal, memo)
 
     monkeypatch.setattr(org_module.OrgNode, "evaluate_agreement", recorded)
     entries = [("alice", update("sav", i)) for i in (0, 1)]
     net._prepared.extend(net._prepare(entries))
-    assert [sorted(queued) for _, _, queued in net._prepared] == [["O2", "O3"]] * 2
-    assert len(unread_verdicts()) == 2  # one batch each for O2 and O3
+    memos = net._prepared[0][2]
+    assert all(needed == ("O2", "O3") for _, needed, _ in net._prepared)
     net.apply_fault(FaultEvent.from_dict(KILL_O3))
 
-    rejected = net.submit(*entries[0])
-    assert isinstance(rejected, agreement.Rejected) and rejected.dissenting == ("O3",)
-    assert asked == ["O2"]
-    # O2's batch has its second check left, O3's both of its own
-    assert len(unread_verdicts()) == 2
-    net._prepared.clear()
-    assert not unread_verdicts()
-    assert asked == ["O2"]
+    for entry in entries:
+        rejected = net.submit(*entry)
+        assert isinstance(rejected, agreement.Rejected) and rejected.dissenting == ("O3",)
+    assert list(memos) == ["O2"]
+    assert asked == [("O2", id(memos["O2"]))] * 2
+    assert not net._prepared
 
 
-def test_a_run_that_raises_drops_the_checks_it_queued(monkeypatch):
+def test_a_run_that_raises_leaves_nothing_prepared(monkeypatch):
     net = network()
     submit = Network.submit
     calls = []

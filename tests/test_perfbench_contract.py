@@ -100,8 +100,9 @@ def test_workload_config_and_event_names():
 
 
 def test_keys_verify_counts_vote_checks_only(monkeypatch):
-    # endorsement's client checks are verified in signature worker batches,
-    # as block checks are, so the keys.verify span counts vote checks only
+    # endorsement's client checks are verified in place through
+    # keys.verify_jobs, as block checks are, so the keys.verify span counts
+    # vote checks only
     messages = []
     verify = keys.verify
     monkeypatch.setattr(
@@ -123,29 +124,44 @@ def test_keys_verify_counts_vote_checks_only(monkeypatch):
     assert messages and set(messages) <= votes
 
 
-def test_committed_actions_hold_the_transactions_submit_returned(monkeypatch):
+@pytest.mark.parametrize("policies", [{}, {"t": ["O1", "O2"]}], ids=["plain", "endorsed"])
+def test_committed_actions_hold_the_transactions_submit_returned(policies, monkeypatch):
     # spans.LatencyProbe matches each transaction of node.pending.action at
-    # commit to the result of the Network.submit call that made it, by id();
+    # commit to the result of the Network.submit call that made it, by id(),
+    # and starts its clock at that call, so endorsement must run inside it;
     # blocks above keys.CHUNK_TRANSACTIONS are delivered a chunk at a time
-    submitted, committed = set(), []
+    submitted, committed, inside, endorsed = set(), [], [], []
     submit, commit_pending = network.Network.submit, org.OrgNode.commit_pending
+    evaluate = org.OrgNode.evaluate_agreement
 
     def recorded_submit(net, client, sql):
-        result = submit(net, client, sql)
+        inside.append(sql)
+        try:
+            result = submit(net, client, sql)
+        finally:
+            inside.pop()
         submitted.add(id(result))
         return result
+
+    def recorded_evaluate(node, proposal, memo=None):
+        endorsed.append(inside == [proposal.sql])
+        return evaluate(node, proposal, memo)
 
     def recorded_commit(node, transcript):
         committed.extend(id(ct) for ct in node.pending.action.transactions)
         return commit_pending(node, transcript)
 
     monkeypatch.setattr(network.Network, "submit", recorded_submit)
+    monkeypatch.setattr(org.OrgNode, "evaluate_agreement", recorded_evaluate)
     monkeypatch.setattr(org.OrgNode, "commit_pending", recorded_commit)
     size = 2 * keys.CHUNK_TRANSACTIONS + 5
     net = network.Network(network.NetworkConfig(
         [network.OrgConfig(org) for org in ("O1", "O2", "O3")], blocksize=size,
+        agreement_policies=policies,
     ))
     rows = [(1, "c", f"INSERT INTO t (k) VALUES ({k});") for k in range(size)]
     net.run([(0, "c", "CREATE TABLE t (k INT, PRIMARY KEY (k));"), *rows])
     assert [node.height for node in net.nodes.values()] == [2, 2, 2]
     assert len(committed) == 3 * (1 + size) and set(committed) == submitted
+    # each endorsement runs inside the submit of its own proposal
+    assert endorsed == ([True] * 2 * (1 + size) if policies else [])

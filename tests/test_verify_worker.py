@@ -395,11 +395,10 @@ def test_the_worker_is_kept_requests_ahead(chunks, idle_worker, monkeypatch):
     assert list(verdicts) == SERIAL(jobs)
 
 
-@pytest.mark.parametrize("sending", ["paced", "at once", "never"])
+@pytest.mark.parametrize("sending", ["paced", "never"])
 def test_the_signature_counts_grow_by_the_signatures_queued(sending, idle_worker, monkeypatch):
     """worker_signatures + here_signatures grows by exactly the signatures
-    of the jobs read; jobs sent at once are all verified by the worker, and
-    with nothing sent, all here."""
+    of the jobs read; with nothing sent, all are verified here."""
     worker = idle_worker
     if sending == "never":
         send_nothing(monkeypatch)
@@ -407,12 +406,10 @@ def test_the_signature_counts_grow_by_the_signatures_queued(sending, idle_worker
     signatures = sum(len(job or ()) for job in jobs)
     counts = worker.worker_signatures, worker.here_signatures
 
-    assert list(worker.verify(jobs, at_once=sending == "at once")) == SERIAL(jobs)
+    assert list(worker.verify(jobs)) == SERIAL(jobs)
     by_worker = worker.worker_signatures - counts[0]
     by_here = worker.here_signatures - counts[1]
     assert by_worker + by_here == signatures
-    if sending == "at once":
-        assert by_here == 0
     if sending == "never":
         assert by_worker == 0
 
@@ -431,34 +428,6 @@ def test_a_forming_verdicts_stays_open_until_its_last_jobs_are_read(idle_worker)
     forming.extend(rest)
     assert list(forming) == SERIAL(first + rest)
     assert not worker._open and not worker._waiting
-
-
-def test_client_checks_are_sent_at_once_and_their_endorser_verifies_block_jobs(
-    idle_worker, monkeypatch
-):
-    """A batch of client checks is sent whole, behind the requests in
-    flight and ahead of a block's jobs not yet sent; an endorser waiting on
-    its check, with no answer ready, verifies those block jobs instead."""
-    cluster = seeded_cluster()
-    node = cluster["O1"]
-    chunk = keys.CHUNK_TRANSACTIONS
-    action = org_module.Action(2, mixed_transactions(cluster, PACED_CHUNKS * chunk))
-    monkeypatch.setattr(idle_worker, "_answers", Unanswered())
-    node.receive_action(action)
-    block = node.verifying[2][1]
-    assert block._sent == keys._REQUESTS_AHEAD * chunk < len(block._jobs)
-    proposals = [
-        make_proposal(CLIENT, f"UPDATE acct SET bal = bal + 1 WHERE id = {i % 10 + 1};",
-                      cluster.client_key)
-        for i in range(chunk)
-    ]
-    checks = node.client_checks(proposals)
-    assert len(idle_worker._waiting) == keys._REQUESTS_AHEAD + 1
-    assert block._sent < len(block._jobs)
-
-    assert [next(verdicts) for _, verdicts in checks] == [True] * len(proposals)
-    assert block._sent == len(block._jobs)  # verified while the endorser waited
-    assert list(block) == SERIAL(block._jobs)
 
 
 def test_verdicts_dropped_unread_do_not_disturb_later_ones(idle_worker, monkeypatch):
@@ -497,14 +466,13 @@ def test_a_network_run_leaves_nothing_queued(corrupted, idle_worker):
     assert not idle_worker._open and not idle_worker._waiting
 
 
-@pytest.mark.parametrize("at_once", [False, True], ids=["paced", "at once"])
-def test_a_killed_worker_raises_with_jobs_queued(at_once):
+def test_a_killed_worker_raises_with_jobs_queued():
     worker = keys.SignatureWorker()  # a worker of its own, not the process's
     try:
         os.kill(worker.pid, signal.SIGKILL)
         worker._process.join()
         with pytest.raises(VerifierUnavailable, match="is gone"):
-            list(worker.verify(MIXED, at_once=at_once))
+            list(worker.verify(MIXED))
     finally:
         worker.close()
 
@@ -549,9 +517,10 @@ def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monk
     assert all(net.node("O1").ledger.block(2).successful)
     assert calls["pipeline"] == 0 and calls["elsewhere"] > 0
     if sending == "never":
-        # each organization's block checks; O2's and O3's client checks are
-        # sent at once
-        assert sum(verified_here) == 3 * (2 + 40)
+        # one job per transaction: each organization's block checks of the
+        # 2 set-up and 40 update transactions, 3 * 42, and O2's and O3's
+        # client checks when endorsing each of the 42, in place, 2 * 42
+        assert sum(verified_here) == 3 * 42 + 2 * 42 == 210
 
 
 # ---- the worker process's lifetime, in separate interpreters ----
