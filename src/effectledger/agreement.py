@@ -10,12 +10,14 @@ not found, unreachable organization) conservatively refuses.
 
 A fully endorsed proposal becomes a ChainedTransaction carrying the client
 signature plus one signed agreement per required organization.  A client
-signs its proposals one at a time (make_proposal) or as a batch
-(make_proposals), whose signatures share one ECDSA signature of a Merkle
-root but each verify alone, in the one format keys describes; an agreement
-and a vote are signed one at a time.  Execution later
-re-verifies the whole bundle and marks transactions with missing or invalid
-agreements failed.  That check has two halves, so that the signatures can be
+signs its proposals, and an endorser its agreements, one at a time
+(make_proposal, make_agreement) or as a batch (make_proposals,
+make_agreements), whose signatures share one ECDSA signature of a Merkle
+root but each verify alone, in the one format keys describes; a batch of
+one is a plain signature.  An endorser signs its agreements on a prepared
+chunk as one batch (OrgNode.evaluate_agreement); a vote is signed alone.
+Execution later re-verifies the whole bundle and marks transactions with
+missing or invalid agreements failed.  That check has two halves, so that the signatures can be
 verified elsewhere in between: signature_jobs lists them, and
 finish_verification takes the verdict on them; verify_chained_transaction is
 the two together.  An endorsing organization keeps an Endorsements record,
@@ -111,9 +113,19 @@ class Agreement:
         return agreement_payload(self.org, self.txn_digest, self.verdict)
 
 
+def make_agreements(org: str, items, private_key) -> list[Agreement]:
+    """The organization's agreements on (txn digest, verdict) items, signed
+    as one batch (keys.sign_batch)."""
+    payloads = [agreement_payload(org, digest, verdict) for digest, verdict in items]
+    signatures = keys.sign_batch(private_key, payloads)
+    return [
+        Agreement(org, digest, verdict, sig) for (digest, verdict), sig in zip(items, signatures)
+    ]
+
+
 def make_agreement(org: str, txn_digest: bytes, verdict: bool, private_key) -> Agreement:
-    signature = keys.sign(private_key, agreement_payload(org, txn_digest, verdict))
-    return Agreement(org, txn_digest, verdict, signature)
+    """An agreement signed alone: a batch of one."""
+    return make_agreements(org, [(txn_digest, verdict)], private_key)[0]
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ message) it verified, so a batch root is verified once per memo, and
 worker_signatures and here_signatures count the verifications run.  The
 worker makes a new memo for each request, each Verdicts keeps one for the
 jobs its readers verify here, and an endorser keeps one per prepared chunk
-(network tells whose); each belongs to the one organization whose jobs
-they are.  So an organization verifies each batch root it meets once per
+(org.ChunkMemo; network tells whose); each belongs to the one organization
+whose jobs they are.  So an organization verifies each batch root it meets once per
 request or chunk, no verdict passes between organizations, and the worker
 remembers no verdict across requests.
 
@@ -38,8 +38,11 @@ endorsing included.
 
 Endorsing.  Each organization that a proposal needs checks its client's
 signature in place, in this process, before it signs an agreement
-(SignatureWorker.verify_here); network tells who and with which memo.  The
-organization records the check that passed with the agreement it signed
+(SignatureWorker.verify_here).  It endorses a prepared chunk's proposals
+together: one verify_here call for their client checks, and one
+sign_batch for all of its agreements on them, so one ECDSA signature per
+organization and chunk; network tells who and with which memo.  The
+organization records each check that passed with the agreement it signed
 (agreement.Endorsements, one per organization).
 
 Receiving.  The orderer delivers a forming block to each organization a

@@ -27,15 +27,21 @@ Signatures are verified outside the tick clock, and keys tells where and by
 which process.  run submits the proposals due at a tick a
 keys.CHUNK_TRANSACTIONS chunk at a time: it prepares a chunk, then submits
 each of its proposals (_submit_due).  Each client signs its proposals of a
-chunk as one batch, with one ECDSA signature (keys.sign_batch).  Endorsers
-verify client checks in place: submit asks each live organization that a
-proposal needs to endorse it, and that organization verifies the
-proposal's client check in this process before it signs
-(OrgNode.evaluate_agreement).  It verifies with a keys.verify_jobs memo
-that belongs to it and to the proposal's chunk alone (each prepared chunk
-has one {org: memo} dict), so it verifies each client's batch root once per
-chunk, and no verdict passes between organizations.  A required
-organization that is not live is never asked.  The orderer streams each
+chunk as one batch, with one ECDSA signature (keys.sign_batch), and so
+does each endorser with its agreements.  Each prepared chunk has one {org:
+ChunkMemo} dict, and each organization's memo holds the chunk's proposals
+that need it, in chunk order.  submit asks each live organization that a
+proposal needs for its agreement, with that memo
+(OrgNode.evaluate_agreement).  The organization's first call for the chunk
+endorses all of the memo's proposals: it verifies their client checks in
+this process, with the memo as its keys.verify_jobs memo, so each client's
+batch root once, evaluates its predicates, and signs all of its agreements
+with one ECDSA signature; each later call returns its own proposal's
+agreement.  Organizations do not step while a chunk is submitted, so its
+predicates read the committed state that each proposal's own submit would
+read.  A memo belongs to its organization and chunk alone, so no verdict
+or agreement passes between organizations, and a required organization
+that is not live is never asked and signs nothing.  The orderer streams each
 forming block to every live organization a keys.CHUNK_TRANSACTIONS chunk at
 a time, as submit queues it (a chunk once a later transaction of its block
 is queued), and each organization's receive_action queues that chunk's
@@ -72,7 +78,7 @@ from .engine.database import Database, TableSnapshot
 from .engine.parser import PlanCache
 from .engine.types import QuirkConfig
 from .errors import BindError, ConfigError, MissingTarget
-from .org import Action, OrgNode
+from .org import Action, ChunkMemo, OrgNode
 from .recovery import CheckpointManager, recover
 
 # report event names
@@ -441,7 +447,7 @@ class Network:
         self._client_keys: dict[str, object] = {}
         self._client_plans: dict[str, PlanCache] = {}
         # proposals prepared for this tick's submits: (proposal, required
-        # orgs, the chunk's org -> keys.verify_jobs memo)
+        # orgs, the chunk's org -> ChunkMemo)
         self._prepared: deque = deque()
         self._rules = {FaultKind.DROP_VOTES: [], FaultKind.TAMPER_VOTE: []}  # in force now
         self._equivocations: set[tuple[str, int]] = set()  # (victim, block id)
@@ -604,19 +610,19 @@ class Network:
 
         Takes the proposal that run prepared for (client, sql) when it is the
         next one prepared; prepares it here otherwise, as a chunk of one.
-        Each live endorser evaluates it and verifies its client check, with
-        its memo for the proposal's chunk (see the module docstring); a
-        required organization that is not live is unreachable.  When the
-        transaction starts a new chunk of its block, the block as formed so
-        far goes to every live organization (Orderer.submit).  Returns the
-        ChainedTransaction that the block will hold, or the Rejected."""
+        Each live endorser is asked for its agreement, with its memo for the
+        proposal's chunk (see the module docstring); a required organization
+        that is not live is unreachable.  When the transaction starts a new
+        chunk of its block, the block as formed so far goes to every live
+        organization (Orderer.submit).  Returns the ChainedTransaction that
+        the block will hold, or the Rejected."""
         prepared = self._prepared
         if prepared and prepared[0][0].client == client and prepared[0][0].sql == sql:
             proposal, needed, memos = prepared.popleft()
         else:
             [(proposal, needed, memos)] = self._prepare([(client, sql)])
         evaluators = {
-            org: partial(self.runtimes[org].node.evaluate_agreement, memo=memos.setdefault(org, {}))
+            org: partial(self.runtimes[org].node.evaluate_agreement, memo=memos[org])
             for org in needed
             if self.runtimes[org].live
         }
@@ -637,17 +643,21 @@ class Network:
         batch (agmt.make_proposals: one ECDSA signature per client and chunk)
         and finds the organizations each needs through its plan cache.
         Returns (proposal, required orgs, memos) entries in entry order,
-        where memos is the chunk's one {org: memo} dict (see the module
-        docstring)."""
+        where memos is the chunk's one {org: ChunkMemo} dict, each memo
+        holding the chunk's proposals that need its organization, in entry
+        order (see the module docstring)."""
         signed = {}
         for client in dict.fromkeys(client for client, _ in entries):
             sqls = [sql for of, sql in entries if of == client]
             signed[client] = iter(agmt.make_proposals(client, sqls, self.client_key(client)))
-        memos: dict[str, dict] = {}
+        memos: dict[str, ChunkMemo] = {}
         prepared = []
         for client, sql in entries:
+            proposal = next(signed[client])
             needed = agmt.endorsers(sql, self.agreement_policies, self._client_plans[client])
-            prepared.append((next(signed[client]), needed, memos))
+            for org in needed:
+                memos.setdefault(org, ChunkMemo()).agreements[proposal] = None
+            prepared.append((proposal, needed, memos))
         return prepared
 
     def _submit_due(self, due):

@@ -14,9 +14,11 @@ until consensus arrives late (peers catching up) or recovery rebuilds the
 state.  Replaying a committed block runs the same per-transaction loop and
 discards the stage sizes.
 
-Endorsing: evaluate_agreement verifies the proposal's client check in
-place and signs an agreement only after it passed; network tells with which
-memo.
+Endorsing: evaluate_agreement verifies the client checks in place and
+signs an agreement only after its check passed; the first call for a
+prepared chunk endorses every proposal of the chunk that needs this
+organization and signs all of their agreements as one batch, with the
+ChunkMemo that network passes.
 
 Each round has one record at a time: received (self.verifying: the action
 and the verdicts on its signatures), then pending (self.pending: the block
@@ -81,6 +83,20 @@ class Action:
 
     round_id: int
     transactions: tuple[agmt.ChainedTransaction, ...]
+
+
+class ChunkMemo(dict):
+    """One organization's memo for one prepared chunk of proposals.
+
+    The dict itself is the organization's keys.verify_jobs memo for the
+    chunk's client checks.  agreements maps each proposal of the chunk that
+    needs the organization, in chunk order, to the agreement it signed on
+    it, None until the first of them is asked (OrgNode.evaluate_agreement).
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.agreements: dict[agmt.TransactionProposal, agmt.Agreement | None] = {}
 
 
 @dataclass
@@ -153,35 +169,59 @@ class OrgNode:
     ) -> agmt.Agreement:
         """Signed verdict on a proposal, judged against committed state only.
 
-        The client check is verified first, in place, with memo: this
-        organization's keys.verify_jobs memo for the proposal's chunk,
-        which network passes; without it, with a memo of its own.  A client
-        the registry does not know is refused.  An agreement is recorded in
-        self.endorsed with the client check that passed, so that receiving
-        the transaction checks neither again.
+        memo is this organization's ChunkMemo for the proposal's prepared
+        chunk, which network passes.  The first call for a proposal of the
+        chunk endorses every proposal of the chunk that needs this
+        organization, in chunk order, and signs all of their agreements as
+        one batch; each later call returns its own proposal's agreement.  A
+        call with no memo, or for a proposal that memo does not hold, is a
+        batch of one (see _endorse).
         """
-        client_key = self.registry.encoded_key(proposal.client)
-        payload = proposal.signed_payload()
-        client_check = (client_key, proposal.signature, payload)
-        verdict = client_key is not None and keys.signature_worker().verify_here(
-            ((client_check,),), memo
-        )[0]
-        if verdict:
-            parsed = agmt.parse_transaction(proposal.sql, self.plans)
-            fields = parsed.fields(self.catalog())
-            for table in parsed.dml_tables:
-                predicate = self.predicates.get(table)
-                if predicate is not None and not agmt.evaluate_predicate(
-                    predicate, fields, self.db
-                ):
-                    verdict = False
-                    break
-        agreement = agmt.make_agreement(
-            self.org_id, hashlib.sha256(payload).digest(), verdict, self.private_key
+        chunk = getattr(memo, "agreements", {})
+        if proposal not in chunk:
+            return self._endorse([proposal], memo)[0]
+        if chunk[proposal] is None:
+            chunk.update(zip(chunk, self._endorse(list(chunk), memo)))
+        return chunk[proposal]
+
+    def _endorse(self, proposals, memo: dict | None) -> list[agmt.Agreement]:
+        """This organization's agreements on proposals, in order, signed as
+        one batch (agmt.make_agreements).
+
+        Each client check is verified first, in place, with memo as the
+        keys.verify_jobs memo (a new one when None); a client the registry
+        does not know is refused.  The predicates of the proposals whose
+        check passed are evaluated against one catalog of the committed
+        state.  Each agreement is recorded in self.endorsed, in order, with
+        the client check that passed, so that receiving the transaction
+        checks neither again.
+        """
+        checks = [
+            (self.registry.encoded_key(p.client), p.signature, p.signed_payload())
+            for p in proposals
+        ]
+        verdicts = keys.signature_worker().verify_here(
+            [None if check[0] is None else (check,) for check in checks], memo
         )
-        if verdict:
-            self.endorsed.add(client_check, agreement)
-        return agreement
+        catalog = self.catalog()
+        for i, proposal in enumerate(proposals):
+            if verdicts[i]:
+                parsed = agmt.parse_transaction(proposal.sql, self.plans)
+                fields = parsed.fields(catalog)
+                verdicts[i] = all(
+                    agmt.evaluate_predicate(self.predicates[table], fields, self.db)
+                    for table in parsed.dml_tables
+                    if table in self.predicates
+                )
+        agreements = agmt.make_agreements(
+            self.org_id,
+            [(hashlib.sha256(check[2]).digest(), ok) for check, ok in zip(checks, verdicts)],
+            self.private_key,
+        )
+        for check, agreement in zip(checks, agreements):
+            if agreement.verdict:
+                self.endorsed.add(check, agreement)
+        return agreements
 
     # ---- action intake ----
 

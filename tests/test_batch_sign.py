@@ -327,6 +327,54 @@ def test_each_endorser_of_a_run_verifies_each_client_root_once_per_chunk(
     assert all(memo is second for memo in memos["O2"]) and len(memos["O2"]) == CHUNK
 
 
+def test_each_endorser_signs_its_agreements_on_a_chunk_once(idle_worker, monkeypatch):
+    """Through Network.run, O1 and O2 each endorse a chunk from three
+    clients with one ECDSA signature, and the run verifies fewer ECDSA
+    signatures than it commits transactions.  Each agreement of the batch
+    verifies alone, a forged one does not, and a proposal submitted
+    without being prepared is endorsed with a plain signature."""
+    net = network(agreement_policies={"acct": ["O1", "O2"]})
+    net.run([(0, "alice", DDL), (0, "alice", ROWS)])
+    names = {keys.public_bytes(net.node(org).private_key): org for org in ("O1", "O2", "O3")}
+    signers, agreements = [], {"O1": [], "O2": []}
+    sign = keys.sign
+    evaluate = org_module.OrgNode.evaluate_agreement
+
+    def counted(private_key, message):
+        signers.append((names.get(keys.public_bytes(private_key), "client"), message[:4]))
+        return sign(private_key, message)
+
+    def recorded(node, proposal, memo=None):
+        agreements[node.org_id].append(evaluate(node, proposal, memo))
+        return agreements[node.org_id][-1]
+
+    monkeypatch.setattr(keys, "sign", counted)
+    monkeypatch.setattr(org_module.OrgNode, "evaluate_agreement", recorded)
+    before = sum(counts(idle_worker))
+    net.run(chunk_of_updates())
+    assert [node.height for node in net.nodes.values()] == [2, 2, 2]
+    # one batch root per endorser and per client, and one vote per organization
+    tag = keys.ROOT_TAG[:4]
+    assert sorted(who for who, head in signers if head == tag) == [
+        "O1", "O2", "client", "client", "client"
+    ]
+    assert sorted(who for who, head in signers if head != tag) == ["O1", "O2", "O3"]
+    assert sum(counts(idle_worker)) - before <= CHUNK  # at most 1.0 per committed transaction
+
+    raw = net.registry.encoded_key("O2")
+    signed = agreements["O2"]
+    assert len(signed) == CHUNK and len({der_of(a.signature) for a in signed}) == 1
+    member = signed[5]
+    forged = agreement.Agreement("O2", signed[6].txn_digest, True, member.signature)
+    assert keys.verify_jobs([((raw, member.signature, member.signed_payload()),)]) == [True]
+    assert keys.verify_jobs([((raw, forged.signature, forged.signed_payload()),)]) == [False]
+
+    alone = net.submit("alice", "UPDATE acct SET bal = bal + 1 WHERE id = 1;")
+    assert [a.org for a in alone.agreements] == ["O1", "O2"]
+    for a in alone.agreements:
+        assert a.signature == keys.sign(net.node(a.org).private_key, a.signed_payload())
+
+
 def test_a_reader_verifies_each_root_once_per_verdicts(idle_worker, monkeypatch):
     """With nothing sent to the worker, the reader of each Verdicts verifies
     each batch root once, and a second Verdicts of the same jobs again."""

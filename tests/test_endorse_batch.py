@@ -104,17 +104,62 @@ def test_batched_run_equals_one_submit_at_a_time(batches, monkeypatch):
     }
 
 
+def test_signing_a_chunk_as_one_batch_changes_no_verdict(monkeypatch):
+    """SCHEDULE's run, with forged and unknown clients, O1's predicate and
+    O3 killed, gives the same verdict per organization and proposal, the
+    same REJECT lines, the same cut blocks, ledgers and report whether each
+    endorser signs a chunk's agreements as one batch or each alone."""
+    make_agreements = agreement.make_agreements
+    evaluate = org_module.OrgNode.evaluate_agreement
+    broadcast = Network._broadcast
+
+    def observed(sign):
+        verdicts, cuts, batches = [], [], []
+
+        def evaluating(node, proposal, memo=None):
+            agreed = evaluate(node, proposal, memo)
+            verdicts.append((node.org_id, proposal.digest(), agreed.verdict))
+            return agreed
+
+        def cutting(net, action):
+            cuts.append([(ct.proposal.client, ct.proposal.sql) for ct in action.transactions])
+            return broadcast(net, action)
+
+        def signing(org, items, private_key):
+            batches.append(len(items))
+            return sign(org, items, private_key)
+
+        monkeypatch.setattr(org_module.OrgNode, "evaluate_agreement", evaluating)
+        monkeypatch.setattr(Network, "_broadcast", cutting)
+        monkeypatch.setattr(agreement, "make_agreements", signing)
+        report, ledgers = outcome(network())
+        rejects = [line for line in report.splitlines() if f"\t{REJECT}\t" in line]
+        return (verdicts, rejects, cuts, ledgers, report), batches
+
+    def one_at_a_time(org, items, private_key):
+        return [make_agreements(org, [item], private_key)[0] for item in items]
+
+    batched, sizes = observed(make_agreements)
+    # every proposal asked of an endorser is signed once, in batches
+    assert max(sizes) > 1 and sum(sizes) == len(batched[0])
+    alone, _ = observed(one_at_a_time)
+    assert alone == batched
+    verdicts, rejects, cuts, _, _ = batched
+    assert {verdict for _, _, verdict in verdicts} == {True, False}
+    assert rejects and sum(map(len, cuts)) == len(SCHEDULE) - len(rejects)
+
+
 def test_each_endorser_verifies_before_it_signs(monkeypatch):
     """No organization signs a positive agreement for a proposal whose
     client signature does not verify, or whose client it does not know."""
     signed = []
-    make_agreement = agreement.make_agreement
+    make_agreements = agreement.make_agreements
 
-    def recorded(org, digest, verdict, private_key):
-        signed.append((digest, verdict))
-        return make_agreement(org, digest, verdict, private_key)
+    def recorded(org, items, private_key):
+        signed.extend(items)
+        return make_agreements(org, items, private_key)
 
-    monkeypatch.setattr(agreement, "make_agreement", recorded)
+    monkeypatch.setattr(agreement, "make_agreements", recorded)
     net = network()
     net.run(SCHEDULE, [KILL_O3])
     bad_digests = {
@@ -182,18 +227,25 @@ def test_no_client_check_is_left_queued():
 
 def test_a_retired_endorser_is_never_asked(monkeypatch):
     """O3 is killed after a chunk of two proposals that need it was
-    prepared: submit finds it unreachable and never asks it, and O2
-    endorses both with its one memo for the chunk."""
+    prepared: submit finds it unreachable and never asks it, so O3 verifies
+    and signs nothing, and O2 endorses both with its one memo for the
+    chunk, in one signed batch."""
     net = network()
     net.run([(0, "alice", sql) for sql in DDL])
-    asked = []
+    asked, signers = [], []
     evaluate = org_module.OrgNode.evaluate_agreement
+    make_agreements = agreement.make_agreements
 
     def recorded(node, proposal, memo=None):
         asked.append((node.org_id, id(memo)))
         return evaluate(node, proposal, memo)
 
+    def signing(org, items, private_key):
+        signers.append((org, len(items)))
+        return make_agreements(org, items, private_key)
+
     monkeypatch.setattr(org_module.OrgNode, "evaluate_agreement", recorded)
+    monkeypatch.setattr(agreement, "make_agreements", signing)
     entries = [("alice", update("sav", i)) for i in (0, 1)]
     net._prepared.extend(net._prepare(entries))
     memos = net._prepared[0][2]
@@ -203,8 +255,11 @@ def test_a_retired_endorser_is_never_asked(monkeypatch):
     for entry in entries:
         rejected = net.submit(*entry)
         assert isinstance(rejected, agreement.Rejected) and rejected.dissenting == ("O3",)
-    assert list(memos) == ["O2"]
+    assert list(memos) == ["O2", "O3"]
     assert asked == [("O2", id(memos["O2"]))] * 2
+    assert signers == [("O2", 2)]
+    assert not memos["O3"] and set(memos["O3"].agreements.values()) == {None}
+    assert all(a is not None and a.verdict for a in memos["O2"].agreements.values())
     assert not net._prepared
 
 
