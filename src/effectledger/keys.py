@@ -24,17 +24,16 @@ it: a root signature never passes for a payload's.
 The memo.  verify_jobs keeps the verdict of each (key, DER signature, signed
 message) it verified, so a batch root is verified once per memo, and
 worker_signatures and here_signatures count the verifications run.  The
-worker makes a new memo for each request, each Verdicts keeps one for the
-jobs its readers verify here, and an endorser keeps one per prepared chunk
-(org.ChunkMemo; network tells whose); each belongs to the one organization
-whose jobs they are.  So an organization verifies each batch root it meets once per
-request or chunk, no verdict passes between organizations, and the worker
-remembers no verdict across requests.
+worker makes a new memo for each request, and an endorser keeps one per
+prepared chunk (org.ChunkMemo; network tells whose); each belongs to the
+one organization whose jobs they are.  So an organization verifies each
+batch root it meets once per request or chunk, no verdict passes between
+organizations, and the worker remembers no verdict across requests.
 
 Where signatures are verified.  An organization verifies each signature of
 a transaction once, and all of them, but for effect votes, through the one
-SignatureWorker of this process, the client checks it makes when
-endorsing included.
+SignatureWorker of this process: a block's checks in the worker process,
+and the client checks it makes when endorsing in this one.
 
 Endorsing.  Each organization that a proposal needs checks its client's
 signature in place, in this process, before it signs an agreement
@@ -59,21 +58,14 @@ itself for an action nobody queued).  The pending round keeps the verdicts
 it read, and recovery re-executes the round from those, so recovery queues
 no check again.
 
-Who verifies a job.  Each queued job is verified exactly once, by the worker
-process or by a reader in this one; both run verify_jobs.  Every job of a
-block's Verdicts is the worker's: the worker is kept a few requests ahead,
-and whenever this process queues jobs, reads an answer or reads a few
-verdicts, it sends the next requests from the front of the oldest Verdicts
-with jobs not yet sent.  So the worker goes through the chunks of the
-forming blocks as they come, and through the cut blocks in the order their
-organizations read them.  A reader whose next verdict is in flight, with no
-answer ready, verifies the job that would be sent next, whichever
-organization's it is, one at a time, and waits only when no job is left
-unsent.  So neither process idles while a job is left, and no cost needs
-measuring.  A job left with no signature gets its verdict here, without a
-request.  Each organization builds its own checks from its own registry
-and record and reads its own verdicts; the worker remembers no verdict
-across requests.
+Who verifies a job.  Every job of a Verdicts goes to the worker when it is
+queued, CHUNK_TRANSACTIONS jobs per request, and is verified there exactly
+once; a reader waits for the worker's answers, which come in order.  So the
+worker goes through the chunks of the forming blocks as they come, and
+which process verifies a job never depends on timing.  A request with no
+signature to verify gets its verdicts here instead.  Each
+organization builds its own checks from its own registry and record and
+reads its own verdicts; the worker remembers no verdict across requests.
 Effect votes are verified in the calling process, by verify, so calls to
 verify count vote checks only.
 
@@ -81,11 +73,10 @@ Why a process: verification holds the interpreter lock, so a second thread
 verifies no faster than one.  Why no helper thread in the main process: a
 thread there that collects results contends for the lock with execution (a
 ProcessPoolExecutor, which has such a thread, lowered tps on bank-corrupt).
-So the main process only writes requests to a pipe and reads results from it
-when it queues jobs or reads verdicts, and verifies in the time it would
-spend waiting.
-The reader thread sits inside the worker: it drains requests as they come, so
-the main process never waits on a send.
+So the main process only writes requests to a pipe, and reads the answers
+that are ready when it queues jobs and the ones it needs when it reads
+verdicts.  The reader thread sits inside the worker: it drains requests as
+they come, so the main process never waits on a send.
 """
 
 from __future__ import annotations
@@ -123,20 +114,13 @@ _HASH_SIZE = 32
 # Transactions per request to the worker, and per chunk of a forming block
 # that the orderer delivers before the cut: a chunk once a later transaction of
 # its block is queued, so a block's last transaction always comes at the cut.
-# Execution executes each request's transactions while the worker verifies
-# the next.  Measured on 2 cores: on bank-corrupt (blocks of 256), requests of
-# 128 and 256 gave about 15% less tps than 16 to 64, because execution then
-# waits for half or all of a block; between 16 and 64 the workloads differed
-# by no more than noise, and 32 lets execution start after 32 verifications.
+# Each chunk is sent as it is queued, and execution executes each request's
+# transactions while the worker verifies the next.  Measured on 2 cores: on
+# bank-corrupt (blocks of 256), requests of 128 and 256 gave about 15% less
+# tps than 16 to 64, because execution then waits for half or all of a
+# block; between 16 and 64 the workloads differed by no more than noise, and
+# 32 lets execution start after 32 verifications.
 CHUNK_TRANSACTIONS = 32
-
-# Requests the worker is kept ahead by (SignatureWorker._top_up), and how
-# many verdicts a reader reads between two top-ups.  Four requests last the
-# worker through what this process does between two organizations' blocks
-# (consensus and the block's ledger entry); with two, bank-steady tps was
-# about 4% lower, measured on 2 cores.
-_REQUESTS_AHEAD = 4
-_TOP_UP_VERDICTS = 8
 
 # How long interpreter exit waits for the worker to end after closing its pipe.
 _STOP_TIMEOUT_S = 5.0
@@ -270,9 +254,8 @@ def verify_jobs(jobs, loaded: dict | None = None, memo: dict | None = None) -> l
     of verifications run; its scope is the caller's (see the module
     docstring).
 
-    Checks call the decoded key, not verify: which process runs a queued
-    check depends on timing, so calls to verify count vote checks only, the
-    same on every run.
+    Checks call the decoded key, not verify, so that calls to verify count
+    vote checks only, in whichever process verify_jobs runs.
     """
     loaded = {} if loaded is None else loaded
     memo = {} if memo is None else memo
@@ -363,46 +346,37 @@ def _serve(conn, parent_end):
 
 
 class Verdicts:
-    """Verdicts of one sequence of jobs, each job verified once, either by the
-    worker or by a reader in this process.
+    """Verdicts of one sequence of jobs, each job verified once, by the
+    worker.
 
     The jobs come all at once, or a chunk at a time while the sequence is
-    forming (extend).  self._jobs[:self._sent] were sent to the worker, or
-    verified or judged here; the rest are not yet.  Iterating, once, after
-    the last jobs came, yields one verdict per job in order.  Raises
-    VerifierUnavailable if the worker died.  self._memo is verify_jobs'
-    memo for the jobs verified here.
+    forming (extend), and go to the worker as they come.  Iterating, once,
+    after the last jobs came, yields one verdict per job in order, waiting
+    for the worker's answers.  Raises VerifierUnavailable if the worker
+    died.
     """
 
     def __init__(self, worker: "SignatureWorker"):
         self._worker = worker
-        self._jobs: list = []
         self._verdicts: list[bool | None] = []
-        self._memo: dict = {}
-        self._sent = 0
         self.forming = True
-        worker._open.append(weakref.ref(self))
 
     def extend(self, jobs: Iterable, forming: bool = False):
-        """Queue jobs after the ones queued before; forming: more will come."""
+        """Queue jobs after the ones queued before, and send them to the
+        worker; forming: more will come."""
         jobs = list(jobs)
-        self._jobs += jobs
+        start = len(self._verdicts)
         self._verdicts += [None] * len(jobs)
         self.forming = forming
-        self._worker._top_up()
+        self._worker._drain()
+        for at in range(0, len(jobs), CHUNK_TRANSACTIONS):
+            self._worker._send(self, start + at, jobs[at : at + CHUNK_TRANSACTIONS])
 
     def __iter__(self):
         worker, verdicts = self._worker, self._verdicts
-        last = len(verdicts) - 1
         for i in range(len(verdicts)):
-            if i % _TOP_UP_VERDICTS == 0:
-                worker._top_up()
             while verdicts[i] is None:
-                worker._advance(self, i)
-            if i == last:
-                # so that the worker has the next jobs while the reader turns
-                # away, and this Verdicts, with none left to send, leaves _open
-                worker._top_up()
+                worker._receive()
             yield verdicts[i]
 
 
@@ -410,16 +384,15 @@ class SignatureWorker:
     """A process that runs verify_jobs, this process's end of its pipe, and
     what each side has verified.
 
-    Jobs go to the worker in requests of at most CHUNK_TRANSACTIONS jobs.
-    The Verdicts take turns in the order they were made: the worker is kept
-    _REQUESTS_AHEAD requests ahead (_top_up), from the front of the oldest
-    Verdicts with jobs not yet sent, and a reader that would wait verifies
-    the next of those jobs itself (_advance).  An endorser's client check
-    is verified here as well (verify_here).  worker_signatures and
-    here_signatures count the ECDSA verifications each side ran, which are
-    verify_jobs' memo misses, and worker_seconds and here_seconds the
-    seconds each spent on its jobs (the worker's as each answer reports
-    them).  They are read by tests and benchmarks, never by a report, which
+    Each Verdicts sends its jobs to the worker as they are queued, in
+    requests of at most CHUNK_TRANSACTIONS jobs, and its reader waits for
+    the answers, which come in the order the requests were sent.  An
+    endorser's client check is verified here instead (verify_here).
+    worker_signatures and here_signatures count the ECDSA verifications each
+    side ran, which are verify_jobs' memo misses, and worker_seconds and
+    here_seconds the seconds each spent on its jobs (the worker's as each
+    answer reports them); the here counts are endorsers' client checks
+    only.  They are read by tests and benchmarks, never by a report, which
     must not depend on timing.
 
     The worker is forked.  The spawn and forkserver methods run the main
@@ -449,9 +422,6 @@ class SignatureWorker:
         # requests sent and not yet answered, in the order the answers come:
         # (weak reference to the Verdicts, index of its first job)
         self._waiting: deque = deque()
-        # weak references to the Verdicts in the order they were made, until
-        # they are dropped or have nothing left to send
-        self._open: deque = deque()
         self.worker_signatures = self.here_signatures = 0
         self.worker_seconds = self.here_seconds = 0.0
 
@@ -479,35 +449,9 @@ class SignatureWorker:
         self.here_signatures += len(memo) - before
         return verdicts
 
-    def _unsent(self) -> Verdicts | None:
-        """The oldest Verdicts in self._open with a job not yet sent.  The
-        ones at its front that were dropped, or have nothing left to send
-        and no more jobs to come, leave it."""
-        while self._open:
-            owner = self._open[0]()
-            if owner is not None and (owner.forming or owner._sent < len(owner._jobs)):
-                break
-            self._open.popleft()
-        for ref in self._open:
-            owner = ref()
-            if owner is not None and owner._sent < len(owner._jobs):
-                return owner
-        return None
-
-    def _top_up(self):
-        """Take the answers that are ready, then send requests while fewer
-        than _REQUESTS_AHEAD are in flight, from the front of the oldest
-        Verdicts with jobs not yet sent."""
-        self._drain()
-        while (owner := self._unsent()) is not None and len(self._waiting) < _REQUESTS_AHEAD:
-            self._send(owner)
-
-    def _send(self, owner: Verdicts):
-        """Send owner's next CHUNK_TRANSACTIONS jobs not yet sent as one
-        request.  A chunk with no signature to verify is judged here
-        instead."""
-        start = owner._sent
-        jobs = owner._jobs[start : start + CHUNK_TRANSACTIONS]
+    def _send(self, owner: Verdicts, start: int, jobs: list):
+        """Send jobs, owner's from index start on, as one request.  A request
+        with no signature to verify is judged here instead."""
         if any(jobs):
             try:
                 self._conn.send(jobs)
@@ -516,7 +460,6 @@ class SignatureWorker:
             self._waiting.append((weakref.ref(owner), start))
         else:
             owner._verdicts[start : start + len(jobs)] = verify_jobs(jobs)
-        owner._sent = start + len(jobs)
 
     def _drain(self):
         """Take every answer that is ready, without waiting."""
@@ -535,29 +478,6 @@ class SignatureWorker:
         owner = ref()
         if owner is not None:  # else dropped unread: discard
             owner._verdicts[start : start + len(verdicts)] = verdicts
-
-    def _advance(self, owner: Verdicts, i: int):
-        """One step towards owner's verdict i, which is not known yet.
-
-        In order of preference: read an answer that is ready; verify job i
-        here if it was not sent; verify here the job _top_up would send
-        next; only when no job is left unsent, wait for the next answer.
-        The worker is topped up after each answer.
-        """
-        if self._waiting and self._answers.poll(0):
-            self._receive()
-            self._top_up()
-        elif (next_owner := owner if i == owner._sent else self._unsent()) is not None:
-            self._verify_here(next_owner)
-        else:
-            self._receive()
-            self._top_up()
-
-    def _verify_here(self, owner: Verdicts):
-        """Verify owner's next job not yet sent, in this process."""
-        i = owner._sent
-        owner._sent += 1
-        [owner._verdicts[i]] = self.verify_here((owner._jobs[i],), owner._memo)
 
     def _gone(self) -> VerifierUnavailable:
         global _worker

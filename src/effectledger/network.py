@@ -257,7 +257,7 @@ class NetworkConfig:
             },
             predicates={org: _field(predicates, org, dict, "predicates") for org in predicates},
             seed=_field(raw, "seed", int, "config", 0),
-            out_dir=raw.get("out_dir"),
+            out_dir=_field(raw, "out_dir", str, "config", None),
             durable=_field(raw, "durable", bool, "config", False),
         )
 
@@ -305,14 +305,14 @@ class FaultEvent:
         return cls(
             at_tick=_field(raw, "at_tick", int, "fault"),
             kind=_field(raw, "kind", str, "fault"),
-            org=raw.get("org"),
-            table=raw.get("table"),
+            org=_field(raw, "org", str, "fault", None),
+            table=_field(raw, "table", str, "fault", None),
             pk=tuple(_field(raw, "pk", list, "fault", [])),
-            column=raw.get("column"),
+            column=_field(raw, "column", str, "fault", None),
             value=raw.get("value"),
             block_id=_field(raw, "block_id", int, "fault", None),
-            requester=raw.get("requester"),
-            responder=raw.get("responder"),
+            requester=_field(raw, "requester", str, "fault", None),
+            responder=_field(raw, "responder", str, "fault", None),
             until_tick=_field(raw, "until_tick", int, "fault", None),
             block_from=_field(raw, "block_from", int, "fault", None),
             block_to=_field(raw, "block_to", int, "fault", None),

@@ -45,8 +45,9 @@ own engine (Database.execute_transaction), and keeps both in the shape's
 plan; shapes that do not compile are analyzed and run by the interpreters.
 The cache is never shared, since each organization stands for its own DBMS.
 
-Where signatures are verified, and by which process, is told in keys.  This
-process runs no other thread: a helper thread would contend with execution
+The signature worker process verifies every check of a received block
+once; this process verifies only the client checks it makes when endorsing
+and the effect votes (keys tells how).  This process runs no other thread: a helper thread would contend with execution
 for the interpreter lock, and so would executor threads inside a block.
 
 Execution mutates the engine before the commit decision on purpose: the model

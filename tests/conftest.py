@@ -31,10 +31,10 @@ def unread_verdicts() -> list:
     collection.
 
     A reader drops a Verdicts with its iterator once it has read the last
-    verdict, and a Verdicts that nobody holds goes with the next collection,
-    held-back jobs and all.  So every one still live after gc.collect() is
-    unread, unless the caller itself keeps one it has read to the end; a
-    caller that does deletes it first.
+    verdict, and a Verdicts that nobody holds goes with the next collection.
+    So every one still live after gc.collect() is unread, unless the caller
+    itself keeps one it has read to the end; a caller that does deletes it
+    first.
     """
     gc.collect()
     return [obj for obj in gc.get_objects() if isinstance(obj, keys.Verdicts)]

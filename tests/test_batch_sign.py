@@ -2,8 +2,8 @@
 signature of a Merkle root, and each proposal's signature, the DER signature
 followed by its proof, verifies alone, through keys.verify and
 keys.verify_jobs alike; a batch of one is a plain signature.  Each memo,
-one per worker request, per Verdicts or per endorser and chunk, verifies a
-batch root once."""
+one per worker request or per endorser and chunk, verifies a batch root
+once."""
 
 import struct
 
@@ -375,10 +375,10 @@ def test_each_endorser_signs_its_agreements_on_a_chunk_once(idle_worker, monkeyp
         assert a.signature == keys.sign(net.node(a.org).private_key, a.signed_payload())
 
 
-def test_a_reader_verifies_each_root_once_per_verdicts(idle_worker, monkeypatch):
-    """With nothing sent to the worker, the reader of each Verdicts verifies
-    each batch root once, and a second Verdicts of the same jobs again."""
-    monkeypatch.setattr(keys, "_REQUESTS_AHEAD", 0)
+def test_the_worker_verifies_each_batch_root_once_per_request(idle_worker):
+    """The worker verifies each batch root of a chunk once, with the memo of
+    its request, and a second Verdicts of the same jobs again; this process
+    verifies none of them."""
     net, proposals = signed_chunk()
     registry = net.registry
     jobs = [
@@ -387,7 +387,7 @@ def test_a_reader_verifies_each_root_once_per_verdicts(idle_worker, monkeypatch)
     for _ in range(2):
         before = counts(idle_worker)
         assert list(idle_worker.verify(jobs)) == [True] * CHUNK
-        assert counts(idle_worker) == (before[0], before[1] + 3)
+        assert counts(idle_worker) == (before[0] + 3, before[1])
 
 
 def test_batch_signing_keeps_the_ledger_bytes():

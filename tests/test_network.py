@@ -889,6 +889,31 @@ def test_fault_rejects_a_pk_that_is_not_a_list():
     assert FaultEvent.from_dict({**raw, "pk": ["1", 2]}).pk == ("1", 2)
 
 
+@pytest.mark.parametrize("name", ["org", "table", "column", "requester", "responder"])
+def test_a_fault_name_field_that_is_not_a_string_fails_cleanly(name):
+    """A fault script naming an organization, table or column with a
+    non-string is refused with ConfigError when read, and Network.run
+    refuses it before tick 0 instead of failing on an unhashable value."""
+    fault = {**corrupt_fault(3), "requester": "O1", "responder": "O2", name: ["O1"]}
+    with pytest.raises(ConfigError) as caught:
+        FaultEvent.from_dict(fault)
+    assert str(caught.value) == f"fault: {name} must be a string, not ['O1']"
+    net = make_net()
+    with pytest.raises(ConfigError, match=f"^fault: {name} must be a string"):
+        net.run(basic_schedule(), faults=[fault])
+    assert net.report.events() == [] and net.node("O1").height == 0
+    fault[name] = None  # null stands for the field left out
+    assert getattr(FaultEvent.from_dict(fault), name) is None
+
+
+def test_config_out_dir_that_is_not_a_string_fails_cleanly():
+    with pytest.raises(ConfigError) as caught:
+        NetworkConfig.from_dict({**THREE_ORGS, "out_dir": ["out"]})
+    assert str(caught.value) == "config: out_dir must be a string, not ['out']"
+    assert NetworkConfig.from_dict({**THREE_ORGS, "out_dir": None}).out_dir is None
+    assert NetworkConfig.from_dict({**THREE_ORGS, "out_dir": "out"}).out_dir == "out"
+
+
 # ---- runs after the first ----
 
 
@@ -1161,7 +1186,7 @@ def test_a_kill_drops_the_streamed_checks_of_a_forming_round(deliveries):
 def test_every_queued_signature_is_verified_exactly_once(monkeypatch):
     """Without policies each organization checks the client signature of
     each transaction: three signatures a transaction, each verified once, by
-    the worker or here, whether its block was streamed or not.  Each client
+    by the worker, whether its block was streamed or not.  Each client
     here submits one proposal a tick, a batch of one, so no two signatures
     share a batch root (tests/test_batch_sign.py counts those)."""
     built = []
@@ -1175,7 +1200,7 @@ def test_every_queued_signature_is_verified_exactly_once(monkeypatch):
     monkeypatch.setattr(org_module.agmt, "signature_jobs", counted)
     worker = keys.signature_worker()
     assert list(worker.verify([()])) == [True] and not worker._waiting
-    before = worker.worker_signatures + worker.here_signatures
+    before = worker.worker_signatures, worker.here_signatures
     size = 2 * keys.CHUNK_TRANSACTIONS + 7
     net = make_net(blocksize=size, block_timeout=3)
     schedule = [(0, "alice", DDL), (1, "alice", SEED)] + [
@@ -1184,5 +1209,5 @@ def test_every_queued_signature_is_verified_exactly_once(monkeypatch):
     net.run(schedule)
     assert [node.height for node in net.nodes.values()] == [3, 3, 3]
     assert not worker._waiting
-    verified = worker.worker_signatures + worker.here_signatures - before
-    assert verified == sum(built) == 3 * len(schedule)
+    assert worker.worker_signatures - before[0] == sum(built) == 3 * len(schedule)
+    assert worker.here_signatures == before[1]

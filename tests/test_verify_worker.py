@@ -1,8 +1,6 @@
-"""Block signatures are verified once each, by the worker process or by this
-one: queued as the block is delivered, sent to the worker in turn, verified
-here by a reader that would otherwise wait, read in block order at
-execution, and judged exactly as verify_chained_transaction judges each
-transaction."""
+"""Block signatures are verified once each, by the worker process: sent to
+it as the block is delivered, read in block order at execution, and judged
+exactly as verify_chained_transaction judges each transaction."""
 
 import os
 import signal
@@ -240,38 +238,6 @@ def idle_worker():
     return worker
 
 
-@pytest.fixture
-def verified_here(idle_worker, monkeypatch):
-    """Sizes of the batches of jobs verified in this process."""
-    sizes = []
-
-    def counted(jobs, *caches):
-        sizes.append(len(jobs))
-        return SERIAL(jobs, *caches)
-
-    monkeypatch.setattr(keys, "verify_jobs", counted)
-    return sizes
-
-
-def send_nothing(monkeypatch):
-    """Keep the worker no request ahead: readers verify every paced job."""
-    monkeypatch.setattr(keys, "_REQUESTS_AHEAD", 0)
-
-
-@pytest.mark.parametrize("sending", ["rule", "never"])
-def test_verdicts_equal_serial_verification(sending, verified_here, monkeypatch):
-    expected = SERIAL(MIXED)
-    assert expected == [True, False, False, True, False, True] * 17
-    if sending == "never":  # nothing sent: this process verifies
-        send_nothing(monkeypatch)
-
-    worker = keys.signature_worker()
-    assert list(worker.verify(iter(MIXED))) == expected
-    assert not worker._open  # read to the end: nothing left to send
-    if sending == "never":
-        assert verified_here == [1] * len(MIXED)
-
-
 def distinct_jobs(count):
     """count jobs of one or three signatures, no two alike, some forged."""
     kinds = [
@@ -284,14 +250,17 @@ def distinct_jobs(count):
 
 
 class RecordingPipe:
-    """The main process's end of the worker's pipe, keeping every job sent."""
+    """The main process's end of the worker's pipe, keeping every job sent
+    and the size of each request."""
 
     def __init__(self, conn):
         self.conn = conn
         self.sent = []
+        self.sizes = []
 
     def send(self, jobs):
         self.sent.extend(jobs)
+        self.sizes.append(len(jobs))
         self.conn.send(jobs)
 
     def __getattr__(self, name):
@@ -308,7 +277,7 @@ class Unanswered:
 
 @pytest.fixture
 def recorded(idle_worker, monkeypatch):
-    """The jobs sent to the worker and the jobs verified here, in order."""
+    """The worker's recording pipe, and the jobs judged here, in order."""
     pipe = RecordingPipe(idle_worker._conn)
     monkeypatch.setattr(idle_worker, "_conn", pipe)
     here = []
@@ -318,136 +287,124 @@ def recorded(idle_worker, monkeypatch):
         return SERIAL(jobs, *caches)
 
     monkeypatch.setattr(keys, "verify_jobs", verified)
-    return pipe.sent, here
+    return pipe, here
 
 
-# more chunks than the worker is kept requests ahead by
-PACED_CHUNKS = keys._REQUESTS_AHEAD + 2
+CHUNK = keys.CHUNK_TRANSACTIONS
+
+
+def test_verdicts_equal_serial_verification(idle_worker, recorded):
+    expected = SERIAL(MIXED)
+    assert expected == [True, False, False, True, False, True] * 17
+    pipe, here = recorded
+    assert list(idle_worker.verify(iter(MIXED))) == expected
+    assert pipe.sent == MIXED and here == []
+    assert not idle_worker._waiting
 
 
 @pytest.mark.parametrize("reader_s", [0.0, 2e-3], ids=["fast", "slow"])
-def test_each_job_is_verified_once_under_a_fast_and_a_slow_reader(
+def test_each_job_is_sent_once_when_queued_and_none_is_verified_here(
     reader_s, idle_worker, recorded
 ):
-    """A reader that would wait verifies jobs not yet sent; one slower than
-    the worker mostly finds its verdicts ready.  Either way the verdicts
-    equal serial verification, and every job is verified exactly once, in
-    one of the two processes."""
-    worker, (sent, here) = idle_worker, recorded
-    jobs = distinct_jobs(PACED_CHUNKS * keys.CHUNK_TRANSACTIONS + 5)
-    signatures = sum(len(job) for job in jobs)
-    counts = worker.worker_signatures, worker.here_signatures
-    seconds = worker.worker_seconds, worker.here_seconds
+    """Every job goes to the worker when it is queued, CHUNK_TRANSACTIONS
+    jobs per request, before any verdict is read.  A fast and a slow reader
+    read verdicts equal to serial verification, and this process verifies
+    none of the jobs."""
+    worker, (pipe, here) = idle_worker, recorded
+    jobs = distinct_jobs(6 * CHUNK + 5)
+    verdicts = worker.verify(jobs)
+    assert pipe.sent == jobs and pipe.sizes == [CHUNK] * 6 + [5]
 
     read = []
-    for verdict in worker.verify(jobs):
+    for verdict in verdicts:
         read.append(verdict)
         time.sleep(reader_s)
 
     assert read == SERIAL(jobs) == [True, False] * (len(jobs) // 2) + [True]
-    assert sorted(sent + here) == sorted(jobs)
-    assert len(set(map(id, sent + here))) == len(jobs)
-    assert (worker.worker_signatures - counts[0]) + (worker.here_signatures - counts[1]) == (
-        signatures
-    )
-    assert sent and worker.worker_seconds > seconds[0]
-    if here:
-        assert worker.here_seconds > seconds[1]
+    assert pipe.sent == jobs and here == []
+    assert not worker._waiting
 
 
-def test_a_reader_that_would_wait_verifies_the_next_job_not_yet_sent(
+def test_a_request_with_no_signature_is_judged_here(idle_worker, recorded):
+    worker, (pipe, here) = idle_worker, recorded
+    jobs = [None, ()] * CHUNK
+    verdicts = worker.verify(jobs)
+    assert pipe.sent == [] and here == jobs and not worker._waiting
+    assert list(verdicts) == [False, True] * CHUNK
+
+
+def test_a_forming_verdicts_has_all_of_its_jobs_so_far_in_flight(
     idle_worker, recorded, monkeypatch
 ):
-    """With no answer ready, the reader of a Verdicts whose verdicts are in
-    flight verifies, one at a time, the jobs _top_up would send next, from
-    the front of the oldest Verdicts with jobs not yet sent, whichever
-    Verdicts they belong to; never a job already sent.  It waits only once
-    none is left."""
-    worker, (sent, here) = idle_worker, recorded
+    """Each chunk of a forming Verdicts is sent as it comes, before the
+    last one; the reader reads them all once the last came."""
+    worker, (pipe, here) = idle_worker, recorded
     monkeypatch.setattr(worker, "_answers", Unanswered())
-    chunk = keys.CHUNK_TRANSACTIONS
-    jobs = distinct_jobs((PACED_CHUNKS + 3) * chunk)
-    first, second, third = jobs[: 2 * chunk], jobs[2 * chunk : -chunk], jobs[-chunk:]
-    read_first = worker.verify(first)
-    read_second = worker.verify(second)
-    read_third = worker.verify(third)
-    ahead = keys._REQUESTS_AHEAD * chunk
-    assert sent == jobs[:ahead] and here == []
+    jobs = distinct_jobs(3 * CHUNK - 7)
+    forming = worker.verify(jobs[:CHUNK], forming=True)
+    assert pipe.sent == jobs[:CHUNK] and len(worker._waiting) == 1
+    forming.extend(jobs[CHUNK : 2 * CHUNK], forming=True)
+    assert pipe.sent == jobs[: 2 * CHUNK] and len(worker._waiting) == 2
+    assert forming.forming
 
-    assert list(read_first) == SERIAL(first)
-    assert here == jobs[ahead:]  # in order, none of them sent
-    assert sent == jobs[:ahead]
-    assert list(read_second) == SERIAL(second) and list(read_third) == SERIAL(third)
-    assert sent == jobs[:ahead] and not worker._waiting
+    forming.extend(jobs[2 * CHUNK :])
+    assert not forming.forming
+    assert pipe.sent == jobs and pipe.sizes == [CHUNK, CHUNK, CHUNK - 7]
+    assert list(forming) == SERIAL(jobs)
+    assert here == [] and not worker._waiting
 
 
-@pytest.mark.parametrize(
-    "chunks", [1, 2, keys._REQUESTS_AHEAD, keys._REQUESTS_AHEAD + 1, PACED_CHUNKS]
-)
-def test_the_worker_is_kept_requests_ahead(chunks, idle_worker, monkeypatch):
-    """After _top_up, min(_REQUESTS_AHEAD, requests not yet sent) requests
-    are in flight."""
-    monkeypatch.setattr(idle_worker, "_answers", Unanswered())
-    jobs = [GOOD, TRIPLE] * (chunks * keys.CHUNK_TRANSACTIONS // 2)
-    verdicts = idle_worker.verify(jobs)
-    idle_worker._top_up()
-    assert len(idle_worker._waiting) == min(keys._REQUESTS_AHEAD, chunks)
-    assert list(verdicts) == SERIAL(jobs)
-
-
-@pytest.mark.parametrize("sending", ["paced", "never"])
-def test_the_signature_counts_grow_by_the_signatures_queued(sending, idle_worker, monkeypatch):
-    """worker_signatures + here_signatures grows by exactly the signatures
-    of the jobs read; with nothing sent, all are verified here."""
+def test_queuing_takes_the_answers_that_are_ready(idle_worker):
+    """extend reads every answer that is ready before it sends, so answers
+    do not pile up in the pipe while nobody reads verdicts."""
     worker = idle_worker
-    if sending == "never":
-        send_nothing(monkeypatch)
-    jobs = distinct_jobs(PACED_CHUNKS * keys.CHUNK_TRANSACTIONS + 5) + [None, ()]
+    earlier = worker.verify([FORGED] * CHUNK)
+    assert len(worker._waiting) == 1
+    assert worker._conn.poll(10), "the worker did not answer"
+    later = worker.verify([GOOD])
+    assert earlier._verdicts == [False] * CHUNK and len(worker._waiting) == 1
+    assert list(earlier) == [False] * CHUNK and list(later) == [True]
+    assert not worker._waiting
+
+
+def test_the_worker_signature_count_grows_by_the_signatures_queued(idle_worker):
+    """worker_signatures grows by exactly the signatures of the jobs read,
+    and here_signatures not at all."""
+    worker = idle_worker
+    jobs = distinct_jobs(6 * CHUNK + 5) + [None, ()]
     signatures = sum(len(job or ()) for job in jobs)
     counts = worker.worker_signatures, worker.here_signatures
+    seconds = worker.worker_seconds, worker.here_seconds
 
     assert list(worker.verify(jobs)) == SERIAL(jobs)
-    by_worker = worker.worker_signatures - counts[0]
-    by_here = worker.here_signatures - counts[1]
-    assert by_worker + by_here == signatures
-    if sending == "never":
-        assert by_worker == 0
+    assert worker.worker_signatures - counts[0] == signatures
+    assert worker.worker_seconds > seconds[0]
+    assert (worker.here_signatures, worker.here_seconds) == (counts[1], seconds[1])
 
 
-def test_a_forming_verdicts_stays_open_until_its_last_jobs_are_read(idle_worker):
-    """A Verdicts with every job so far sent, but more to come, keeps its
-    turn in _open; once its last jobs came and were read, it leaves."""
+def test_verdicts_dropped_with_requests_in_flight_do_not_disturb_later_ones(
+    idle_worker, monkeypatch
+):
+    """The answers to the requests of a Verdicts dropped unread are
+    discarded; the next Verdicts reads its own."""
     worker = idle_worker
-    chunk = keys.CHUNK_TRANSACTIONS
-    first, rest = distinct_jobs(chunk), distinct_jobs(2 * chunk)[chunk:]
-    forming = worker.verify(first, forming=True)
-    assert forming._sent == len(first)
-    worker._top_up()
-    assert [ref() for ref in worker._open] == [forming]
-
-    forming.extend(rest)
-    assert list(forming) == SERIAL(first + rest)
-    assert not worker._open and not worker._waiting
-
-
-def test_verdicts_dropped_unread_do_not_disturb_later_ones(idle_worker, monkeypatch):
-    """A Verdicts dropped with jobs in flight and jobs not yet sent leaves
-    the queue; the answers to its requests are discarded."""
-    worker = idle_worker
+    monkeypatch.setattr(worker, "_answers", Unanswered())
     dropped = worker.verify(MIXED * 2)
-    assert 0 < dropped._sent < len(dropped._jobs)  # some sent, some not
+    in_flight = -(-len(MIXED) * 2 // CHUNK)
+    assert len(worker._waiting) == in_flight
     del dropped
-    assert not unread_verdicts()  # its unsent jobs went with it
-    wanted = worker.verify([GOOD, FORGED, None] * keys.CHUNK_TRANSACTIONS)
-    assert list(wanted) == [True, False, False] * keys.CHUNK_TRANSACTIONS
+    assert not unread_verdicts()
+    wanted = worker.verify([GOOD, FORGED, None] * CHUNK)
+    assert len(worker._waiting) == in_flight + 3
+    assert list(wanted) == [True, False, False] * CHUNK
     del wanted  # read to the end
-    assert not unread_verdicts() and not worker._waiting and not worker._open
+    assert not unread_verdicts() and not worker._waiting
 
 
 @pytest.mark.parametrize("corrupted", [False, True], ids=["steady", "O3 corrupted"])
 def test_a_network_run_leaves_nothing_queued(corrupted, idle_worker):
-    """Once every block of a run is read, no Verdicts is left to send from
-    and no request is in flight, also after an organization recovers."""
+    """Once every block of a run is read, no Verdicts is left unread and no
+    request is in flight, also after an organization recovers."""
     net = Network(NetworkConfig(
         orgs=[OrgConfig(org) for org in ("O1", "O2", "O3")],
         blocksize=40,
@@ -463,7 +420,7 @@ def test_a_network_run_leaves_nothing_queued(corrupted, idle_worker):
         net.close()
     assert [node.height for node in net.nodes.values()] == [3, 3, 3]
     assert bool(report.events("O3", RECOVER_DONE)) == corrupted
-    assert not idle_worker._open and not idle_worker._waiting
+    assert not unread_verdicts() and not idle_worker._waiting
 
 
 def test_a_killed_worker_raises_with_jobs_queued():
@@ -477,18 +434,22 @@ def test_a_killed_worker_raises_with_jobs_queued():
         worker.close()
 
 
-@pytest.mark.parametrize("sending", ["rule", "never"])
-def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monkeypatch):
-    """keys.verify counts vote checks only, whichever process verifies a
-    block's signatures or an endorser's client checks."""
+def test_the_block_pipeline_never_calls_keys_verify(idle_worker, monkeypatch):
+    """keys.verify counts vote checks only, and this process verifies no
+    signature while executing: the worker verifies every block check, and
+    this process only endorsers' client checks."""
     calls = {"pipeline": 0, "elsewhere": 0}
-    executing = []
+    executing, here = [], {"executing": 0, "endorsing": 0}
     original_verify = keys.verify
     original_execute = org_module.OrgNode.execute_action
 
     def counted_verify(*args):
         calls["pipeline" if executing else "elsewhere"] += 1
         return original_verify(*args)
+
+    def counted_jobs(jobs, *caches):
+        here["executing" if executing else "endorsing"] += len(jobs)
+        return SERIAL(jobs, *caches)
 
     def marked_execute(node, action):
         executing.append(node.org_id)
@@ -498,9 +459,8 @@ def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monk
             executing.pop()
 
     monkeypatch.setattr(keys, "verify", counted_verify)
+    monkeypatch.setattr(keys, "verify_jobs", counted_jobs)
     monkeypatch.setattr(org_module.OrgNode, "execute_action", marked_execute)
-    if sending == "never":
-        send_nothing(monkeypatch)
     net = Network(NetworkConfig(
         orgs=[OrgConfig(org) for org in ("O1", "O2", "O3")],
         blocksize=40,
@@ -516,11 +476,9 @@ def test_the_block_pipeline_never_calls_keys_verify(sending, verified_here, monk
     assert [node.height for node in net.nodes.values()] == [2, 2, 2]
     assert all(net.node("O1").ledger.block(2).successful)
     assert calls["pipeline"] == 0 and calls["elsewhere"] > 0
-    if sending == "never":
-        # one job per transaction: each organization's block checks of the
-        # 2 set-up and 40 update transactions, 3 * 42, and O2's and O3's
-        # client checks when endorsing each of the 42, in place, 2 * 42
-        assert sum(verified_here) == 3 * 42 + 2 * 42 == 210
+    # one job per transaction: O2's and O3's client checks when endorsing
+    # each of the 2 set-up and 40 update transactions, in place
+    assert here == {"executing": 0, "endorsing": 2 * 42}
 
 
 # ---- the worker process's lifetime, in separate interpreters ----
