@@ -333,6 +333,33 @@ def test_a_request_with_no_signature_is_judged_here(idle_worker, recorded):
     assert list(verdicts) == [False, True] * CHUNK
 
 
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+def test_queued_jobs_are_all_in_flight_in_requests_of_a_chunk(
+    count, idle_worker, recorded, monkeypatch
+):
+    """Right after queueing, every job is in flight, CHUNK_TRANSACTIONS
+    jobs per request and the rest in a last one, before any is read."""
+    worker, (pipe, here) = idle_worker, recorded
+    monkeypatch.setattr(worker, "_answers", Unanswered())
+    jobs = distinct_jobs(count)
+    verdicts = worker.verify(jobs)
+    sizes = [CHUNK] * (count // CHUNK) + [count % CHUNK] * bool(count % CHUNK)
+    assert pipe.sizes == sizes and len(worker._waiting) == len(sizes)
+    assert list(verdicts) == SERIAL(jobs)
+    assert here == [] and not worker._waiting
+
+
+def test_a_request_with_any_signature_goes_to_the_worker_whole(idle_worker, recorded):
+    """Jobs with no signature travel with the signed jobs of their request,
+    and their verdicts come back with the worker's answer."""
+    worker, (pipe, here) = idle_worker, recorded
+    jobs = [None, (), GOOD, FORGED] * (CHUNK // 4)
+    verdicts = worker.verify(jobs)
+    assert pipe.sent == jobs and pipe.sizes == [CHUNK]
+    assert list(verdicts) == [False, True, True, False] * (CHUNK // 4)
+    assert here == []
+
+
 def test_a_forming_verdicts_has_all_of_its_jobs_so_far_in_flight(
     idle_worker, recorded, monkeypatch
 ):
