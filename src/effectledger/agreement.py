@@ -32,9 +32,9 @@ Each party parses a transaction's SQL once, into a ParsedTransaction: the
 client to find the required organizations (only when policies exist), each
 endorser to evaluate its predicates, and each executing organization in
 finish_verification, after every signature has checked out.  The
-executor's value then feeds the scheduler's analysis and the engine.  An
-organization parses through its own plan cache (engine.parser.PlanCache),
-and so does each client of a Network.
+executor's value then feeds the engine.  An organization parses through
+its own plan cache (engine.parser.PlanCache), and so does each client of a
+Network.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class ParsedTransaction:
     agreement, and execution marks it failed.  Each organization builds its
     own value and keeps it no longer than the block it belongs to.  When
     a plan cache bound the statements from a learned shape, statements is
-    that engine.parser.Bound, which analysis and execution run compiled.
+    that engine.parser.Bound, which execution runs compiled.
     """
 
     statements: Sequence[Statement] = ()
@@ -566,8 +566,8 @@ def verify_chained_transaction(
 ) -> ParsedTransaction | None:
     """Execution-time check: client signature plus every required agreement.
 
-    Returns the transaction parsed, for the caller to analyze and execute, or
-    None when the check fails.  It is the composition of signature_jobs and
+    Returns the transaction parsed, for the caller to execute, or None
+    when the check fails.  It is the composition of signature_jobs and
     finish_verification, verified in this process; organizations run the same
     halves with the signatures verified by the worker process (OrgNode).
     """

@@ -496,17 +496,16 @@ class Plan:
     INSERT row shape, rows is True: the template holds one row, and a
     Bound's values hold any number of rows, each bound like that one.
     tables are the tables its statements name; a shape holds no DDL, so
-    each is one its data statements operate on.  The owner's analysis and
-    engine each keep one compiled form here, with how many transactions
-    used it: accesses (scheduler) and executor (engine.compiled); its
-    predicate checks keep fields (agreement).  A plan belongs to one
-    party's cache, so what is compiled here is never shared.
+    each is one its data statements operate on.  The owner's engine keeps
+    its compiled form here, with how many transactions ran it: executor
+    (engine.compiled) and executed; its predicate checks keep fields
+    (agreement).  No plan keeps an analysis: only the staged reference and
+    `effectledger graph` analyze (scheduler), from statements.  A plan
+    belongs to one party's cache, so what is compiled here is never
+    shared.
     """
 
-    __slots__ = (
-        "bind", "build", "template", "rows", "tables", "fields", "accesses", "executor",
-        "analyzed", "executed",
-    )
+    __slots__ = ("bind", "build", "template", "rows", "tables", "fields", "executor", "executed")
 
     def __init__(
         self, bind: Binder, build: Callable[[tuple], list], slots: tuple, rows: bool = False
@@ -514,8 +513,8 @@ class Plan:
         self.bind, self.build, self.rows = bind, build, rows
         self.template = build(slots)
         self.tables = frozenset(stmt.table for stmt in self.template)
-        self.fields = self.accesses = self.executor = None
-        self.analyzed = self.executed = 0
+        self.fields = self.executor = None
+        self.executed = 0
 
 
 class PlanCache:

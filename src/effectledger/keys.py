@@ -24,11 +24,12 @@ it: a root signature never passes for a payload's.
 The memo.  verify_jobs keeps the verdict of each (key, DER signature, signed
 message) it verified, so a batch root is verified once per memo, and
 worker_signatures and here_signatures count the verifications run.  The
-worker makes a new memo for each request, and an endorser keeps one per
-prepared chunk (org.ChunkMemo; network tells whose); each belongs to the
-one organization whose jobs they are.  So an organization verifies each
-batch root it meets once per request or chunk, no verdict passes between
-organizations, and the worker remembers no verdict across requests.
+worker makes a new memo for each request, and verify_here one for each
+call; an endorser verifies a prepared chunk's client checks in one
+verify_here call.  Each memo belongs to the one organization whose jobs
+they are.  So an organization verifies each batch root it meets once per
+request or chunk, no verdict passes between organizations, and no memo
+outlives its request or call.
 
 Where signatures are verified.  An organization verifies each signature of
 a transaction once, and all of them, but for effect votes, through the one
@@ -438,15 +439,14 @@ class SignatureWorker:
         verdicts.extend(jobs, forming)
         return verdicts
 
-    def verify_here(self, jobs, memo: dict | None = None) -> list[bool]:
-        """verify_jobs in this process, with memo, counted in here_signatures
-        and here_seconds."""
-        memo = {} if memo is None else memo
-        before = len(memo)
+    def verify_here(self, jobs) -> list[bool]:
+        """verify_jobs in this process, with a memo of its own, counted in
+        here_signatures and here_seconds."""
+        memo: dict = {}
         started = perf_counter()
         verdicts = verify_jobs(jobs, self._loaded, memo)
         self.here_seconds += perf_counter() - started
-        self.here_signatures += len(memo) - before
+        self.here_signatures += len(memo)
         return verdicts
 
     def _send(self, owner: Verdicts, start: int, jobs: list):

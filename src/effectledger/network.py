@@ -27,28 +27,28 @@ Signatures are verified outside the tick clock, and keys tells where and by
 which process.  run submits the proposals due at a tick a
 keys.CHUNK_TRANSACTIONS chunk at a time: it prepares a chunk, then submits
 each of its proposals (_submit_due).  Each client signs its proposals of a
-chunk as one batch, with one ECDSA signature (keys.sign_batch), and so
-does each endorser with its agreements.  Each prepared chunk has one {org:
-ChunkMemo} dict, and each organization's memo holds the chunk's proposals
-that need it, in chunk order.  submit asks each live organization that a
-proposal needs for its agreement, with that memo
+chunk as one batch, with one ECDSA signature (keys.sign_batch), and so does
+each endorser with its agreements.  Each prepared chunk has one {org: memo}
+dict, and each organization's memo maps the chunk's proposals that need it,
+in chunk order, to its agreements on them.  submit asks each live
+organization that a proposal needs for its agreement, with that memo
 (OrgNode.evaluate_agreement).  The organization's first call for the chunk
 endorses all of the memo's proposals: it verifies their client checks in
-this process, with the memo as its keys.verify_jobs memo, so each client's
-batch root once, evaluates its predicates, and signs all of its agreements
-with one ECDSA signature; each later call returns its own proposal's
-agreement.  Organizations do not step while a chunk is submitted, so its
-predicates read the committed state that each proposal's own submit would
-read.  A memo belongs to its organization and chunk alone, so no verdict
-or agreement passes between organizations, and a required organization
-that is not live is never asked and signs nothing.  The orderer streams each
-forming block to every live organization a keys.CHUNK_TRANSACTIONS chunk at
-a time, as submit queues it (a chunk once a later transaction of its block
-is queued), and each organization's receive_action queues that chunk's
-checks at once; when the orderer cuts the block, at the tick it would
-anyway, it delivers the rest, and an equivocation victim's copy without the
-last transaction, which was never streamed.  Effect votes are verified
-here, by each organization that fetches them.
+this process, in one call, so each client's batch root once, evaluates its
+predicates, and signs all of its agreements with one ECDSA signature; each
+later call returns its own proposal's agreement.  Organizations do not step
+while a chunk is submitted, so its predicates read the committed state that
+each proposal's own submit would read.  A memo belongs to its organization
+and chunk alone, so no verdict or agreement passes between organizations,
+and a required organization that is not live is never asked and signs
+nothing.  The orderer streams each forming block to every live organization
+a keys.CHUNK_TRANSACTIONS chunk at a time, as submit queues it (a chunk once
+a later transaction of its block is queued), and each organization's
+receive_action queues that chunk's checks at once; when the orderer cuts the
+block, at the tick it would anyway, it delivers the rest, and an
+equivocation victim's copy without the last transaction, which was never
+streamed.  Effect votes are verified here, by each organization that fetches
+them.
 
 Identical (config, schedule, fault script) inputs produce identical reports
 and identical ledger bytes.  The only randomness anywhere is the workload
@@ -78,7 +78,7 @@ from .engine.database import Database, TableSnapshot
 from .engine.parser import PlanCache
 from .engine.types import QuirkConfig
 from .errors import BindError, ConfigError, MissingTarget
-from .org import Action, ChunkMemo, OrgNode
+from .org import Action, OrgNode
 from .recovery import CheckpointManager, recover
 
 # report event names
@@ -149,12 +149,13 @@ _REQUIRED = object()
 _JSON_TYPES = {
     int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object",
 }
+_JSON_ITEMS = {str: "strings", dict: "objects"}
 
 
-def _field(raw: dict, name: str, kind: type, where: str, default=_REQUIRED):
+def _field(raw: dict, name: str, kind: type, where: str, default=_REQUIRED, items=None):
     """raw[name], which must be a JSON value of type kind, or null when the
-    default is None; the default when absent.  ConfigError naming the field
-    otherwise."""
+    default is None; the default when absent.  A list must hold only values
+    of type items, when given.  ConfigError naming the field otherwise."""
     if name not in raw:
         if default is _REQUIRED:
             raise ConfigError(f"{where}: missing {name!r}")
@@ -163,7 +164,17 @@ def _field(raw: dict, name: str, kind: type, where: str, default=_REQUIRED):
     # type(), not isinstance(): a JSON true is no integer
     if type(value) is not kind and not (value is None and default is None):
         raise ConfigError(f"{where}: {name} must be {_JSON_TYPES[kind]}, not {value!r}")
+    if items is not None and any(type(item) is not items for item in value):
+        raise ConfigError(f"{where}: {name} must be a list of {_JSON_ITEMS[items]}, not {value!r}")
     return value
+
+
+def _predicate_lines(predicates: dict, org: str) -> dict[str, list[str]]:
+    """predicates[org], checked: table -> the lines of its conditions."""
+    tables = _field(predicates, org, dict, "predicates")
+    for table in tables:
+        _field(tables, table, list, f"predicates {org}", items=str)
+    return tables
 
 
 @dataclass
@@ -245,17 +256,19 @@ class NetworkConfig:
             )
         policies = _field(raw, "agreement_policies", dict, "config", {})
         predicates = _field(raw, "predicates", dict, "config", {})
+        orgs = _field(raw, "organizations", list, "config", items=dict)
         return cls(
-            orgs=[OrgConfig.from_dict(o) for o in _field(raw, "organizations", list, "config")],
+            orgs=[OrgConfig.from_dict(o) for o in orgs],
             min_matching=_field(raw, "min_matching", int, "config", 2),
             blocksize=_field(raw, "blocksize", int, "config", 128),
             block_timeout=_field(raw, "block_timeout", int, "config", 4),
             checkpoint_interval=_field(raw, "checkpoint_interval", int, "config", 3),
             checkpoint_capacity=_field(raw, "checkpoint_capacity", int, "config", 3),
             agreement_policies={
-                table: _field(policies, table, list, "agreement_policies") for table in policies
+                table: _field(policies, table, list, "agreement_policies", items=str)
+                for table in policies
             },
-            predicates={org: _field(predicates, org, dict, "predicates") for org in predicates},
+            predicates={org: _predicate_lines(predicates, org) for org in predicates},
             seed=_field(raw, "seed", int, "config", 0),
             out_dir=_field(raw, "out_dir", str, "config", None),
             durable=_field(raw, "durable", bool, "config", False),
@@ -447,7 +460,7 @@ class Network:
         self._client_keys: dict[str, object] = {}
         self._client_plans: dict[str, PlanCache] = {}
         # proposals prepared for this tick's submits: (proposal, required
-        # orgs, the chunk's org -> ChunkMemo)
+        # orgs, the chunk's org -> memo)
         self._prepared: deque = deque()
         self._rules = {FaultKind.DROP_VOTES: [], FaultKind.TAMPER_VOTE: []}  # in force now
         self._equivocations: set[tuple[str, int]] = set()  # (victim, block id)
@@ -643,20 +656,21 @@ class Network:
         batch (agmt.make_proposals: one ECDSA signature per client and chunk)
         and finds the organizations each needs through its plan cache.
         Returns (proposal, required orgs, memos) entries in entry order,
-        where memos is the chunk's one {org: ChunkMemo} dict, each memo
-        holding the chunk's proposals that need its organization, in entry
-        order (see the module docstring)."""
+        where memos is the chunk's one {org: memo} dict, each memo mapping
+        the chunk's proposals that need its organization, in entry order, to
+        None until the organization endorses them (see the module
+        docstring)."""
         signed = {}
         for client in dict.fromkeys(client for client, _ in entries):
             sqls = [sql for of, sql in entries if of == client]
             signed[client] = iter(agmt.make_proposals(client, sqls, self.client_key(client)))
-        memos: dict[str, ChunkMemo] = {}
+        memos: dict[str, dict[agmt.TransactionProposal, agmt.Agreement | None]] = {}
         prepared = []
         for client, sql in entries:
             proposal = next(signed[client])
             needed = agmt.endorsers(sql, self.agreement_policies, self._client_plans[client])
             for org in needed:
-                memos.setdefault(org, ChunkMemo()).agreements[proposal] = None
+                memos.setdefault(org, {})[proposal] = None
             prepared.append((proposal, needed, memos))
         return prepared
 

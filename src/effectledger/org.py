@@ -2,23 +2,21 @@
 
 A round processes exactly one ordered action (a block of chained
 transactions) on the calling thread, one transaction at a time in block
-order: read the verdict on its signatures, parse it once, analyze it against
-the catalog as of block start, place it in its stage, and execute it.  The
-stages describe the block's parallelism (scheduler), and running the block
-in block order gives the same bits, digest and state as running it stage by
-stage; no dependency graph is built, and the round keeps only the size of
-each stage.  Then the ledger block is assembled and consensus sought on its
-hash.  The block only enters the ledger when enough organizations report the
-same hash and it matches the local one; otherwise the round stays pending
-until consensus arrives late (peers catching up) or recovery rebuilds the
-state.  Replaying a committed block runs the same per-transaction loop and
-discards the stage sizes.
+order: read the verdict on its signatures, parse it once and execute it.
+Block order is one of the serial-equivalent orders, so the organization
+neither analyzes a transaction nor places it in a stage; only the staged
+reference (scheduler) and `effectledger graph` analyze.  Then the ledger
+block is assembled and consensus sought on its hash.  The block only
+enters the ledger when enough organizations report the same hash and it
+matches the local one; otherwise the round stays pending until consensus
+arrives late (peers catching up) or recovery rebuilds the state.
+Replaying a committed block runs the same per-transaction loop.
 
 Endorsing: evaluate_agreement verifies the client checks in place and
 signs an agreement only after its check passed; the first call for a
 prepared chunk endorses every proposal of the chunk that needs this
 organization and signs all of their agreements as one batch, with the
-ChunkMemo that network passes.
+memo that network passes.
 
 Each round has one record at a time: received (self.verifying: the action
 and the verdicts on its signatures), then pending (self.pending: the block
@@ -39,16 +37,16 @@ through it.  A transaction whose text differs from a shape seen before only
 in its literals is bound from that shape; only a new shape, and DDL, runs
 the parser.  A bulk INSERT binds from its one-row shape whatever its row
 count, so a bulk load, and its replay, parses once per table and row shape.
-The organization compiles each bound shape once, into an access function
-that analysis calls (scheduler.analyze_transaction) and an executor for its
-own engine (Database.execute_transaction), and keeps both in the shape's
-plan; shapes that do not compile are analyzed and run by the interpreters.
+The organization compiles each bound shape once, into an executor for its
+own engine (Database.execute_transaction), and keeps it in the shape's
+plan; shapes that do not compile are run by the interpreter.
 The cache is never shared, since each organization stands for its own DBMS.
 
 The signature worker process verifies every check of a received block
 once; this process verifies only the client checks it makes when endorsing
-and the effect votes (keys tells how).  This process runs no other thread: a helper thread would contend with execution
-for the interpreter lock, and so would executor threads inside a block.
+and the effect votes (keys tells how).  This process runs no other
+thread: a helper thread would contend with execution for the interpreter
+lock, and so would executor threads inside a block.
 
 Execution mutates the engine before the commit decision on purpose: the model
 votes on effects, so the effects must exist first.  Recovery owns undoing
@@ -75,7 +73,6 @@ from .ledger import (
     block_hash,
     build_ledger_block,
 )
-from .scheduler import StageTracker, analyze_transaction
 
 
 @dataclass(frozen=True)
@@ -86,26 +83,12 @@ class Action:
     transactions: tuple[agmt.ChainedTransaction, ...]
 
 
-class ChunkMemo(dict):
-    """One organization's memo for one prepared chunk of proposals.
-
-    The dict itself is the organization's keys.verify_jobs memo for the
-    chunk's client checks.  agreements maps each proposal of the chunk that
-    needs the organization, in chunk order, to the agreement it signed on
-    it, None until the first of them is asked (OrgNode.evaluate_agreement).
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.agreements: dict[agmt.TransactionProposal, agmt.Agreement | None] = {}
-
-
 @dataclass
 class PendingRound:
     """An executed round awaiting consensus: its block, with the block's
     serialization that its hash was taken of and that the ledger appends,
-    the signature verdicts read at first execution (one bool per
-    transaction) and the number of transactions placed in each stage."""
+    and the signature verdicts read at first execution (one bool per
+    transaction)."""
 
     action: Action
     block: LedgerBlock
@@ -113,7 +96,6 @@ class PendingRound:
     effect_hash: bytes
     changed_tables: set[str]
     verdicts: tuple[bool, ...]
-    stages: tuple[int, ...]
 
 
 class OrgNode:
@@ -170,39 +152,40 @@ class OrgNode:
     ) -> agmt.Agreement:
         """Signed verdict on a proposal, judged against committed state only.
 
-        memo is this organization's ChunkMemo for the proposal's prepared
-        chunk, which network passes.  The first call for a proposal of the
-        chunk endorses every proposal of the chunk that needs this
-        organization, in chunk order, and signs all of their agreements as
-        one batch; each later call returns its own proposal's agreement.  A
-        call with no memo, or for a proposal that memo does not hold, is a
-        batch of one (see _endorse).
+        memo is this organization's memo for the proposal's prepared chunk,
+        which network passes: it maps each proposal of the chunk that needs
+        this organization, in chunk order, to the agreement signed on it,
+        None until the first of them is asked.  That first call endorses
+        every proposal of the memo and signs all of their agreements as one
+        batch; each later call returns its own proposal's agreement.  A call
+        with no memo, or for a proposal that memo does not hold, is a batch
+        of one (see _endorse).
         """
-        chunk = getattr(memo, "agreements", {})
-        if proposal not in chunk:
-            return self._endorse([proposal], memo)[0]
-        if chunk[proposal] is None:
-            chunk.update(zip(chunk, self._endorse(list(chunk), memo)))
-        return chunk[proposal]
+        if memo is None or proposal not in memo:
+            return self._endorse([proposal])[0]
+        if memo[proposal] is None:
+            chunk = list(memo)
+            memo.update(zip(chunk, self._endorse(chunk)))
+        return memo[proposal]
 
-    def _endorse(self, proposals, memo: dict | None) -> list[agmt.Agreement]:
+    def _endorse(self, proposals) -> list[agmt.Agreement]:
         """This organization's agreements on proposals, in order, signed as
         one batch (agmt.make_agreements).
 
-        Each client check is verified first, in place, with memo as the
-        keys.verify_jobs memo (a new one when None); a client the registry
-        does not know is refused.  The predicates of the proposals whose
-        check passed are evaluated against one catalog of the committed
-        state.  Each agreement is recorded in self.endorsed, in order, with
-        the client check that passed, so that receiving the transaction
-        checks neither again.
+        The client checks are verified first, in place, in one verify_here
+        call, so each client's batch root once; a client the registry does
+        not know is refused.  The predicates of the proposals whose check
+        passed are evaluated against one catalog of the committed state.
+        Each agreement is recorded in self.endorsed, in order, with the
+        client check that passed, so that receiving the transaction checks
+        neither again.
         """
         checks = [
             (self.registry.encoded_key(p.client), p.signature, p.signed_payload())
             for p in proposals
         ]
         verdicts = keys.signature_worker().verify_here(
-            [None if check[0] is None else (check,) for check in checks], memo
+            [None if check[0] is None else (check,) for check in checks]
         )
         catalog = self.catalog()
         for i, proposal in enumerate(proposals):
@@ -322,42 +305,32 @@ class OrgNode:
             for ct in action.transactions
         )
         names_before = set(self.db.tables)
-        stages, digest, block, serialized, effect_hash = self._run_block(
+        digest, block, serialized, effect_hash = self._run_block(
             action.round_id, records, parsed(), self.ledger.head_hash()
         )
         changed = digest.tables_touched() | (set(self.db.tables) - names_before)
-        self.pending = PendingRound(
-            action, block, serialized, effect_hash, changed, tuple(read), stages
-        )
+        self.pending = PendingRound(action, block, serialized, effect_hash, changed, tuple(read))
         self.votes[action.round_id] = cns.make_vote(
             self.org_id, action.round_id, effect_hash, self.private_key
         )
         return effect_hash
 
     def _run_block(self, block_id, records, parsed, hash_previous):
-        """Analyze, place and execute one block a transaction at a time, in
-        block order, then build its ledger block; returns (stage sizes,
-        digest, block, its serialization, block hash).
+        """Execute one block a transaction at a time, in block order, then
+        build its ledger block; returns (digest, block, its serialization,
+        block hash).
 
         parsed yields each transaction's ParsedTransaction; one with an error
-        (it did not parse, or fails without executing) keeps bit 0 and is
-        neither analyzed nor placed.  Analysis reads the catalog as of block
-        start, so each transaction lands in the stage that
-        build_dependency_graph gives it.
+        (it did not parse, or fails without executing) keeps bit 0.
         """
-        catalog = self.catalog()
         digest = BlockDigest()
-        tracker = StageTracker()
-        bits: list[bool] = []
-        for i, txn in enumerate(parsed):
-            ok = txn.error is None
-            if ok:
-                tracker.add(analyze_transaction(txn.statements, catalog), i)
-                ok = self.db.execute_transaction(txn.statements, digest).success
-            bits.append(ok)
+        bits = [
+            txn.error is None and self.db.execute_transaction(txn.statements, digest).success
+            for txn in parsed
+        ]
         block = build_ledger_block(block_id, records, bits, digest, hash_previous)
         serialized = block.serialize()
-        return tuple(map(len, tracker.stages)), digest, block, serialized, block_hash(serialized)
+        return digest, block, serialized, block_hash(serialized)
 
     # ---- the LC phase: consensus then commit ----
 

@@ -1,24 +1,19 @@
-"""Intra-block staging with serial-equivalent results.
+"""Intra-block staging with serial-equivalent results: the staged reference.
 
-Three phases per block, all on the thread that runs the organization: (1)
-semantic analysis turns each statement into accesses to one table: whether
-it writes, and the interval each column it constrains and does not assign is
-confined to.  For statements bound from a learned shape, analysis calls a
-function compiled once per shape, in the organization's own plan, against
-the catalog's schemas for the tables the shape names; it gives the accesses
-the interpreter below would give, and is compiled again when those schemas
-change.  (2) placement puts each transaction one stage past every earlier
-transaction it conflicts with (StageTracker.add); (3) execution.  Any order
-of a stage's members gives the same bits, digest and state, so the stages
-describe the parallelism of the block, and block order is one of the orders
-that give those results.  An organization (org.OrgNode) therefore takes each
-transaction in block order, analyzes it, places it and executes it before
-the next, keeping only the members of each stage; analysis reads the catalog
-as of block start.  The dependency graph (build_dependency_graph, placing
-through the same StageTracker.add) and execute_staged, which runs a block
-stage by stage, each stage's members in block order, are the staged
-reference that tests hold block-order execution to; `effectledger graph`
-prints the graph.
+Three phases per block: (1) semantic analysis turns each statement into
+accesses to one table: whether it writes, and the interval each column it
+constrains and does not assign is confined to; (2) placement puts each
+transaction one stage past every earlier transaction it conflicts with
+(StageTracker.add); (3) execution.  Any order of a stage's members gives the
+same bits, digest and state, so the stages describe the parallelism of the
+block, and block order is one of the orders that give those results.
+
+An organization (org.OrgNode) runs each block in block order and neither
+analyzes nor places: block order needs no schedule.  Only two callers
+analyze.  The dependency graph (build_dependency_graph) and execute_staged,
+which runs a block stage by stage, each stage's members in block order, are
+the staged reference that tests hold block-order execution to; and
+`effectledger graph` prints the graph.
 
 The conflict rule.  Two accesses to the same table, at least one of them a
 write, conflict unless a witness column separates them: a column that both
@@ -43,7 +38,6 @@ from decimal import Decimal
 
 from .agreement import ParsedTransaction
 from .engine.parser import (
-    Bound,
     CreateTable,
     Delete,
     Insert,
@@ -163,17 +157,10 @@ class TxnAccessSet:
 
 
 def analyze_transaction(statements: Sequence[Statement], catalog) -> tuple[Access, ...]:
-    """One parsed transaction's accesses, read against catalog.
-
-    Statements bound from a shape whose accesses compile are analyzed by the
-    compiled function; the rest by the interpreter.  Analysis never consults
-    quirk settings, so organizations place the same stages from the same
-    block and catalog.
+    """One parsed transaction's accesses, read against catalog; a Bound is
+    analyzed over its statements.  Analysis never consults quirk settings,
+    so the same block and catalog give the same stages everywhere.
     """
-    if type(statements) is Bound:
-        build = _compiled_accesses(statements.plan, catalog)
-        if build is not None:
-            return build(statements.values)
     accesses: list[Access] = []
     for stmt in statements:
         accesses.extend(_statement_accesses(stmt, catalog))
@@ -195,91 +182,6 @@ def access_set(index: int, txn: ParsedTransaction | str, catalog) -> TxnAccessSe
     if txn.error is not None:
         return TxnAccessSet(index, parse_error=txn.error)
     return TxnAccessSet(index, analyze_transaction(txn.statements, catalog), txn.statements)
-
-
-class _CompiledAccesses:
-    """A plan's accesses compiled against the schemas the catalog holds
-    for the tables it names (None for a missing one): build(v) gives what
-    analysis gives the shape bound with literal values v.  build is None
-    when the interpreter analyzes the shape."""
-
-    __slots__ = ("schemas", "build")
-
-    def __init__(self, plan, catalog):
-        template = plan.template
-        self.schemas = tuple({stmt.table: catalog.get(stmt.table) for stmt in template}.items())
-        try:
-            sources = "".join(
-                f"{_access_source(stmt, catalog, plan.rows)}, " for stmt in template
-            )
-        except _Uncompiled:
-            self.build = None
-        else:
-            self.build = eval(f"lambda v: ({sources})", {"Access": Access, "Interval": Interval})
-
-    def current(self, catalog) -> bool:
-        for name, schema in self.schemas:
-            now = catalog.get(name)
-            if now is not schema and now != schema:
-                return False
-        return True
-
-
-def _compiled_accesses(plan, catalog):
-    """build of the plan's compiled accesses, compiled on first use and
-    again when the catalog's schemas for its tables change."""
-    compiled = plan.accesses
-    if compiled is None or not compiled.current(catalog):
-        compiled = plan.accesses = _CompiledAccesses(plan, catalog)
-    if compiled.build is not None:
-        plan.analyzed += 1
-    return compiled.build
-
-
-class _Uncompiled(Exception):
-    """The interpreter analyzes the shape."""
-
-
-def _access_source(stmt: Statement, catalog, rows: bool = False) -> str:
-    """Source of what _statement_accesses gives one statement of a template,
-    whose slot n reads v[n]: a coarse access when the table is missing or an
-    INSERT does not fit it, else one access with a point witness per
-    literal that constrains a column.  The one INSERT of a row shape (rows)
-    has one such access per row r of v, whose slot n reads r[n].  Raises
-    _Uncompiled for conditions other than equalities on distinct known
-    columns, and for an INSERT key whose witness depends on the literal's
-    digits."""
-    schema = catalog.get(stmt.table)
-    write = not isinstance(stmt, Select)
-    if schema is None:
-        return f"Access({stmt.table!r}, True)"
-    if isinstance(stmt, Insert):
-        (row,) = stmt.rows
-        names = stmt.columns or tuple(c.name for c in schema.columns)
-        if sorted(names) != sorted(c.name for c in schema.columns) or len(row) != len(names):
-            return f"Access({stmt.table!r}, True)"
-        points = {name: row[names.index(name)] for name in schema.primary_key}
-        if any(
-            schema.column(name).type is ColumnType.DECIMAL and slot.kind is Decimal
-            for name, slot in points.items()
-        ):
-            raise _Uncompiled  # stored as given depends on the literal
-    else:
-        points = {}
-        for cond in stmt.where:
-            if cond.op != "=" or cond.column in points or cond.column not in schema._index:
-                raise _Uncompiled
-            points[cond.column] = cond.value
-        if isinstance(stmt, Update):
-            for name, _ in stmt.assignments:
-                points.pop(name, None)
-    values = "r" if rows else "v"
-    witnesses = "".join(
-        f"{name!r}: Interval({values}[{slot.n}], {values}[{slot.n}]), "
-        for name, slot in points.items()
-    )
-    access = f"Access({stmt.table!r}, {write}, {{{witnesses}}})"
-    return f"*({access} for r in v)" if rows else access
 
 
 def _statement_accesses(stmt: Statement, catalog) -> list[Access]:
@@ -533,7 +435,7 @@ class _ColumnStages:
 
 def build_dependency_graph(access_sets: list[TxnAccessSet]) -> DependencyGraph:
     """Stage each transaction past every earlier transaction it conflicts
-    with, through the StageTracker.add that an organization places with."""
+    with (StageTracker.add)."""
     graph = DependencyGraph(access_sets)
     tracker = StageTracker()
     for acc in access_sets:

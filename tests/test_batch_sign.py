@@ -2,8 +2,8 @@
 signature of a Merkle root, and each proposal's signature, the DER signature
 followed by its proof, verifies alone, through keys.verify and
 keys.verify_jobs alike; a batch of one is a plain signature.  Each memo,
-one per worker request or per endorser and chunk, verifies a batch root
-once."""
+one per worker request or per endorser's verify_here call, verifies a
+batch root once."""
 
 import struct
 
@@ -275,7 +275,9 @@ def counts(worker):
     return worker.worker_signatures, worker.here_signatures
 
 
-def endorse(node, proposals, memo):
+def endorse(node, proposals):
+    """node's verdicts on proposals, endorsed as one prepared chunk."""
+    memo = dict.fromkeys(proposals)
     return [node.evaluate_agreement(proposal, memo).verdict for proposal in proposals]
 
 
@@ -286,7 +288,7 @@ def test_an_endorser_verifies_a_chunk_with_one_verification_per_client(idle_work
     net, proposals = signed_chunk()
     for org in ("O1", "O2"):
         before = counts(idle_worker)
-        assert endorse(net.node(org), proposals, {}) == [True] * CHUNK
+        assert endorse(net.node(org), proposals) == [True] * CHUNK
         assert counts(idle_worker) == (before[0], before[1] + 3)
 
 
@@ -295,7 +297,7 @@ def test_a_forged_member_costs_one_more_verification(idle_worker):
     forged = proposals[4]
     proposals[4] = TransactionProposal(forged.client, "DELETE FROM acct;", forged.signature)
     before = counts(idle_worker)
-    assert endorse(net.node("O1"), proposals, {}) == [i != 4 for i in range(CHUNK)]
+    assert endorse(net.node("O1"), proposals) == [i != 4 for i in range(CHUNK)]
     assert counts(idle_worker) == (before[0], before[1] + 4)
 
 

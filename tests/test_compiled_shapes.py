@@ -1,12 +1,11 @@
-"""Shapes compiled once per organization: access set and executor.
+"""Shapes compiled once per organization: the executor.
 
 Each organization compiles a shape its plan cache learned, against its own
-engine, into an access function (scheduler) and an executor
-(engine.compiled).  Both must give exactly what the interpreter gives: the
-property below runs texts of one shape through a plan cache and a compiled
-engine, and through the parser and a twin engine that only interprets, and
-compares success bits, outputs, errors, digest tuples, state after each
-transaction (rollbacks included) and accesses.  Bulk loads run the same
+engine, into an executor (engine.compiled).  It must give exactly what the
+interpreter gives: the property below runs texts of one shape through a
+plan cache and a compiled engine, and through the parser and a twin engine
+that only interprets, and compares success bits, outputs, errors, digest
+tuples, state after each transaction (rollbacks included) and accesses.  Bulk loads run the same
 comparison on INSERT row shapes.  The other tests pin when a compiled form
 must not be used: after the engine's tables were replaced, after a CREATE
 TABLE rolled back, and for a table created earlier in the same block.
@@ -24,7 +23,7 @@ from effectledger.engine.database import Database
 from effectledger.engine.parser import PlanCache
 from effectledger.engine.types import DecimalRounding, QuirkConfig
 from effectledger.ledger import BlockDigest
-from effectledger.scheduler import Access, Interval, access_set, analyze_transaction
+from effectledger.scheduler import access_set
 from effectledger.smallbank import SmallbankConfig, bootstrap_transactions, generate_workload
 
 from conftest import Cluster
@@ -170,24 +169,24 @@ def fresh():
 
 
 def test_single_row_shapes_compile_and_others_do_not():
-    # shape -> (compiled runs, compiled analyses) of its second and third text
+    # shape -> compiled runs of its second and third text
     expected = {
-        "UPDATE t SET d = d + 1.5 WHERE a = {};": (2, 2),
-        "UPDATE t SET n = n - 1, s = 'z' WHERE s = 'p' AND a = {};": (2, 2),
-        "DELETE FROM t WHERE a = {};": (2, 2),
-        "SELECT b, c FROM t WHERE a = {};": (2, 2),
-        "INSERT INTO t (a, b, c, n, d, s) VALUES ({}0, 'k', 1, 2, 3.5, 'v');": (2, 2),
-        "UPDATE t SET n = n + 1 WHERE a > {};": (0, 0),  # a range
-        "UPDATE t SET n = n + 1 WHERE a = {} AND a = 2;": (0, 0),  # a column twice
-        "UPDATE t SET n = 1.5 WHERE a = {};": (0, 2),  # fails its bind check
-        "UPDATE t SET n = n + 1 WHERE b = 'x' AND n = {};": (0, 2),  # the key is not pinned
+        "UPDATE t SET d = d + 1.5 WHERE a = {};": 2,
+        "UPDATE t SET n = n - 1, s = 'z' WHERE s = 'p' AND a = {};": 2,
+        "DELETE FROM t WHERE a = {};": 2,
+        "SELECT b, c FROM t WHERE a = {};": 2,
+        "INSERT INTO t (a, b, c, n, d, s) VALUES ({}0, 'k', 1, 2, 3.5, 'v');": 2,
+        "UPDATE t SET n = n + 1 WHERE a > {};": 0,  # a range
+        "UPDATE t SET n = n + 1 WHERE a = {} AND a = 2;": 0,  # a column twice
+        "UPDATE t SET n = 1.5 WHERE a = {};": 0,  # fails its bind check
+        "UPDATE t SET n = n + 1 WHERE b = 'x' AND n = {};": 0,  # the key is not pinned
     }
-    for template, counts in expected.items():
+    for template, runs in expected.items():
         compiled, twin, plans = fresh()
         for key in (1, 2, 3):
             run_both(compiled, plans, twin, template.format(key))
         [plan] = plans.plans()
-        assert (plan.executed, plan.analyzed) == counts, template
+        assert plan.executed == runs, template
 
 
 def test_an_executor_resolves_its_table_after_restore_all_and_reset():
@@ -302,18 +301,11 @@ def test_a_compiled_bulk_load_gives_what_the_interpreter_gives(order, pk, roundi
     assert plan.rows and plan.executed == len(cases) - 1
 
 
-def test_a_table_created_earlier_in_the_block_is_analyzed_coarsely(monkeypatch):
-    from effectledger import org as org_module
-
+def test_a_table_created_earlier_in_the_block_runs_compiled():
+    """Each shape on the table the block created runs compiled from its
+    second text on, in that block and the next."""
     cluster = Cluster(count=1, min_matching=1)
     node = cluster["O1"]
-    analyses = []
-
-    def recorded(statements, catalog, analyze=org_module.analyze_transaction):
-        analyses.append((statements, dict(catalog), analyze(statements, catalog)))
-        return analyses[-1][2]
-
-    monkeypatch.setattr(org_module, "analyze_transaction", recorded)
     block = [
         "CREATE TABLE u (k INT, v DECIMAL(6, 2), PRIMARY KEY (k));",
         "INSERT INTO u (k, v) VALUES (1, 1.5);",
@@ -323,42 +315,23 @@ def test_a_table_created_earlier_in_the_block_is_analyzed_coarsely(monkeypatch):
     ]
     cluster.round(1, *block)
     assert node.ledger.block(1).successful == (True,) * 5
-    for statements, block_start, accesses in analyses:
-        assert block_start == {}
-        assert accesses == (Access("u", True),)
-        assert accesses == analyze_transaction(tuple(statements), block_start)  # interpreted
     plans = {type(plan.template[0]).__name__: plan for plan in node.plans.plans()}
     assert (plans["Insert"].executed, plans["Update"].executed) == (1, 1)
-    assert (plans["Insert"].analyzed, plans["Update"].analyzed) == (1, 1)
 
     twin = Database()
     for sql in block:
         assert twin.execute_transaction(sql).success
     assert node.db.state_hash() == twin.state_hash()
 
-    analyses.clear()
     cluster.round(2, "INSERT INTO u (k, v) VALUES (3, 3.5);", "UPDATE u SET v = v + 3 WHERE k = 3;")
-    assert [accesses[0].witnesses for _, _, accesses in analyses] == [
-        {"k": Interval(3, 3)}, {"k": Interval(3, 3)}
-    ]
-    assert (plans["Insert"].analyzed, plans["Update"].analyzed) == (2, 2)
+    assert (plans["Insert"].executed, plans["Update"].executed) == (2, 2)
 
 
-def test_a_bulk_load_into_a_table_created_earlier_in_the_block_runs_compiled(monkeypatch):
+def test_a_bulk_load_into_a_table_created_earlier_in_the_block_runs_compiled():
     """The block's second bulk load binds and runs compiled on the table the
-    block created, with the coarse access of a table missing at block
-    start; in the next block it has one access per row."""
-    from effectledger import org as org_module
-
+    block created, and so does the next block's."""
     cluster = Cluster(count=1, min_matching=1)
     node = cluster["O1"]
-    analyses = []
-
-    def recorded(statements, catalog, analyze=org_module.analyze_transaction):
-        analyses.append(analyze(statements, catalog))
-        return analyses[-1]
-
-    monkeypatch.setattr(org_module, "analyze_transaction", recorded)
     loads = [
         "INSERT INTO u (k, v) VALUES (1, 1.5), (2, 2.5);",
         "INSERT INTO u (k, v) VALUES (3, 3.5), (4, 4.5), (5, 5.5);",
@@ -367,15 +340,11 @@ def test_a_bulk_load_into_a_table_created_earlier_in_the_block_runs_compiled(mon
     block = ["CREATE TABLE u (k INT, v DECIMAL(6, 2), PRIMARY KEY (k));", *loads[:2]]
     cluster.round(1, *block)
     assert node.ledger.block(1).successful == (True,) * 3
-    assert analyses[1:] == [(Access("u", True),)] * 2
     [plan] = node.plans.plans()
-    assert (plan.rows, plan.executed, plan.analyzed) == (True, 1, 1)
+    assert (plan.rows, plan.executed) == (True, 1)
 
-    analyses.clear()
     cluster.round(2, loads[2])
-    assert analyses == [(Access("u", True, {"k": Interval(6, 6)}),
-                         Access("u", True, {"k": Interval(7, 7)}))]
-    assert (plan.executed, plan.analyzed) == (2, 2)
+    assert plan.executed == 2
     twin = Database()
     for sql in block + loads[2:]:
         assert twin.execute_transaction(sql).success
@@ -400,7 +369,6 @@ def test_each_organization_compiles_every_smallbank_shape_for_itself():
         # Smallbank shape miss; the other six bulk loads bind and compile
         assert node.plans.hits == len(block) - 4 + 6
         assert sum(plan.executed for plan in plans) == len(block) - 4 + 6
-        assert sum(plan.analyzed for plan in plans) == len(block) - 4 + 6
         assert all(plan.executor.db is node.db for plan in plans)
         executors += [plan.executor for plan in plans]
     assert len({id(executor) for executor in executors}) == len(executors)

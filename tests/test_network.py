@@ -874,6 +874,24 @@ THREE_ORGS = {"organizations": [{"id": "O1"}, {"id": "O2"}, {"id": "O3"}], "min_
             "agreement_policies: acct names unknown organization 'O9'",
         ),
         ({"predicates": {"O9": {"acct": ["T.id >= 1"]}}}, "predicates: unknown organization 'O9'"),
+        (
+            {"predicates": {"O1": {"acct": [1]}}},
+            "predicates O1: acct must be a list of strings, not [1]",
+        ),
+        ({"predicates": {"O1": {"acct": 7}}}, "predicates O1: acct must be a list, not 7"),
+        (
+            {"predicates": {"O1": {"acct": "T.id >= 1"}}},
+            "predicates O1: acct must be a list, not 'T.id >= 1'",
+        ),
+        ({"predicates": {"O1": ["acct"]}}, "predicates: O1 must be an object, not ['acct']"),
+        (
+            {"agreement_policies": {"acct": [["O1"]]}},
+            "agreement_policies: acct must be a list of strings, not [['O1']]",
+        ),
+        (
+            {"organizations": ["identity"]},
+            "config: organizations must be a list of objects, not ['identity']",
+        ),
     ],
 )
 def test_config_rejects_malformed_agreement_wiring(fields, message):

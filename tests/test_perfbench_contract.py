@@ -30,9 +30,11 @@ def _load_spans():
 spans = _load_spans()
 
 # Targets the program no longer has, each printed as "span target missing"
-# by a traced run until perfbench drops it: org builds no dependency graph
-# and calls no execute_staged, and recovery no longer calls block_hash.
+# by a traced run until perfbench drops it: org builds no dependency graph,
+# calls no execute_staged and analyzes no transaction, and recovery no
+# longer calls block_hash.
 RETIRED = [
+    (org, "analyze_transaction"),
     (org, "build_dependency_graph"),
     (org, "execute_staged"),
     (recovery, "block_hash"),
