@@ -98,7 +98,10 @@ def make_proposals(client: str, sqls, private_key) -> list[TransactionProposal]:
 
 
 def make_proposal(client: str, sql: str, private_key) -> TransactionProposal:
-    """A proposal signed alone: a batch of one."""
+    """A proposal signed alone: a batch of one.
+
+    No code in the package calls it: clients sign through make_proposals.  It
+    stays as the tests' batch of one and as a perfbench span target."""
     return make_proposals(client, [sql], private_key)[0]
 
 

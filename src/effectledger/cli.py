@@ -4,9 +4,11 @@ Subcommands:
   run     drive the deterministic simulator from a config, schedule, faults
   verify  check a ledger file's hash chain (optionally against a trusted head)
   inject  corrupt one column of one row inside a state dump file
-  graph   print a block's dependency graph as DOT
+  graph   print a block's dependency graph as DOT (quadratic in the block's
+          analyzable transactions: each is checked against every earlier one)
 
-Exit status is nonzero on verification failure or bad input.
+Exit status is nonzero on verification failure or bad input; a bad input,
+including a missing or unreadable file, prints `error: ...` and exits 2.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ def cmd_inject(args) -> int:
 
 def cmd_graph(args) -> int:
     with open(args.block) as fh:
-        lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
+        stripped = [line.strip() for line in fh]
+    lines = [line for line in stripped if line and not line.startswith("#")]
     catalog = {}
     if args.schema:
         with open(args.schema, "rb") as fh:
@@ -151,7 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write here instead of in place")
     p.set_defaults(func=cmd_inject)
 
-    p = sub.add_parser("graph", help="dependency graph of a block as DOT")
+    p = sub.add_parser(
+        "graph",
+        help="dependency graph of a block as DOT; quadratic in its analyzable transactions",
+    )
     p.add_argument("block", help="file with one SQL transaction per line")
     p.add_argument("--schema", help="state dump supplying table schemas")
     p.set_defaults(func=cmd_graph)
@@ -163,7 +169,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EffectLedgerError as exc:
+    except (EffectLedgerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,14 +2,15 @@
 
 Three phases per block: (1) semantic analysis turns each statement into
 accesses to one table: whether it writes, and the interval each column it
-constrains and does not assign is confined to; (2) placement puts each
-transaction one stage past every earlier transaction it conflicts with
-(StageTracker.add); (3) execution.  Any order of a stage's members gives the
-same bits, digest and state, so the stages describe the parallelism of the
+constrains and does not assign is confined to; (2) staging puts each
+transaction one stage past the highest stage of any earlier transaction it
+conflicts with, by checking it against every earlier one
+(build_dependency_graph); (3) execution.  Any order of a stage's members gives
+the same bits, digest and state, so the stages describe the parallelism of the
 block, and block order is one of the orders that give those results.
 
 An organization (org.OrgNode) runs each block in block order and neither
-analyzes nor places: block order needs no schedule.  Only two callers
+analyzes nor stages: block order needs no schedule.  Only two callers
 analyze.  The dependency graph (build_dependency_graph) and execute_staged,
 which runs a block stage by stage, each stage's members in block order, are
 the staged reference that tests hold block-order execution to; and
@@ -58,15 +59,6 @@ class Interval:
     high: object = None
     low_open: bool = False
     high_open: bool = False
-
-    @property
-    def is_point(self) -> bool:
-        return (
-            self.low is not None
-            and self.low == self.high
-            and not self.low_open
-            and not self.high_open
-        )
 
     def is_empty(self) -> bool:
         if self.low is None or self.high is None:
@@ -275,41 +267,20 @@ def _condition_interval(cond, column: Column) -> Interval | None:
     return Interval(cond.value, None)  # >=
 
 
+@dataclass
 class DependencyGraph:
     """Conflict relation and execution stages for one block.
 
-    Stages are computed eagerly in one pass; every transaction's stage is
-    past the stages of all earlier transactions it conflicts with.  The
-    explicit edge set (every conflicting pair i < j) is quadratic in the
-    hot-key count for a skewed block, so it is built lazily on first access;
-    execution only needs the stages.
+    `stages` lists each stage's members in block order; `edges` holds every
+    conflicting pair (i, j) of analyzable transactions, i before j; the
+    parse-failed transactions are in `parse_failed` and in no stage.
+    `node_count` counts every transaction of the block.
     """
 
-    def __init__(self, access_sets: list[TxnAccessSet]):
-        self.access_sets = list(access_sets)
-        self.node_count = len(self.access_sets)
-        self.nodes: list[int] = []  # analyzable txn indices
-        self.stages: list[list[int]] = []
-        self.parse_failed: list[int] = []
-        self._stage_of: dict[int, int] = {}
-        self._edges: set[tuple[int, int]] | None = None
-
-    @property
-    def edges(self) -> set[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = set()
-            usable = [a for a in self.access_sets if a.analyzable]
-            for x, a in enumerate(usable):
-                for b in usable[x + 1:]:
-                    if _sets_conflict(a, b):
-                        self._edges.add((a.index, b.index))
-        return self._edges
-
-    def predecessors(self, j: int) -> list[int]:
-        return sorted(i for i, k in self.edges if k == j)
-
-    def stage_of(self, index: int) -> int:
-        return self._stage_of[index]  # KeyError for a parse-failed index
+    node_count: int
+    stages: list[list[int]] = field(default_factory=list)
+    edges: set[tuple[int, int]] = field(default_factory=set)
+    parse_failed: list[int] = field(default_factory=list)
 
     def to_dot(self) -> str:
         lines = ["digraph block {"]
@@ -328,123 +299,26 @@ def _sets_conflict(a: TxnAccessSet, b: TxnAccessSet) -> bool:
     return any(x.conflicts_with(y) for x in a.accesses for y in b.accesses)
 
 
-class StageTracker:
-    """Highest stages placed so far on each table, as [read, write] pairs.
-
-    `every` covers all accesses to a table.  Per witness column some access
-    had, `free` covers the accesses without that witness, while those with it
-    are indexed by interval: a point by value, a range in a scannable list.
-    A query bounds, through each of the access's witness columns, the highest
-    stage among earlier accesses it may conflict with, and keeps the lowest
-    bound.  The bound is exact when accesses have one witness column each, as
-    Smallbank's do.  `stages` lists the members placed in each stage.
-    """
-
-    def __init__(self):
-        self.tables: dict[str, _TableStages] = {}
-        self.stages: list[list[int]] = []
-
-    def add(self, accesses: tuple[Access, ...], member: int) -> int:
-        """Place member, a transaction with these accesses, one stage past
-        every earlier one it conflicts with; returns its stage."""
-        stage = 0
-        for access in accesses:
-            stage = max(stage, self.query(access) + 1)
-        for access in accesses:
-            self.place(access, stage)
-        if stage == len(self.stages):
-            self.stages.append([])
-        self.stages[stage].append(member)
-        return stage
-
-    def query(self, access: Access) -> int:
-        table = self.tables.get(access.table)
-        if table is None:
-            return -1
-        write = access.write
-        best = _highest(table.every, write)
-        for column, interval in access.witnesses.items():
-            stages = table.columns.get(column)
-            if stages is None:
-                continue  # no earlier access had this witness: the bound is `every`
-            bound = _highest(stages.free, write)
-            if interval.is_point:
-                pair = stages.points.get(interval.low)
-                if pair is not None:
-                    bound = max(bound, _highest(pair, write))
-            else:
-                for value, pair in stages.points.items():
-                    if interval.overlaps(Interval(value, value)):
-                        bound = max(bound, _highest(pair, write))
-            for other, pair in stages.ranges:
-                if interval.overlaps(other):
-                    bound = max(bound, _highest(pair, write))
-            if bound < best:
-                best = bound
-        return best
-
-    def place(self, access: Access, stage: int):
-        slot = 1 if access.write else 0
-        table = self.tables.get(access.table)
-        if table is None:
-            table = self.tables[access.table] = _TableStages()
-        witnesses = access.witnesses
-        for column, stages in table.columns.items():
-            if column not in witnesses and stage > stages.free[slot]:
-                stages.free[slot] = stage
-        for column, interval in witnesses.items():
-            stages = table.columns.get(column)
-            if stages is None:
-                # every earlier access lacked this witness
-                stages = table.columns[column] = _ColumnStages(list(table.every))
-            if interval.is_point:
-                pair = stages.points.setdefault(interval.low, [-1, -1])
-            else:
-                pair = [-1, -1]
-                stages.ranges.append((interval, pair))
-            if stage > pair[slot]:
-                pair[slot] = stage
-        if stage > table.every[slot]:
-            table.every[slot] = stage
-
-
-def _highest(pair: list[int], write: bool) -> int:
-    """The highest stage in a [read, write] pair that an access conflicts
-    with: the higher of the two for a write, the write stage for a read."""
-    if write and pair[0] > pair[1]:
-        return pair[0]
-    return pair[1]
-
-
-class _TableStages:
-    __slots__ = ("every", "columns")
-
-    def __init__(self):
-        self.every = [-1, -1]
-        self.columns: dict[str, _ColumnStages] = {}
-
-
-class _ColumnStages:
-    __slots__ = ("free", "points", "ranges")
-
-    def __init__(self, free: list[int]):
-        self.free = free
-        self.points: dict[object, list[int]] = {}
-        self.ranges: list[tuple[Interval, list[int]]] = []
-
-
 def build_dependency_graph(access_sets: list[TxnAccessSet]) -> DependencyGraph:
-    """Stage each transaction past every earlier transaction it conflicts
-    with (StageTracker.add)."""
-    graph = DependencyGraph(access_sets)
-    tracker = StageTracker()
+    """Stage each analyzable transaction one past the highest stage of any
+    earlier one it conflicts with, or 0 when it conflicts with none, and
+    record each conflicting pair.  Quadratic in the block's analyzable
+    transactions."""
+    graph = DependencyGraph(len(access_sets))
+    placed: list[tuple[TxnAccessSet, int]] = []
     for acc in access_sets:
-        if acc.analyzable:
-            graph.nodes.append(acc.index)
-            graph._stage_of[acc.index] = tracker.add(acc.accesses, acc.index)
-        else:
+        if not acc.analyzable:
             graph.parse_failed.append(acc.index)
-    graph.stages = tracker.stages
+            continue
+        stage = 0
+        for earlier, earlier_stage in placed:
+            if _sets_conflict(earlier, acc):
+                graph.edges.add((earlier.index, acc.index))
+                stage = max(stage, earlier_stage + 1)
+        if stage == len(graph.stages):
+            graph.stages.append([])
+        graph.stages[stage].append(acc.index)
+        placed.append((acc, stage))
     return graph
 
 

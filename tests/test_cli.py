@@ -306,6 +306,24 @@ def test_graph_emits_dot(tmp_path, dump_file, capsys):
     )
 
 
+def test_graph_skips_indented_comments(tmp_path, dump_file, capsys):
+    block = tmp_path / "block.sql"
+    block.write_text(
+        "# a block\n"
+        "UPDATE acct SET bal = 0 WHERE id = 1;\n"
+        "   # note\n"
+        "UPDATE acct SET bal = 1 WHERE id = 1;\n"
+    )
+    assert run_cli("graph", str(block), "--schema", str(dump_file)) == 0
+    assert capsys.readouterr().out == (
+        "digraph block {\n"
+        '  t0 [label="T0 stage 0"];\n'
+        '  t1 [label="T1 stage 1"];\n'
+        "  t0 -> t1;\n"
+        "}\n"
+    )
+
+
 def test_graph_without_schema_serializes(tmp_path, capsys):
     block = tmp_path / "block.sql"
     block.write_text("INSERT INTO t (k) VALUES (1);\nINSERT INTO t (k) VALUES (2);\n")
@@ -315,6 +333,33 @@ def test_graph_without_schema_serializes(tmp_path, capsys):
 
 
 # ---- error mapping ----
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "{missing}"),
+        ("graph", "{block}", "--schema", "{missing}"),
+        ("verify", "{missing}"),
+        ("inject", "--state", "{missing}", "--table", "acct", "--pk", "1", "--column", "bal",
+         "--value", "0"),
+        ("run", "--config", "{missing}", "--smallbank", "2"),
+        ("run", "--config", "{config}", "--schedule", "{missing}"),
+        ("run", "--config", "{config}", "--schedule", "{schedule}", "--faults", "{missing}"),
+    ],
+    ids=["graph", "graph --schema", "verify", "inject", "run --config", "run --schedule",
+         "run --faults"],
+)
+def test_a_missing_input_file_exits_2(argv, tmp_path, config_file, schedule_file, capsys):
+    block = tmp_path / "block.sql"
+    block.write_text("SELECT * FROM acct;\n")
+    missing = str(tmp_path / "missing")
+    names = {"missing": missing, "block": str(block), "config": config_file,
+             "schedule": schedule_file}
+    assert run_cli(*(arg.format(**names) for arg in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and missing in captured.err
+    assert captured.out == ""
 
 
 def test_domain_errors_exit_2(tmp_path, capsys):

@@ -4,7 +4,6 @@ import hashlib
 import random
 from decimal import Decimal
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from effectledger.engine.database import Database
@@ -57,7 +56,7 @@ def test_point_write_on_pk_equality():
     (only,) = acc.accesses
     assert only.write
     assert list(only.witnesses) == ["id"]  # bal is assigned: no witness
-    assert only.witnesses["id"].is_point and only.witnesses["id"].low == 7
+    assert only.witnesses["id"] == Interval(7, 7)
 
 
 def test_open_int_bound_normalizes_to_closed():
@@ -73,10 +72,7 @@ def test_insert_is_point_write_per_row():
     (acc,) = analyze_all(
         db, ["INSERT INTO acct (id, owner, bal) VALUES (3, 'x', 1), (9, 'y', 2);"]
     )
-    id_writes = [
-        a.witnesses["id"] for a in acc.accesses if a.write and a.witnesses["id"].is_point
-    ]
-    assert sorted(iv.low for iv in id_writes) == [3, 9]
+    assert [a.witnesses["id"] for a in acc.accesses if a.write] == [Interval(3, 3), Interval(9, 9)]
 
 
 def test_ddl_claims_whole_table():
@@ -239,11 +235,8 @@ def test_figure_like_chain_and_island():
         "INSERT INTO audit (seq, note) VALUES (1, 'n');",
     ]
     graph = build_dependency_graph(analyze_all(db, sqls))
-    assert (0, 1) in graph.edges
-    assert (0, 2) not in graph.edges and (1, 2) not in graph.edges
-    assert graph.stage_of(0) == 0 and graph.stage_of(1) == 1
-    assert graph.stage_of(2) == 0 and graph.stage_of(3) == 0
-    assert graph.predecessors(1) == [0]
+    assert graph.edges == {(0, 1)}
+    assert graph.stages == [[0, 2, 3], [1]]
 
 
 def test_parse_failed_transactions_stay_out_of_graph():
@@ -251,9 +244,8 @@ def test_parse_failed_transactions_stay_out_of_graph():
     sqls = ["garbage", "UPDATE acct SET bal = 0 WHERE id = 1;"]
     graph = build_dependency_graph(analyze_all(db, sqls))
     assert graph.parse_failed == [0]
-    assert graph.nodes == [1]
-    with pytest.raises(KeyError):
-        graph.stage_of(0)
+    assert graph.stages == [[1]]
+    assert graph.edges == set()
 
 
 def test_stage_soundness_no_intra_stage_conflicts_randomized():
@@ -284,24 +276,20 @@ def test_stage_soundness_no_intra_stage_conflicts_randomized():
                         assert (i, j) not in graph.edges
 
 
-def test_stage_is_one_plus_max_conflicting_predecessor_randomized():
-    """Stage assignment matches the edge relation it summarizes."""
-    rng = random.Random(21)
-    db = fresh_db(rows=[(i, 100) for i in range(1, 7)])
-    catalog = catalog_of(db)
-    for _ in range(30):
-        sqls = [
-            f"UPDATE acct SET bal = bal + 1 WHERE id = {rng.randint(1, 6)};"
-            if rng.random() < 0.7
-            else f"SELECT * FROM acct WHERE id <= {rng.randint(1, 6)};"
-            for _ in range(rng.randint(1, 18))
-        ]
-        sets = [access_set(i, sql, catalog) for i, sql in enumerate(sqls)]
-        graph = build_dependency_graph(sets)
-        for j in graph.nodes:
-            preds = graph.predecessors(j)
-            expected = 0 if not preds else 1 + max(graph.stage_of(i) for i in preds)
-            assert graph.stage_of(j) == expected
+def test_transactions_separated_on_different_witness_columns_share_a_stage():
+    """T0 and T2 are separated on b, and T1 from each on a: no pair conflicts,
+    so all three run in stage 0, though no single column separates T2 from
+    both earlier transactions."""
+    db = Database()
+    assert run_sql(db, "CREATE TABLE t (a INT, b INT, v INT, PRIMARY KEY (a, b));").success
+    sqls = [
+        "UPDATE t SET v = v + 1 WHERE a = 1 AND b = 1;",
+        "UPDATE t SET v = v + 1 WHERE a = 2;",
+        "UPDATE t SET v = v + 1 WHERE a = 1 AND b = 2;",
+    ]
+    graph = build_dependency_graph(analyze_all(db, sqls))
+    assert graph.stages == [[0, 1, 2]]
+    assert graph.edges == set()
 
 
 def test_to_dot_mentions_nodes_and_edges():
