@@ -10,18 +10,20 @@ not found, unreachable organization) conservatively refuses.
 
 A fully endorsed proposal becomes a ChainedTransaction carrying the client
 signature plus one signed agreement per required organization.  A client
-signs its proposals, and an endorser its agreements, one at a time
-(make_proposal, make_agreement) or as a batch (make_proposals,
-make_agreements), whose signatures share one ECDSA signature of a Merkle
-root but each verify alone, in the one format keys describes; a batch of
-one is a plain signature.  An endorser signs its agreements on a prepared
-chunk as one batch (OrgNode.evaluate_agreement); a vote is signed alone.
-Execution later re-verifies the whole bundle and marks transactions with
-missing or invalid agreements failed.  That check has two halves, so that the signatures can be
-verified elsewhere in between: signature_jobs lists them, and
-finish_verification takes the verdict on them; verify_chained_transaction is
-the two together.  An endorsing organization keeps an Endorsements record,
-so that its own list leaves out the checks it made or signed when endorsing.
+signs its proposals, and an endorser its agreements, in batches
+(make_proposals, make_agreements): the signatures of a batch share one ECDSA
+signature of a Merkle root but each verify alone, in the one format keys
+describes; a batch of one is a plain signature.  An endorser signs its
+agreements on a prepared chunk as one batch (OrgNode.evaluate_agreement); a
+vote is signed alone.  Execution later re-verifies the whole bundle and marks
+transactions with missing or invalid agreements failed.  That check has two
+halves, so that the signatures can be verified elsewhere in between:
+signature_jobs lists them, and finish_verification takes the verdict on
+them.  An endorsing organization keeps an Endorsements record, so that its
+own list leaves out the checks it made or signed when endorsing.  No code in
+the package calls make_proposal, make_agreement or
+verify_chained_transaction (the two halves together, verified in this
+process): they stay as the tests' batch of one and reference.
 
 A client finds the organizations a proposal needs once (endorsers), and
 collect_agreements asks each of them in turn.  Each endorser verifies the
@@ -572,7 +574,8 @@ def verify_chained_transaction(
     Returns the transaction parsed, for the caller to execute, or None
     when the check fails.  It is the composition of signature_jobs and
     finish_verification, verified in this process; organizations run the same
-    halves with the signatures verified by the worker process (OrgNode).
+    halves with the signatures verified by the worker process (OrgNode).  No
+    code in the package calls it: it stays as the tests' reference.
     """
     [signatures_ok] = keys.verify_jobs([signature_jobs(ct, registry)])
     return finish_verification(ct, signatures_ok, policies)

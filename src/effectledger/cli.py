@@ -8,18 +8,20 @@ Subcommands:
           analyzable transactions: each is checked against every earlier one)
 
 Exit status is nonzero on verification failure or bad input; a bad input,
-including a missing or unreadable file, prints `error: ...` and exits 2.
+including a missing or unreadable file, one that is not UTF-8 text or not
+valid JSON, prints `error: ...` and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import sys
 
 from .engine.database import Database
-from .errors import EffectLedgerError
+from .errors import ConfigError, EffectLedgerError
 from .ledger import verify_ledger
 from .network import Network, NetworkConfig, load_fault_script
 from .scheduler import access_set, build_dependency_graph
@@ -31,28 +33,47 @@ from .smallbank import (
 )
 
 
+def _read_text(path: str) -> str:
+    """The file's text; ConfigError naming it when it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _read_lines(path: str):
+    """(number, text) of each line that is not blank or a '#' comment."""
+    for number, line in enumerate(_read_text(path).split("\n"), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield number, line
+
+
 def _read_schedule(path: str):
-    """TSV schedule: tick <TAB> client <TAB> sql; '#' lines are comments."""
+    """TSV schedule: tick <TAB> client <TAB> sql per line (_read_lines)."""
     schedule = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t", 2)
-            if len(parts) != 3:
-                raise SystemExit(f"{path}:{number}: expected tick<TAB>client<TAB>sql")
-            try:
-                tick = int(parts[0])
-            except ValueError:
-                raise SystemExit(f"{path}:{number}: tick {parts[0]!r} is not an integer") from None
-            schedule.append((tick, parts[1], parts[2]))
+    for number, line in _read_lines(path):
+        parts = line.split("\t", 2)
+        if len(parts) != 3:
+            raise ConfigError(f"{path}:{number}: expected tick<TAB>client<TAB>sql")
+        try:
+            tick = int(parts[0])
+        except ValueError:
+            raise ConfigError(f"{path}:{number}: tick {parts[0]!r} is not an integer") from None
+        schedule.append((tick, parts[1], parts[2]))
     return schedule
 
 
 def cmd_run(args) -> int:
-    with open(args.config) as fh:
-        config = NetworkConfig.from_json(fh.read())
+    config = NetworkConfig.from_dict(_read_json(args.config))
     if args.out:
         config.out_dir = args.out
         os.makedirs(args.out, exist_ok=True)
@@ -60,7 +81,7 @@ def cmd_run(args) -> int:
         os.makedirs(config.out_dir, exist_ok=True)
     if args.schedule:
         schedule = _read_schedule(args.schedule)
-    elif args.smallbank:
+    else:
         rng = random.Random(config.seed)
         boot = bootstrap_transactions(args.users, rng)
         workload_cfg = SmallbankConfig(num_users=args.users)
@@ -69,12 +90,9 @@ def cmd_run(args) -> int:
         schedule = build_schedule(boot, clients) + build_schedule(
             workload, clients, start_tick=len(boot) // 64 + args.warmup_ticks
         )
-    else:
-        raise SystemExit("run: need --schedule FILE or --smallbank N")
     faults = ()
     if args.faults:
-        with open(args.faults) as fh:
-            faults = load_fault_script(fh.read())
+        faults = load_fault_script(_read_json(args.faults))
     net = Network(config)
     try:
         report = net.run(schedule, faults, max_ticks=args.max_ticks)
@@ -108,9 +126,7 @@ def cmd_inject(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    with open(args.block) as fh:
-        stripped = [line.strip() for line in fh]
-    lines = [line for line in stripped if line and not line.startswith("#")]
+    lines = [line.strip() for _, line in _read_lines(args.block)]
     catalog = {}
     if args.schema:
         with open(args.schema, "rb") as fh:
@@ -130,8 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the deterministic simulator")
     p.add_argument("--config", required=True, help="network config JSON")
-    p.add_argument("--schedule", help="TSV schedule file (tick, client, sql)")
-    p.add_argument("--smallbank", type=int, metavar="N", help="generate N workload txns")
+    workload = p.add_mutually_exclusive_group(required=True)
+    workload.add_argument("--schedule", help="TSV schedule file (tick, client, sql)")
+    workload.add_argument("--smallbank", type=int, metavar="N", help="generate N workload txns")
     p.add_argument("--users", type=int, default=1000, help="accounts for --smallbank")
     p.add_argument("--warmup-ticks", type=int, default=8,
                    help="gap between bootstrap and workload for --smallbank")

@@ -87,9 +87,6 @@ class BlockDigest:
     def tuples_for(self, table: str) -> tuple[DigestTuple, ...]:
         return tuple(t for t in self._tuples if t.table == table)
 
-    def tables_touched(self) -> set[str]:
-        return {t.table for t in self._tuples}
-
     def __len__(self) -> int:
         return len(self._tuples)
 

@@ -64,7 +64,6 @@ reported CORRUPT_MISSED, and the run goes on.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -79,7 +78,7 @@ from .engine.parser import PlanCache
 from .engine.types import QuirkConfig
 from .errors import BindError, ConfigError, MissingTarget
 from .org import Action, OrgNode
-from .recovery import CheckpointManager, recover
+from .recovery import CHECKPOINTS_KEPT, CheckpointManager, recover
 
 # report event names
 CUT = "CUT"
@@ -205,6 +204,15 @@ class OrgConfig:
         )
 
 
+# config fields that no longer exist, and why
+_GONE = {
+    "recovery_strategy": "every recovery replays the organization's own ledger from its "
+    "checkpoints, then from empty state; set checkpoint_interval to 0 for full replay only",
+    "checkpoint_capacity": f"every organization keeps its newest {CHECKPOINTS_KEPT} "
+    "checkpoints, each a snapshot of every table",
+}
+
+
 @dataclass
 class NetworkConfig:
     orgs: list[OrgConfig]
@@ -214,7 +222,6 @@ class NetworkConfig:
     # committed blocks between checkpoints; 0 takes none, so every recovery
     # replays the whole ledger from empty state
     checkpoint_interval: int = 3
-    checkpoint_capacity: int = 3  # checkpoints kept, newest first
     agreement_policies: dict[str, list[str]] = field(default_factory=dict)
     predicates: dict[str, dict[str, list[str]]] = field(default_factory=dict)  # org -> table -> lines
     seed: int = 0
@@ -233,8 +240,6 @@ class NetworkConfig:
             raise ConfigError("block_timeout must be positive")
         if self.checkpoint_interval < 0:
             raise ConfigError("checkpoint_interval must not be negative")
-        if self.checkpoint_capacity < 1:
-            raise ConfigError("checkpoint_capacity must be at least 1")
         org_ids = {o.org_id for o in self.orgs}
         for table, orgs in self.agreement_policies.items():
             for org in orgs:
@@ -248,12 +253,11 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NetworkConfig":
-        if "recovery_strategy" in raw:
-            raise ConfigError(
-                "recovery_strategy is gone: every recovery replays the organization's own "
-                "ledger from its checkpoints, then from empty state; set checkpoint_interval "
-                "to 0 for full replay only"
-            )
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be an object, not {raw!r}")
+        for name, why in _GONE.items():
+            if name in raw:
+                raise ConfigError(f"{name} is gone: {why}")
         policies = _field(raw, "agreement_policies", dict, "config", {})
         predicates = _field(raw, "predicates", dict, "config", {})
         orgs = _field(raw, "organizations", list, "config", items=dict)
@@ -263,7 +267,6 @@ class NetworkConfig:
             blocksize=_field(raw, "blocksize", int, "config", 128),
             block_timeout=_field(raw, "block_timeout", int, "config", 4),
             checkpoint_interval=_field(raw, "checkpoint_interval", int, "config", 3),
-            checkpoint_capacity=_field(raw, "checkpoint_capacity", int, "config", 3),
             agreement_policies={
                 table: _field(policies, table, list, "agreement_policies", items=str)
                 for table in policies
@@ -273,10 +276,6 @@ class NetworkConfig:
             out_dir=_field(raw, "out_dir", str, "config", None),
             durable=_field(raw, "durable", bool, "config", False),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkConfig":
-        return cls.from_dict(json.loads(text))
 
 
 # ---- fault script ----
@@ -333,8 +332,13 @@ class FaultEvent:
 
 
 def load_fault_script(raw) -> list[FaultEvent]:
-    if isinstance(raw, str):
-        raw = json.loads(raw)
+    """The events of a fault script, parsed from JSON: a list of fault
+    objects (or of FaultEvents).  ConfigError when it is anything else."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"fault script must be a list of objects, not {raw!r}")
+    for event in raw:
+        if not isinstance(event, (dict, FaultEvent)):
+            raise ConfigError(f"fault script: a fault must be an object, not {event!r}")
     return [e if isinstance(e, FaultEvent) else FaultEvent.from_dict(e) for e in raw]
 
 
@@ -454,7 +458,7 @@ class Network:
                 ledger_path=ledger_path,
                 durable=config.durable,
             )
-            CheckpointManager(config.checkpoint_interval, config.checkpoint_capacity).attach(node)
+            CheckpointManager(config.checkpoint_interval).attach(node)
             self.registry.register(org_cfg.org_id, private_key)
             self.runtimes[org_cfg.org_id] = _OrgRuntime(node, org_cfg)
         self._client_keys: dict[str, object] = {}

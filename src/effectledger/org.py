@@ -94,7 +94,6 @@ class PendingRound:
     block: LedgerBlock
     serialized: bytes
     effect_hash: bytes
-    changed_tables: set[str]
     verdicts: tuple[bool, ...]
 
 
@@ -304,12 +303,10 @@ class OrgNode:
             TransactionRecord(ct.proposal.client, ct.proposal.sql, ct.agreed_orgs)
             for ct in action.transactions
         )
-        names_before = set(self.db.tables)
-        digest, block, serialized, effect_hash = self._run_block(
+        block, serialized, effect_hash = self._run_block(
             action.round_id, records, parsed(), self.ledger.head_hash()
         )
-        changed = digest.tables_touched() | (set(self.db.tables) - names_before)
-        self.pending = PendingRound(action, block, serialized, effect_hash, changed, tuple(read))
+        self.pending = PendingRound(action, block, serialized, effect_hash, tuple(read))
         self.votes[action.round_id] = cns.make_vote(
             self.org_id, action.round_id, effect_hash, self.private_key
         )
@@ -317,8 +314,8 @@ class OrgNode:
 
     def _run_block(self, block_id, records, parsed, hash_previous):
         """Execute one block a transaction at a time, in block order, then
-        build its ledger block; returns (digest, block, its serialization,
-        block hash).
+        build its ledger block; returns (block, its serialization, block
+        hash).
 
         parsed yields each transaction's ParsedTransaction; one with an error
         (it did not parse, or fails without executing) keeps bit 0.
@@ -330,7 +327,7 @@ class OrgNode:
         ]
         block = build_ledger_block(block_id, records, bits, digest, hash_previous)
         serialized = block.serialize()
-        return digest, block, serialized, block_hash(serialized)
+        return block, serialized, block_hash(serialized)
 
     # ---- the LC phase: consensus then commit ----
 
@@ -359,7 +356,7 @@ class OrgNode:
         self.transcripts[pending.block.block_id] = transcript
         self.pending = None
         if self.checkpoints is not None:
-            self.checkpoints.note_commit(self, pending.block.block_id, pending.changed_tables)
+            self.checkpoints.note_commit(self, pending.block.block_id)
 
     # ---- vote service ----
 

@@ -1,9 +1,9 @@
 """Checkpointing and recovery of a non-consenting organization.
 
 Checkpoints are taken every `interval` committed blocks, only at consenting
-blocks, and live outside the ledger in a small ring (default three).  Each
-checkpoint snapshots the tables changed since the previous one and carries
-forward the untouched payloads by reference.
+blocks, and live outside the ledger in a ring of the newest CHECKPOINTS_KEPT.
+Each checkpoint snapshots every table, so it holds the organization's state at
+its height, out-of-band writes included.
 
 Recovery walks checkpoints newest to oldest: restore, replay the organization's
 own ledger up to the failing block, re-execute the pending round from the
@@ -28,6 +28,8 @@ from .engine.database import TableSnapshot
 from .errors import HistoryUnavailable
 from .org import OrgNode
 
+CHECKPOINTS_KEPT = 3
+
 
 @dataclass
 class Checkpoint:
@@ -38,44 +40,21 @@ class Checkpoint:
 class CheckpointManager:
     """Ring of state snapshots, one every `interval` consenting blocks."""
 
-    def __init__(self, interval: int = 3, capacity: int = 3):
+    def __init__(self, interval: int = 3):
         self.interval = interval
-        self.capacity = capacity
         self.snapshots: list[Checkpoint] = []  # oldest first
-        self._changed_since: set[str] = set()
 
     def attach(self, node: OrgNode):
         node.checkpoints = self
         return self
 
-    def note_commit(self, node: OrgNode, block_id: int, changed_tables: set[str]):
-        self._changed_since |= changed_tables
+    def note_commit(self, node: OrgNode, block_id: int):
         if self.interval > 0 and block_id % self.interval == 0:
             self.take(node, block_id)
 
     def take(self, node: OrgNode, block_id: int):
-        previous = self.snapshots[-1] if self.snapshots else None
-        tables: dict[str, TableSnapshot] = {}
-        for name, table in node.db.tables.items():
-            if (
-                previous is not None
-                and name not in self._changed_since
-                and name in previous.tables
-            ):
-                tables[name] = previous.tables[name]  # unchanged: share payload
-            else:
-                tables[name] = table.snapshot()
-        self.snapshots.append(Checkpoint(block_id, tables))
-        if len(self.snapshots) > self.capacity:
-            del self.snapshots[: len(self.snapshots) - self.capacity]
-        self._changed_since = set()
-
-    def newest_first(self) -> list[Checkpoint]:
-        return list(reversed(self.snapshots))
-
-    def mark_all_changed(self, node: OrgNode):
-        """Force the next checkpoint to snapshot every table afresh."""
-        self._changed_since = set(node.db.tables)
+        self.snapshots.append(Checkpoint(block_id, node.db.snapshot_all()))
+        del self.snapshots[:-CHECKPOINTS_KEPT]
 
 
 @dataclass
@@ -107,13 +86,11 @@ def recover(node: OrgNode, peers, fetch_vote) -> RecoveryReport:
     report = RecoveryReport()
     sources: list[Checkpoint | None] = []
     if node.checkpoints is not None:
-        sources.extend(node.checkpoints.newest_first())
+        sources.extend(reversed(node.checkpoints.snapshots))
     sources.append(None)  # full replay from empty state is the last resort
     for checkpoint in sources:
         if _try_replay(node, checkpoint, peers, fetch_vote, report):
             report.recovered = True
-            if node.checkpoints is not None:
-                node.checkpoints.mark_all_changed(node)
             break
     return report
 

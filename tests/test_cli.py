@@ -123,8 +123,9 @@ def test_run_reports_a_fault_on_a_missing_table_and_goes_on(
 
 
 def test_run_requires_some_workload(config_file):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as caught:
         run_cli("run", "--config", config_file)
+    assert caught.value.code == 2
 
 
 # ---- verify ----
@@ -362,6 +363,36 @@ def test_a_missing_input_file_exits_2(argv, tmp_path, config_file, schedule_file
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, contents, message",
+    [
+        (("run", "--config", "{bad}", "--smallbank", "2"), b"{",
+         "{bad}: invalid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (("run", "--config", "{config}", "--schedule", "{schedule}", "--faults", "{bad}"), b"[",
+         "{bad}: invalid JSON: Expecting value: line 1 column 2 (char 1)"),
+        (("run", "--config", "{bad}", "--smallbank", "2"), b"\xff{}",
+         "{bad}: not UTF-8 text (invalid start byte)"),
+        (("run", "--config", "{config}", "--schedule", "{bad}"), b"0\talice\t\xff",
+         "{bad}: not UTF-8 text (invalid start byte)"),
+        (("graph", "{bad}"), b"SELECT * FROM acct WHERE s = '\xe9';\n",
+         "{bad}: not UTF-8 text (invalid continuation byte)"),
+        (("run", "--config", "{bad}", "--smallbank", "2"), b"[]", "config must be an object, not []"),
+        (("run", "--config", "{config}", "--schedule", "{schedule}", "--faults", "{bad}"),
+         b'{"at_tick": 1}', "fault script must be a list of objects, not {{'at_tick': 1}}"),
+    ],
+    ids=["run --config json", "run --faults json", "run --config utf-8", "run --schedule utf-8",
+         "graph utf-8", "run --config not an object", "run --faults not a list"],
+)
+def test_a_malformed_input_file_exits_2(argv, contents, message, tmp_path, config_file,
+                                        schedule_file, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(contents)
+    names = {"bad": str(bad), "config": config_file, "schedule": schedule_file}
+    assert run_cli(*(arg.format(**names) for arg in argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(**names)}\n")
+
+
 def test_domain_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"organizations": [], "min_matching": 1}))
@@ -393,7 +424,11 @@ def test_domain_errors_exit_2(tmp_path, capsys):
              "min_matching": 1},
             "organization O1: update_noop_emits_digest must be true or false, not 'false'",
         ),
-        ({**CONFIG, "checkpoint_capacity": 0}, "checkpoint_capacity must be at least 1"),
+        (
+            {**CONFIG, "checkpoint_capacity": 0},
+            "checkpoint_capacity is gone: every organization keeps its newest 3 checkpoints, "
+            "each a snapshot of every table",
+        ),
     ],
 )
 def test_run_rejects_a_mistyped_config_field(tmp_path, schedule_file, capsys, config, message):
@@ -466,13 +501,18 @@ def test_run_refuses_a_vote_rule_that_ends_before_it_starts(
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_schedule_rejects_a_non_integer_tick(config_file, tmp_path):
+def test_schedule_rejects_a_non_integer_tick(config_file, tmp_path, capsys):
     schedule = tmp_path / "schedule.tsv"
     schedule.write_text(SCHEDULE_LINES[1] + "\nx\tbob\tSELECT * FROM acct;\n")
-    with pytest.raises(SystemExit) as caught:
-        run_cli("run", "--config", config_file, "--schedule", str(schedule))
-    # a string exit code is printed to stderr and exits with status 1
-    assert caught.value.code == f"{schedule}:2: tick 'x' is not an integer"
+    assert run_cli("run", "--config", config_file, "--schedule", str(schedule)) == 2
+    assert capsys.readouterr() == ("", f"error: {schedule}:2: tick 'x' is not an integer\n")
+
+
+def test_schedule_skips_indented_comments(config_file, tmp_path, capsys):
+    schedule = tmp_path / "schedule.tsv"
+    schedule.write_text("\n".join(SCHEDULE_LINES[1:3] + ["  # not\ta\ttick", "\t"]) + "\n")
+    assert run_cli("run", "--config", config_file, "--schedule", str(schedule)) == 0
+    assert "# summary: org=O1 committed=1\n" in capsys.readouterr().out
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -56,7 +56,6 @@ def test_serials_count_per_pk():
     d.record("a", b"2", row_h(b"z"), ChangeType.INSERT)
     d.record("b", b"1", row_h(b"w"), ChangeType.INSERT)
     assert [t.serial for t in d.tuples] == [0, 1, 0, 0]
-    assert d.tables_touched() == {"a", "b"}
     assert len(d.tuples_for("a")) == 3
 
 

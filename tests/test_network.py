@@ -44,6 +44,7 @@ from effectledger.network import (
     OrgConfig,
     load_fault_script,
 )
+from effectledger.recovery import CHECKPOINTS_KEPT
 from effectledger.smallbank import bootstrap_transactions, build_schedule
 
 from conftest import block_id_of, unread_verdicts
@@ -576,9 +577,21 @@ def test_unknown_fault_kind_rejected():
 
 def test_fault_script_loads_json():
     text = json.dumps([corrupt_fault(3), {"at_tick": 5, "kind": "kill_org", "org": "O2"}])
-    events = load_fault_script(text)
+    events = load_fault_script(json.loads(text))
     assert [e.kind for e in events] == ["corrupt_row", "kill_org"]
     assert events[0].pk == (1,)
+
+
+def test_fault_script_that_is_not_a_list_is_refused():
+    with pytest.raises(ConfigError) as caught:
+        load_fault_script({"at_tick": 1})
+    assert str(caught.value) == "fault script must be a list of objects, not {'at_tick': 1}"
+
+
+def test_fault_script_with_a_fault_that_is_not_an_object_is_refused():
+    with pytest.raises(ConfigError) as caught:
+        load_fault_script([3])
+    assert str(caught.value) == "fault script: a fault must be an object, not 3"
 
 
 MIXED_DDL = (
@@ -806,21 +819,20 @@ def test_config_validation():
 
 
 def test_config_from_json():
-    config = NetworkConfig.from_json(
-        json.dumps(
-            {
-                "organizations": [
-                    {"id": "O1", "quirks": {"decimal_rounding": "truncate"}},
-                    {"id": "O2", "engine_delay": 3},
-                    {"id": "O3", "sessions": 4},
-                ],
-                "min_matching": 2,
-                "blocksize": 64,
-                "checkpoint_interval": 0,
-                "agreement_policies": {"acct": ["O1"]},
-            }
-        )
+    text = json.dumps(
+        {
+            "organizations": [
+                {"id": "O1", "quirks": {"decimal_rounding": "truncate"}},
+                {"id": "O2", "engine_delay": 3},
+                {"id": "O3", "sessions": 4},
+            ],
+            "min_matching": 2,
+            "blocksize": 64,
+            "checkpoint_interval": 0,
+            "agreement_policies": {"acct": ["O1"]},
+        }
     )
+    config = NetworkConfig.from_dict(json.loads(text))
     assert [o.org_id for o in config.orgs] == ["O1", "O2", "O3"]
     assert config.orgs[0].quirks.decimal_rounding.value == "truncate"
     assert config.orgs[1].engine_delay == 3
@@ -834,8 +846,6 @@ def test_config_from_json():
     "fields, message",
     [
         ({"checkpoint_interval": -2}, "checkpoint_interval must not be negative"),
-        ({"checkpoint_capacity": 0}, "checkpoint_capacity must be at least 1"),
-        ({"checkpoint_capacity": -1}, "checkpoint_capacity must be at least 1"),
         ({"organizations": [{"id": "O1", "engine_delay": -1}]},
          "organization O1: engine_delay must not be negative"),
     ],
@@ -860,6 +870,19 @@ def test_config_refuses_the_recovery_strategy_field():
     for strategy in ("full_replay", "optimized_partial_replay", None):
         with pytest.raises(ConfigError, match="^recovery_strategy is gone: "):
             NetworkConfig.from_dict({**raw, "recovery_strategy": strategy})
+
+
+@pytest.mark.parametrize("capacity", [0, -1, 3])
+def test_config_refuses_the_checkpoint_capacity_field(capacity):
+    """Every organization keeps the newest CHECKPOINTS_KEPT checkpoints; a
+    config that still sizes the ring fails rather than being ignored."""
+    raw = {"organizations": [{"id": "O1"}], "min_matching": 1, "checkpoint_capacity": capacity}
+    with pytest.raises(ConfigError) as caught:
+        NetworkConfig.from_dict(raw)
+    assert str(caught.value) == (
+        f"checkpoint_capacity is gone: every organization keeps its newest {CHECKPOINTS_KEPT} "
+        "checkpoints, each a snapshot of every table"
+    )
 
 
 THREE_ORGS = {"organizations": [{"id": "O1"}, {"id": "O2"}, {"id": "O3"}], "min_matching": 2}

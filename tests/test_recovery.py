@@ -1,5 +1,7 @@
 """Checkpoint cadence and the recovery ladder: checkpoints, then full replay."""
 
+from decimal import Decimal
+
 import pytest
 
 from effectledger import keys
@@ -21,18 +23,16 @@ def bump(i, amount="1"):
     return f"UPDATE acct SET bal = bal + {amount} WHERE id = {i};"
 
 
-def managed_cluster(interval=3, capacity=3, **kwargs):
+def managed_cluster(interval=3, **kwargs):
     cluster = Cluster(**kwargs)
     for node in cluster.nodes.values():
-        CheckpointManager(interval=interval, capacity=capacity).attach(node)
+        CheckpointManager(interval=interval).attach(node)
     return cluster
 
 
 def corrupt_row(node, pk=b"1", bal="999999.99"):
     table = node.db.table("acct")
     row = table.rows[pk]
-    from decimal import Decimal
-
     table.rows[pk] = (row[0], Decimal(bal))
 
 
@@ -53,7 +53,7 @@ def test_checkpoints_every_interval():
 
 
 def test_ring_drops_oldest_checkpoint():
-    cluster = managed_cluster(interval=1, capacity=3)
+    cluster = managed_cluster(interval=1)
     cluster.round(1, DDL, SEED)
     for bid in range(2, 7):
         cluster.round(bid, bump(1))
@@ -61,15 +61,16 @@ def test_ring_drops_oldest_checkpoint():
     assert [c.block_id for c in node.checkpoints.snapshots] == [4, 5, 6]
 
 
-def test_unchanged_tables_share_payload():
+def test_checkpoint_holds_an_out_of_band_write_to_an_unwritten_table():
     cluster = managed_cluster(interval=1)
     cluster.round(1, DDL, SEED)
-    cluster.round(2, AUDIT_DDL)
     node = cluster["O1"]
-    first, second = node.checkpoints.snapshots[-2:]
-    # acct untouched in block 2: its snapshot is carried forward by reference
-    assert second.tables["acct"] is first.tables["acct"]
-    assert "audit" in second.tables and "audit" not in first.tables
+    corrupt_row(node, bal="999.00")  # no later block writes acct
+    cluster.round(2, AUDIT_DDL)
+    checkpoint = node.checkpoints.snapshots[-1]
+    assert checkpoint.block_id == 2
+    assert checkpoint.tables == node.db.snapshot_all()
+    assert checkpoint.tables["acct"].rows[0] == (1, Decimal("999.00"))
 
 
 def test_checkpoint_restores_full_state():
